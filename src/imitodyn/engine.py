@@ -118,15 +118,22 @@ def transition_rates(game: Game, rule: ImitationRule, state: PopulationType, lam
     action i to action j, n * lambda * x_i * x_j * f_ij(x)."""
     if state.m != game.m:
         raise ValueError(f"state has {state.m} actions, game has {game.m}")
-    x = state.fractions
+    return _rate_matrix(game, rule, state.fractions, state.n, lam)[0]
+
+
+def _rate_matrix(
+    game: Game, rule: ImitationRule, x: np.ndarray, n: int, lam: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(rates, rewards, total) at frequency vector x: rates[i, j] is
+    n * lambda * x_i * x_j * f_ij with a zero diagonal.  Raises ValueError
+    when the total exceeds n * lambda, which a rule with f_ij <= 1 cannot do."""
     r = game.rewards_at(x)
-    F = rule.prob_matrix(r)
-    rates = state.n * lam * np.outer(x, x) * F
+    rates = n * lam * np.outer(x, x) * rule.prob_matrix(r)
     np.fill_diagonal(rates, 0.0)
     total = float(rates.sum())
-    if total > state.n * lam * (1.0 + _RATE_SLACK):
-        raise AssertionError(f"rate conservation violated: {total} > n*lambda = {state.n * lam}")
-    return rates
+    if total > n * lam * (1.0 + _RATE_SLACK):
+        raise ValueError(f"rate conservation violated: {total} > n*lambda = {n * lam}")
+    return rates, r, total
 
 
 def _meta(engine: str, game: Game, rule: ImitationRule, cfg: SimConfig, n: int, topology: str) -> dict:
@@ -151,14 +158,31 @@ def _pair_tables_2action(game: Game, rule: ImitationRule, n: int) -> tuple[np.nd
     return np.ascontiguousarray(F[0, 1]), np.ascontiguousarray(F[1, 0])
 
 
-def _absorbed_immediately(x0: PopulationType, cfg: SimConfig, meta: dict) -> Trajectory:
+def _trajectory(
+    times: list, rows: list, final, n: int, absorbed_at: float | None, events: int, cfg: SimConfig, meta: dict
+) -> Trajectory:
+    """Close out a recorded path whose current state is `final`.
+
+    Each row is a count vector, or the count of action 0 when m = 2.  An
+    absorbed path ends with a row at absorbed_at; an unabsorbed one, or one
+    that continues after absorption, ends with a row at the horizon.
+    """
+    if absorbed_at is not None and (times[-1] != absorbed_at or not np.array_equal(rows[-1], final)):
+        times.append(absorbed_at)
+        rows.append(final)
+    if (absorbed_at is None or not cfg.stop_on_absorption) and times[-1] < cfg.horizon:
+        times.append(cfg.horizon)
+        rows.append(final)
+    counts = np.asarray(rows, dtype=np.int64)
+    if counts.ndim == 1:
+        counts = np.column_stack([counts, n - counts])
     return Trajectory(
-        times=np.array([0.0]),
-        counts=x0.counts.reshape(1, -1).copy(),
-        n=x0.n,
-        absorbed_at=0.0,
-        absorbing_action=int(np.argmax(x0.counts)),
-        event_count=0,
+        times=np.asarray(times),
+        counts=counts,
+        n=n,
+        absorbed_at=absorbed_at,
+        absorbing_action=int(np.argmax(counts[-1])) if absorbed_at is not None else None,
+        event_count=events,
         meta=meta,
     )
 
@@ -174,7 +198,7 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
     meta = _meta("complete", game, rule, cfg, x0.n, f"complete(n={x0.n})")
     if x0.is_pure():
-        return _absorbed_immediately(x0, cfg, meta)
+        return _trajectory([0.0], [x0.counts], x0.counts, x0.n, 0.0, 0, cfg, meta)
     if game.m == 2:
         return _simulate_complete_2action(game, rule, x0, cfg, meta)
     return _simulate_complete_generic(game, rule, x0, cfg, meta)
@@ -234,29 +258,7 @@ def _simulate_complete_2action(
             absorbed_at = t
             break
 
-    if absorbed_at is None:
-        if times[-1] < horizon:
-            times.append(horizon)
-            kk.append(k)
-    else:
-        if capped and (not times or times[-1] != absorbed_at):
-            times.append(absorbed_at)
-            kk.append(k)
-        if not cfg.stop_on_absorption and times[-1] < horizon:
-            times.append(horizon)
-            kk.append(k)
-
-    karr = np.asarray(kk, dtype=np.int64)
-    counts = np.column_stack([karr, n - karr])
-    return Trajectory(
-        times=np.asarray(times),
-        counts=counts,
-        n=n,
-        absorbed_at=absorbed_at,
-        absorbing_action=(0 if k == n else 1) if absorbed_at is not None else None,
-        event_count=events,
-        meta=meta,
-    )
+    return _trajectory(times, kk, k, n, absorbed_at, events, cfg, meta)
 
 
 def _simulate_complete_generic(
@@ -275,19 +277,11 @@ def _simulate_complete_generic(
     recorded = [counts.copy()]
     events = 0
     absorbed_at: float | None = None
-    absorbing_action: int | None = None
     capped = False
     next_rec = 0.0
 
     while True:
-        x = counts / n
-        r = game.rewards_at(x)
-        F = rule.prob_matrix(r)
-        rates = n * lam * np.outer(x, x) * F
-        np.fill_diagonal(rates, 0.0)
-        total = float(rates.sum())
-        if total > n * lam * (1.0 + _RATE_SLACK):
-            raise AssertionError("rate conservation violated")
+        rates, _, total = _rate_matrix(game, rule, counts / n, n, lam)
         if total <= 0.0:
             break
         t_next = t - log(1.0 - rr()) / total
@@ -314,30 +308,9 @@ def _simulate_complete_generic(
             next_rec = t + cfg.record_stride
         if counts[j] == n:
             absorbed_at = t
-            absorbing_action = j
             break
 
-    if absorbed_at is None:
-        if times[-1] < horizon:
-            times.append(horizon)
-            recorded.append(counts.copy())
-    else:
-        if capped and times[-1] != absorbed_at:
-            times.append(absorbed_at)
-            recorded.append(counts.copy())
-        if not cfg.stop_on_absorption and times[-1] < horizon:
-            times.append(horizon)
-            recorded.append(counts.copy())
-
-    return Trajectory(
-        times=np.asarray(times),
-        counts=np.asarray(recorded, dtype=np.int64),
-        n=n,
-        absorbed_at=absorbed_at,
-        absorbing_action=absorbing_action,
-        event_count=events,
-        meta=meta,
-    )
+    return _trajectory(times, recorded, counts, n, absorbed_at, events, cfg, meta)
 
 
 def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configuration, cfg: SimConfig) -> Trajectory:
@@ -358,9 +331,8 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     lam = cfg.lam
     meta = _meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
     counts = np.bincount(y0.actions, minlength=m).astype(np.int64)
-    x0 = PopulationType(counts.copy(), n)
-    if x0.is_pure():
-        return _absorbed_immediately(x0, cfg, meta)
+    if counts.max() == n:
+        return _trajectory([0.0], [counts], counts, n, 0.0, 0, cfg, meta)
 
     use_tables = m == 2
     if use_tables:
@@ -389,7 +361,6 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     events = 0
     flips = 0
     absorbed_at: float | None = None
-    absorbing_action: int | None = None
 
     while True:
         t_next = t - log(1.0 - rr()) / total_rate
@@ -430,30 +401,10 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
                 recorded.append(counts.copy())
             if counts[j] == n:
                 absorbed_at = t
-                absorbing_action = j
-                if not record_jumps:
-                    times.append(t)
-                    recorded.append(counts.copy())
                 break
 
-    if absorbed_at is None:
-        if times[-1] < horizon:
-            times.append(horizon)
-            recorded.append(counts.copy())
-    elif not cfg.stop_on_absorption and times[-1] < horizon:
-        times.append(horizon)
-        recorded.append(counts.copy())
-
     meta["flip_count"] = flips
-    return Trajectory(
-        times=np.asarray(times),
-        counts=np.asarray(recorded, dtype=np.int64),
-        n=n,
-        absorbed_at=absorbed_at,
-        absorbing_action=absorbing_action,
-        event_count=events,
-        meta=meta,
-    )
+    return _trajectory(times, recorded, counts, n, absorbed_at, events, cfg, meta)
 
 
 def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType, lam: float = 1.0) -> DriftRates:
@@ -467,11 +418,7 @@ def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType
         raise ValueError("potential_drift_rates requires a game with a potential")
     if state.m != game.m:
         raise ValueError(f"state has {state.m} actions, game has {game.m}")
-    x = state.fractions
-    r = game.rewards_at(x)
-    F = rule.prob_matrix(r)
-    rates = state.n * lam * np.outer(x, x) * F
-    np.fill_diagonal(rates, 0.0)
+    rates, r, _ = _rate_matrix(game, rule, state.fractions, state.n, lam)
     up = r[None, :] > r[:, None]  # r_j > r_i
     down = r[None, :] < r[:, None]
     return DriftRates(q_plus=float(rates[up].sum()), q_minus=float(rates[down].sum()))

@@ -195,24 +195,8 @@ class _PolyPotential:
     coeffs: tuple[tuple[float, ...], ...]
 
     def __call__(self, x: np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        C = np.array(self.coeffs)
-        v = np.broadcast_to(C[:, -1].reshape((-1,) + (1,) * (x.ndim - 1)), x.shape).copy()
-        for j in range(C.shape[1] - 2, -1, -1):
-            v *= x
-            v += C[:, j].reshape((-1,) + (1,) * (x.ndim - 1))
-        total = v.sum(axis=0)
+        total = _PolyRewards(self.coeffs)(x).sum(axis=0)
         return float(total) if total.ndim == 0 else total
-
-
-@dataclass(frozen=True)
-class _PolyGradient:
-    """Coordinate-wise gradient of a separable polynomial potential."""
-
-    coeffs: tuple[tuple[float, ...], ...]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _PolyRewards(self.coeffs)(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,54 +248,23 @@ def make_congestion_game(polynomials: Sequence[Sequence[float]], name: str = "co
         m=len(polys),
         rewards=_PolyRewards(padded),
         potential=_PolyPotential(anti),
-        potential_gradient=_PolyGradient(padded),
+        potential_gradient=_PolyRewards(padded),
         name=name,
     )
-
-
-# Reduced quartic potential of the builtin 2-action benchmark game, as a
-# function of x_1 alone (the x_2 dependence is absorbed on the simplex).
-_E4_PHI = (9.0, 3.0, -14.0, 80.0 / 3.0, -16.0)
-_E4_DPHI = (3.0, -28.0, 80.0, -64.0)
-
-
-@dataclass(frozen=True)
-class _E4Potential:
-    def __call__(self, x: np.ndarray) -> float | np.ndarray:
-        x1 = np.asarray(x, dtype=float)[0]
-        v = _E4_PHI[-1]
-        for c in _E4_PHI[-2::-1]:
-            v = v * x1 + c
-        return float(v) if np.ndim(v) == 0 else v
-
-
-@dataclass(frozen=True)
-class _E4Gradient:
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x1 = np.asarray(x, dtype=float)[0]
-        g = _E4_DPHI[-1]
-        for c in _E4_DPHI[-2::-1]:
-            g = g * x1 + c
-        return np.array([g, 0.0 * g]) if np.ndim(g) == 0 else np.stack([g, 0.0 * g])
 
 
 def example4_game() -> Game:
     """Builtin 2-action benchmark: quartic potential with a degenerate saddle.
 
-    Rewards are r_1(x_1) = 12 - 28 x_1 + 80 x_1^2 - 64 x_1^3 and r_2 = 9.
-    The potential (written in x_1 only; its x_2 partial is zero) is
+    Rewards are r_1(x_1) = 12 - 28 x_1 + 80 x_1^2 - 64 x_1^3 and r_2 = 9,
+    built by make_congestion_game.  The potential is Psi_1(x_1) + 9 x_2 with
+    Psi_1(x_1) = 12 x_1 - 14 x_1^2 + 80/3 x_1^3 - 16 x_1^4, so its x_2
+    partial is 9.  On the simplex it equals the quartic
     -16 x_1^4 + 80/3 x_1^3 - 14 x_1^2 + 3 x_1 + 9, with interior critical
     points at x_1 = 1/4 (degenerate, double root of the derivative) and
     x_1 = 3/4 (isolated maximum), and minima at the two vertices.
     """
-    base = make_congestion_game([[12.0, -28.0, 80.0, -64.0], [9.0]], name="example4")
-    return Game(
-        m=2,
-        rewards=base.rewards,
-        potential=_E4Potential(),
-        potential_gradient=_E4Gradient(),
-        name="example4",
-    )
+    return make_congestion_game([[12.0, -28.0, 80.0, -64.0], [9.0]], name="example4")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .engine import Trajectory, potential_drift_rates
-from .games import Game, PopulationType, uniform_simplex_sample
+from .games import Game, PopulationType, _fd_gradient, uniform_simplex_sample
 from .rules import ImitationRule
 
 __all__ = [
@@ -61,17 +61,10 @@ def critical_point_to_dict(cp: CriticalPoint) -> dict:
     }
 
 
-def _gradient(game: Game, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _gradient(game: Game, x: np.ndarray) -> np.ndarray:
     if game.potential_gradient is not None:
         return np.asarray(game.potential_gradient(x), dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (game.potential(xp) - game.potential(xm)) / (2.0 * h)
-    return g
+    return _fd_gradient(game.potential, x)
 
 
 def _is_ne(game: Game, x: np.ndarray, tol: float = 1e-7) -> bool:

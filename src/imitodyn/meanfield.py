@@ -91,11 +91,7 @@ def integrate(
 
     for step in range(steps + (1 if rem > 1e-12 else 0)):
         h = dt if step < steps else rem
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(rhs, x, h, rhs(x))
         x, violation, hit = _guard(x)
         if hit:
             guard_hits += 1
@@ -109,11 +105,12 @@ def integrate(
     return OdeTrajectory(times=np.asarray(times), states=np.asarray(states))
 
 
-def _poly_eval(coeffs: tuple[float, ...], x: float) -> float:
-    v = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        v = v * x + c
-    return v
+def _rk4_step(rhs, x: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of size h from x, given k1 = rhs(x)."""
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _find_limit_2action_scalar(
@@ -121,6 +118,9 @@ def _find_limit_2action_scalar(
 ) -> LimitResult:
     """Scalar fast path: 2 actions, polynomial rewards, builtin rules."""
     c0, c1 = game.rewards.coeffs  # ascending coefficients per action
+    # (leading coefficient, the rest by falling degree) for inline Horner
+    a0, c0 = c0[-1], c0[-2::-1]
+    a1, c1 = c1[-1], c1[-2::-1]
     atan = math.atan
     pi = math.pi
     if isinstance(rule, ArctanRule):
@@ -129,7 +129,14 @@ def _find_limit_2action_scalar(
         k01 = float(K[0, 1])
 
         def rhs(v: float) -> float:
-            g = _poly_eval(c0, v) - _poly_eval(c1, 1.0 - v)  # r_0 - r_1
+            r0 = a0
+            for c in c0:
+                r0 = r0 * v + c
+            w = 1.0 - v
+            r1 = a1
+            for c in c1:
+                r1 = r1 * w + c
+            g = r0 - r1
             return lam * v * (1.0 - v) * (atan(k10 * g) + atan(k01 * g)) / pi
 
     else:
@@ -139,8 +146,15 @@ def _find_limit_2action_scalar(
         cap = 1.0 - eps
 
         def rhs(v: float) -> float:
-            f10 = eps + s * (_poly_eval(c0, v) - lo)
-            f01 = eps + s * (_poly_eval(c1, 1.0 - v) - lo)
+            r0 = a0
+            for c in c0:
+                r0 = r0 * v + c
+            w = 1.0 - v
+            r1 = a1
+            for c in c1:
+                r1 = r1 * w + c
+            f10 = eps + s * (r0 - lo)
+            f01 = eps + s * (r1 - lo)
             f10 = eps if f10 < eps else (cap if f10 > cap else f10)
             f01 = eps if f01 < eps else (cap if f01 > cap else f01)
             return lam * v * (1.0 - v) * (f10 - f01)
@@ -191,21 +205,21 @@ def find_limit(
     ):
         return _find_limit_2action_scalar(game, rule, float(x[0]), tol, max_T, dt, lam)
 
+    def rhs(v: np.ndarray) -> np.ndarray:
+        return mean_field_rhs(game, rule, v, lam)
+
     t = 0.0
     while t < max_T:
-        k1 = mean_field_rhs(game, rule, x, lam)
+        k1 = rhs(x)
         norm = float(np.max(np.abs(k1)))
         if norm < tol:
             return LimitResult(x, True, t, norm)
-        k2 = mean_field_rhs(game, rule, x + 0.5 * dt * k1, lam)
-        k3 = mean_field_rhs(game, rule, x + 0.5 * dt * k2, lam)
-        k4 = mean_field_rhs(game, rule, x + dt * k3, lam)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(rhs, x, dt, k1)
         x, violation, _ = _guard(x)
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} during find_limit")
         t += dt
-    norm = float(np.max(np.abs(mean_field_rhs(game, rule, x, lam))))
+    norm = float(np.max(np.abs(rhs(x))))
     return LimitResult(x, False, t, norm)
 
 

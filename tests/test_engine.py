@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import imitodyn.engine as engine_mod
 from imitodyn import (
     Configuration,
+    ImitationRule,
     PopulationType,
     RunSpec,
     SimConfig,
@@ -15,6 +16,8 @@ from imitodyn import (
     ensemble,
     make_congestion_game,
     potential_drift_rates,
+    replicator_rule,
+    reward_bounds,
     run_one,
     simulate_complete,
     simulate_network,
@@ -27,6 +30,14 @@ from conftest import (
     exact_hit_probability,
     exact_mean_absorption_time,
 )
+
+
+class _DoubledRule(ImitationRule):
+    """Invalid rule with every copy probability f_ij = 2."""
+
+    def prob_matrix(self, rewards):
+        m = np.asarray(rewards).shape[0]
+        return np.full((m, m), 2.0)
 
 
 class TestTransitionRates:
@@ -51,6 +62,35 @@ class TestTransitionRates:
         pt = PopulationType(counts, n=n)
         L = transition_rates(game4, rule, pt, lam=lam)
         assert float(L.sum()) <= n * lam * (1.0 + 1e-9)
+
+    def test_conservation_violation_raises_value_error(self):
+        game = make_congestion_game([[1.0, -1.0]] * 3)
+        pt = PopulationType(np.array([10, 10, 10]))  # barycenter: total = 4/3 n lambda
+        rule = _DoubledRule()
+        with pytest.raises(ValueError, match="rate conservation"):
+            transition_rates(game, rule, pt)
+        with pytest.raises(ValueError, match="rate conservation"):
+            potential_drift_rates(game, rule, pt)
+        with pytest.raises(ValueError, match="rate conservation"):
+            simulate_complete(game, rule, pt, SimConfig(horizon=1.0, seed=0))
+
+    @given(
+        st.integers(2, 200), st.data(), st.sampled_from(["arctan", "arctan2x2", "replicator"]), st.floats(0.1, 5.0)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_tables_match_rate_matrix(self, n, data, rule_name, lam):
+        game4 = __import__("imitodyn").example4_game()
+        rule = {
+            "arctan": arctan_rule(1.0),
+            "arctan2x2": arctan_rule([[1.0, 0.5], [2.0, 1.0]]),
+            "replicator": replicator_rule(*reward_bounds(game4)),
+        }[rule_name]
+        k = data.draw(st.integers(1, n - 1))
+        f01, f10 = engine_mod._pair_tables_2action(game4, rule, n)
+        base = lam * k * (n - k) / n
+        L = transition_rates(game4, rule, PopulationType(np.array([k, n - k])), lam=lam)
+        assert base * f10[k] == pytest.approx(L[1, 0], rel=1e-12, abs=0.0)  # k -> k + 1
+        assert base * f01[k] == pytest.approx(L[0, 1], rel=1e-12, abs=0.0)
 
 
 class TestDriftRates:
@@ -92,10 +132,18 @@ class TestCompleteEngine:
 
     def test_start_pure_is_absorbed_immediately(self, game4, arctan1):
         x0 = PopulationType(np.array([0, 30]))
-        traj = simulate_complete(game4, arctan1, x0, SimConfig(horizon=10.0, seed=0))
-        assert traj.absorbed_at == 0.0
-        assert traj.absorbing_action == 1
-        assert traj.event_count == 0
+        y0 = Configuration(np.ones(30, dtype=np.int64), m=2)
+        for stop in (True, False):
+            cfg = SimConfig(horizon=10.0, seed=0, stop_on_absorption=stop)
+            for traj in (
+                simulate_complete(game4, arctan1, x0, cfg),
+                simulate_network(complete(30), game4, arctan1, y0, cfg),
+            ):
+                assert traj.absorbed_at == 0.0
+                assert traj.absorbing_action == 1
+                assert traj.event_count == 0
+                assert traj.times[-1] == (0.0 if stop else 10.0)
+                assert np.all(traj.counts == [0, 30])
 
     def test_horizon_reached_unabsorbed(self, game4, arctan1):
         x0 = PopulationType.from_fractions(400, [0.5, 0.5])
@@ -118,6 +166,20 @@ class TestCompleteEngine:
         traj = simulate_complete(game4, arctan1, x0, cfg)
         assert traj.event_count > 1000
         assert len(traj.times) < 200  # capped, then one point per stride
+        # a capped run that absorbs still ends on its absorption row, in
+        # both the m = 2 loop and the generic loop
+        coordination = make_congestion_game([[0.0, 3.0]] * 3)
+        for game, x0, seed in (
+            (game4, PopulationType.from_fractions(12, [0.25, 0.75]), 0),
+            (coordination, PopulationType.from_fractions(30, [0.4, 0.3, 0.3]), 3),
+        ):
+            cfg = SimConfig(horizon=1e4, seed=seed, record_stride=5.0)
+            traj = simulate_complete(game, arctan1, x0, cfg)
+            assert traj.absorbed_at is not None
+            assert len(traj.times) < traj.event_count + 1
+            assert traj.times[-1] == traj.absorbed_at
+            assert traj.final_type().is_pure()
+            assert traj.absorbing_action == int(np.argmax(traj.counts[-1]))
 
     def test_three_action_generic_path(self):
         g = make_congestion_game([[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]])

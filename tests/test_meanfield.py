@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import (
+    Game,
     OdeTrajectory,
     Trajectory,
     arctan_rule,
@@ -124,6 +125,22 @@ class TestFindLimit:
         assert not res.converged
         assert res.t == pytest.approx(0.5, abs=0.05)
         assert res.rhs_norm > 0.0
+
+    @pytest.mark.parametrize("rule_name", ["arctan", "arctan2x2", "replicator"])
+    def test_scalar_path_matches_vector_path(self, game4, rule_name):
+        rule = {
+            "arctan": arctan_rule(1.0),
+            "arctan2x2": arctan_rule([[1.0, 0.5], [2.0, 1.0]]),
+            "replicator": replicator_rule(*reward_bounds(game4)),
+        }[rule_name]
+        # same rewards behind a lambda, so find_limit takes the vector path
+        wrapped = Game(m=2, rewards=lambda x: game4.rewards(x), potential=game4.potential)
+        for x1 in (0.05, 0.3, 0.6, 0.95):
+            x0 = np.array([x1, 1.0 - x1])
+            fast = find_limit(game4, rule, x0, max_T=2.0)
+            ref = find_limit(wrapped, rule, x0, max_T=2.0)
+            assert fast.t == pytest.approx(ref.t, abs=1e-12)
+            assert np.max(np.abs(fast.x - ref.x)) <= 1e-12
 
 
 class TestKurtzDeviation:
