@@ -10,12 +10,13 @@ One config file drives every subcommand (see config.py for the schema).
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
-the worker count for complete-graph ensembles.
+the worker count for every ensemble, on any topology.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -24,7 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .engine import RunSpec, SimConfig, Trajectory, derive_seed, ensemble, run_one
+# run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
+from .engine import RunSpec, SimConfig, Trajectory, derive_seed, ensemble, run_one  # noqa: F401
 from .games import PopulationType
 from .landscape import (
     critical_point_to_dict,
@@ -53,20 +55,15 @@ def _run_ensemble(cfg: ExperimentConfig, n: int) -> list[Trajectory]:
     if cfg.is_complete_topology:
         x0 = PopulationType.from_fractions(n, cfg.init_fractions)
         spec = RunSpec(game=cfg.game, rule=cfg.rule, cfg=sim, x0=x0)
-        return ensemble(spec, num_runs=cfg.runs, base_seed=cfg.base_seed)
-    out = []
-    for i in range(cfg.runs):
-        seed = derive_seed(cfg.base_seed, i)
-        graph = cfg.build_graph(n, seed)
+    else:
         spec = RunSpec(
             game=cfg.game,
             rule=cfg.rule,
             cfg=sim,
-            graph=graph,
+            graph=functools.partial(cfg.build_graph, n),
             init_fractions=tuple(float(v) for v in cfg.init_fractions),
         )
-        out.append(run_one(spec, seed))
-    return out
+    return ensemble(spec, num_runs=cfg.runs, base_seed=cfg.base_seed)
 
 
 def _critical_points(cfg: ExperimentConfig):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,7 +54,8 @@ class SimConfig:
     seed: int = 0
     record_stride: float = 0.1
     stop_on_absorption: bool = True
-    record_jumps: bool = False  # network engine: also record every type change
+    # network engine: also record each of the first EVENT_RECORD_CAP type changes
+    record_jumps: bool = False
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -230,7 +232,6 @@ def _simulate_complete_2action(
     kk = [k]
     events = 0
     absorbed_at: float | None = None
-    capped = False
     next_rec = 0.0
 
     while True:
@@ -244,16 +245,11 @@ def _simulate_complete_2action(
         t = t_next
         k = k + 1 if rr() < pup[k] else k - 1
         events += 1
-        if not capped:
+        if t >= next_rec:
             times.append(t)
             kk.append(k)
             if events >= EVENT_RECORD_CAP:
-                capped = True
                 next_rec = t + cfg.record_stride
-        elif t >= next_rec:
-            times.append(t)
-            kk.append(k)
-            next_rec = t + cfg.record_stride
         if k == 0 or k == n:
             absorbed_at = t
             break
@@ -277,7 +273,6 @@ def _simulate_complete_generic(
     recorded = [counts.copy()]
     events = 0
     absorbed_at: float | None = None
-    capped = False
     next_rec = 0.0
 
     while True:
@@ -296,16 +291,11 @@ def _simulate_complete_generic(
         counts[i] -= 1
         counts[j] += 1
         events += 1
-        if not capped:
+        if t >= next_rec:
             times.append(t)
             recorded.append(counts.copy())
             if events >= EVENT_RECORD_CAP:
-                capped = True
                 next_rec = t + cfg.record_stride
-        elif t >= next_rec:
-            times.append(t)
-            recorded.append(counts.copy())
-            next_rec = t + cfg.record_stride
         if counts[j] == n:
             absorbed_at = t
             break
@@ -319,8 +309,8 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     Activations arrive at total rate n * lambda; the active node contacts a
     uniform neighbor (uniform over all nodes, itself included, on the
     complete graph) and copies with probability f_ij evaluated at the global
-    type.  The type is recorded every record_stride, at every change when
-    cfg.record_jumps is set, and at absorption.
+    type.  The type is recorded every record_stride, at each of the first
+    EVENT_RECORD_CAP changes when cfg.record_jumps is set, and at absorption.
     """
     if y0.n != graph.n:
         raise ValueError(f"configuration has {y0.n} nodes, graph has {graph.n}")
@@ -330,18 +320,22 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     m = game.m
     lam = cfg.lam
     meta = _meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
-    counts = np.bincount(y0.actions, minlength=m).astype(np.int64)
-    if counts.max() == n:
+    counts = np.bincount(y0.actions, minlength=m).tolist()
+    if max(counts) == n:
         return _trajectory([0.0], [counts], counts, n, 0.0, 0, cfg, meta)
 
-    use_tables = m == 2
-    if use_tables:
-        f01_arr, f10_arr = _pair_tables_2action(game, rule, n)
-        f01 = f01_arr.tolist()
-        f10 = f10_arr.tolist()
-    else:
-        F_cache = rule.prob_matrix(game.rewards_at(counts / n))
+    if m == 2:
+        f01, f10 = _pair_tables_2action(game, rule, n)
+        # the diagonal is never read: a contact of the same type is skipped
+        tables = [[[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist())]
 
+        def law(c: list) -> list:
+            return tables[c[0]]
+    else:
+        def law(c: list) -> list:
+            return rule.prob_matrix(game.rewards_at(np.asarray(c) / n)).tolist()
+
+    F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
     adj = None if graph.is_complete else [a.tolist() for a in graph.neighbors]
     rng = random.Random(cfg.seed)
@@ -354,7 +348,6 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     total_rate = n * lam
 
     t = 0.0
-    k = int(counts[0])  # used only when m == 2
     times = [0.0]
     recorded = [counts.copy()]
     next_rec = stride
@@ -383,20 +376,13 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
         j = y[v]
         if i == j:
             continue
-        if use_tables:
-            p = f01[k] if i == 0 else f10[k]
-        else:
-            p = float(F_cache[i, j])
-        if rr() < p:
+        if rr() < F[i][j]:
             y[u] = j
             counts[i] -= 1
             counts[j] += 1
             flips += 1
-            if use_tables:
-                k += 1 if j == 0 else -1
-            else:
-                F_cache = rule.prob_matrix(game.rewards_at(counts / n))
-            if record_jumps:
+            F = law(counts)
+            if record_jumps and flips <= EVENT_RECORD_CAP:
                 times.append(t)
                 recorded.append(counts.copy())
             if counts[j] == n:
@@ -428,28 +414,25 @@ def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType
 class RunSpec:
     """Everything an ensemble run needs except its seed.
 
-    Provide x0 for the complete-graph type chain, or graph plus either a
-    fixed y0 or target init_fractions (placed uniformly at random per run,
-    from the run's own seed).
+    Provide x0 for the complete-graph type chain, or graph plus target
+    init_fractions (placed uniformly at random per run, from the run's own
+    seed).  graph is either one Graph shared by every run or a function
+    run_seed -> Graph that builds each run's graph.
     """
 
     game: Game
     rule: ImitationRule
     cfg: SimConfig
     x0: PopulationType | None = None
-    graph: Graph | None = None
-    y0: Configuration | None = None
+    graph: Graph | Callable[[int], Graph] | None = None
     init_fractions: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.x0 is not None:
-            if self.graph is not None or self.y0 is not None or self.init_fractions is not None:
+            if self.graph is not None or self.init_fractions is not None:
                 raise ValueError("give either x0 (complete engine) or graph-based initial data, not both")
-        else:
-            if self.graph is None:
-                raise ValueError("need x0 or a graph")
-            if (self.y0 is None) == (self.init_fractions is None):
-                raise ValueError("network runs need exactly one of y0 or init_fractions")
+        elif self.graph is None or self.init_fractions is None:
+            raise ValueError("network runs need a graph and init_fractions")
 
 
 def _placement(n: int, m: int, fractions: Sequence[float], seed: int) -> Configuration:
@@ -464,19 +447,16 @@ def run_one(spec: RunSpec, seed: int) -> Trajectory:
     cfg = replace(spec.cfg, seed=seed)
     if spec.x0 is not None:
         return simulate_complete(spec.game, spec.rule, spec.x0, cfg)
-    assert spec.graph is not None
-    if spec.y0 is not None:
-        y0 = spec.y0
-    else:
-        y0 = _placement(spec.graph.n, spec.game.m, spec.init_fractions, derive_seed(seed, "placement"))
-    return simulate_network(spec.graph, spec.game, spec.rule, y0, cfg)
+    graph = spec.graph if isinstance(spec.graph, Graph) else spec.graph(seed)
+    y0 = _placement(graph.n, spec.game.m, spec.init_fractions, derive_seed(seed, "placement"))
+    return simulate_network(graph, spec.game, spec.rule, y0, cfg)
 
 
 def _worker(args: tuple[RunSpec, int]) -> Trajectory:
     return run_one(*args)
 
 
-def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int, workers: int | None = None) -> list[Trajectory]:
+def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajectory]:
     """Independent runs with per-run seeds hash(base_seed, run_index).
 
     Results are ordered by run index and do not depend on the worker count;
@@ -485,10 +465,14 @@ def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int, workers: int | No
     if num_runs < 1:
         raise ValueError("need at least one run")
     seeds = [derive_seed(base_seed, i) for i in range(num_runs)]
-    if workers is None:
-        workers = int(os.environ.get("IMITODYN_THREADS", "1"))
-    workers = max(1, min(workers, num_runs))
+    workers = max(1, min(int(os.environ.get("IMITODYN_THREADS", "1")), num_runs))
     if workers == 1:
         return [run_one(run_spec, s) for s in seeds]
+    try:
+        pickle.dumps(run_spec)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ValueError(
+            f"run spec cannot be sent to worker processes ({exc}); set IMITODYN_THREADS=1 to run sequentially"
+        ) from exc
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, [(run_spec, s) for s in seeds]))

@@ -9,7 +9,6 @@ the canonical constructive family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -346,18 +345,11 @@ def reward_bounds(game: Game, grid_resolution: int = 256) -> tuple[float, float]
     """
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
-    if game.m == 2:
-        x1 = np.linspace(0.0, 1.0, grid_resolution + 1)
-        pts = np.stack([x1, 1.0 - x1], axis=1)
-    else:
-        res = min(grid_resolution, 64)  # combinatorial growth for m >= 3
-        pts = simplex_grid(game.m, res)
-    lo = math.inf
-    hi = -math.inf
-    for x in pts:
-        r = game.rewards_at(x)
-        lo = min(lo, float(np.min(r)))
-        hi = max(hi, float(np.max(r)))
+    # combinatorial growth for m >= 3
+    res = grid_resolution if game.m == 2 else min(grid_resolution, 64)
+    R = rewards_grid(game, simplex_grid(game.m, res).T)
+    lo = float(np.min(R))
+    hi = float(np.max(R))
     span = hi - lo
     if span > 0.0:
         pad = 0.01 * span

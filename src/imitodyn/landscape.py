@@ -492,10 +492,11 @@ def metastability_report(
         entry["exit_times"] = exits
 
         stride = max(1, len(traj.times) // drift_samples)
+        fractions = traj.fractions
         viol = 0
         run_min: float | None = None
         for row in range(0, len(traj.times), stride):
-            x = traj.fractions[row]
+            x = fractions[row]
             if any(np.max(np.abs(x - c)) <= drift_margin for c in fixed_centers):
                 continue
             dr = potential_drift_rates(game, rule, traj.state(row), lam)

@@ -38,6 +38,32 @@ def read_all_bytes(directory):
     return out
 
 
+def assert_threads_do_not_change_output(tmp_path, data_a, data_b):
+    cfg_a = write_cfg(tmp_path, data_a, name="a.json")
+    cfg_b = write_cfg(tmp_path, data_b, name="b.json")
+    env = dict(os.environ)
+    env["IMITODYN_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "imitodyn", "simulate", "--config", cfg_a],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    env["IMITODYN_THREADS"] = "3"
+    proc = subprocess.run(
+        [sys.executable, "-m", "imitodyn", "simulate", "--config", cfg_b],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    a = read_all_bytes(data_a["output"]["dir"])
+    b = read_all_bytes(data_b["output"]["dir"])
+    assert sorted(a) == sorted(b)
+    for name in a:
+        if name != "summary.json":
+            assert a[name] == b[name], name
+
+
 class TestSimulate:
     def test_writes_csvs_and_summary(self, tmp_path):
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
@@ -293,25 +319,12 @@ class TestEntryPoints:
         assert (tmp_path / "out" / "run_000.csv").exists()
 
     def test_threads_env_var_does_not_change_output(self, tmp_path):
-        cfg_a = write_cfg(tmp_path, sim_cfg(tmp_path, out="a"), name="a.json")
-        cfg_b = write_cfg(tmp_path, sim_cfg(tmp_path, out="b"), name="b.json")
-        env = dict(os.environ)
-        env["IMITODYN_THREADS"] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-m", "imitodyn", "simulate", "--config", cfg_a],
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        env["IMITODYN_THREADS"] = "3"
-        proc = subprocess.run(
-            [sys.executable, "-m", "imitodyn", "simulate", "--config", cfg_b],
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        a = read_all_bytes(tmp_path / "a")
-        b = read_all_bytes(tmp_path / "b")
-        for name in a:
-            if name != "summary.json":
-                assert a[name] == b[name], name
+        assert_threads_do_not_change_output(tmp_path, sim_cfg(tmp_path, out="a"), sim_cfg(tmp_path, out="b"))
+
+    def test_threads_env_var_does_not_change_network_output(self, tmp_path):
+        data = {}
+        for out in ("a", "b"):
+            data[out] = sim_cfg(tmp_path, out=out, n=30)
+            data[out]["topology"] = {"type": "er", "p": 0.3}
+        assert_threads_do_not_change_output(tmp_path, data["a"], data["b"])
+

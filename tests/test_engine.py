@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import imitodyn.engine as engine_mod
 from imitodyn import (
@@ -197,6 +198,78 @@ class TestCompleteEngine:
         assert np.max(np.abs(tail.mean(axis=0) - 1 / 3)) < 0.15
 
 
+class TestAgainstThreeActionGenerator:
+    """Both engines against the exact m = 3 jump chain (Gillespie 1977):
+    each visited state's next-state counts pass a chi-square test against
+    the embedded chain, and holding times scaled by the total rate out of
+    their state pass a KS test against Exp(1)."""
+
+    N = 6
+    GAME = make_congestion_game([[1.0, -1.0]] * 3)
+    RULE = replicator_rule(*reward_bounds(GAME), eps_margin=0.01)
+
+    def _check(self, run_seeded, transitions=20_000):
+        rates = {}
+        observed: dict = {}
+        scaled = []
+        seen = run = 0
+        while seen < transitions:
+            traj = run_seeded(run)
+            run += 1
+            rows = [tuple(r) for r in traj.counts.tolist()]
+            for a, b, dt in zip(rows[:-1], rows[1:], np.diff(traj.times)):
+                if a == b:  # the censored stretch up to the horizon
+                    continue
+                if a not in rates:
+                    rates[a] = transition_rates(self.GAME, self.RULE, PopulationType(np.array(a), self.N))
+                observed.setdefault(a, {}).setdefault(b, 0)
+                observed[a][b] += 1
+                scaled.append(dt * rates[a].sum())
+                seen += 1
+
+        chi2, dof = 0.0, 0
+        for a, nxt in observed.items():
+            total = sum(nxt.values())
+            if total < 50:
+                continue
+            obs, exp = [], []
+            for (i, j), rate in np.ndenumerate(rates[a]):
+                if rate > 0.0:
+                    b = list(a)
+                    b[i] -= 1
+                    b[j] += 1
+                    obs.append(nxt.get(tuple(b), 0))
+                    exp.append(total * rate / rates[a].sum())
+            assert sum(obs) == total  # no jump the generator forbids
+            obs, exp = np.array(obs), np.array(exp)
+            chi2 += float(((obs - exp) ** 2 / exp).sum())
+            dof += len(obs) - 1
+        assert dof >= 30
+        assert stats.chi2.sf(chi2, dof) > 1e-3
+        assert stats.kstest(scaled, "expon").pvalue > 1e-3
+
+    def test_complete_engine(self):
+        x0 = PopulationType(np.array([2, 2, 2]), self.N)
+        self._check(
+            lambda run: simulate_complete(
+                self.GAME, self.RULE, x0, SimConfig(horizon=400.0, seed=derive_seed(3, run))
+            )
+        )
+
+    def test_network_engine_on_complete_graph(self):
+        g = complete(self.N)
+        y0 = Configuration(np.array([0, 0, 1, 1, 2, 2]), m=3)
+        self._check(
+            lambda run: simulate_network(
+                g,
+                self.GAME,
+                self.RULE,
+                y0,
+                SimConfig(horizon=400.0, seed=derive_seed(4, run), record_stride=1e9, record_jumps=True),
+            )
+        )
+
+
 class TestAgainstBirthDeathOracle:
     def test_hitting_probability(self, game4, arctan1):
         n, k0, runs = 10, 5, 2000
@@ -277,6 +350,19 @@ class TestNetworkEngine:
         assert np.all(np.abs(diffs) == 1)
         assert traj.meta["flip_count"] == len(diffs)
 
+    def test_record_jumps_capped_then_stride(self, game4, arctan1, monkeypatch):
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", 40)
+        g = square_lattice(10, periodic=True)
+        y0 = Configuration(np.array([0, 1] * 50), m=2)
+        cfg = SimConfig(horizon=10.0, seed=5, record_stride=0.5, record_jumps=True)
+        traj = simulate_network(g, game4, arctan1, y0, cfg)
+        assert traj.absorbed_at is None
+        assert traj.meta["flip_count"] > 40
+        on_grid = (traj.times % 0.5 == 0.0) | (traj.times == cfg.horizon)
+        assert int((~on_grid).sum()) == 40  # one row per flip, up to the cap
+        assert traj.times[on_grid].tolist() == np.arange(0.0, 10.5, 0.5).tolist()
+        assert np.all(np.diff(traj.times) >= 0.0)
+
     def test_size_mismatch_rejected(self, game4, arctan1):
         g = complete(10)
         y0 = Configuration(np.array([0, 1]), m=2)
@@ -329,6 +415,19 @@ class TestEnsemble:
         for a, b in zip(seq, par):
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.counts, b.counts)
+
+    def test_unpicklable_spec_rejected_by_pool(self, game4, arctan1, monkeypatch):
+        spec = RunSpec(
+            game=game4,
+            rule=arctan1,
+            cfg=SimConfig(horizon=1.0, seed=0),
+            graph=lambda seed: complete(10),
+            init_fractions=(0.5, 0.5),
+        )
+        assert len(ensemble(spec, num_runs=2, base_seed=0)) == 2
+        monkeypatch.setenv("IMITODYN_THREADS", "2")
+        with pytest.raises(ValueError, match="IMITODYN_THREADS=1"):
+            ensemble(spec, num_runs=2, base_seed=0)
 
     def test_network_placement_reproducible(self, game4, arctan1):
         g = square_lattice(5, periodic=True)

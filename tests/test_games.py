@@ -62,6 +62,18 @@ class TestReferenceGame:
         assert lo == pytest.approx(-0.12, abs=1e-12)
         assert hi == pytest.approx(12.12, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reward_bounds_match_per_point_loop(self, game4, m):
+        game = game4 if m == 2 else make_congestion_game([[1.0, -1.0], [0.5, 2.0, -3.0], [2.0]])
+        if m == 2:
+            x1 = np.linspace(0.0, 1.0, 257)
+            pts = np.stack([x1, 1.0 - x1], axis=1)
+        else:
+            pts = simplex_grid(3, 64)
+        r = np.array([game.rewards_at(x) for x in pts])
+        pad = 0.01 * (r.max() - r.min())
+        assert reward_bounds(game) == (r.min() - pad, r.max() + pad)
+
 
 class TestCongestionBuilder:
     def test_antiderivative_potential(self):
