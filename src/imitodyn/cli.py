@@ -10,7 +10,8 @@ One config file drives every subcommand (see config.py for the schema).
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
-the worker count for every ensemble, on any topology.
+the worker count for every ensemble, on any topology; a value that is not a
+positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
-from .engine import RunSpec, SimConfig, Trajectory, derive_seed, ensemble, run_one  # noqa: F401
+from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, derive_seed, ensemble, run_one  # noqa: F401
 from .games import PopulationType
 from .landscape import (
     critical_point_to_dict,
@@ -201,6 +202,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        try:
+            _thread_cap()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         cfg = load_config(args.config)
         if args.seed is not None:
             if not (0 <= args.seed < 2**64):

@@ -14,12 +14,15 @@ import math
 import os
 import pickle
 import random
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._law import _Law, check_probs
 from .games import Configuration, Game, PopulationType, rewards_grid
 from .rules import ImitationRule
 from .topology import Graph
@@ -156,7 +159,7 @@ def _pair_tables_2action(game: Game, rule: ImitationRule, n: int) -> tuple[np.nd
     ks = np.arange(n + 1, dtype=float)
     X = np.vstack([ks / n, 1.0 - ks / n])
     R = rewards_grid(game, X)
-    F = rule.prob_matrix(R)  # (2, 2, n+1)
+    F = check_probs(rule.prob_matrix(R))  # (2, 2, n+1)
     return np.ascontiguousarray(F[0, 1]), np.ascontiguousarray(F[1, 0])
 
 
@@ -261,13 +264,14 @@ def _simulate_complete_generic(
     game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig, meta: dict
 ) -> Trajectory:
     n = x0.n
-    m = game.m
-    lam = cfg.lam
+    law = _Law(game, rule, cfg.lam, n)
+    rates = law.rates
+    pairs = law.pairs
     rng = random.Random(cfg.seed)
     rr = rng.random
     log = math.log
     horizon = cfg.horizon
-    counts = x0.counts.astype(np.int64).copy()
+    counts = x0.counts.tolist()
     t = 0.0
     times = [0.0]
     recorded = [counts.copy()]
@@ -276,7 +280,8 @@ def _simulate_complete_generic(
     next_rec = 0.0
 
     while True:
-        rates, _, total = _rate_matrix(game, rule, counts / n, n, lam)
+        cum = list(accumulate(rates(counts)))
+        total = cum[-1]
         if total <= 0.0:
             break
         t_next = t - log(1.0 - rr()) / total
@@ -284,10 +289,9 @@ def _simulate_complete_generic(
             t = horizon
             break
         t = t_next
-        flat = np.cumsum(rates.ravel())
-        idx = int(np.searchsorted(flat, rr() * total, side="right"))
-        idx = min(idx, m * m - 1)
-        i, j = divmod(idx, m)
+        # total is the last cumulative rate, so rr() * total < total picks a
+        # pair whose rate is positive
+        i, j = pairs[bisect_right(cum, rr() * total)]
         counts[i] -= 1
         counts[j] += 1
         events += 1
@@ -332,8 +336,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
         def law(c: list) -> list:
             return tables[c[0]]
     else:
-        def law(c: list) -> list:
-            return rule.prob_matrix(game.rewards_at(np.asarray(c) / n)).tolist()
+        law = _Law(game, rule, lam, n).probs
 
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
@@ -456,6 +459,18 @@ def _worker(args: tuple[RunSpec, int]) -> Trajectory:
     return run_one(*args)
 
 
+def _thread_cap() -> int:
+    """IMITODYN_THREADS as a positive worker count (default 1)."""
+    raw = os.environ.get("IMITODYN_THREADS", "1")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"IMITODYN_THREADS: must be a positive integer, got {raw!r}")
+    return cap
+
+
 def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajectory]:
     """Independent runs with per-run seeds hash(base_seed, run_index).
 
@@ -465,7 +480,7 @@ def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajector
     if num_runs < 1:
         raise ValueError("need at least one run")
     seeds = [derive_seed(base_seed, i) for i in range(num_runs)]
-    workers = max(1, min(int(os.environ.get("IMITODYN_THREADS", "1")), num_runs))
+    workers = min(_thread_cap(), num_runs)
     if workers == 1:
         return [run_one(run_spec, s) for s in seeds]
     try:

@@ -3,7 +3,9 @@
 The large-population limit of the jump chain follows
 x' = lambda * diag(x) (F(x)^T - F(x)) x, which preserves the simplex and
 increases the potential along trajectories of potential games.  Fixed-step
-RK4 keeps results reproducible across runs and platforms.
+RK4 keeps results reproducible across runs and platforms.  integrate and
+find_limit step on Python floats through the compiled law (_law), in x_0
+alone for two actions; mean_field_rhs is the reference right-hand side.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, _PolyRewards, as_simplex_point
-from .rules import ArctanRule, ImitationRule, ReplicatorRule
+from ._law import _Law
 from .engine import Trajectory
+from .games import Game, as_simplex_point
+from .rules import ImitationRule
 
 __all__ = [
     "OdeTrajectory",
@@ -53,13 +56,83 @@ def mean_field_rhs(game: Game, rule: ImitationRule, x: np.ndarray, lam: float = 
     return lam * x * ((F.T - F) @ x)
 
 
-def _guard(x: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Clip tiny negatives and renormalize; report the violation size."""
-    clipped = float(-(x[x < 0.0].sum())) if np.any(x < 0.0) else 0.0
-    x = np.maximum(x, 0.0)
-    s = float(x.sum())
-    violation = max(clipped, abs(s - 1.0))
-    return x / s, violation, clipped > 0.0
+class _Flow1:
+    """Flow of a 2-action game in v = x_0 alone, x_1 = 1 - v."""
+
+    def __init__(self, game: Game, rule: ImitationRule, lam: float):
+        self.rhs = rhs = _Law(game, rule, lam).drift
+
+        def step(v: float, h: float, k1: float) -> tuple[float, float, bool]:
+            """RK4 step of size h from v, given k1 = rhs(v), then the guard:
+            (new v clipped to [0, 1], violation size, whether it clipped)."""
+            half = 0.5 * h
+            k2 = rhs(v + half * k1)
+            k3 = rhs(v + half * k2)
+            k4 = rhs(v + h * k3)
+            v += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if v < 0.0:
+                return 0.0, -v, True
+            if v > 1.0:
+                return 1.0, v - 1.0, True
+            return v, 0.0, False
+
+        self.step = step
+
+    norm = staticmethod(abs)
+
+    @staticmethod
+    def start(x: np.ndarray) -> float:
+        return float(x[0])
+
+    @staticmethod
+    def point(v: float) -> tuple[float, float]:
+        return v, 1.0 - v
+
+
+class _FlowM:
+    """Flow of an m-action game on frequency lists."""
+
+    def __init__(self, game: Game, rule: ImitationRule, lam: float):
+        self.rhs = rhs = _Law(game, rule, lam).rhs
+
+        def step(x: list, h: float, k1: list) -> tuple[list, float, bool]:
+            """RK4 step of size h from x, given k1 = rhs(x), then the guard:
+            (x with negatives clipped and renormalized, violation size,
+            whether it clipped)."""
+            half = 0.5 * h
+            k2 = rhs([a + half * b for a, b in zip(x, k1)])
+            k3 = rhs([a + half * b for a, b in zip(x, k2)])
+            k4 = rhs([a + h * b for a, b in zip(x, k3)])
+            sixth = h / 6.0
+            x = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+            clipped = 0.0
+            total = 0.0
+            for v in x:
+                if v < 0.0:
+                    clipped -= v
+                else:
+                    total += v
+            if clipped > 0.0:
+                x = [v if v > 0.0 else 0.0 for v in x]
+            return [v / total for v in x], max(clipped, abs(total - 1.0)), clipped > 0.0
+
+        self.step = step
+
+    @staticmethod
+    def norm(k: list) -> float:
+        return max(abs(v) for v in k)
+
+    @staticmethod
+    def start(x: np.ndarray) -> list:
+        return x.tolist()
+
+    @staticmethod
+    def point(x: list) -> list:
+        return x
+
+
+def _flow(game: Game, rule: ImitationRule, lam: float) -> _Flow1 | _FlowM:
+    return (_Flow1 if game.m == 2 else _FlowM)(game, rule, lam)
 
 
 def integrate(
@@ -74,109 +147,35 @@ def integrate(
 
     A clip-and-renormalize guard keeps iterates on the simplex; the run
     aborts if the guard fires more than 10^3 times or a step leaves the
-    simplex by more than 1e-6 even after guarding.
+    simplex by more than 1e-6 even after guarding.  A 2-action flow runs
+    in x_0 alone.
     """
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("need T > 0 and dt > 0")
-    x = as_simplex_point(x0).copy()
+    x0 = as_simplex_point(x0)
+    flow = _flow(game, rule, lam)
     steps = int(math.floor(T / dt + 1e-9))
     rem = T - steps * dt
-    times = [0.0]
-    states = [x.copy()]
+    total = steps + (1 if rem > 1e-12 else 0)
+    times = np.empty(total + 1)
+    states = np.empty((total + 1, game.m))
+    times[0] = 0.0
+    states[0] = x0
+    x = flow.start(x0)
     guard_hits = 0
     t = 0.0
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return mean_field_rhs(game, rule, v, lam)
-
-    for step in range(steps + (1 if rem > 1e-12 else 0)):
+    for step in range(total):
         h = dt if step < steps else rem
-        x = _rk4_step(rhs, x, h, rhs(x))
-        x, violation, hit = _guard(x)
-        if hit:
-            guard_hits += 1
+        x, violation, hit = flow.step(x, h, flow.rhs(x))
+        guard_hits += hit
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} at t = {t + h:g} exceeds 1e-6")
         if guard_hits > 1000:
             raise RuntimeError("simplex guard activated more than 1000 times")
         t += h
-        times.append(t)
-        states.append(x.copy())
-    return OdeTrajectory(times=np.asarray(times), states=np.asarray(states))
-
-
-def _rk4_step(rhs, x: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of size h from x, given k1 = rhs(x)."""
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _find_limit_2action_scalar(
-    game: Game, rule: ImitationRule, x1: float, tol: float, max_T: float, dt: float, lam: float
-) -> LimitResult:
-    """Scalar fast path: 2 actions, polynomial rewards, builtin rules."""
-    c0, c1 = game.rewards.coeffs  # ascending coefficients per action
-    # (leading coefficient, the rest by falling degree) for inline Horner
-    a0, c0 = c0[-1], c0[-2::-1]
-    a1, c1 = c1[-1], c1[-2::-1]
-    atan = math.atan
-    pi = math.pi
-    if isinstance(rule, ArctanRule):
-        K = rule._k_for(2)
-        k10 = float(K[1, 0])
-        k01 = float(K[0, 1])
-
-        def rhs(v: float) -> float:
-            r0 = a0
-            for c in c0:
-                r0 = r0 * v + c
-            w = 1.0 - v
-            r1 = a1
-            for c in c1:
-                r1 = r1 * w + c
-            g = r0 - r1
-            return lam * v * (1.0 - v) * (atan(k10 * g) + atan(k01 * g)) / pi
-
-    else:
-        eps = rule.eps_margin
-        lo = rule.r_lo
-        s = rule.slope
-        cap = 1.0 - eps
-
-        def rhs(v: float) -> float:
-            r0 = a0
-            for c in c0:
-                r0 = r0 * v + c
-            w = 1.0 - v
-            r1 = a1
-            for c in c1:
-                r1 = r1 * w + c
-            f10 = eps + s * (r0 - lo)
-            f01 = eps + s * (r1 - lo)
-            f10 = eps if f10 < eps else (cap if f10 > cap else f10)
-            f01 = eps if f01 < eps else (cap if f01 > cap else f01)
-            return lam * v * (1.0 - v) * (f10 - f01)
-
-    t = 0.0
-    x = x1
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    while t < max_T:
-        k1 = rhs(x)
-        if abs(k1) < tol:
-            return LimitResult(np.array([x, 1.0 - x]), True, t, abs(k1))
-        k2 = rhs(x + half * k1)
-        k3 = rhs(x + half * k2)
-        k4 = rhs(x + dt * k3)
-        x += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
-        t += dt
-    return LimitResult(np.array([x, 1.0 - x]), False, t, abs(rhs(x)))
+        times[step + 1] = t
+        states[step + 1] = flow.point(x)
+    return OdeTrajectory(times=times, states=states)
 
 
 def find_limit(
@@ -197,30 +196,21 @@ def find_limit(
     """
     if tol <= 0.0 or max_T <= 0.0 or dt <= 0.0:
         raise ValueError("need tol > 0, max_T > 0, dt > 0")
-    x = as_simplex_point(x0).copy()
-    if (
-        game.m == 2
-        and isinstance(game.rewards, _PolyRewards)
-        and isinstance(rule, (ArctanRule, ReplicatorRule))
-    ):
-        return _find_limit_2action_scalar(game, rule, float(x[0]), tol, max_T, dt, lam)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return mean_field_rhs(game, rule, v, lam)
-
+    flow = _flow(game, rule, lam)
+    rhs, step, norm = flow.rhs, flow.step, flow.norm
+    x = flow.start(as_simplex_point(x0))
     t = 0.0
+    converged = False
     while t < max_T:
         k1 = rhs(x)
-        norm = float(np.max(np.abs(k1)))
-        if norm < tol:
-            return LimitResult(x, True, t, norm)
-        x = _rk4_step(rhs, x, dt, k1)
-        x, violation, _ = _guard(x)
+        if norm(k1) < tol:
+            converged = True
+            break
+        x, violation, _ = step(x, dt, k1)
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} during find_limit")
         t += dt
-    norm = float(np.max(np.abs(rhs(x))))
-    return LimitResult(x, False, t, norm)
+    return LimitResult(np.array(flow.point(x)), converged, t, norm(rhs(x)))
 
 
 def kurtz_deviation(stoch: Trajectory, ode: OdeTrajectory, T: float) -> float:

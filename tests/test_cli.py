@@ -285,6 +285,15 @@ class TestErrorPaths:
         assert main(["simulate", "--config", cfg, "--runs", "0"]) == 2
         assert "--runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_threads_env_var_exits_2_without_output(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("IMITODYN_THREADS", value)
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: IMITODYN_THREADS" in err and repr(value) in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["explode", "--config", "x.json"])

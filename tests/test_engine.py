@@ -37,8 +37,8 @@ class _DoubledRule(ImitationRule):
     """Invalid rule with every copy probability f_ij = 2."""
 
     def prob_matrix(self, rewards):
-        m = np.asarray(rewards).shape[0]
-        return np.full((m, m), 2.0)
+        r = np.asarray(rewards)
+        return np.full((r.shape[0],) + r.shape, 2.0)
 
 
 class TestTransitionRates:
@@ -74,6 +74,15 @@ class TestTransitionRates:
             potential_drift_rates(game, rule, pt)
         with pytest.raises(ValueError, match="rate conservation"):
             simulate_complete(game, rule, pt, SimConfig(horizon=1.0, seed=0))
+        # every engine rejects the rule: the m = 2 table loop, and the network
+        # loop for m = 2 and m = 3
+        game2 = make_congestion_game([[1.0, -1.0]] * 2)
+        cfg = SimConfig(horizon=1.0, seed=0)
+        with pytest.raises(ValueError, match="rate conservation"):
+            simulate_complete(game2, rule, PopulationType(np.array([10, 10])), cfg)
+        for g, y0 in ((game2, [0, 1] * 10), (game, [0, 1, 2] * 10)):
+            with pytest.raises(ValueError, match="rate conservation"):
+                simulate_network(complete(len(y0)), g, rule, Configuration(np.array(y0), m=g.m), cfg)
 
     @given(
         st.integers(2, 200), st.data(), st.sampled_from(["arctan", "arctan2x2", "replicator"]), st.floats(0.1, 5.0)
@@ -270,6 +279,75 @@ class TestAgainstThreeActionGenerator:
         )
 
 
+# f_ij orientation matters: a K[i][j] / K[j][i] swap changes the law
+ASYMMETRIC_K3 = [[1.0, 0.5, 2.0], [3.0, 1.0, 0.7], [0.4, 1.5, 1.0]]
+
+
+class TestAgainstThreeActionGeneratorArctan(TestAgainstThreeActionGenerator):
+    """The same checks with an arctan rule whose gains are asymmetric, where
+    f_ij depends on i as well as j (the replicator's f_ij does not)."""
+
+    RULE = arctan_rule(ASYMMETRIC_K3)
+
+
+class TestAbsorptionAgainstThreeActionGenerator:
+    """Absorption probabilities and mean absorption times of an m = 3
+    coordination game at n = 6 from (3, 2, 1), for both engines, against a
+    linear solve of the exact generator built from transition_rates."""
+
+    N = 6
+    START = (3, 2, 1)
+    GAME = make_congestion_game([[0.0, 1.0]] * 3)
+
+    def _exact(self, rule):
+        states = [(a, b, self.N - a - b) for a in range(self.N + 1) for b in range(self.N + 1 - a)]
+        index = {s: k for k, s in enumerate(states)}
+        Q = np.zeros((len(states), len(states)))
+        for s in states:
+            L = transition_rates(self.GAME, rule, PopulationType(np.array(s), self.N))
+            for (i, j), rate in np.ndenumerate(L):
+                if rate > 0.0:
+                    b = list(s)
+                    b[i] -= 1
+                    b[j] += 1
+                    Q[index[s], index[tuple(b)]] += rate
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        vertices = [index[tuple(self.N * (a == v) for a in range(3))] for v in range(3)]
+        transient = [k for k in range(len(states)) if k not in vertices]
+        A = -Q[np.ix_(transient, transient)]
+        hit = np.linalg.solve(A, Q[np.ix_(transient, vertices)])  # column v: P(absorbed at vertex v)
+        tau = np.linalg.solve(A, np.ones(len(transient)))
+        k = transient.index(index[self.START])
+        return hit[k], tau[k]
+
+    @pytest.mark.parametrize(
+        "rule", [arctan_rule(ASYMMETRIC_K3), replicator_rule(0.0, 1.0, 0.01)], ids=["arctan", "replicator"]
+    )
+    @pytest.mark.parametrize("engine", ["complete", "network"])
+    def test_absorption(self, rule, engine):
+        p_exact, tau_exact = self._exact(rule)
+        runs = 2000
+        if engine == "complete":
+            x0 = PopulationType(np.array(self.START), self.N)
+
+            def run(k):
+                return simulate_complete(self.GAME, rule, x0, SimConfig(horizon=1e6, seed=derive_seed(6, k)))
+        else:
+            g = complete(self.N)
+            y0 = Configuration(np.repeat(np.arange(3), self.START), m=3)
+
+            def run(k):
+                cfg = SimConfig(horizon=1e6, seed=derive_seed(7, k), record_stride=1e9)
+                return simulate_network(g, self.GAME, rule, y0, cfg)
+
+        trajs = [run(k) for k in range(runs)]
+        assert all(t.absorbed_at is not None for t in trajs)
+        hits = np.bincount([t.absorbing_action for t in trajs], minlength=3)
+        assert stats.chisquare(hits, runs * p_exact).pvalue > 1e-3
+        taus = np.array([t.absorbed_at for t in trajs])
+        assert abs(taus.mean() - tau_exact) < 4 * taus.std(ddof=1) / np.sqrt(runs)
+
+
 class TestAgainstBirthDeathOracle:
     def test_hitting_probability(self, game4, arctan1):
         n, k0, runs = 10, 5, 2000
@@ -427,6 +505,14 @@ class TestEnsemble:
         assert len(ensemble(spec, num_runs=2, base_seed=0)) == 2
         monkeypatch.setenv("IMITODYN_THREADS", "2")
         with pytest.raises(ValueError, match="IMITODYN_THREADS=1"):
+            ensemble(spec, num_runs=2, base_seed=0)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_threads_env_var_rejected(self, game4, arctan1, monkeypatch, value):
+        x0 = PopulationType.from_fractions(10, [0.5, 0.5])
+        spec = RunSpec(game=game4, rule=arctan1, cfg=SimConfig(horizon=1.0, seed=0), x0=x0)
+        monkeypatch.setenv("IMITODYN_THREADS", value)
+        with pytest.raises(ValueError, match=f"IMITODYN_THREADS: .*'{value}'"):
             ensemble(spec, num_runs=2, base_seed=0)
 
     def test_network_placement_reproducible(self, game4, arctan1):

@@ -19,6 +19,14 @@ from imitodyn import (
 )
 
 
+def _two_action_rule(game, name):
+    return {
+        "arctan": lambda: arctan_rule(1.0),
+        "arctan2x2": lambda: arctan_rule([[1.0, 0.5], [2.0, 1.0]]),
+        "replicator": lambda: replicator_rule(*reward_bounds(game)),
+    }[name]()
+
+
 def _traj(times, counts_0, n):
     k = np.asarray(counts_0, dtype=np.int64)
     return Trajectory(
@@ -91,6 +99,23 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(game4, arctan1, np.array([0.6, 0.6]), T=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("rule_name", ["arctan", "arctan2x2", "replicator"])
+    def test_matches_numpy_rk4_on_reference_rhs(self, game4, rule_name):
+        # an independent RK4 on the 2-vector through mean_field_rhs
+        rule = _two_action_rule(game4, rule_name)
+        dt, steps = 0.01, 300
+        x = np.array([0.05, 0.95])
+        ref = [x]
+        for _ in range(steps):
+            k1 = mean_field_rhs(game4, rule, x)
+            k2 = mean_field_rhs(game4, rule, x + 0.5 * dt * k1)
+            k3 = mean_field_rhs(game4, rule, x + 0.5 * dt * k2)
+            k4 = mean_field_rhs(game4, rule, x + dt * k3)
+            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ref.append(x)
+        traj = integrate(game4, rule, ref[0], T=steps * dt, dt=dt)
+        np.testing.assert_allclose(traj.states, np.array(ref), rtol=0.0, atol=1e-12)
+
 
 class TestFindLimit:
     def test_basin_membership(self, game4, arctan1):
@@ -128,12 +153,8 @@ class TestFindLimit:
 
     @pytest.mark.parametrize("rule_name", ["arctan", "arctan2x2", "replicator"])
     def test_scalar_path_matches_vector_path(self, game4, rule_name):
-        rule = {
-            "arctan": arctan_rule(1.0),
-            "arctan2x2": arctan_rule([[1.0, 0.5], [2.0, 1.0]]),
-            "replicator": replicator_rule(*reward_bounds(game4)),
-        }[rule_name]
-        # same rewards behind a lambda, so find_limit takes the vector path
+        rule = _two_action_rule(game4, rule_name)
+        # same rewards behind a lambda, so the flow takes the per-state fallback
         wrapped = Game(m=2, rewards=lambda x: game4.rewards(x), potential=game4.potential)
         for x1 in (0.05, 0.3, 0.6, 0.95):
             x0 = np.array([x1, 1.0 - x1])
@@ -141,6 +162,16 @@ class TestFindLimit:
             ref = find_limit(wrapped, rule, x0, max_T=2.0)
             assert fast.t == pytest.approx(ref.t, abs=1e-12)
             assert np.max(np.abs(fast.x - ref.x)) <= 1e-12
+
+
+    @pytest.mark.parametrize("rule_name", ["arctan", "arctan2x2", "replicator"])
+    def test_overshooting_step_aborts(self, game4, rule_name):
+        # at lam = 10 a step of 5 leaves [0, 1] by far more than 1e-6
+        rule = _two_action_rule(game4, rule_name)
+        with pytest.raises(RuntimeError, match="simplex violation"):
+            find_limit(game4, rule, np.array([0.9, 0.1]), dt=5.0, lam=10.0)
+        with pytest.raises(RuntimeError, match="simplex violation"):
+            integrate(game4, rule, np.array([0.9, 0.1]), T=50.0, dt=5.0, lam=10.0)
 
 
 class TestKurtzDeviation:
