@@ -15,6 +15,15 @@ overhead costs more than the arithmetic.  A _Law compiles the pair once:
 
 engine.transition_rates and meanfield.mean_field_rhs stay the reference
 definitions that the tests compare these paths against.
+
+The landscape finders evaluate the potential and its gradient tens of
+thousands of times on one m-vector each.  potential_pair compiles a
+congestion game's potential (_PolyPotential) and gradient (_PolyRewards)
+into closures phi(x) and grad(x) on a list of floats: Horner per action and
+numpy's summation order, so both equal game.potential and
+game.potential_gradient bit for bit.  Any other game has no compiled pair,
+and the finders call game.potential and landscape._gradient, which stay
+the reference.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import math
 
 import numpy as np
 
-from .games import Game, _PolyRewards, rewards_grid
+from .games import Game, _PolyPotential, _PolyRewards, rewards_grid
 from .rules import ArctanRule, ImitationRule, ReplicatorRule, logger
 
 
@@ -62,12 +71,52 @@ def _replicator_map(rule: ReplicatorRule):
 
 def _horner(coeffs: tuple) -> tuple[float, tuple]:
     """(leading coefficient, the rest by falling degree) of an ascending
-    coefficient tuple.  Zero leading terms, the padding to a common degree,
-    are dropped: on finite x they only add exact zeros."""
+    coefficient tuple.  Zero terms above the highest nonzero one, the
+    padding to a common degree, are dropped: on finite x, Horner reaches
+    that coefficient exactly either way.  An all-zero tuple is kept whole,
+    so that the sign of a zero result matches numpy's."""
     c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    return c[-1], tuple(reversed(c[:-1]))
+    top = max((k for k, v in enumerate(c) if v != 0.0), default=len(c) - 1)
+    return c[top], tuple(reversed(c[:top]))
+
+
+def _horner_all(H: list, x: list) -> list:
+    """[p_a(x_a)] for the _horner forms H = [p_0, ..., p_{m-1}]."""
+    out = []
+    for (r, cs), v in zip(H, x):
+        for c in cs:
+            r = r * v + c
+        out.append(r)
+    return out
+
+
+def np_sum(values: list) -> float:
+    """sum(values) in numpy's order: left to right from 0.0 below 8 terms;
+    numpy sums 8 or more pairwise, so longer lists go through numpy."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+def potential_pair(game: Game):
+    """(phi, grad) of a congestion game as closures on a list of m floats,
+    equal bit for bit to game.potential and game.potential_gradient; None
+    for any other game."""
+    if not (isinstance(game.potential, _PolyPotential) and isinstance(game.potential_gradient, _PolyRewards)):
+        return None
+    P = [_horner(c) for c in game.potential.coeffs]
+    D = [_horner(c) for c in game.potential_gradient.coeffs]
+
+    def phi(x: list) -> float:
+        return np_sum(_horner_all(P, x))
+
+    def grad(x: list) -> list:
+        return _horner_all(D, x)
+
+    return phi, grad
 
 
 class _Law:
@@ -106,6 +155,7 @@ class _Law:
         g = self._g
         if g is None:
             return self._fallback(np.asarray(x))
+        # inline Horner: the flow calls this once per RK4 stage
         r = []
         for (ra, cs), v in zip(self._horner, x):
             for c in cs:

@@ -7,6 +7,9 @@
     imitodyn compare       --config cfg.json [--seed S] [--out DIR] [--runs K]
 
 One config file drives every subcommand (see config.py for the schema).
+Every subcommand also takes --log-level {warning,info,debug} (default
+warning), the level at which the imitodyn loggers write to stderr; at debug
+the landscape search reports the candidates it dropped.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import logging
 import os
 import sys
 import warnings
@@ -196,11 +200,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override ensemble.base_seed")
         p.add_argument("--out", default=None, help="override output.dir")
         p.add_argument("--runs", type=int, default=None, help="override ensemble.runs")
+        p.add_argument(
+            "--log-level", choices=("warning", "info", "debug"), default="warning",
+            help="level of the imitodyn loggers, written to stderr",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    log = logging.getLogger("imitodyn")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         try:
             _thread_cap()

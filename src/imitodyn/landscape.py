@@ -10,6 +10,7 @@ the split of jump rates into potential-raising and potential-lowering parts.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from ._law import np_sum, potential_pair
 from .engine import Trajectory, potential_drift_rates
 from .games import Game, PopulationType, _fd_gradient, uniform_simplex_sample
 from .rules import ImitationRule
@@ -32,6 +34,8 @@ __all__ = [
     "metastability_report",
     "critical_point_to_dict",
 ]
+
+logger = logging.getLogger(__name__)
 
 _TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
 
@@ -67,6 +71,26 @@ def _gradient(game: Game, x: np.ndarray) -> np.ndarray:
     return _fd_gradient(game.potential, x)
 
 
+def _reference_pair(game: Game):
+    """(phi, grad) on lists of floats through game.potential and _gradient,
+    for games that potential_pair does not compile."""
+
+    def phi(x: list) -> float:
+        return float(game.potential(np.array(x)))
+
+    def grad(x: list) -> list:
+        return _gradient(game, np.array(x)).tolist()
+
+    return phi, grad
+
+
+def _norm(v: list) -> float:
+    """np.linalg.norm(v) bit for bit.  numpy's dot may fuse multiply-adds,
+    so a Python sum of squares can differ in the last bit."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a))
+
+
 def _is_ne(game: Game, x: np.ndarray, tol: float = 1e-7) -> bool:
     r = game.rewards_at(x)
     used = x > 1e-9
@@ -74,12 +98,12 @@ def _is_ne(game: Game, x: np.ndarray, tol: float = 1e-7) -> bool:
     return bool(np.min(r[used]) >= np.max(r) - tol * scale)
 
 
-def _make_point(game: Game, x: np.ndarray, kind: str, on_boundary: bool) -> CriticalPoint:
+def _make_point(game: Game, phi, x: np.ndarray, kind: str, on_boundary: bool) -> CriticalPoint:
     x = np.asarray(x, dtype=float)
     ne = _is_ne(game, x)
     return CriticalPoint(
         x=x,
-        phi=float(game.potential(x)),
+        phi=phi(x.tolist()),
         kind=kind,
         is_ne=ne,
         is_ess=(kind == "local_max" and ne),
@@ -107,13 +131,15 @@ def find_critical_points_2action(
         raise ValueError("landscape analysis requires a game with a potential")
     if grid < 8:
         raise ValueError("grid too coarse")
+    phi, grad = potential_pair(game) or _reference_pair(game)
 
     def g(x1: float) -> float:
-        grad = _gradient(game, np.array([x1, 1.0 - x1]))
-        return float(grad[0] - grad[1])
+        x1 = float(x1)
+        d = grad([x1, 1.0 - x1])
+        return d[0] - d[1]
 
     xs = np.linspace(0.0, 1.0, grid + 1)
-    gs = np.array([g(x) for x in xs])
+    gs = np.array([g(x) for x in xs.tolist()])
 
     near_zero = np.abs(gs) < _TANGENT_ZERO
     if np.count_nonzero(near_zero[1:-1]) > grid // 2:
@@ -123,7 +149,7 @@ def find_critical_points_2action(
             LandscapeWarning,
         )
         return [
-            _make_point(game, np.array([x, 1.0 - x]), "saddle_or_degenerate", x in (0.0, 1.0))
+            _make_point(game, phi, np.array([x, 1.0 - x]), "saddle_or_degenerate", x in (0.0, 1.0))
             for x in xs
         ]
 
@@ -181,7 +207,7 @@ def find_critical_points_2action(
         merged.append((root, kind))
 
     points = [
-        _make_point(game, np.array([x1, 1.0 - x1]), kind, on_boundary=False)
+        _make_point(game, phi, np.array([x1, 1.0 - x1]), kind, on_boundary=False)
         for x1, kind in merged
     ]
 
@@ -189,8 +215,8 @@ def find_critical_points_2action(
     inner_right = next((gs[i] for i in range(grid - 1, 0, -1) if not near_zero[i]), 0.0)
     kind_left = "local_min" if inner_left > 0 else ("local_max" if inner_left < 0 else "saddle_or_degenerate")
     kind_right = "local_max" if inner_right > 0 else ("local_min" if inner_right < 0 else "saddle_or_degenerate")
-    points.insert(0, _make_point(game, np.array([0.0, 1.0]), kind_left, on_boundary=True))
-    points.append(_make_point(game, np.array([1.0, 0.0]), kind_right, on_boundary=True))
+    points.insert(0, _make_point(game, phi, np.array([0.0, 1.0]), kind_left, on_boundary=True))
+    points.append(_make_point(game, phi, np.array([1.0, 0.0]), kind_right, on_boundary=True))
 
     _warn_vertex_maxima(points)
     return points
@@ -218,9 +244,9 @@ def _tangent_directions(m: int, count: int, rng: np.random.Generator) -> np.ndar
     return np.asarray(dirs)
 
 
-def _classify_by_sphere(game: Game, x: np.ndarray, eps: float, rng: np.random.Generator) -> str:
+def _classify_by_sphere(phi, x: np.ndarray, eps: float, rng: np.random.Generator) -> str:
     m = x.size
-    phi0 = float(game.potential(x))
+    phi0 = phi(x.tolist())
     noise = 64.0 * np.finfo(float).eps * max(1.0, abs(phi0))
     higher = lower = False
     for d in _tangent_directions(m, 2 * m * m, rng):
@@ -230,7 +256,7 @@ def _classify_by_sphere(game: Game, x: np.ndarray, eps: float, rng: np.random.Ge
             y = y / y.sum()
             if np.linalg.norm(y - x) < 0.25 * eps:
                 continue
-        dphi = float(game.potential(y)) - phi0
+        dphi = phi(y.tolist()) - phi0
         if dphi > noise:
             higher = True
         elif dphi < -noise:
@@ -265,46 +291,65 @@ def find_critical_points_multi(
     """
     if game.potential is None:
         raise ValueError("landscape analysis requires a game with a potential")
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if not step_tol > 0.0:
+        raise ValueError(f"step_tol must be positive, got {step_tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     m = game.m
     rng = np.random.default_rng(seed)
     eps = 10.0 * step_tol
+    compiled = potential_pair(game)
+    phi, grad = compiled or _reference_pair(game)
+
+    # The closures below run on lists of floats.  np_sum, `0.0 if t <= 0.0
+    # else t` and _norm repeat numpy's sum, maximum(t, 0.0) and norm bit for
+    # bit, so the search takes the same steps as its numpy form did.
+
+    def reduced(u: list) -> list:  # grad[:-1] - grad[-1] at (u, 1 - sum u)
+        d = grad(u + [1.0 - np_sum(u)])
+        last = d.pop()
+        return [v - last for v in d]
 
     def reduced_grad(u: np.ndarray) -> np.ndarray:
-        x = np.append(u, 1.0 - u.sum())
-        grad = _gradient(game, x)
-        return grad[:-1] - grad[-1]
+        return np.array(reduced(u.tolist()))
 
-    def grad_sq(u: np.ndarray) -> float:
-        if np.any(u < -1e-12) or u.sum() > 1.0 + 1e-12:
+    def grad_sq(u: np.ndarray) -> float:  # sum(reduced(maximum(u, 0)) ** 2)
+        u = u.tolist()
+        if any(v < -1e-12 for v in u) or np_sum(u) > 1.0 + 1e-12:
             return 1e12
-        return float(np.sum(reduced_grad(np.maximum(u, 0.0)) ** 2))
+        return np_sum([v * v for v in reduced([0.0 if v <= 0.0 else v for v in u])])
 
     def tangent_grad_norm(x: np.ndarray) -> float:
-        grad = _gradient(game, x)
-        return float(np.linalg.norm(grad - grad.mean()))
+        d = np.array(grad(x.tolist()))
+        return float(np.linalg.norm(d - d.mean()))
 
     candidates: list[np.ndarray] = [np.eye(m)[i] for i in range(m)]
 
-    def walk(x: np.ndarray, direction: float) -> np.ndarray:
+    def walk(x: list, direction: float) -> list:
         step = 0.1
+        phi_x = phi(x)
         for _ in range(max_iter):
-            grad = _gradient(game, x)
-            v = grad - grad.mean()
-            if np.linalg.norm(v) < step_tol:
+            d = grad(x)
+            mean = np_sum(d) / m
+            v = [di - mean for di in d]
+            if _norm(v) < step_tol:
                 break
             moved = False
             while step > 1e-12:
-                y = np.maximum(x + direction * step * v, 0.0)
-                s = y.sum()
+                ds = direction * step
+                y = [0.0 if t <= 0.0 else t for t in (xi + ds * vi for xi, vi in zip(x, v))]
+                s = np_sum(y)
                 if s <= 0.0:
                     step *= 0.5
                     continue
-                y /= s
-                better = (game.potential(y) - game.potential(x)) * direction
-                if better > 0.0:
-                    if np.linalg.norm(y - x) < 0.25 * step_tol:
+                y = [yi / s for yi in y]
+                phi_y = phi(y)
+                if (phi_y - phi_x) * direction > 0.0:
+                    if _norm([yi - xi for yi, xi in zip(y, x)]) < 0.25 * step_tol:
                         return y
-                    x = y
+                    x, phi_x = y, phi_y
                     moved = True
                     step *= 1.5
                     break
@@ -313,16 +358,18 @@ def find_critical_points_multi(
                 break
         return x
 
+    failed = 0
     for _ in range(starts):
         u0 = uniform_simplex_sample(rng, m)
-        candidates.append(walk(u0.copy(), +1.0))
-        candidates.append(walk(u0.copy(), -1.0))
+        candidates.append(np.array(walk(u0.tolist(), +1.0)))
+        candidates.append(np.array(walk(u0.tolist(), -1.0)))
         try:
             sol = optimize.least_squares(
                 reduced_grad, u0[:-1], bounds=(np.zeros(m - 1), np.ones(m - 1)),
                 xtol=step_tol * 1e-3, ftol=1e-14, gtol=1e-14,
             )
         except Exception:
+            failed += 1
             continue
         u = sol.x
         total = u.sum()
@@ -352,12 +399,19 @@ def find_critical_points_multi(
             merged.append((x, gnorm, vert))
 
     points = []
+    stalled = 0
     for x, gnorm, vert in sorted(merged, key=lambda t: tuple(t[0])):
         if not vert and gnorm > max(100.0 * step_tol, 1e-4):
-            continue  # walk stalled somewhere non-stationary
+            stalled += 1  # walk stalled somewhere non-stationary
+            continue
         on_boundary = bool(np.min(x) < 1e-9)
-        kind = _classify_by_sphere(game, x, eps, rng)
-        points.append(_make_point(game, x, kind, on_boundary))
+        kind = _classify_by_sphere(phi, x, eps, rng)
+        points.append(_make_point(game, phi, x, kind, on_boundary))
+    logger.debug(
+        "find_critical_points_multi: %d starts, %d candidates, %d merged, %d dropped as walk stalled, "
+        "%d least_squares solves raised, %s potential",
+        starts, len(candidates), len(merged), stalled, failed, "compiled" if compiled else "reference",
+    )
 
     _warn_vertex_maxima(points)
     return points

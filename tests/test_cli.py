@@ -187,6 +187,17 @@ class TestLandscape:
         report = json.loads((tmp_path / "out" / "landscape.json").read_text())
         assert any("pure configuration" in w for w in report["warnings"])
 
+    def test_debug_log_level_reports_search_on_stderr(self, tmp_path, capsys):
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "congestion3.json")
+        debug, quiet = tmp_path / "debug", tmp_path / "quiet"
+        assert main(["landscape", "--config", config, "--out", str(debug), "--log-level", "debug"]) == 0
+        err = capsys.readouterr().err
+        assert "imitodyn.landscape: DEBUG: find_critical_points_multi: 48 starts" in err
+        assert "0 dropped as walk stalled, 0 least_squares solves raised, compiled potential" in err
+        assert main(["landscape", "--config", config, "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (debug / "landscape.json").read_bytes() == (quiet / "landscape.json").read_bytes()
+
     def test_game_without_potential_is_a_config_error(self, tmp_path):
         # not reachable from a config file (built games always carry
         # potentials), so drive the command directly
@@ -293,6 +304,12 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "config error: IMITODYN_THREADS" in err and repr(value) in err
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_log_level_is_a_usage_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--log-level", "loud"])
+        assert exc.value.code == 2
 
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,7 @@
 import json
+import logging
+import re
+import types
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from imitodyn import (
     CriticalPoint,
+    Game,
     LandscapeWarning,
     PopulationType,
     RunSpec,
@@ -23,6 +27,8 @@ from imitodyn import (
     metastability_report,
     time_near_set,
 )
+from imitodyn import landscape
+from imitodyn._law import potential_pair
 
 PHI_SADDLE = 443.0 / 48.0
 PHI_ESS = 153.0 / 16.0
@@ -125,11 +131,79 @@ class TestMultiStartFinder:
         assert all(k == "local_max" for k in vertex_kinds)
 
     def test_requires_potential(self, game4):
-        from imitodyn.games import Game
-
         bare = Game(m=game4.m, rewards=game4.rewards, name="bare")
         with pytest.raises(ValueError, match="potential"):
             find_critical_points_multi(bare)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"starts": 0}, {"starts": -2}, {"step_tol": 0.0}, {"step_tol": -1e-5}, {"max_iter": 0}],
+        ids=["starts=0", "starts=-2", "step_tol=0", "step_tol<0", "max_iter=0"],
+    )
+    def test_rejects_bad_search_settings(self, game4, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            find_critical_points_multi(game4, **kwargs)
+
+    def test_debug_log_counts_dropped_candidates(self, caplog, monkeypatch):
+        g = make_congestion_game([[1.0, -1.0]] * 3)
+
+        def failing_solve(*args, **kwargs):
+            raise ValueError("no solve")
+
+        def no_polish(fun, x0, **kwargs):
+            return types.SimpleNamespace(x=x0)
+
+        # one walk step and no polish leave every walk short of a critical point
+        monkeypatch.setattr(landscape.optimize, "least_squares", failing_solve)
+        monkeypatch.setattr(landscape.optimize, "minimize", no_polish)
+        with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"):
+            pts = find_critical_points_multi(g, starts=5, seed=0, max_iter=1)
+        assert all(np.max(p.x) == 1.0 for p in pts)
+        line = re.search(r"(\d+) dropped as walk stalled, (\d+) least_squares solves raised", caplog.text)
+        assert int(line.group(1)) > 0
+        assert int(line.group(2)) == 5
+
+
+def _reference_game(game: Game) -> Game:
+    """The same potential and gradient as plain callables, which the
+    finders evaluate through game.potential rather than compiled."""
+    return Game(
+        m=game.m,
+        rewards=game.rewards,
+        potential=lambda x: game.potential(x),
+        potential_gradient=lambda x: game.potential_gradient(x),
+    )
+
+
+def _assert_same_points(compiled, reference):
+    assert len(compiled) == len(reference)
+    for a, b in zip(compiled, reference):
+        assert np.array_equal(a.x, b.x)
+        assert (a.phi, a.kind, a.is_ne, a.is_ess, a.on_boundary) == (
+            b.phi, b.kind, b.is_ne, b.is_ess, b.on_boundary
+        )
+
+
+class TestCompiledPotentialPath:
+    @pytest.mark.parametrize(
+        "polys",
+        [[[1.0, -1.0]] * 3, [[0.0, 1.0]] * 3],  # configs/congestion3.json's game, coordination
+        ids=["congestion3", "coordination3"],
+    )
+    def test_multi_finder_matches_reference_path(self, polys):
+        game = make_congestion_game(polys)
+        reference = _reference_game(game)
+        assert potential_pair(game) is not None and potential_pair(reference) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = find_critical_points_multi(game, starts=8, seed=3)
+            want = find_critical_points_multi(reference, starts=8, seed=3)
+        _assert_same_points(got, want)
+
+    def test_scanner_matches_reference_path(self, game4):
+        _assert_same_points(
+            find_critical_points_2action(game4), find_critical_points_2action(_reference_game(game4))
+        )
 
 
 class TestEssSet:

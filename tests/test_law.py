@@ -3,7 +3,9 @@
 engine.transition_rates and meanfield.mean_field_rhs are the reference
 laws; the engines' m >= 3 loops and the flow run on imitodyn._law instead.
 The two must agree to 1e-12 on every kind of game and rule, including the
-per-state fallback that a lambda-rewards game takes.
+per-state fallback that a lambda-rewards game takes.  The compiled
+potential and gradient that the landscape finders use must equal
+game.potential and game.potential_gradient bit for bit.
 """
 
 import functools
@@ -24,7 +26,8 @@ from imitodyn import (
     reward_bounds,
     transition_rates,
 )
-from imitodyn._law import _Law
+from imitodyn._law import _Law, potential_pair
+from imitodyn.landscape import _reference_pair
 
 POLYS = ([1.0, -2.0, 0.5], [0.3, 1.0], [2.0, -1.0, -1.0], [0.5])
 RULES = ("arctan", "arctan_pairs", "replicator", "replicator_clamped")
@@ -95,3 +98,45 @@ def test_replicator_clamping_is_logged(caplog, rule_name, logged):
         law = _Law(game, rule, 1.0, 50)
         law.rhs([0.2, 0.3, 0.5])
     assert ("replicator rule clamped rewards" in caplog.text) == logged
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+
+
+@given(st.integers(2, 9), st.data(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_compiled_potential_equals_reference(m, data, plain):
+    # mixed degrees, so the shorter polynomials are zero-padded
+    polys = data.draw(st.lists(st.lists(coefficient, min_size=1, max_size=5), min_size=m, max_size=m))
+    poly = make_congestion_game(polys)
+    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    # up to 1e-12 off the simplex, as the finders' trial points may be
+    off = np.array(data.draw(st.lists(st.floats(-1e-12, 1e-12), min_size=m, max_size=m)))
+    x = w / w.sum() + off
+    if plain:  # plain callables: no compiled pair, the reference path
+        game = Game(
+            m=m,
+            rewards=poly.rewards,
+            potential=lambda x: poly.potential(x),
+            potential_gradient=lambda x: poly.potential_gradient(x),
+        )
+        assert potential_pair(game) is None
+        phi, grad = _reference_pair(game)
+    else:
+        game = poly
+        phi, grad = potential_pair(game)
+    # float.hex also tells -0.0 from 0.0
+    assert phi(x.tolist()).hex() == float(game.potential(x)).hex()
+    assert [v.hex() for v in grad(x.tolist())] == [float(v).hex() for v in game.potential_gradient(x)]
+
+
+def test_compiled_potential_keeps_numpys_signed_zeros():
+    # action 0's gradient is the zero polynomial -0.0, padded to degree 1:
+    # numpy's Horner ends on 0.0 * x + -0.0 == 0.0, not on -0.0
+    game = make_congestion_game([[-0.0], [1.0, -1.0]])
+    phi, grad = potential_pair(game)
+    x = np.array([0.25, 0.75])
+    assert [v.hex() for v in grad(x.tolist())] == [float(v).hex() for v in game.potential_gradient(x)]
+    assert phi(x.tolist()).hex() == float(game.potential(x)).hex()
