@@ -1,17 +1,21 @@
 """One (game, rule) pair compiled for scalar Python evaluation.
 
-The m >= 3 jump chains and the mean-field flow evaluate copy probabilities
-once per event or RK4 stage on a handful of actions, where numpy's per-call
-overhead costs more than the arithmetic.  A _Law compiles the pair once:
+Every engine loop and the mean-field flow take their copy probabilities
+from here.  They evaluate them once per event or RK4 stage on a handful of
+actions, where numpy's per-call overhead costs more than the arithmetic, so
+the pair is compiled once:
 
-- congestion rewards (_PolyRewards) are separable, r_a depends on x_a
-  alone, so at population n they become per-count tables R[a][c] = r_a(c/n),
-  and in the flow an inline Horner per action;
+- at m = 2, pair_tables gives f_01 and f_10 at every count k = 0..n of
+  action 0 from one batched rule.prob_matrix call on the states
+  (k/n, 1 - k/n), for any game and rule;
+- at m >= 3, congestion rewards (_PolyRewards) are separable, r_a depends
+  on x_a alone, so at population n they become per-count tables
+  R[a][c] = r_a(c/n), and in the flow an inline Horner per action;
 - the replicator rule becomes the table g[a][c] = f_ia, and the arctan
   rule at m = 2 an inline atan in the flow's drift;
-- any other game or rule (arctan at m >= 3 included) falls back to
-  rule.prob_matrix(game.rewards_at(x)) per state, range-checked on every
-  call.
+- any other game or rule at m >= 3 (the arctan rule included) falls back
+  to rule.prob_matrix(game.rewards_at(x)) per state, range-checked on
+  every call.
 
 engine.transition_rates and meanfield.mean_field_rhs stay the reference
 definitions that the tests compare these paths against.
@@ -45,6 +49,14 @@ def check_probs(F: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise ValueError(f"rate conservation violated: copy probability {float(off[bad][0])!r} outside [0, 1]")
     return F
+
+
+def pair_tables(game: Game, rule: ImitationRule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f01, f10) of a 2-action game at every state (k/n, 1 - k/n), as
+    arrays indexed by k = 0..n, the count of action 0."""
+    ks = np.arange(n + 1, dtype=float)
+    F = check_probs(rule.prob_matrix(rewards_grid(game, np.vstack([ks / n, 1.0 - ks / n]))))
+    return F[0, 1], F[1, 0]
 
 
 def _replicator_map(rule: ReplicatorRule):
@@ -125,7 +137,8 @@ class _Law:
     - probs_at(x): F[i][j] = f_ij at a frequency list x (diagonal unread);
     - rhs(x): the mean-field right-hand side lam x_i sum_j (f_ji - f_ij) x_j;
     - drift(v), m = 2 only: the x_0 component of rhs at (v, 1 - v);
-    - with n given, probs(counts), F at counts / n, and rates(counts), the
+    - with n given, probs(counts), F at counts / n (at m = 2 from
+      pair_tables, so at (k/n, 1 - k/n)), and rates(counts), the
       jump rates n lam x_i x_j f_ij of the (i, j) in `pairs` (row-major,
       off-diagonal).
     """
@@ -214,6 +227,15 @@ class _Law:
 
     def _count_probs(self, n: int):
         m = self.m
+        if m == 2:
+            f01, f10 = pair_tables(self._game, self._rule, n)
+            # the diagonal is never read
+            tables = [[[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist())]
+
+            def probs(counts: list) -> list:
+                return tables[counts[0]]
+
+            return probs
         if self._g is None:
             fallback = self._fallback
 

@@ -72,14 +72,14 @@ def _number(d: dict, key: str, path: str, default=None, lo=None, hi=None, intege
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", f"must be a number, got {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):  # json reads Infinity and NaN
+        _fail(f"{path}.{key}", f"must be finite, got {v}")
     if integer:
-        if float(v) != int(v):
+        if isinstance(v, float) and not v.is_integer():
             _fail(f"{path}.{key}", f"must be an integer, got {v}")
         v = int(v)
     else:
         v = float(v)
-        if not math.isfinite(v):
-            _fail(f"{path}.{key}", "must be finite")
     if lo is not None and v < lo:
         _fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -152,8 +152,8 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 _fail("$.rule.K", "entries must be finite and positive")
             return ArctanRule(K=arr)
-        if isinstance(K, bool) or not isinstance(K, (int, float)) or not (float(K) > 0.0):
-            _fail("$.rule.K", f"must be a positive number or matrix, got {K!r}")
+        if isinstance(K, bool) or not isinstance(K, (int, float)) or not (0.0 < float(K) < math.inf):
+            _fail("$.rule.K", f"must be a finite positive number or matrix, got {K!r}")
         return ArctanRule(K=float(K))
     if kind == "replicator":
         eps = _number(spec, "eps_margin", "$.rule", default=1e-6, lo=0.0)
@@ -164,9 +164,9 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
             if (
                 not isinstance(b, list)
                 or len(b) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in b)
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) for v in b)
             ):
-                _fail("$.rule.bounds", "must be [lo, hi]")
+                _fail("$.rule.bounds", "must be [lo, hi] of finite numbers")
             lo, hi = float(b[0]), float(b[1])
         else:
             lo, hi = reward_bounds(game)
@@ -321,7 +321,7 @@ def load_config(path: str) -> ExperimentConfig:
             _fail("$.analysis.n_sweep", "must be a non-empty array of population sizes")
         vals = []
         for i, v in enumerate(sweep):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or float(v) != int(v) or int(v) < 2:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer() or int(v) < 2:
                 _fail(f"$.analysis.n_sweep[{i}]", f"must be an integer >= 2, got {v!r}")
             vals.append(int(v))
         n_sweep = tuple(vals)

@@ -5,6 +5,11 @@ population-type jump chain (rates n lambda x_i x_j f_ij), simulate_network
 runs per-node activation, contact, and copy on an arbitrary graph.  Both
 use inverse-CDF exponential waiting times from the run's own seeded stream,
 so every run is reproducible bit for bit.
+
+Every loop takes its copy probabilities from the compiled law (_law); this
+module holds the loops and the reference rate matrix (_rate_matrix) that
+transition_rates and potential_drift_rates return and the tests check the
+compiled law against.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._law import _Law, check_probs
-from .games import Configuration, Game, PopulationType, rewards_grid
+from ._law import _Law, check_probs, pair_tables
+from .games import Configuration, Game, PopulationType
 from .rules import ImitationRule
 from .topology import Graph
 
@@ -44,8 +49,6 @@ __all__ = [
 
 # Beyond this many recorded jumps a run switches to stride recording.
 EVENT_RECORD_CAP = 10_000_000
-
-_RATE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,19 +129,14 @@ def transition_rates(game: Game, rule: ImitationRule, state: PopulationType, lam
     return _rate_matrix(game, rule, state.fractions, state.n, lam)[0]
 
 
-def _rate_matrix(
-    game: Game, rule: ImitationRule, x: np.ndarray, n: int, lam: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(rates, rewards, total) at frequency vector x: rates[i, j] is
+def _rate_matrix(game: Game, rule: ImitationRule, x: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rates, rewards) at frequency vector x: rates[i, j] is
     n * lambda * x_i * x_j * f_ij with a zero diagonal.  Raises ValueError
-    when the total exceeds n * lambda, which a rule with f_ij <= 1 cannot do."""
+    when a copy probability lies outside [0, 1], as every engine does."""
     r = game.rewards_at(x)
-    rates = n * lam * np.outer(x, x) * rule.prob_matrix(r)
+    rates = n * lam * np.outer(x, x) * check_probs(rule.prob_matrix(r))
     np.fill_diagonal(rates, 0.0)
-    total = float(rates.sum())
-    if total > n * lam * (1.0 + _RATE_SLACK):
-        raise ValueError(f"rate conservation violated: {total} > n*lambda = {n * lam}")
-    return rates, r, total
+    return rates, r
 
 
 def _meta(engine: str, game: Game, rule: ImitationRule, cfg: SimConfig, n: int, topology: str) -> dict:
@@ -151,16 +149,6 @@ def _meta(engine: str, game: Game, rule: ImitationRule, cfg: SimConfig, n: int, 
         "seed": cfg.seed,
         "topology": topology,
     }
-
-
-def _pair_tables_2action(game: Game, rule: ImitationRule, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copy probabilities for every grid state of a 2-action population:
-    returns (f01, f10) arrays indexed by k = count of action 0."""
-    ks = np.arange(n + 1, dtype=float)
-    X = np.vstack([ks / n, 1.0 - ks / n])
-    R = rewards_grid(game, X)
-    F = check_probs(rule.prob_matrix(R))  # (2, 2, n+1)
-    return np.ascontiguousarray(F[0, 1]), np.ascontiguousarray(F[1, 0])
 
 
 def _trajectory(
@@ -214,7 +202,7 @@ def _simulate_complete_2action(
 ) -> Trajectory:
     n = x0.n
     lam = cfg.lam
-    f01, f10 = _pair_tables_2action(game, rule, n)
+    f01, f10 = pair_tables(game, rule, n)
     ks = np.arange(n + 1, dtype=float)
     base = lam * ks * (n - ks) / n
     up = base * f10  # a 1-player copies action 0: k -> k + 1
@@ -328,16 +316,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     if max(counts) == n:
         return _trajectory([0.0], [counts], counts, n, 0.0, 0, cfg, meta)
 
-    if m == 2:
-        f01, f10 = _pair_tables_2action(game, rule, n)
-        # the diagonal is never read: a contact of the same type is skipped
-        tables = [[[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist())]
-
-        def law(c: list) -> list:
-            return tables[c[0]]
-    else:
-        law = _Law(game, rule, lam, n).probs
-
+    law = _Law(game, rule, lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
     adj = None if graph.is_complete else [a.tolist() for a in graph.neighbors]
@@ -407,7 +386,7 @@ def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType
         raise ValueError("potential_drift_rates requires a game with a potential")
     if state.m != game.m:
         raise ValueError(f"state has {state.m} actions, game has {game.m}")
-    rates, r, _ = _rate_matrix(game, rule, state.fractions, state.n, lam)
+    rates, r = _rate_matrix(game, rule, state.fractions, state.n, lam)
     up = r[None, :] > r[:, None]  # r_j > r_i
     down = r[None, :] < r[:, None]
     return DriftRates(q_plus=float(rates[up].sum()), q_minus=float(rates[down].sum()))

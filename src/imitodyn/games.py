@@ -337,17 +337,15 @@ def rewards_grid(game: Game, X: np.ndarray) -> np.ndarray:
     return R
 
 
-def reward_bounds(game: Game, grid_resolution: int = 256) -> tuple[float, float]:
-    """Conservative reward range over a simplex grid, widened by one percent.
+def reward_bounds(game: Game) -> tuple[float, float]:
+    """Conservative reward range over a simplex grid (resolution 256 for two
+    actions, 64 for more, whose grid grows combinatorially), widened by one
+    percent.
 
     The widening keeps affine reward-to-probability maps strictly inside
     (0, 1) when rewards attain the raw extremes.
     """
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
-    # combinatorial growth for m >= 3
-    res = grid_resolution if game.m == 2 else min(grid_resolution, 64)
-    R = rewards_grid(game, simplex_grid(game.m, res).T)
+    R = rewards_grid(game, simplex_grid(game.m, 256 if game.m == 2 else 64).T)
     lo = float(np.min(R))
     hi = float(np.max(R))
     span = hi - lo

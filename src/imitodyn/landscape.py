@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ._law import np_sum, potential_pair
 from .engine import Trajectory, potential_drift_rates
@@ -38,6 +37,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
+_REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
+_MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
+_DRIFT_MARGIN = 0.05  # drift checks skip states this close (sup norm) to a fixed point
+_DRIFT_SAMPLES = 200  # about this many drift checks per run
 
 
 class LandscapeWarning(UserWarning):
@@ -111,15 +114,11 @@ def _make_point(game: Game, phi, x: np.ndarray, kind: str, on_boundary: bool) ->
     )
 
 
-def find_critical_points_2action(
-    game: Game,
-    grid: int = 2000,
-    refine_tol: float = 1e-9,
-) -> list[CriticalPoint]:
+def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalPoint]:
     """Scan the reduced derivative g(x1) = dPhi/dx1 - dPhi/dx2 on the line
     x = (x1, 1 - x1).
 
-    Sign changes bracket transversal roots (bisected to refine_tol) and are
+    Sign changes bracket transversal roots (bisected to _REFINE_TOL) and are
     classified by the bracket signs: + to - is a local max, - to + a local
     min.  Tangential zeros (|g| < 1e-9 at a grid point with no sign change)
     refine by local minimization of |g| and classify as degenerate.  The two
@@ -131,6 +130,8 @@ def find_critical_points_2action(
         raise ValueError("landscape analysis requires a game with a potential")
     if grid < 8:
         raise ValueError("grid too coarse")
+    from scipy import optimize
+
     phi, grad = potential_pair(game) or _reference_pair(game)
 
     def g(x1: float) -> float:
@@ -173,7 +174,7 @@ def find_critical_points_2action(
             hi = min(xs[j], 1.0)
             res = optimize.minimize_scalar(
                 lambda v: abs(g(v)), bounds=(lo, hi), method="bounded",
-                options={"xatol": refine_tol},
+                options={"xatol": _REFINE_TOL},
             )
             root = float(res.x)
             found.append((root, classify(np.sign(gs[i - 1]), np.sign(gs[j]))))
@@ -182,7 +183,7 @@ def find_critical_points_2action(
         if gs[i - 1] != 0.0 and np.sign(gs[i - 1]) != np.sign(gs[i]) and not near_zero[i - 1]:
             a, b = xs[i - 1], xs[i]
             ga = gs[i - 1]
-            while b - a > refine_tol:
+            while b - a > _REFINE_TOL:
                 mid = 0.5 * (a + b)
                 gm = g(mid)
                 if gm == 0.0:
@@ -200,9 +201,9 @@ def find_critical_points_2action(
     found.sort()
     merged: list[tuple[float, str]] = []
     for root, kind in found:
-        if merged and abs(root - merged[-1][0]) <= 10.0 * refine_tol:
+        if merged and abs(root - merged[-1][0]) <= 10.0 * _REFINE_TOL:
             continue
-        if root <= 10.0 * refine_tol or root >= 1.0 - 10.0 * refine_tol:
+        if root <= 10.0 * _REFINE_TOL or root >= 1.0 - 10.0 * _REFINE_TOL:
             continue  # ended up on a vertex; handled below
         merged.append((root, kind))
 
@@ -274,7 +275,6 @@ def find_critical_points_multi(
     step_tol: float = 1e-5,
     seed: int = 0,
     max_iter: int = 500,
-    merge_tol: float = 1e-3,
 ) -> list[CriticalPoint]:
     """Multi-start search for critical points of the potential on the simplex.
 
@@ -284,7 +284,7 @@ def find_critical_points_multi(
     descent cannot).  Every non-vertex candidate is polished by a
     derivative-free minimization of the squared reduced gradient, which
     copes with degenerate roots where the least-squares step stalls.
-    Candidates closer than merge_tol collapse to one point (exact vertices
+    Candidates closer than _MERGE_TOL collapse to one point (exact vertices
     win, then the smallest gradient norm) and classify by sampling the
     potential on 2 m^2 points of an eps-sphere, eps = 10 * step_tol,
     intersected with the simplex.
@@ -297,6 +297,8 @@ def find_critical_points_multi(
         raise ValueError(f"step_tol must be positive, got {step_tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    from scipy import optimize
+
     m = game.m
     rng = np.random.default_rng(seed)
     eps = 10.0 * step_tol
@@ -395,7 +397,7 @@ def find_critical_points_multi(
 
     merged: list[tuple[np.ndarray, float, bool]] = []
     for x, gnorm, vert in sorted(polished, key=lambda t: (not t[2], t[1])):
-        if not any(np.linalg.norm(x - y) <= merge_tol for y, _, _ in merged):
+        if not any(np.linalg.norm(x - y) <= _MERGE_TOL for y, _, _ in merged):
             merged.append((x, gnorm, vert))
 
     points = []
@@ -491,9 +493,6 @@ def metastability_report(
     rule: ImitationRule,
     gammas: tuple[float, ...] = (0.05,),
     deltas: tuple[float, ...] = (0.1,),
-    drift_margin: float = 0.05,
-    drift_samples: int = 200,
-    norms: tuple[str, str] = ("euclidean", "sup"),
 ) -> dict:
     """Aggregate long-run metrics over an ensemble of sample paths.
 
@@ -514,7 +513,7 @@ def metastability_report(
         if not any(np.allclose(v, c) for c in fixed_centers):
             fixed_centers.append(v)
 
-    near_norm, exit_norm = norms
+    near_norm, exit_norm = "euclidean", "sup"
     per_run = []
     violations_total = 0
     min_ratio: float | None = None
@@ -545,13 +544,13 @@ def metastability_report(
                 )
         entry["exit_times"] = exits
 
-        stride = max(1, len(traj.times) // drift_samples)
+        stride = max(1, len(traj.times) // _DRIFT_SAMPLES)
         fractions = traj.fractions
         viol = 0
         run_min: float | None = None
         for row in range(0, len(traj.times), stride):
             x = fractions[row]
-            if any(np.max(np.abs(x - c)) <= drift_margin for c in fixed_centers):
+            if any(np.max(np.abs(x - c)) <= _DRIFT_MARGIN for c in fixed_centers):
                 continue
             dr = potential_drift_rates(game, rule, traj.state(row), lam)
             if dr.q_plus < dr.q_minus:

@@ -181,16 +181,10 @@ class SignConditionReport:
     worst: tuple | None  # (x, i, j, f_ij, f_ji, r_i, r_j) of the worst violation
 
 
-def verify_sign_condition(
-    rule: ImitationRule,
-    game: Game,
-    num_samples: int = 1000,
-    seed: int = 0,
-    tie_tol: float = 1e-12,
-) -> SignConditionReport:
+def verify_sign_condition(rule: ImitationRule, game: Game, num_samples: int = 1000, seed: int = 0) -> SignConditionReport:
     """Sample simplex points and check sign(f_ij - f_ji) = sign(r_j - r_i).
 
-    Reward ties require |f_ij - f_ji| <= tie_tol.  Returns the violation
+    Reward ties require |f_ij - f_ji| <= 1e-12.  Returns the violation
     count and the worst offending tuple, if any.
     """
     rng = np.random.default_rng(seed)
@@ -206,7 +200,7 @@ def verify_sign_condition(
                 d_f = float(F[i, j] - F[j, i])
                 d_r = float(r[j] - r[i])
                 if d_r == 0.0:
-                    bad = abs(d_f) > tie_tol
+                    bad = abs(d_f) > 1e-12
                     mag = abs(d_f)
                 else:
                     bad = (d_f == 0.0) or (d_f > 0) != (d_r > 0)

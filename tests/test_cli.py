@@ -269,12 +269,16 @@ class TestCompare:
 
 class TestErrorPaths:
     def test_invalid_config_exits_2_without_output(self, tmp_path, capsys):
-        data = sim_cfg(tmp_path)
-        data["sim"]["n"] = 1
-        cfg = write_cfg(tmp_path, data)
-        assert main(["simulate", "--config", cfg]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        too_small = sim_cfg(tmp_path)
+        too_small["sim"]["n"] = 1
+        # json reads Infinity; the bounds are checked before any run
+        infinite_bounds = sim_cfg(tmp_path)
+        infinite_bounds["rule"] = {"type": "replicator", "bounds": [0.0, float("inf")]}
+        for data in (too_small, infinite_bounds):
+            cfg = write_cfg(tmp_path, data)
+            assert main(["simulate", "--config", cfg]) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

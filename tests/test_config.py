@@ -227,6 +227,9 @@ class TestRuleErrors:
         expect_error(write_cfg, data, r"\$\.rule\.bounds")
         data["rule"] = {"type": "replicator", "bounds": [3.0, 3.0]}
         expect_error(write_cfg, data, r"\$\.rule\.bounds: need lo < hi")
+        # Python's json reads Infinity
+        data["rule"] = {"type": "replicator", "bounds": [0.0, float("inf")]}
+        expect_error(write_cfg, data, r"\$\.rule\.bounds: must be \[lo, hi\] of finite numbers")
 
 
 class TestSimErrors:
@@ -342,3 +345,22 @@ class TestEnsembleAndAnalysisErrors:
         data = base_config()
         data["output"] = {"dir": ""}
         expect_error(write_cfg, data, r"\$\.output\.dir")
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "section, key, value, anchor",
+        [
+            ("sim", "n", float("inf"), r"\$\.sim\.n: must be finite"),
+            ("sim", "n", float("nan"), r"\$\.sim\.n: must be finite"),
+            ("ensemble", "runs", float("inf"), r"\$\.ensemble\.runs: must be finite"),
+            ("analysis", "n_sweep", [100, float("inf")], r"\$\.analysis\.n_sweep\[1\]: must be an integer >= 2"),
+            ("rule", "K", float("inf"), r"\$\.rule\.K: must be a finite positive number"),
+        ],
+        ids=["n-inf", "n-nan", "runs-inf", "n_sweep-inf", "K-inf"],
+    )
+    def test_non_finite_numbers(self, write_cfg, section, key, value, anchor):
+        # Python's json reads Infinity and NaN
+        data = base_config()
+        data.setdefault(section, {})[key] = value
+        expect_error(write_cfg, data, anchor)

@@ -33,12 +33,15 @@ from conftest import (
 )
 
 
-class _DoubledRule(ImitationRule):
-    """Invalid rule with every copy probability f_ij = 2."""
+class _ConstantRule(ImitationRule):
+    """Invalid rule with every copy probability f_ij = value."""
+
+    def __init__(self, value: float):
+        self.value = value
 
     def prob_matrix(self, rewards):
         r = np.asarray(rewards)
-        return np.full((r.shape[0],) + r.shape, 2.0)
+        return np.full((r.shape[0],) + r.shape, self.value)
 
 
 class TestTransitionRates:
@@ -66,41 +69,25 @@ class TestTransitionRates:
 
     def test_conservation_violation_raises_value_error(self):
         game = make_congestion_game([[1.0, -1.0]] * 3)
-        pt = PopulationType(np.array([10, 10, 10]))  # barycenter: total = 4/3 n lambda
-        rule = _DoubledRule()
-        with pytest.raises(ValueError, match="rate conservation"):
-            transition_rates(game, rule, pt)
-        with pytest.raises(ValueError, match="rate conservation"):
-            potential_drift_rates(game, rule, pt)
-        with pytest.raises(ValueError, match="rate conservation"):
-            simulate_complete(game, rule, pt, SimConfig(horizon=1.0, seed=0))
-        # every engine rejects the rule: the m = 2 table loop, and the network
-        # loop for m = 2 and m = 3
         game2 = make_congestion_game([[1.0, -1.0]] * 2)
+        pt = PopulationType(np.array([10, 10, 10]))
         cfg = SimConfig(horizon=1.0, seed=0)
-        with pytest.raises(ValueError, match="rate conservation"):
-            simulate_complete(game2, rule, PopulationType(np.array([10, 10])), cfg)
-        for g, y0 in ((game2, [0, 1] * 10), (game, [0, 1, 2] * 10)):
+        # at the barycenter f = 2 gives a total rate of 4/3 n lambda, and
+        # f = -0.5 gives negative rates
+        for rule in (_ConstantRule(2.0), _ConstantRule(-0.5)):
             with pytest.raises(ValueError, match="rate conservation"):
-                simulate_network(complete(len(y0)), g, rule, Configuration(np.array(y0), m=g.m), cfg)
-
-    @given(
-        st.integers(2, 200), st.data(), st.sampled_from(["arctan", "arctan2x2", "replicator"]), st.floats(0.1, 5.0)
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pair_tables_match_rate_matrix(self, n, data, rule_name, lam):
-        game4 = __import__("imitodyn").example4_game()
-        rule = {
-            "arctan": arctan_rule(1.0),
-            "arctan2x2": arctan_rule([[1.0, 0.5], [2.0, 1.0]]),
-            "replicator": replicator_rule(*reward_bounds(game4)),
-        }[rule_name]
-        k = data.draw(st.integers(1, n - 1))
-        f01, f10 = engine_mod._pair_tables_2action(game4, rule, n)
-        base = lam * k * (n - k) / n
-        L = transition_rates(game4, rule, PopulationType(np.array([k, n - k])), lam=lam)
-        assert base * f10[k] == pytest.approx(L[1, 0], rel=1e-12, abs=0.0)  # k -> k + 1
-        assert base * f01[k] == pytest.approx(L[0, 1], rel=1e-12, abs=0.0)
+                transition_rates(game, rule, pt)
+            with pytest.raises(ValueError, match="rate conservation"):
+                potential_drift_rates(game, rule, pt)
+            with pytest.raises(ValueError, match="rate conservation"):
+                simulate_complete(game, rule, pt, cfg)
+            # every engine rejects the rule: the m = 2 table loop, and the
+            # network loop for m = 2 and m = 3
+            with pytest.raises(ValueError, match="rate conservation"):
+                simulate_complete(game2, rule, PopulationType(np.array([10, 10])), cfg)
+            for g, y0 in ((game2, [0, 1] * 10), (game, [0, 1, 2] * 10)):
+                with pytest.raises(ValueError, match="rate conservation"):
+                    simulate_network(complete(len(y0)), g, rule, Configuration(np.array(y0), m=g.m), cfg)
 
 
 class TestDriftRates:

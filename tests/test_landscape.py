@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from imitodyn import (
     CriticalPoint,
@@ -27,7 +28,6 @@ from imitodyn import (
     metastability_report,
     time_near_set,
 )
-from imitodyn import landscape
 from imitodyn._law import potential_pair
 
 PHI_SADDLE = 443.0 / 48.0
@@ -154,8 +154,9 @@ class TestMultiStartFinder:
             return types.SimpleNamespace(x=x0)
 
         # one walk step and no polish leave every walk short of a critical point
-        monkeypatch.setattr(landscape.optimize, "least_squares", failing_solve)
-        monkeypatch.setattr(landscape.optimize, "minimize", no_polish)
+        # the finder imports scipy.optimize when it runs
+        monkeypatch.setattr(optimize, "least_squares", failing_solve)
+        monkeypatch.setattr(optimize, "minimize", no_polish)
         with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"):
             pts = find_critical_points_multi(g, starts=5, seed=0, max_iter=1)
         assert all(np.max(p.x) == 1.0 for p in pts)

@@ -1,7 +1,7 @@
 """The compiled scalar law against the reference definitions.
 
 engine.transition_rates and meanfield.mean_field_rhs are the reference
-laws; the engines' m >= 3 loops and the flow run on imitodyn._law instead.
+laws; every engine loop and the flow run on imitodyn._law instead.
 The two must agree to 1e-12 on every kind of game and rule, including the
 per-state fallback that a lambda-rewards game takes.  The compiled
 potential and gradient that the landscape finders use must equal
@@ -20,6 +20,7 @@ from imitodyn import (
     Game,
     PopulationType,
     arctan_rule,
+    example4_game,
     make_congestion_game,
     mean_field_rhs,
     replicator_rule,
@@ -51,14 +52,29 @@ def _case(m: int, rule_name: str, lambda_rewards: bool) -> tuple[Game, object]:
     return game, rule
 
 
+@functools.cache
+def _example4_case(rule_name: str) -> tuple[Game, object]:
+    game = example4_game()
+    rule = {
+        "arctan": lambda: arctan_rule(1.0),
+        "arctan2x2": lambda: arctan_rule([[1.0, 0.5], [2.0, 1.0]]),
+        "replicator": lambda: replicator_rule(*reward_bounds(game)),
+    }[rule_name]()
+    return game, rule
+
+
 law_cases = st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from(RULES), st.booleans())
+games_and_rules = st.one_of(
+    law_cases.map(lambda case: _case(*case)),
+    st.sampled_from(["arctan", "arctan2x2", "replicator"]).map(_example4_case),
+)
 
 
-@given(law_cases, st.integers(2, 300), st.data(), st.floats(0.1, 5.0))
+@given(games_and_rules, st.integers(2, 300), st.data(), st.floats(0.1, 5.0))
 @settings(max_examples=200, deadline=None)
-def test_probs_and_rates_match_reference(case, n, data, lam):
-    m = case[0]
-    game, rule = _case(*case)
+def test_probs_and_rates_match_reference(game_and_rule, n, data, lam):
+    game, rule = game_and_rule
+    m = game.m
     cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
     counts = np.diff([0, *cuts, n])
     law = _Law(game, rule, lam, n)
