@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         for i in range(args.runs):
             seed = derive_seed(args.seed, name, i)
             traj = run_one(make_spec(seed), seed)
-            finals.append(float(traj.fractions[-1, 0]))
+            finals.append(int(traj.counts[-1, 0]) / traj.n)
         return finals
 
     results = {}

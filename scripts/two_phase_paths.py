@@ -55,13 +55,13 @@ def main(argv=None) -> int:
     digest = []
     for i in range(args.runs):
         traj = run_one(spec, derive_seed(args.seed, i))
-        write_trajectory_csv(os.path.join(args.out, f"path_{i:03d}.csv"), traj.times, traj.fractions)
+        write_trajectory_csv(os.path.join(args.out, f"path_{i:03d}.csv"), traj.times, traj.counts, n=traj.n)
         digest.append(
             {
                 "run": i,
                 "entered_saddle_band": first_entry_time(traj, 0.25, 0.05),
                 "entered_peak_band": first_entry_time(traj, 0.75, 0.05),
-                "final_x1": float(traj.fractions[-1, 0]),
+                "final_x1": int(traj.counts[-1, 0]) / traj.n,
                 "absorbed_at": traj.absorbed_at,
                 "events": traj.event_count,
             }

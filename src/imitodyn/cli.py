@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import MAX_RUNS, ConfigError, ExperimentConfig, load_config
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
 from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, derive_seed, ensemble, run_one  # noqa: F401
 from .games import PopulationType
@@ -90,9 +90,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     ensure_dir(cfg.out_dir)
     width = max(3, len(str(cfg.runs - 1)))
     for i, traj in enumerate(trajs):
-        write_trajectory_csv(
-            os.path.join(cfg.out_dir, f"run_{i:0{width}d}.csv"), traj.times, traj.fractions
-        )
+        write_trajectory_csv(os.path.join(cfg.out_dir, f"run_{i:0{width}d}.csv"), traj.times, traj.counts, n=traj.n)
     write_json(
         os.path.join(cfg.out_dir, "summary.json"),
         {"config": cfg.raw, "runs": [run_summary(t) for t in trajs]},
@@ -234,8 +232,8 @@ def _run(args: argparse.Namespace) -> int:
                 raise ConfigError("--seed: must fit in 64 bits")
             cfg = replace(cfg, base_seed=args.seed)
         if args.runs is not None:
-            if args.runs < 1:
-                raise ConfigError("--runs: must be >= 1")
+            if not 1 <= args.runs <= MAX_RUNS:
+                raise ConfigError(f"--runs: must be between 1 and {MAX_RUNS}, got {args.runs}")
             cfg = replace(cfg, runs=args.runs)
         if args.out is not None:
             if not args.out:

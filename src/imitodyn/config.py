@@ -23,7 +23,8 @@ Schema (defaults in parentheses):
 
 Replicator bounds default to reward_bounds over the game.  An "er" topology
 without a "seed" draws a fresh graph per run (seeded from the run seed);
-with a "seed" every run shares one fixed graph.  Validation failures raise
+with a "seed" every run shares one fixed graph.  Population sizes are at
+most 2**53 and ensembles at most MAX_RUNS runs.  Validation failures raise
 ConfigError with a JSON-path anchor; the CLI maps them to exit code 2.
 """
 
@@ -43,6 +44,11 @@ from .topology import Graph, complete, erdos_renyi, from_edge_list, square_latti
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 _SIMPLEX_SLACK = 1e-6  # initial fractions may be off the simplex by this much
+# Largest population size: every count converts to float64 exactly, so each
+# x = c / n is the correctly rounded quotient.
+_MAX_N = 2**53
+# Largest ensemble: the run driver lists every run's seed before the first run.
+MAX_RUNS = 10**6
 
 
 class ConfigError(ValueError):
@@ -64,6 +70,14 @@ def _section(raw: dict, key: str, required: bool) -> dict:
     return val
 
 
+def _float(v: int | float, path: str) -> float:
+    """A JSON number as a float; json reads integers of any size."""
+    try:
+        return float(v)
+    except OverflowError:
+        _fail(path, "must be finite, got an integer too large for a float")
+
+
 def _number(d: dict, key: str, path: str, default=None, lo=None, hi=None, integer=False):
     if key not in d:
         if default is None:
@@ -79,7 +93,7 @@ def _number(d: dict, key: str, path: str, default=None, lo=None, hi=None, intege
             _fail(f"{path}.{key}", f"must be an integer, got {v}")
         v = int(v)
     else:
-        v = float(v)
+        v = _float(v, f"{path}.{key}")
     if lo is not None and v < lo:
         _fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -108,7 +122,7 @@ def _number_list(d: dict, key: str, path: str, default=None, positive=False):
     for i, item in enumerate(v):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             _fail(f"{path}.{key}[{i}]", f"must be a number, got {type(item).__name__}")
-        val = float(item)
+        val = _float(item, f"{path}.{key}[{i}]")
         if not math.isfinite(val):
             _fail(f"{path}.{key}[{i}]", "must be finite")
         if positive and val <= 0.0:
@@ -132,8 +146,9 @@ def _build_game(spec: dict) -> Game:
             if not isinstance(p, list) or not p:
                 _fail(f"$.game.polynomials[{j}]", "must be a non-empty coefficient array")
             for i, c in enumerate(p):
-                if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(float(c)):
-                    _fail(f"$.game.polynomials[{j}][{i}]", f"must be a finite number, got {c!r}")
+                at = f"$.game.polynomials[{j}][{i}]"
+                if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(_float(c, at)):
+                    _fail(at, f"must be a finite number, got {c!r}")
         return make_congestion_game([tuple(float(c) for c in p) for p in polys], name="config")
     _fail("$.game.type", f"must be 'builtin' or 'congestion', got {kind!r}")
 
@@ -145,14 +160,14 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
         if isinstance(K, list):
             try:
                 arr = np.asarray(K, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 _fail("$.rule.K", "must be a positive number or a square matrix of them")
             if arr.shape != (game.m, game.m):
                 _fail("$.rule.K", f"matrix must be {game.m}x{game.m} to match the game, got {arr.shape}")
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 _fail("$.rule.K", "entries must be finite and positive")
             return ArctanRule(K=arr)
-        if isinstance(K, bool) or not isinstance(K, (int, float)) or not (0.0 < float(K) < math.inf):
+        if isinstance(K, bool) or not isinstance(K, (int, float)) or not (0.0 < _float(K, "$.rule.K") < math.inf):
             _fail("$.rule.K", f"must be a finite positive number or matrix, got {K!r}")
         return ArctanRule(K=float(K))
     if kind == "replicator":
@@ -164,7 +179,12 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
             if (
                 not isinstance(b, list)
                 or len(b) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) for v in b)
+                or any(
+                    isinstance(v, bool)
+                    or not isinstance(v, (int, float))
+                    or not math.isfinite(_float(v, "$.rule.bounds"))
+                    for v in b
+                )
             ):
                 _fail("$.rule.bounds", "must be [lo, hi] of finite numbers")
             lo, hi = float(b[0]), float(b[1])
@@ -262,6 +282,8 @@ def load_config(path: str) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int's string conversion limit
+        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("$: config must be a JSON object")
 
@@ -269,7 +291,7 @@ def load_config(path: str) -> ExperimentConfig:
     rule = _build_rule(_section(raw, "rule", required=True), game)
 
     sim = _section(raw, "sim", required=True)
-    n = _number(sim, "n", "$.sim", integer=True, lo=2)
+    n = _number(sim, "n", "$.sim", integer=True, lo=2, hi=_MAX_N)
     lam = _number(sim, "lambda", "$.sim", default=1.0)
     if lam <= 0.0:
         _fail("$.sim.lambda", f"must be positive, got {lam}")
@@ -294,7 +316,7 @@ def load_config(path: str) -> ExperimentConfig:
     topology = _check_topology(_section(raw, "topology", required=False) or {"type": "complete"}, n)
 
     ens = _section(raw, "ensemble", required=False)
-    runs = _number(ens, "runs", "$.ensemble", default=4, integer=True, lo=1)
+    runs = _number(ens, "runs", "$.ensemble", default=4, integer=True, lo=1, hi=MAX_RUNS)
     base_seed = _number(ens, "base_seed", "$.ensemble", default=0, integer=True, lo=0)
     if base_seed >= 2**64:
         _fail("$.ensemble.base_seed", "must fit in 64 bits")
@@ -321,8 +343,15 @@ def load_config(path: str) -> ExperimentConfig:
             _fail("$.analysis.n_sweep", "must be a non-empty array of population sizes")
         vals = []
         for i, v in enumerate(sweep):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer() or int(v) < 2:
+            if (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or (isinstance(v, float) and not v.is_integer())
+                or v < 2
+            ):
                 _fail(f"$.analysis.n_sweep[{i}]", f"must be an integer >= 2, got {v!r}")
+            if v > _MAX_N:
+                _fail(f"$.analysis.n_sweep[{i}]", f"must be <= {_MAX_N}")
             vals.append(int(v))
         n_sweep = tuple(vals)
         if topology["type"] in ("lattice", "file") and any(v != n for v in n_sweep):

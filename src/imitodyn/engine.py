@@ -9,12 +9,14 @@ so every run is reproducible bit for bit.
 Every loop takes its copy probabilities from the compiled law (_law); this
 module holds the loops and the reference rate matrix (_rate_matrix) that
 transition_rates and potential_drift_rates return and the tests check the
-compiled law against.
+compiled law against.  Every loop records its path through one _Recorder,
+which holds at most _CHUNK rows in Python lists.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
 import pickle
@@ -49,6 +51,10 @@ __all__ = [
 
 # Beyond this many recorded jumps a run switches to stride recording.
 EVENT_RECORD_CAP = 10_000_000
+# Rows a loop keeps in Python lists before moving them into numpy blocks.
+_CHUNK = 16_384
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -151,33 +157,89 @@ def _meta(engine: str, game: Game, rule: ImitationRule, cfg: SimConfig, n: int, 
     }
 
 
-def _trajectory(
-    times: list, rows: list, final, n: int, absorbed_at: float | None, events: int, cfg: SimConfig, meta: dict
-) -> Trajectory:
-    """Close out a recorded path whose current state is `final`.
+class _Recorder:
+    """The recorded rows of one path, in bounded memory.
 
-    Each row is a count vector, or the count of action 0 when m = 2.  An
-    absorbed path ends with a row at absorbed_at; an unabsorbed one, or one
-    that continues after absorption, ends with a row at the horizon.
+    A loop appends to `times` and `rows` through bound `append` methods and
+    calls `check(events, t)` once its event count reaches the threshold that
+    `check` last returned (`start` before the first call).  `check` moves a
+    full chunk of _CHUNK rows into numpy blocks, clearing the lists in place
+    so the bound methods stay valid, and at event EVENT_RECORD_CAP switches
+    an every-jump path to stride recording: from then on it returns 0, so
+    the loop calls it at every recorded row.  Each row is a count vector, or
+    the count of action 0 when m = 2.
     """
-    if absorbed_at is not None and (times[-1] != absorbed_at or not np.array_equal(rows[-1], final)):
-        times.append(absorbed_at)
-        rows.append(final)
-    if (absorbed_at is None or not cfg.stop_on_absorption) and times[-1] < cfg.horizon:
-        times.append(cfg.horizon)
-        rows.append(final)
-    counts = np.asarray(rows, dtype=np.int64)
-    if counts.ndim == 1:
-        counts = np.column_stack([counts, n - counts])
-    return Trajectory(
-        times=np.asarray(times),
-        counts=counts,
-        n=n,
-        absorbed_at=absorbed_at,
-        absorbing_action=int(np.argmax(counts[-1])) if absorbed_at is not None else None,
-        event_count=events,
-        meta=meta,
-    )
+
+    def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
+        self.times = [0.0]
+        self.rows = [row0]
+        self.cfg = cfg
+        self.every_jump = every_jump
+        self.stride_from: float | None = None
+        self._cap = EVENT_RECORD_CAP  # read per run: tests lower it
+        self._chunk = _CHUNK
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.start = self._next_check(0)
+
+    def _next_check(self, events: int) -> int:
+        room = events + self._chunk - len(self.times)
+        return min(self._cap, room) if self.every_jump else 0
+
+    def _flush(self) -> None:
+        if self.times:
+            self._blocks.append((np.array(self.times), np.array(self.rows, dtype=np.int64)))
+            self.times.clear()
+            self.rows.clear()
+
+    def check(self, events: int, t: float) -> int:
+        if len(self.times) >= self._chunk:
+            self._flush()
+        if self.every_jump and events >= self._cap:
+            self.every_jump = False
+            self.stride_from = t
+            logger.info(
+                "seed %d: recorded every jump up to event %d, stride recording from t=%r", self.cfg.seed, events, t
+            )
+        return self._next_check(events)
+
+    def close(self, final, n: int, absorbed_at: float | None, events: int, meta: dict) -> Trajectory:
+        """The Trajectory of a path whose current state is `final`.
+
+        An absorbed path ends with a row at absorbed_at; an unabsorbed one,
+        or one that continues after absorption, ends with a row at the
+        horizon.
+        """
+        self._flush()
+        last_times, last_rows = self._blocks[-1]
+        t_end = last_times[-1]
+        if absorbed_at is not None and (t_end != absorbed_at or not np.array_equal(last_rows[-1], final)):
+            self.times.append(absorbed_at)
+            self.rows.append(final)
+            t_end = absorbed_at
+        if (absorbed_at is None or not self.cfg.stop_on_absorption) and t_end < self.cfg.horizon:
+            self.times.append(self.cfg.horizon)
+            self.rows.append(final)
+        self._flush()
+        times = np.concatenate([b[0] for b in self._blocks]) if len(self._blocks) > 1 else self._blocks[0][0]
+        rows = [b[1] for b in self._blocks]
+        self._blocks.clear()
+        if rows[0].ndim == 1:
+            counts = np.empty((times.size, 2), dtype=np.int64)
+            np.concatenate(rows, out=counts[:, 0])
+            np.subtract(n, counts[:, 0], out=counts[:, 1])
+        else:
+            counts = np.concatenate(rows) if len(rows) > 1 else rows[0]
+        if self.stride_from is not None:
+            meta["stride_from"] = self.stride_from
+        return Trajectory(
+            times=times,
+            counts=counts,
+            n=n,
+            absorbed_at=absorbed_at,
+            absorbing_action=int(np.argmax(counts[-1])) if absorbed_at is not None else None,
+            event_count=events,
+            meta=meta,
+        )
 
 
 def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig) -> Trajectory:
@@ -191,7 +253,7 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
     meta = _meta("complete", game, rule, cfg, x0.n, f"complete(n={x0.n})")
     if x0.is_pure():
-        return _trajectory([0.0], [x0.counts], x0.counts, x0.n, 0.0, 0, cfg, meta)
+        return _Recorder(x0.counts, cfg).close(x0.counts, x0.n, 0.0, 0, meta)
     if game.m == 2:
         return _simulate_complete_2action(game, rule, x0, cfg, meta)
     return _simulate_complete_generic(game, rule, x0, cfg, meta)
@@ -217,10 +279,12 @@ def _simulate_complete_2action(
     rr = rng.random
     log = math.log
     horizon = cfg.horizon
+    stride = cfg.record_stride
     t = 0.0
     k = int(x0.counts[0])
-    times = [0.0]
-    kk = [k]
+    rec = _Recorder(k, cfg)
+    append_t, append_k, check = rec.times.append, rec.rows.append, rec.check
+    next_check = rec.start
     events = 0
     absorbed_at: float | None = None
     next_rec = 0.0
@@ -237,15 +301,17 @@ def _simulate_complete_2action(
         k = k + 1 if rr() < pup[k] else k - 1
         events += 1
         if t >= next_rec:
-            times.append(t)
-            kk.append(k)
-            if events >= EVENT_RECORD_CAP:
-                next_rec = t + cfg.record_stride
+            append_t(t)
+            append_k(k)
+            if events >= next_check:
+                next_check = check(events, t)
+                if not rec.every_jump:
+                    next_rec = t + stride
         if k == 0 or k == n:
             absorbed_at = t
             break
 
-    return _trajectory(times, kk, k, n, absorbed_at, events, cfg, meta)
+    return rec.close(k, n, absorbed_at, events, meta)
 
 
 def _simulate_complete_generic(
@@ -259,10 +325,12 @@ def _simulate_complete_generic(
     rr = rng.random
     log = math.log
     horizon = cfg.horizon
+    stride = cfg.record_stride
     counts = x0.counts.tolist()
     t = 0.0
-    times = [0.0]
-    recorded = [counts.copy()]
+    rec = _Recorder(counts.copy(), cfg)
+    append_t, append_c, check = rec.times.append, rec.rows.append, rec.check
+    next_check = rec.start
     events = 0
     absorbed_at: float | None = None
     next_rec = 0.0
@@ -284,15 +352,17 @@ def _simulate_complete_generic(
         counts[j] += 1
         events += 1
         if t >= next_rec:
-            times.append(t)
-            recorded.append(counts.copy())
-            if events >= EVENT_RECORD_CAP:
-                next_rec = t + cfg.record_stride
+            append_t(t)
+            append_c(counts.copy())
+            if events >= next_check:
+                next_check = check(events, t)
+                if not rec.every_jump:
+                    next_rec = t + stride
         if counts[j] == n:
             absorbed_at = t
             break
 
-    return _trajectory(times, recorded, counts, n, absorbed_at, events, cfg, meta)
+    return rec.close(counts, n, absorbed_at, events, meta)
 
 
 def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configuration, cfg: SimConfig) -> Trajectory:
@@ -314,7 +384,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     meta = _meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
     counts = np.bincount(y0.actions, minlength=m).tolist()
     if max(counts) == n:
-        return _trajectory([0.0], [counts], counts, n, 0.0, 0, cfg, meta)
+        return _Recorder(counts, cfg).close(counts, n, 0.0, 0, meta)
 
     law = _Law(game, rule, lam, n).probs
     F = law(counts)
@@ -330,8 +400,9 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     total_rate = n * lam
 
     t = 0.0
-    times = [0.0]
-    recorded = [counts.copy()]
+    rec = _Recorder(counts.copy(), cfg, every_jump=record_jumps)
+    append_t, append_c, check = rec.times.append, rec.rows.append, rec.check
+    next_check = rec.start
     next_rec = stride
     events = 0
     flips = 0
@@ -340,8 +411,9 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     while True:
         t_next = t - log(1.0 - rr()) / total_rate
         while next_rec <= t_next and next_rec < horizon:
-            times.append(next_rec)
-            recorded.append(counts.copy())
+            append_t(next_rec)
+            append_c(counts.copy())
+            next_check = check(flips, next_rec)  # stride rows fill chunks too
             next_rec += stride
         if t_next >= horizon:
             t = horizon
@@ -364,15 +436,18 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
             counts[j] += 1
             flips += 1
             F = law(counts)
-            if record_jumps and flips <= EVENT_RECORD_CAP:
-                times.append(t)
-                recorded.append(counts.copy())
+            if record_jumps:
+                append_t(t)
+                append_c(counts.copy())
+                if flips >= next_check:
+                    next_check = check(flips, t)
+                    record_jumps = rec.every_jump
             if counts[j] == n:
                 absorbed_at = t
                 break
 
     meta["flip_count"] = flips
-    return _trajectory(times, recorded, counts, n, absorbed_at, events, cfg, meta)
+    return rec.close(counts, n, absorbed_at, events, meta)
 
 
 def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType, lam: float = 1.0) -> DriftRates:

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .engine import Trajectory
+from .engine import _CHUNK, Trajectory
 
 __all__ = [
     "write_trajectory_csv",
@@ -25,18 +25,43 @@ __all__ = [
 ]
 
 
-def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray) -> None:
-    """states has one row per time, one column per action (fractions)."""
+def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray, n: int | None = None) -> None:
+    """states has one row per time, one column per action: fractions, or,
+    with n, the integer counts of a population of n, written as count / n.
+
+    Both forms give the same bytes for states = counts / n.  From counts
+    each x-value is one of n + 1 cached repr strings (one "x_0,x_1" tail per
+    count when m = 2), so only the time takes a fresh repr per row.  A path
+    with no more cells than the cache would take reprs to build is written
+    from counts / n instead.
+    """
     times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
+    states = np.asarray(states, dtype=float if n is None else np.int64)
     if states.ndim != 2 or states.shape[0] != times.size:
         raise ValueError(f"states shape {states.shape} does not match {times.size} times")
     m = states.shape[1]
+    if n is not None:
+        if states.size and (states.min() < 0 or np.any(states.sum(axis=1) != n)):
+            raise ValueError(f"counts must be non-negative and sum to n = {n} in every row")
+        if times.size * m <= (n + 1) * (2 if m == 2 else 1):
+            states, n = states / n, None
+    if n is not None and m == 2:
+        x = np.arange(n + 1) / n
+        cache = [f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), x[::-1].tolist())]
+
+        def tails(block: np.ndarray) -> list[str]:
+            return [cache[c] for c in block[:, 0].tolist()]
+    else:
+        cell = repr if n is None else list(map(repr, (np.arange(n + 1) / n).tolist())).__getitem__
+
+        def tails(block: np.ndarray) -> list[str]:
+            return [",".join(map(cell, row)) + "\n" for row in block.tolist()]
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x_{j}" for j in range(m)) + "\n")
-        for i in range(times.size):
-            row = ",".join(repr(float(v)) for v in states[i])
-            fh.write(f"{float(times[i])!r},{row}\n")
+        for lo in range(0, times.size, _CHUNK):
+            hi = lo + _CHUNK
+            fh.writelines([f"{t!r},{tail}" for t, tail in zip(times[lo:hi].tolist(), tails(states[lo:hi]))])
 
 
 def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +99,7 @@ def run_summary(traj: Trajectory) -> dict:
         "n": traj.n,
         "absorbed_at": traj.absorbed_at,
         "absorbing_action": traj.absorbing_action,
-        "final_state": [float(v) for v in traj.fractions[-1]],
+        "final_state": (traj.counts[-1] / traj.n).tolist(),
         "event_count": traj.event_count,
     }
 

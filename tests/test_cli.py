@@ -114,6 +114,26 @@ class TestSimulate:
         assert sorted(os.listdir(dest)) == ["run_000.csv", "run_001.csv", "summary.json"]
         assert not (tmp_path / "out").exists()
 
+    def test_stride_switch_logged_at_info(self, tmp_path, capsys, monkeypatch):
+        import imitodyn.engine as engine_mod
+        from imitodyn import derive_seed
+
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", 40)
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path, horizon=20.0))
+        info, quiet = tmp_path / "info", tmp_path / "quiet"
+        assert main(["simulate", "--config", cfg, "--out", str(info), "--log-level", "info"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert main(["simulate", "--config", cfg, "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_all_bytes(info) == read_all_bytes(quiet)
+        assert len(lines) == 3
+        for i, line in enumerate(lines):
+            prefix = f"imitodyn.engine: INFO: seed {derive_seed(11, i)}: recorded every jump up to event 40, "
+            assert line.startswith(prefix + "stride recording from t=")
+            # the header, the start row, then one row per jump up to the switch
+            row = (info / f"run_{i:03d}.csv").read_text().splitlines()[41]
+            assert line.endswith("t=" + row.split(",")[0])
+
     def test_network_topologies_run(self, tmp_path):
         data = sim_cfg(tmp_path, out="er")
         data["sim"]["n"] = 30
@@ -299,6 +319,18 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
         assert main(["simulate", "--config", cfg, "--runs", "0"]) == 2
         assert "--runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", ["1000001", "9" * 400])
+    def test_runs_override_above_max_runs(self, tmp_path, capsys, runs):
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
+        assert main(["simulate", "--config", cfg, "--runs", runs]) == 2
+        assert "config error: --runs: must be between 1 and 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_horizon_exits_2_with_anchor(self, tmp_path, capsys):
+        data = sim_cfg(tmp_path, horizon=int("9" * 400))
+        assert main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+        assert "config error: $.sim.horizon: must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_threads_env_var_exits_2_without_output(self, tmp_path, capsys, monkeypatch, value):

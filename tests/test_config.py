@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imitodyn import ArctanRule, ConfigError, ReplicatorRule, load_config
+from imitodyn.config import MAX_RUNS
 
 
 def base_config(out_dir="out"):
@@ -364,3 +365,51 @@ class TestNonFiniteNumbers:
         data = base_config()
         data.setdefault(section, {})[key] = value
         expect_error(write_cfg, data, anchor)
+
+
+class TestHugeIntegers:
+    """json reads integers of any size; none may escape as an OverflowError."""
+
+    HUGE = int("9" * 400)
+
+    def test_horizon(self, write_cfg):
+        data = base_config()
+        data["sim"]["horizon"] = self.HUGE
+        expect_error(write_cfg, data, r"\$\.sim\.horizon: must be finite, got an integer too large for a float")
+
+    def test_sweep_entry(self, write_cfg):
+        data = base_config()
+        data["analysis"] = {"n_sweep": [self.HUGE]}
+        expect_error(write_cfg, data, r"\$\.analysis\.n_sweep\[0\]: must be <= 9007199254740992")
+
+    def test_polynomial_coefficient(self, write_cfg):
+        data = base_config()
+        data["game"] = {"type": "congestion", "polynomials": [[1.0, self.HUGE], [2.0]]}
+        expect_error(write_cfg, data, r"\$\.game\.polynomials\[0\]\[1\]: must be finite")
+
+    @pytest.mark.parametrize(
+        "rule, anchor",
+        [
+            ({"type": "arctan", "K": HUGE}, r"\$\.rule\.K: must be finite"),
+            ({"type": "arctan", "K": [[1.0, HUGE], [1.0, 1.0]]}, r"\$\.rule\.K: must be a positive number"),
+            ({"type": "replicator", "bounds": [0, HUGE]}, r"\$\.rule\.bounds: must be finite"),
+        ],
+        ids=["K", "K-matrix", "bounds"],
+    )
+    def test_rule_parameters(self, write_cfg, rule, anchor):
+        data = base_config()
+        data["rule"] = rule
+        expect_error(write_cfg, data, anchor)
+
+    def test_integer_literal_past_the_conversion_limit(self, write_cfg, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(base_config()).replace('"horizon": 5.0', '"horizon": 1' + "0" * 5000))
+        with pytest.raises(ConfigError, match="malformed JSON"):
+            load_config(str(path))
+
+    def test_runs_bounded(self, write_cfg):
+        data = base_config()
+        data["ensemble"] = {"runs": self.HUGE}
+        expect_error(write_cfg, data, r"\$\.ensemble\.runs: must be <= 1000000")
+        data["ensemble"] = {"runs": MAX_RUNS}
+        assert load_config(write_cfg(data)).runs == MAX_RUNS

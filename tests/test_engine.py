@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,6 +455,88 @@ class TestNetworkEngine:
         # binomial 4-sigma allowance on the difference of two proportions
         se = np.sqrt(2 * 0.25 / runs)
         assert abs(f_complete - f_network) < 4 * se
+
+
+class TestRecorder:
+    """The one recorder of the three loops: chunked numpy blocks, one cap rule."""
+
+    @staticmethod
+    def _runs(game4, arctan1):
+        g3 = make_congestion_game([[1.0, -1.0]] * 3)
+        rep3 = replicator_rule(*reward_bounds(g3), 0.01)
+        lattice = square_lattice(10, periodic=True)
+        y0 = Configuration(np.array([0, 1] * 50), 2)
+        return [
+            simulate_complete(
+                game4, arctan1, PopulationType.from_fractions(300, [0.5, 0.5]),
+                SimConfig(horizon=40.0, seed=2, record_stride=1.0),
+            ),
+            simulate_complete(
+                game4, arctan1, PopulationType.from_fractions(12, [0.25, 0.75]), SimConfig(horizon=1e4, seed=0)
+            ),
+            simulate_complete(
+                g3, rep3, PopulationType.from_fractions(90, [0.6, 0.3, 0.1]),
+                SimConfig(horizon=20.0, seed=3, record_stride=0.5),
+            ),
+            simulate_network(
+                lattice, game4, arctan1, y0, SimConfig(horizon=10.0, seed=5, record_stride=0.5, record_jumps=True)
+            ),
+            simulate_network(lattice, game4, arctan1, y0, SimConfig(horizon=10.0, seed=5, record_stride=0.05)),
+        ]
+
+    @pytest.mark.parametrize("cap", [40, engine_mod.EVENT_RECORD_CAP])
+    def test_chunking_leaves_every_path_unchanged(self, game4, arctan1, monkeypatch, cap):
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", cap)
+        whole = self._runs(game4, arctan1)
+        longest = []
+
+        class Spy(engine_mod._Recorder):
+            def _flush(self):
+                longest.append(len(self.times))  # rows leave the lists only here
+                super()._flush()
+
+        monkeypatch.setattr(engine_mod, "_Recorder", Spy)
+        monkeypatch.setattr(engine_mod, "_CHUNK", 7)
+        chunked = self._runs(game4, arctan1)
+        assert max(longest) <= 7
+        for a, b in zip(whole, chunked):
+            assert len(a.times) > 3 * 7
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
+            assert (a.event_count, a.absorbed_at, a.absorbing_action, a.meta) == (
+                b.event_count, b.absorbed_at, b.absorbing_action, b.meta
+            )
+
+    def test_stride_switch_is_reported(self, game4, arctan1, monkeypatch):
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", 40)
+        complete_m2, _, complete_m3, network, strided = self._runs(game4, arctan1)
+        for traj, stride in ((complete_m2, 1.0), (complete_m3, 0.5)):
+            # rows 0..40 are the start and the first 40 jumps, then one row a stride
+            assert traj.meta["stride_from"] == traj.times[40]
+            assert np.all(np.diff(traj.times[40:-1]) >= stride)
+        jump_times = network.times[(network.times % 0.5 != 0.0) & (network.times != 10.0)]
+        assert network.meta["stride_from"] == jump_times[-1]
+        assert "stride_from" not in strided.meta  # stride sampling from the start
+
+    @pytest.mark.parametrize("m, bound", [(2, 55.0), (3, 122.0)])
+    def test_peak_memory_per_recorded_row(self, game4, arctan1, monkeypatch, m, bound):
+        # Half of what the Python-list recording peaked at (110 and 244 B/row).
+        monkeypatch.setattr(engine_mod, "_CHUNK", 1024)
+        if m == 2:
+            args = (game4, arctan1, PopulationType.from_fractions(2000, [0.5, 0.5]), SimConfig(horizon=60.0, seed=1))
+        else:
+            g3 = make_congestion_game([[1.0, -1.0]] * 3)
+            rule = replicator_rule(*reward_bounds(g3), 0.01)
+            args = (g3, rule, PopulationType.from_fractions(900, [0.6, 0.3, 0.1]), SimConfig(horizon=25.0, seed=1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = simulate_complete(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows = len(traj.times)
+        assert rows > 8 * 1024
+        assert peak / rows <= bound
 
 
 class TestEnsemble:
