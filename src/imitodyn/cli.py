@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import MAX_RUNS, ConfigError, ExperimentConfig, load_config
+from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
 from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, derive_seed, ensemble, run_one  # noqa: F401
 from .games import PopulationType
@@ -228,13 +228,9 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError(str(exc)) from None
         cfg = load_config(args.config)
         if args.seed is not None:
-            if not (0 <= args.seed < 2**64):
-                raise ConfigError("--seed: must fit in 64 bits")
-            cfg = replace(cfg, base_seed=args.seed)
+            cfg = replace(cfg, base_seed=_value(args.seed, "--seed", lo=0, hi=_MAX_SEED, integer=True))
         if args.runs is not None:
-            if not 1 <= args.runs <= MAX_RUNS:
-                raise ConfigError(f"--runs: must be between 1 and {MAX_RUNS}, got {args.runs}")
-            cfg = replace(cfg, runs=args.runs)
+            cfg = replace(cfg, runs=_value(args.runs, "--runs", lo=1, hi=MAX_RUNS, integer=True))
         if args.out is not None:
             if not args.out:
                 raise ConfigError("--out: must be a directory path")

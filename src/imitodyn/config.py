@@ -23,9 +23,16 @@ Schema (defaults in parentheses):
 
 Replicator bounds default to reward_bounds over the game.  An "er" topology
 without a "seed" draws a fresh graph per run (seeded from the run seed);
-with a "seed" every run shares one fixed graph.  Population sizes are at
-most 2**53 and ensembles at most MAX_RUNS runs.  Validation failures raise
-ConfigError with a JSON-path anchor; the CLI maps them to exit code 2.
+with a "seed" every run shares one fixed graph.
+
+Every JSON number goes through one reader, _value, which rejects booleans,
+Infinity, NaN and integers too large for a float, and checks these bounds:
+population sizes (sim.n, analysis.n_sweep) 2 .. 2**53; ensemble.runs
+1 .. MAX_RUNS = 10**6; seeds (ensemble.base_seed, topology.seed, --seed)
+0 .. 2**64 - 1; analysis.grid 8 .. 10**6; analysis.starts 1 .. 10**5; and
+at most 10**7 RK4 steps of analysis.ode_dt up to max(sim.horizon,
+analysis.ode_horizon).  Validation failures raise ConfigError with a
+JSON-path anchor; the CLI maps them to exit code 2.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ _SIMPLEX_SLACK = 1e-6  # initial fractions may be off the simplex by this much
 _MAX_N = 2**53
 # Largest ensemble: the run driver lists every run's seed before the first run.
 MAX_RUNS = 10**6
+# Seeds are 64-bit.
+_MAX_SEED = 2**64 - 1
+# Finest 2-action landscape scan: it evaluates the gradient at grid + 1 points.
+_MAX_GRID = 10**6
+# Most multi-start landscape starts: each start runs three local searches.
+_MAX_STARTS = 10**5
+# Most RK4 steps in a flow to max(sim.horizon, analysis.ode_horizon): the
+# flow keeps every step, (m + 1) floats a step.
+_MAX_FLOW_STEPS = 10**7
 
 
 class ConfigError(ValueError):
@@ -70,35 +86,44 @@ def _section(raw: dict, key: str, required: bool) -> dict:
     return val
 
 
-def _float(v: int | float, path: str) -> float:
-    """A JSON number as a float; json reads integers of any size."""
-    try:
-        return float(v)
-    except OverflowError:
-        _fail(path, "must be finite, got an integer too large for a float")
+def _show(v: int | float) -> str:
+    """v for a message, a long integer cut to its first digits and length."""
+    s = str(v)
+    return s if len(s) <= 24 else f"{s[:6]}...({len(s)} digits)"
 
 
-def _number(d: dict, key: str, path: str, default=None, lo=None, hi=None, integer=False):
+def _value(v, at: str, lo=None, hi=None, integer=False, positive=False):
+    """The one check of a JSON number: an int when integer, else a finite
+    float, within [lo, hi] and above 0 when positive.  json reads Infinity,
+    NaN and integers of any size."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        _fail(at, f"must be a number, got {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        _fail(at, f"must be finite, got {v}")
+    if integer:
+        if isinstance(v, float) and not v.is_integer():
+            _fail(at, f"must be an integer, got {v}")
+        v = int(v)
+    else:
+        try:
+            v = float(v)
+        except OverflowError:
+            _fail(at, "must be finite, got an integer too large for a float")
+    if positive and v <= 0:
+        _fail(at, f"must be positive, got {_show(v)}")
+    if lo is not None and v < lo:
+        _fail(at, f"must be >= {lo}, got {_show(v)}")
+    if hi is not None and v > hi:
+        _fail(at, f"must be <= {hi}, got {_show(v)}")
+    return v
+
+
+def _number(d: dict, key: str, path: str, default=None, **bounds):
     if key not in d:
         if default is None:
             _fail(f"{path}.{key}", "missing required field")
         return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {type(v).__name__}")
-    if isinstance(v, float) and not math.isfinite(v):  # json reads Infinity and NaN
-        _fail(f"{path}.{key}", f"must be finite, got {v}")
-    if integer:
-        if isinstance(v, float) and not v.is_integer():
-            _fail(f"{path}.{key}", f"must be an integer, got {v}")
-        v = int(v)
-    else:
-        v = _float(v, f"{path}.{key}")
-    if lo is not None and v < lo:
-        _fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(f"{path}.{key}", f"must be <= {hi}, got {v}")
-    return v
+    return _value(d[key], f"{path}.{key}", **bounds)
 
 
 def _bool(d: dict, key: str, path: str, default: bool) -> bool:
@@ -110,7 +135,7 @@ def _bool(d: dict, key: str, path: str, default: bool) -> bool:
     return v
 
 
-def _number_list(d: dict, key: str, path: str, default=None, positive=False):
+def _number_list(d: dict, key: str, path: str, default=None, **bounds) -> list:
     if key not in d:
         if default is None:
             _fail(f"{path}.{key}", "missing required field")
@@ -118,17 +143,7 @@ def _number_list(d: dict, key: str, path: str, default=None, positive=False):
     v = d[key]
     if not isinstance(v, list) or not v:
         _fail(f"{path}.{key}", "must be a non-empty array of numbers")
-    out = []
-    for i, item in enumerate(v):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            _fail(f"{path}.{key}[{i}]", f"must be a number, got {type(item).__name__}")
-        val = _float(item, f"{path}.{key}[{i}]")
-        if not math.isfinite(val):
-            _fail(f"{path}.{key}[{i}]", "must be finite")
-        if positive and val <= 0.0:
-            _fail(f"{path}.{key}[{i}]", f"must be positive, got {val}")
-        out.append(val)
-    return out
+    return [_value(item, f"{path}.{key}[{i}]", **bounds) for i, item in enumerate(v)]
 
 
 def _build_game(spec: dict) -> Game:
@@ -142,14 +157,12 @@ def _build_game(spec: dict) -> Game:
         polys = spec.get("polynomials")
         if not isinstance(polys, list) or len(polys) < 2:
             _fail("$.game.polynomials", "must be an array of >= 2 coefficient arrays")
+        coeffs = []
         for j, p in enumerate(polys):
             if not isinstance(p, list) or not p:
                 _fail(f"$.game.polynomials[{j}]", "must be a non-empty coefficient array")
-            for i, c in enumerate(p):
-                at = f"$.game.polynomials[{j}][{i}]"
-                if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(_float(c, at)):
-                    _fail(at, f"must be a finite number, got {c!r}")
-        return make_congestion_game([tuple(float(c) for c in p) for p in polys], name="config")
+            coeffs.append(tuple(_value(c, f"$.game.polynomials[{j}][{i}]") for i, c in enumerate(p)))
+        return make_congestion_game(coeffs, name="config")
     _fail("$.game.type", f"must be 'builtin' or 'congestion', got {kind!r}")
 
 
@@ -157,37 +170,24 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
     kind = spec.get("type")
     if kind == "arctan":
         K = spec.get("K", 1.0)
-        if isinstance(K, list):
-            try:
-                arr = np.asarray(K, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                _fail("$.rule.K", "must be a positive number or a square matrix of them")
-            if arr.shape != (game.m, game.m):
-                _fail("$.rule.K", f"matrix must be {game.m}x{game.m} to match the game, got {arr.shape}")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                _fail("$.rule.K", "entries must be finite and positive")
-            return ArctanRule(K=arr)
-        if isinstance(K, bool) or not isinstance(K, (int, float)) or not (0.0 < _float(K, "$.rule.K") < math.inf):
-            _fail("$.rule.K", f"must be a finite positive number or matrix, got {K!r}")
-        return ArctanRule(K=float(K))
+        if not isinstance(K, list):
+            return ArctanRule(K=_value(K, "$.rule.K", positive=True))
+        m = game.m
+        if len(K) != m or any(not isinstance(row, list) or len(row) != m for row in K):
+            _fail("$.rule.K", f"matrix must be {m}x{m} to match the game")
+        gains = [
+            [_value(v, f"$.rule.K[{i}][{j}]", positive=True) for j, v in enumerate(row)] for i, row in enumerate(K)
+        ]
+        return ArctanRule(K=np.array(gains))
     if kind == "replicator":
         eps = _number(spec, "eps_margin", "$.rule", default=1e-6, lo=0.0)
         if eps >= 0.5:
             _fail("$.rule.eps_margin", f"must be < 0.5, got {eps}")
         if "bounds" in spec:
-            b = spec["bounds"]
-            if (
-                not isinstance(b, list)
-                or len(b) != 2
-                or any(
-                    isinstance(v, bool)
-                    or not isinstance(v, (int, float))
-                    or not math.isfinite(_float(v, "$.rule.bounds"))
-                    for v in b
-                )
-            ):
-                _fail("$.rule.bounds", "must be [lo, hi] of finite numbers")
-            lo, hi = float(b[0]), float(b[1])
+            bounds = _number_list(spec, "bounds", "$.rule")
+            if len(bounds) != 2:
+                _fail("$.rule.bounds", f"must be two numbers [lo, hi], got {len(bounds)}")
+            lo, hi = bounds
         else:
             lo, hi = reward_bounds(game)
         if not (lo < hi):
@@ -204,10 +204,10 @@ def _check_topology(spec: dict, n: int) -> dict:
         p = _number(spec, "p", "$.topology", lo=0.0, hi=1.0)
         out = {"type": "er", "p": p}
         if "seed" in spec:
-            out["seed"] = _number(spec, "seed", "$.topology", integer=True, lo=0)
+            out["seed"] = _number(spec, "seed", "$.topology", integer=True, lo=0, hi=_MAX_SEED)
         return out
     if kind == "lattice":
-        side = _number(spec, "side", "$.topology", integer=True, lo=2)
+        side = _number(spec, "side", "$.topology", integer=True, lo=2, hi=math.isqrt(_MAX_N))
         if side * side != n:
             _fail("$.topology.side", f"side^2 = {side * side} disagrees with sim.n = {n}")
         return {"type": "lattice", "side": side, "periodic": _bool(spec, "periodic", "$.topology", True)}
@@ -292,15 +292,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     sim = _section(raw, "sim", required=True)
     n = _number(sim, "n", "$.sim", integer=True, lo=2, hi=_MAX_N)
-    lam = _number(sim, "lambda", "$.sim", default=1.0)
-    if lam <= 0.0:
-        _fail("$.sim.lambda", f"must be positive, got {lam}")
-    horizon = _number(sim, "horizon", "$.sim")
-    if horizon <= 0.0:
-        _fail("$.sim.horizon", f"must be positive, got {horizon}")
-    record_stride = _number(sim, "record_stride", "$.sim", default=0.1)
-    if record_stride <= 0.0:
-        _fail("$.sim.record_stride", f"must be positive, got {record_stride}")
+    lam = _number(sim, "lambda", "$.sim", default=1.0, positive=True)
+    horizon = _number(sim, "horizon", "$.sim", positive=True)
+    record_stride = _number(sim, "record_stride", "$.sim", default=0.1, positive=True)
     stop_on_absorption = _bool(sim, "stop_on_absorption", "$.sim", True)
 
     init = _section(raw, "init", required=True)
@@ -317,45 +311,22 @@ def load_config(path: str) -> ExperimentConfig:
 
     ens = _section(raw, "ensemble", required=False)
     runs = _number(ens, "runs", "$.ensemble", default=4, integer=True, lo=1, hi=MAX_RUNS)
-    base_seed = _number(ens, "base_seed", "$.ensemble", default=0, integer=True, lo=0)
-    if base_seed >= 2**64:
-        _fail("$.ensemble.base_seed", "must fit in 64 bits")
+    base_seed = _number(ens, "base_seed", "$.ensemble", default=0, integer=True, lo=0, hi=_MAX_SEED)
 
     ana = _section(raw, "analysis", required=False)
     gammas = tuple(_number_list(ana, "gammas", "$.analysis", default=[0.05], positive=True))
     deltas = tuple(_number_list(ana, "deltas", "$.analysis", default=[0.1], positive=True))
-    grid = _number(ana, "grid", "$.analysis", default=2000, integer=True, lo=8)
-    starts = _number(ana, "starts", "$.analysis", default=64, integer=True, lo=1)
-    ode_dt = _number(ana, "ode_dt", "$.analysis", default=0.01)
-    if ode_dt <= 0.0:
-        _fail("$.analysis.ode_dt", f"must be positive, got {ode_dt}")
-    ode_horizon = _number(ana, "ode_horizon", "$.analysis", default=horizon)
-    if ode_horizon <= 0.0:
-        _fail("$.analysis.ode_horizon", f"must be positive, got {ode_horizon}")
-    limit_tol = _number(ana, "limit_tol", "$.analysis", default=1e-8)
-    if limit_tol <= 0.0:
-        _fail("$.analysis.limit_tol", f"must be positive, got {limit_tol}")
-    sweep = ana.get("n_sweep")
-    if sweep is None:
-        n_sweep = (n,)
-    else:
-        if not isinstance(sweep, list) or not sweep:
-            _fail("$.analysis.n_sweep", "must be a non-empty array of population sizes")
-        vals = []
-        for i, v in enumerate(sweep):
-            if (
-                isinstance(v, bool)
-                or not isinstance(v, (int, float))
-                or (isinstance(v, float) and not v.is_integer())
-                or v < 2
-            ):
-                _fail(f"$.analysis.n_sweep[{i}]", f"must be an integer >= 2, got {v!r}")
-            if v > _MAX_N:
-                _fail(f"$.analysis.n_sweep[{i}]", f"must be <= {_MAX_N}")
-            vals.append(int(v))
-        n_sweep = tuple(vals)
-        if topology["type"] in ("lattice", "file") and any(v != n for v in n_sweep):
-            _fail("$.analysis.n_sweep", f"a {topology['type']} topology fixes n = {n}")
+    grid = _number(ana, "grid", "$.analysis", default=2000, integer=True, lo=8, hi=_MAX_GRID)
+    starts = _number(ana, "starts", "$.analysis", default=64, integer=True, lo=1, hi=_MAX_STARTS)
+    ode_dt = _number(ana, "ode_dt", "$.analysis", default=0.01, positive=True)
+    ode_horizon = _number(ana, "ode_horizon", "$.analysis", default=horizon, positive=True)
+    flow_t = max(horizon, ode_horizon)
+    if flow_t / ode_dt > _MAX_FLOW_STEPS:
+        _fail("$.analysis.ode_dt", f"a flow to t = {flow_t} takes more than {_MAX_FLOW_STEPS} steps")
+    limit_tol = _number(ana, "limit_tol", "$.analysis", default=1e-8, positive=True)
+    n_sweep = tuple(_number_list(ana, "n_sweep", "$.analysis", default=[n], integer=True, lo=2, hi=_MAX_N))
+    if topology["type"] in ("lattice", "file") and any(v != n for v in n_sweep):
+        _fail("$.analysis.n_sweep", f"a {topology['type']} topology fixes n = {n}")
 
     out = _section(raw, "output", required=False)
     out_dir = out.get("dir", "out")

@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 _TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
 _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
+_SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
 _MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
 _DRIFT_MARGIN = 0.05  # drift checks skip states this close (sup norm) to a fixed point
 _DRIFT_SAMPLES = 200  # about this many drift checks per run
@@ -114,14 +115,31 @@ def _make_point(game: Game, phi, x: np.ndarray, kind: str, on_boundary: bool) ->
     )
 
 
+def _bisect(f, a: float, b: float) -> float:
+    """A sign change of f on [a, b], bisected to _REFINE_TOL."""
+    fa = f(a)
+    while b - a > _REFINE_TOL:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalPoint]:
     """Scan the reduced derivative g(x1) = dPhi/dx1 - dPhi/dx2 on the line
     x = (x1, 1 - x1).
 
     Sign changes bracket transversal roots (bisected to _REFINE_TOL) and are
     classified by the bracket signs: + to - is a local max, - to + a local
-    min.  Tangential zeros (|g| < 1e-9 at a grid point with no sign change)
-    refine by local minimization of |g| and classify as degenerate.  The two
+    min.  A run of grid points with |g| < 1e-9 is bracketed by its two
+    neighbours: when they differ in sign the run holds a transversal root,
+    bisected on g; otherwise it holds an even-order zero, bisected on the
+    slope g(v + h) - g(v - h) and classified as degenerate.  The two
     vertices always appear as boundary points, classified one-sidedly.
     """
     if game.m != 2:
@@ -130,14 +148,15 @@ def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalP
         raise ValueError("landscape analysis requires a game with a potential")
     if grid < 8:
         raise ValueError("grid too coarse")
-    from scipy import optimize
 
     phi, grad = potential_pair(game) or _reference_pair(game)
 
     def g(x1: float) -> float:
-        x1 = float(x1)
         d = grad([x1, 1.0 - x1])
         return d[0] - d[1]
+
+    def slope(v: float) -> float:
+        return g(v + _SLOPE_STEP) - g(v - _SLOPE_STEP)
 
     xs = np.linspace(0.0, 1.0, grid + 1)
     gs = np.array([g(x) for x in xs.tolist()])
@@ -170,30 +189,13 @@ def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalP
             j = i
             while j < grid and near_zero[j]:
                 j += 1
-            lo = max(xs[i - 1], 0.0)
-            hi = min(xs[j], 1.0)
-            res = optimize.minimize_scalar(
-                lambda v: abs(g(v)), bounds=(lo, hi), method="bounded",
-                options={"xatol": _REFINE_TOL},
-            )
-            root = float(res.x)
-            found.append((root, classify(np.sign(gs[i - 1]), np.sign(gs[j]))))
+            left, right = np.sign(gs[i - 1]), np.sign(gs[j])
+            root = _bisect(g if left * right < 0 else slope, float(xs[i - 1]), float(xs[j]))
+            found.append((root, classify(left, right)))
             i = j + 1
             continue
         if gs[i - 1] != 0.0 and np.sign(gs[i - 1]) != np.sign(gs[i]) and not near_zero[i - 1]:
-            a, b = xs[i - 1], xs[i]
-            ga = gs[i - 1]
-            while b - a > _REFINE_TOL:
-                mid = 0.5 * (a + b)
-                gm = g(mid)
-                if gm == 0.0:
-                    a = b = mid
-                    break
-                if (gm > 0) == (ga > 0):
-                    a, ga = mid, gm
-                else:
-                    b = mid
-            root = 0.5 * (a + b)
+            root = _bisect(g, float(xs[i - 1]), float(xs[i]))
             found.append((root, classify(np.sign(gs[i - 1]), np.sign(gs[i]))))
         i += 1
 

@@ -234,6 +234,18 @@ class TestLandscape:
 
 
 class TestMetastability:
+    def test_two_action_run_loads_no_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
+        code = (
+            "import sys; from imitodyn.cli import main; "
+            f"assert main(['metastability', '--config', {cfg!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "metastability.json").exists()
+
     def test_sweep_report(self, tmp_path):
         data = sim_cfg(tmp_path)
         data["ensemble"]["runs"] = 3
@@ -324,7 +336,38 @@ class TestErrorPaths:
     def test_runs_override_above_max_runs(self, tmp_path, capsys, runs):
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
         assert main(["simulate", "--config", cfg, "--runs", runs]) == 2
-        assert "config error: --runs: must be between 1 and 1000000" in capsys.readouterr().err
+        assert "config error: --runs: must be <= 1000000, got " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["true", "nan", "inf", "9" * 400], ids=["bool", "nan", "inf", "huge"])
+    @pytest.mark.parametrize("flag", ["--seed", "--runs"])
+    def test_override_rejects_non_integers(self, tmp_path, capsys, flag, value):
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
+        try:
+            code = main(["simulate", "--config", cfg, flag, value])
+        except SystemExit as exc:  # argparse reads the flag as an int
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        if value.isdigit():
+            msg = err.strip().removeprefix("imitodyn: config error: ")
+            assert msg.startswith(f"{flag}: must be <= ") and len(msg) < 100
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, analysis, anchor",
+        [
+            ("landscape", {"grid": 10**13}, "$.analysis.grid: must be <= 1000000"),
+            ("ode", {"ode_dt": 1e-300}, "$.analysis.ode_dt: a flow to t = 4.0 takes more than 10000000 steps"),
+        ],
+        ids=["grid", "flow-steps"],
+    )
+    def test_allocation_bounds_exit_2_without_output(self, tmp_path, capsys, command, analysis, anchor):
+        data = sim_cfg(tmp_path)
+        data["analysis"] = analysis
+        assert main([command, "--config", write_cfg(tmp_path, data)]) == 2
+        assert f"config error: {anchor}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_huge_horizon_exits_2_with_anchor(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy import stats
 import imitodyn.engine as engine_mod
 from imitodyn import (
     Configuration,
+    Graph,
     ImitationRule,
     PopulationType,
     RunSpec,
@@ -384,6 +385,69 @@ class TestAgainstBirthDeathOracle:
         hits = sum(run_one(spec, derive_seed(9, i)).absorbed_at is not None for i in range(runs))
         sigma = np.sqrt(p_exact * (1 - p_exact) / runs)
         assert abs(hits / runs - p_exact) < 4 * sigma
+
+
+class TestNetworkAgainstNodeGenerator:
+    """The per-node engine on two non-regular graphs against the exact
+    node-level chain: m = 2 on 6 nodes, so 64 configurations y.  Node u
+    activates at rate lambda, contacts a uniform v in N(u) and copies y_v
+    with probability f_{y_u y_v} at the current type.  From one start per
+    graph, seeded runs must match the absorption probability and mean
+    absorption time (linear solves of the generator), the probability that
+    the first flip raises action 0's count, and the Exp law of the first
+    flip's time."""
+
+    N = 6
+    LAM = 1.0
+    GRAPHS = {
+        "star": ([[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]], (0, 1, 1, 0, 0, 0)),
+        "path": ([[1], [0, 2], [1, 3], [2, 4], [3, 5], [4]], (0, 1, 1, 0, 0, 0)),
+    }
+
+    def _exact(self, game, rule, adj, start):
+        """P(absorbed with every node on action 0), the mean absorption time,
+        P(first flip is 1 -> 0) and the total flip rate at the start."""
+        n = self.N
+        Q = np.zeros((2**n, 2**n))  # configuration s has y_u = bit u of s
+        for s in range(2**n):
+            y = [(s >> u) & 1 for u in range(n)]
+            F = rule.prob_matrix(game.rewards_at(np.array([n - sum(y), sum(y)]) / n))
+            for u in range(n):
+                for v in adj[u]:
+                    if y[u] != y[v]:
+                        Q[s, s ^ (1 << u)] += self.LAM / len(adj[u]) * F[y[u], y[v]]
+        s0 = sum(bit << u for u, bit in enumerate(start))
+        up = sum(Q[s0, s0 ^ (1 << u)] for u in range(n) if start[u] == 1)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        transient = list(range(1, 2**n - 1))  # 0 and 2**n - 1 absorb
+        A = -Q[np.ix_(transient, transient)]
+        k = transient.index(s0)
+        hit = np.linalg.solve(A, Q[transient, 0])
+        tau = np.linalg.solve(A, np.ones(len(transient)))
+        return hit[k], tau[k], up / -Q[s0, s0], -Q[s0, s0]
+
+    @pytest.mark.parametrize("name", ["star", "path"])
+    def test_matches_node_generator(self, game4, arctan1, name):
+        adj, start = self.GRAPHS[name]
+        p_absorb, tau, p_up, rate = self._exact(game4, arctan1, adj, start)
+        graph = Graph(n=self.N, neighbors=tuple(np.array(a) for a in adj), self_loops=False, kind=name)
+        y0 = Configuration(np.array(start), m=2)
+        runs = 3000
+        absorbed_0 = first_up = 0
+        taus, first_times = [], []
+        for k in range(runs):
+            seed = derive_seed(9, name, k)
+            cfg = SimConfig(lam=self.LAM, horizon=1000.0, seed=seed, record_stride=1e9, record_jumps=True)
+            traj = simulate_network(graph, game4, arctan1, y0, cfg)
+            assert traj.absorbed_at is not None
+            absorbed_0 += traj.absorbing_action == 0
+            taus.append(traj.absorbed_at)
+            first_up += traj.counts[1, 0] > traj.counts[0, 0]
+            first_times.append(traj.times[1] * rate)
+        assert stats.binomtest(absorbed_0, runs, p_absorb).pvalue > 1e-3
+        assert abs(np.mean(taus) - tau) < 4 * np.std(taus, ddof=1) / np.sqrt(runs)
+        assert stats.binomtest(first_up, runs, p_up).pvalue > 1e-3
+        assert stats.kstest(first_times, "expon").pvalue > 1e-3
 
 
 class TestNetworkEngine:
