@@ -389,10 +389,16 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     law = _Law(game, rule, lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
-    adj = None if graph.is_complete else [a.tolist() for a in graph.neighbors]
+    # per node: (contacts, their count d, d.bit_length()); on the complete
+    # graph every node contacts range(n), itself included
+    if graph.is_complete:
+        nodes = [(range(n), n, n.bit_length())] * n
+    else:
+        nodes = [(nb, len(nb), len(nb).bit_length()) for nb in (a.tolist() for a in graph.neighbors)]
+    kn = n.bit_length()
     rng = random.Random(cfg.seed)
     rr = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     log = math.log
     horizon = cfg.horizon
     stride = cfg.record_stride
@@ -420,14 +426,18 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
             break
         t = t_next
         events += 1
-        u = randrange(n)
+        # u = randrange(n), then v = nb[randrange(d)], drawn as CPython 3.11's
+        # Random._randbelow_with_getrandbits draws them (same calls, same
+        # stream); tests/test_engine.py::TestNetworkDrawStream pins this
+        u = getrandbits(kn)
+        while u >= n:
+            u = getrandbits(kn)
         i = y[u]
-        if adj is None:
-            v = randrange(n)
-        else:
-            nb = adj[u]
-            v = nb[randrange(len(nb))]
-        j = y[v]
+        nb, d, kd = nodes[u]
+        v = getrandbits(kd)
+        while v >= d:
+            v = getrandbits(kd)
+        j = y[nb[v]]
         if i == j:
             continue
         if rr() < F[i][j]:

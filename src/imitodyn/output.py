@@ -93,8 +93,10 @@ def _jsonable(v):
 
 
 def run_summary(traj: Trajectory) -> dict:
-    """Per-run summary record for the ensemble summary file."""
-    return {
+    """Per-run summary record for the ensemble summary file: flip_count
+    (network runs) and stride_from (runs that stopped recording every jump)
+    only when the run's meta holds them."""
+    record = {
         "seed": _jsonable(traj.meta.get("seed")),
         "n": traj.n,
         "absorbed_at": traj.absorbed_at,
@@ -102,6 +104,10 @@ def run_summary(traj: Trajectory) -> dict:
         "final_state": (traj.counts[-1] / traj.n).tolist(),
         "event_count": traj.event_count,
     }
+    for key in ("flip_count", "stride_from"):
+        if key in traj.meta:
+            record[key] = _jsonable(traj.meta[key])
+    return record
 
 
 def ensure_dir(path: str) -> None:

@@ -73,25 +73,28 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - u - 1) < p)
-        for w in (hits + u + 1).tolist():
-            adj[u].append(w)
-            adj[w].append(u)
-    rewired = 0
-    for u in range(n):
-        if not adj[u]:
-            w = int(rng.integers(n - 1))
-            if w >= u:
-                w += 1
-            adj[u].append(w)
-            adj[w].append(u)
-            rewired += 1
-    if rewired:
-        logger.info("erdos_renyi(n=%d, p=%g): re-wired %d isolated node(s)", n, p, rewired)
-    nb = tuple(np.unique(np.asarray(a, dtype=np.int64)) for a in adj)
-    return Graph(n=n, neighbors=nb, self_loops=False, kind="er")
+    # row u draws the edges u-w for w > u, one rng.random call per row
+    heads = [np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1) for u in range(n - 1)]
+    tails = np.repeat(np.arange(n - 1), [h.size for h in heads])
+    heads = np.concatenate(heads)
+    deg = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
+    extra: list[tuple[int, int]] = []
+    for u in np.flatnonzero(deg == 0).tolist():
+        if deg[u]:
+            continue  # an earlier re-wiring reached it
+        w = int(rng.integers(n - 1))
+        if w >= u:
+            w += 1
+        extra.append((u, w))
+        deg[u] += 1
+        deg[w] += 1
+    if extra:
+        logger.info("erdos_renyi(n=%d, p=%g): re-wired %d isolated node(s)", n, p, len(extra))
+        tails = np.concatenate([tails, [u for u, _ in extra]])
+        heads = np.concatenate([heads, [w for _, w in extra]])
+    src = np.concatenate([tails, heads])
+    dst = np.concatenate([heads, tails])
+    return Graph(n=n, neighbors=_rows(dst[np.lexsort((dst, src))], deg), self_loops=False, kind="er")
 
 
 def square_lattice(side: int, periodic: bool = True) -> Graph:
@@ -103,20 +106,21 @@ def square_lattice(side: int, periodic: bool = True) -> Graph:
     if side < 2:
         raise ValueError(f"need side >= 2, got {side}")
     n = side * side
-    nb: list[np.ndarray] = []
-    for v in range(n):
-        r, c = divmod(v, side)
-        out: list[int] = []
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            rr, cc = r + dr, c + dc
-            if periodic:
-                rr %= side
-                cc %= side
-            elif not (0 <= rr < side and 0 <= cc < side):
-                continue
-            out.append(rr * side + cc)
-        nb.append(np.sort(np.asarray(out, dtype=np.int64)))
-    return Graph(n=n, neighbors=tuple(nb), self_loops=False, kind="lattice")
+    r, c = np.divmod(np.arange(n, dtype=np.int64), side)
+    rr = r[:, None] + np.array([-1, 1, 0, 0])
+    cc = c[:, None] + np.array([0, 0, -1, 1])
+    if periodic:
+        rr %= side
+        cc %= side
+    inside = (rr >= 0) & (rr < side) & (cc >= 0) & (cc < side)
+    ids = np.where(inside, rr * side + cc, n)  # n sorts after every node
+    ids.sort(axis=1)
+    return Graph(n=n, neighbors=_rows(ids[ids < n], inside.sum(axis=1)), self_loops=False, kind="lattice")
+
+
+def _rows(flat: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split the concatenated sorted adjacency rows by node degree."""
+    return tuple(np.split(flat, np.cumsum(deg)[:-1]))
 
 
 def from_edge_list(path: str | Path) -> Graph:

@@ -134,6 +134,30 @@ class TestSimulate:
             row = (info / f"run_{i:03d}.csv").read_text().splitlines()[41]
             assert line.endswith("t=" + row.split(",")[0])
 
+    def test_summary_reports_flips_and_stride_switch(self, tmp_path, monkeypatch):
+        import imitodyn.engine as engine_mod
+
+        base = {"seed", "n", "absorbed_at", "absorbing_action", "final_state", "event_count"}
+        data = sim_cfg(tmp_path, out="lat", n=25)
+        data["topology"] = {"type": "lattice", "side": 5}
+        assert main(["simulate", "--config", write_cfg(tmp_path, data, name="lat.json")]) == 0
+        for entry in json.loads((tmp_path / "lat" / "summary.json").read_text())["runs"]:
+            assert set(entry) == base | {"flip_count"}
+            assert 0 < entry["flip_count"] <= entry["event_count"]
+
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path, horizon=20.0))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "every")]) == 0
+        for entry in json.loads((tmp_path / "every" / "summary.json").read_text())["runs"]:
+            assert set(entry) == base  # every jump recorded: the record is unchanged
+
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", 40)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "capped")]) == 0
+        runs = json.loads((tmp_path / "capped" / "summary.json").read_text())["runs"]
+        for i, entry in enumerate(runs):
+            assert set(entry) == base | {"stride_from"}
+            row = (tmp_path / "capped" / f"run_{i:03d}.csv").read_text().splitlines()[41]
+            assert entry["stride_from"] == float(row.split(",")[0])  # the last every-jump row
+
     def test_network_topologies_run(self, tmp_path):
         data = sim_cfg(tmp_path, out="er")
         data["sim"]["n"] = 30

@@ -1,10 +1,12 @@
+import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
 import imitodyn.engine as engine_mod
 from imitodyn import (
@@ -18,6 +20,7 @@ from imitodyn import (
     complete,
     derive_seed,
     ensemble,
+    erdos_renyi,
     make_congestion_game,
     potential_drift_rates,
     replicator_rule,
@@ -28,6 +31,7 @@ from imitodyn import (
     square_lattice,
     transition_rates,
 )
+from imitodyn._law import _Law
 from conftest import (
     birth_death_rates,
     exact_absorbed_probability_by,
@@ -388,14 +392,18 @@ class TestAgainstBirthDeathOracle:
 
 
 class TestNetworkAgainstNodeGenerator:
-    """The per-node engine on two non-regular graphs against the exact
-    node-level chain: m = 2 on 6 nodes, so 64 configurations y.  Node u
-    activates at rate lambda, contacts a uniform v in N(u) and copies y_v
-    with probability f_{y_u y_v} at the current type.  From one start per
-    graph, seeded runs must match the absorption probability and mean
-    absorption time (linear solves of the generator), the probability that
-    the first flip raises action 0's count, and the Exp law of the first
-    flip's time."""
+    """The per-node engine on non-regular graphs against the exact
+    node-level chain.  Node u activates at rate lambda, contacts a uniform v
+    in N(u) and copies y_v with probability f_{y_u y_v} at the current type.
+
+    m = 2 on a 6-node star and path (64 configurations y): seeded runs must
+    match the absorption probability and mean absorption time (linear
+    solves of the generator), the probability that the first flip raises
+    action 0's count, and the Exp law of the first flip's time.  m = 3 on a
+    5-node star (243 configurations) adds the law of the first flip's type
+    change and the type distribution at a fixed time (matrix exponential).
+    A star separates "uniform node, then uniform neighbour" from "uniform
+    edge"."""
 
     N = 6
     LAM = 1.0
@@ -403,51 +411,198 @@ class TestNetworkAgainstNodeGenerator:
         "star": ([[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]], (0, 1, 1, 0, 0, 0)),
         "path": ([[1], [0, 2], [1, 3], [2, 4], [3, 5], [4]], (0, 1, 1, 0, 0, 0)),
     }
+    STAR5 = [[1, 2, 3, 4], [0], [0], [0], [0]]
+    START5 = (0, 0, 1, 1, 2)
+    GAME3 = make_congestion_game([[1.0, -1.0]] * 3)
+    RULE3 = replicator_rule(*reward_bounds(GAME3), eps_margin=0.01)
 
-    def _exact(self, game, rule, adj, start):
-        """P(absorbed with every node on action 0), the mean absorption time,
-        P(first flip is 1 -> 0) and the total flip rate at the start."""
-        n = self.N
-        Q = np.zeros((2**n, 2**n))  # configuration s has y_u = bit u of s
-        for s in range(2**n):
-            y = [(s >> u) & 1 for u in range(n)]
-            F = rule.prob_matrix(game.rewards_at(np.array([n - sum(y), sum(y)]) / n))
+    def _generator(self, game, rule, adj, m):
+        """Generator over the m**n configurations; configuration s has y_u =
+        digit u of s in base m."""
+        n = len(adj)
+        Q = np.zeros((m**n, m**n))
+        for s in range(m**n):
+            y = [s // m**u % m for u in range(n)]
+            F = rule.prob_matrix(game.rewards_at(np.bincount(y, minlength=m) / n))
             for u in range(n):
                 for v in adj[u]:
                     if y[u] != y[v]:
-                        Q[s, s ^ (1 << u)] += self.LAM / len(adj[u]) * F[y[u], y[v]]
-        s0 = sum(bit << u for u, bit in enumerate(start))
-        up = sum(Q[s0, s0 ^ (1 << u)] for u in range(n) if start[u] == 1)
+                        Q[s, s + (y[v] - y[u]) * m**u] += self.LAM / len(adj[u]) * F[y[u], y[v]]
         np.fill_diagonal(Q, -Q.sum(axis=1))
-        transient = list(range(1, 2**n - 1))  # 0 and 2**n - 1 absorb
+        return Q
+
+    def _exact(self, game, rule, adj, start, m):
+        """The generator, the index of the start, P(absorbed at each vertex),
+        the mean absorption time, P(first flip is i -> j) by (i, j) and the
+        total flip rate at the start."""
+        n = len(adj)
+        Q = self._generator(game, rule, adj, m)
+        s0 = sum(a * m**u for u, a in enumerate(start))
+        first: dict = {}
+        for u, i in enumerate(start):
+            for j in range(m):
+                if j != i:
+                    rate = Q[s0, s0 + (j - i) * m**u]
+                    first[i, j] = first.get((i, j), 0.0) + rate
+        vertices = [a * (m**n - 1) // (m - 1) for a in range(m)]
+        transient = [s for s in range(m**n) if s not in vertices]
         A = -Q[np.ix_(transient, transient)]
         k = transient.index(s0)
-        hit = np.linalg.solve(A, Q[transient, 0])
-        tau = np.linalg.solve(A, np.ones(len(transient)))
-        return hit[k], tau[k], up / -Q[s0, s0], -Q[s0, s0]
+        hit = np.linalg.solve(A, Q[np.ix_(transient, vertices)])[k]
+        tau = np.linalg.solve(A, np.ones(len(transient)))[k]
+        total = -Q[s0, s0]
+        return Q, s0, hit, tau, {ij: r / total for ij, r in first.items() if r > 0.0}, total
+
+    def _runs(self, graph, game, rule, y0, runs, label, horizon=1000.0):
+        trajs = []
+        for k in range(runs):
+            cfg = SimConfig(
+                lam=self.LAM, horizon=horizon, seed=derive_seed(9, label, k), record_stride=1e9, record_jumps=True
+            )
+            trajs.append(simulate_network(graph, game, rule, y0, cfg))
+        assert all(t.absorbed_at is not None for t in trajs)
+        return trajs
 
     @pytest.mark.parametrize("name", ["star", "path"])
     def test_matches_node_generator(self, game4, arctan1, name):
         adj, start = self.GRAPHS[name]
-        p_absorb, tau, p_up, rate = self._exact(game4, arctan1, adj, start)
+        _, _, hit, tau, first, rate = self._exact(game4, arctan1, adj, start, 2)
         graph = Graph(n=self.N, neighbors=tuple(np.array(a) for a in adj), self_loops=False, kind=name)
-        y0 = Configuration(np.array(start), m=2)
         runs = 3000
-        absorbed_0 = first_up = 0
-        taus, first_times = [], []
-        for k in range(runs):
-            seed = derive_seed(9, name, k)
-            cfg = SimConfig(lam=self.LAM, horizon=1000.0, seed=seed, record_stride=1e9, record_jumps=True)
-            traj = simulate_network(graph, game4, arctan1, y0, cfg)
-            assert traj.absorbed_at is not None
-            absorbed_0 += traj.absorbing_action == 0
-            taus.append(traj.absorbed_at)
-            first_up += traj.counts[1, 0] > traj.counts[0, 0]
-            first_times.append(traj.times[1] * rate)
-        assert stats.binomtest(absorbed_0, runs, p_absorb).pvalue > 1e-3
+        trajs = self._runs(graph, game4, arctan1, Configuration(np.array(start), m=2), runs, name)
+        absorbed_0 = sum(t.absorbing_action == 0 for t in trajs)
+        taus = [t.absorbed_at for t in trajs]
+        first_up = sum(t.counts[1, 0] > t.counts[0, 0] for t in trajs)
+        first_times = [t.times[1] * rate for t in trajs]
+        assert stats.binomtest(absorbed_0, runs, hit[0]).pvalue > 1e-3
         assert abs(np.mean(taus) - tau) < 4 * np.std(taus, ddof=1) / np.sqrt(runs)
-        assert stats.binomtest(first_up, runs, p_up).pvalue > 1e-3
+        assert stats.binomtest(first_up, runs, first[1, 0]).pvalue > 1e-3
         assert stats.kstest(first_times, "expon").pvalue > 1e-3
+
+    def test_three_actions_on_a_star(self):
+        Q, s0, hit, tau, first, rate = self._exact(self.GAME3, self.RULE3, self.STAR5, self.START5, 3)
+        graph = Graph(n=5, neighbors=tuple(np.array(a) for a in self.STAR5), self_loops=False, kind="star")
+        runs = 2000
+        trajs = self._runs(graph, self.GAME3, self.RULE3, Configuration(np.array(self.START5), m=3), runs, "star3")
+
+        hits = np.bincount([t.absorbing_action for t in trajs], minlength=3)
+        assert stats.chisquare(hits, runs * hit).pvalue > 1e-3
+        taus = np.array([t.absorbed_at for t in trajs])
+        assert abs(taus.mean() - tau) < 4 * taus.std(ddof=1) / np.sqrt(runs)
+
+        pairs = sorted(first)
+        moves = [tuple(int(np.flatnonzero(t.counts[1] - t.counts[0] == d)[0]) for d in (-1, 1)) for t in trajs]
+        assert set(moves) <= set(pairs)  # no first flip the generator forbids
+        observed = [moves.count(ij) for ij in pairs]
+        assert stats.chisquare(observed, [runs * first[ij] for ij in pairs]).pvalue > 1e-3
+        assert stats.kstest([t.times[1] * rate for t in trajs], "expon").pvalue > 1e-3
+
+        # the type at a fixed time: each configuration's law from expm, summed by type
+        t_fix = 0.5 * tau
+        p_conf = linalg.expm(Q * t_fix)[s0]
+        types = [tuple(np.bincount([s // 3**u % 3 for u in range(5)], minlength=3)) for s in range(3**5)]
+        law: dict = {}
+        for ty, p in zip(types, p_conf):
+            law[ty] = law.get(ty, 0.0) + p
+        seen = [tuple(t.counts[np.searchsorted(t.times, t_fix, side="right") - 1]) for t in trajs]
+        big = [ty for ty in sorted(law) if runs * law[ty] >= 5.0]
+        observed = [seen.count(ty) for ty in big] + [sum(ty not in big for ty in seen)]
+        expected = [runs * law[ty] for ty in big] + [runs * (1.0 - sum(law[ty] for ty in big))]
+        assert len(big) >= 8
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def _reference_network(graph, game, rule, y0, cfg):
+    """simulate_network as it was written with rng.randrange, kept as the
+    reference for the engine's inlined draws."""
+    n = graph.n
+    meta = engine_mod._meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
+    counts = np.bincount(y0.actions, minlength=game.m).tolist()
+    law = _Law(game, rule, cfg.lam, n).probs
+    F = law(counts)
+    y = y0.actions.astype(np.int64).tolist()
+    adj = None if graph.is_complete else [a.tolist() for a in graph.neighbors]
+    rng = random.Random(cfg.seed)
+    rr, randrange = rng.random, rng.randrange
+    stride, record_jumps = cfg.record_stride, cfg.record_jumps
+    t = 0.0
+    rec = engine_mod._Recorder(counts.copy(), cfg, every_jump=record_jumps)
+    next_check = rec.start
+    next_rec = stride
+    events = flips = 0
+    absorbed_at = None
+    while True:
+        t_next = t - math.log(1.0 - rr()) / (n * cfg.lam)
+        while next_rec <= t_next and next_rec < cfg.horizon:
+            rec.times.append(next_rec)
+            rec.rows.append(counts.copy())
+            next_check = rec.check(flips, next_rec)
+            next_rec += stride
+        if t_next >= cfg.horizon:
+            t = cfg.horizon
+            break
+        t = t_next
+        events += 1
+        u = randrange(n)
+        i = y[u]
+        if adj is None:
+            v = randrange(n)
+        else:
+            nb = adj[u]
+            v = nb[randrange(len(nb))]
+        j = y[v]
+        if i == j:
+            continue
+        if rr() < F[i][j]:
+            y[u] = j
+            counts[i] -= 1
+            counts[j] += 1
+            flips += 1
+            F = law(counts)
+            if record_jumps:
+                rec.times.append(t)
+                rec.rows.append(counts.copy())
+                if flips >= next_check:
+                    next_check = rec.check(flips, t)
+                    record_jumps = rec.every_jump
+            if counts[j] == n:
+                absorbed_at = t
+                break
+    meta["flip_count"] = flips
+    return rec.close(counts, n, absorbed_at, events, meta)
+
+
+class TestNetworkDrawStream:
+    """simulate_network draws the active node and its contact with CPython's
+    Random._randbelow_with_getrandbits written inline.  Its paths must equal
+    the randrange reference's on every graph shape: the complete graph, a
+    regular lattice whose degree 4 is a power of two, a star whose hub
+    degree 5 is not, and an m = 3 ER graph.  If a Python release changes
+    how randrange draws, this fails."""
+
+    def _cases(self, game4, arctan1):
+        g3 = make_congestion_game([[1.0, -1.0]] * 3)
+        rep3 = replicator_rule(*reward_bounds(g3), eps_margin=0.01)
+        star_adj = TestNetworkAgainstNodeGenerator.GRAPHS["star"][0]
+        star = Graph(n=6, neighbors=tuple(np.array(a) for a in star_adj), self_loops=False, kind="star")
+        yield "complete", complete(37), game4, arctan1, np.arange(37) % 2
+        yield "lattice", square_lattice(5, periodic=True), game4, arctan1, np.arange(25) % 2
+        yield "star", star, game4, arctan1, np.array([0, 1, 1, 0, 1, 0])
+        yield "er", erdos_renyi(60, 0.1, seed=3), g3, rep3, np.arange(60) % 3
+
+    def test_paths_equal_randrange_reference(self, game4, arctan1):
+        for name, graph, game, rule, actions in self._cases(game4, arctan1):
+            y0 = Configuration(actions, m=game.m)
+            for k in range(20):
+                cfg = SimConfig(horizon=30.0, seed=derive_seed(12, name, k), record_stride=0.5, record_jumps=True)
+                got = simulate_network(graph, game, rule, y0, cfg)
+                want = _reference_network(graph, game, rule, y0, cfg)
+                assert np.array_equal(got.times, want.times), (name, k)
+                assert np.array_equal(got.counts, want.counts), (name, k)
+                assert (got.event_count, got.absorbed_at, got.absorbing_action) == (
+                    want.event_count, want.absorbed_at, want.absorbing_action
+                ), (name, k)
+                assert got.meta == want.meta, (name, k)
 
 
 class TestNetworkEngine:

@@ -1,9 +1,70 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import complete, erdos_renyi, from_edge_list, square_lattice
+
+
+def _reference_erdos_renyi(n, p, seed):
+    """The per-node list builder that erdos_renyi replaced."""
+    rng = np.random.default_rng(seed)
+    adj = [[] for _ in range(n)]
+    for u in range(n - 1):
+        for w in (np.flatnonzero(rng.random(n - u - 1) < p) + u + 1).tolist():
+            adj[u].append(w)
+            adj[w].append(u)
+    for u in range(n):
+        if not adj[u]:
+            w = int(rng.integers(n - 1))
+            w += w >= u
+            adj[u].append(w)
+            adj[w].append(u)
+    return [np.unique(np.asarray(a, dtype=np.int64)) for a in adj]
+
+
+def _reference_square_lattice(side, periodic):
+    """The per-node loop builder that square_lattice replaced."""
+    nb = []
+    for v in range(side * side):
+        r, c = divmod(v, side)
+        out = []
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            rr, cc = r + dr, c + dc
+            if periodic:
+                rr %= side
+                cc %= side
+            elif not (0 <= rr < side and 0 <= cc < side):
+                continue
+            out.append(rr * side + cc)
+        nb.append(np.sort(np.asarray(out, dtype=np.int64)))
+    return nb
+
+
+def _same_rows(graph, reference):
+    assert len(graph.neighbors) == len(reference)
+    for got, want in zip(graph.neighbors, reference):
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
+class TestBuildersMatchReference:
+    """The array builders give the per-node builders' rows, dtype and
+    random stream (the same graph from the same seed)."""
+
+    @pytest.mark.parametrize("side", range(2, 8))
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_square_lattice(self, side, periodic):
+        _same_rows(square_lattice(side, periodic), _reference_square_lattice(side, periodic))
+
+    def test_erdos_renyi(self, caplog):
+        caplog.set_level(logging.INFO, logger="imitodyn.topology")
+        for n, p, seed in itertools.product([2, 3, 5, 12, 40, 150], [0.0, 0.01, 0.05, 0.2, 1.0], range(6)):
+            _same_rows(erdos_renyi(n, p, seed=seed), _reference_erdos_renyi(n, p, seed))
+        assert len(caplog.records) > 100  # the grid re-wires isolated nodes
 
 
 class TestComplete:
