@@ -9,7 +9,8 @@
 One config file drives every subcommand (see config.py for the schema).
 Every subcommand also takes --log-level {warning,info,debug} (default
 warning), the level at which the imitodyn loggers write to stderr; at debug
-the landscape search reports the candidates it dropped.
+the landscape search reports its faces, points, flooded edges and failed
+least-squares solves.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -29,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
+from .config import _MAX_SEED, _MAX_STARTS, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
 from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, derive_seed, ensemble, run_one  # noqa: F401
 from .games import PopulationType
@@ -74,13 +75,20 @@ def _run_ensemble(cfg: ExperimentConfig, n: int) -> list[Trajectory]:
 def _critical_points(cfg: ExperimentConfig):
     if cfg.game.potential is None:
         raise ConfigError("$.game: landscape analysis requires a potential")
+    m = cfg.game.m
+    solves = cfg.starts * (2**m - 1 - m - m * (m - 1) // 2)  # one per start on each face of 3+ actions
+    if solves > _MAX_STARTS:
+        raise ConfigError(
+            f"$.analysis.starts: {cfg.starts} starts on each face of 3 or more of {m} actions "
+            f"make {solves} least-squares solves, more than {_MAX_STARTS}"
+        )
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        if cfg.game.m == 2:
+        if m == 2:
             points = find_critical_points_2action(cfg.game, grid=cfg.grid)
         else:
             points = find_critical_points_multi(
-                cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape")
+                cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape"), grid=cfg.grid
             )
     return points, [str(w.message) for w in wlist]
 
@@ -167,7 +175,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             }
         )
     ensure_dir(cfg.out_dir)
-    write_json(os.path.join(cfg.out_dir, "compare.json"), {"ode_points": len(ode.times), "per_n": per_n})
+    report = {"flow": "fully_mixed", "ode_points": len(ode.times), "per_n": per_n}
+    write_json(os.path.join(cfg.out_dir, "compare.json"), report)
     with open(os.path.join(cfg.out_dir, "deviation_vs_n.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,median_deviation,max_deviation,runs\n")
         for row in per_n:

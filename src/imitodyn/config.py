@@ -33,6 +33,11 @@ population sizes (sim.n, analysis.n_sweep) 2 .. 2**53; ensemble.runs
 at most 10**7 RK4 steps of analysis.ode_dt up to max(sim.horizon,
 analysis.ode_horizon).  Validation failures raise ConfigError with a
 JSON-path anchor; the CLI maps them to exit code 2.
+
+The landscape search scans every edge of the simplex at analysis.grid + 1
+points, at every m, and runs analysis.starts least-squares solves on each
+face of three or more actions; the CLI caps their total at _MAX_STARTS
+before a landscape runs.
 """
 
 from __future__ import annotations
@@ -58,9 +63,10 @@ _MAX_N = 2**53
 MAX_RUNS = 10**6
 # Seeds are 64-bit.
 _MAX_SEED = 2**64 - 1
-# Finest 2-action landscape scan: it evaluates the gradient at grid + 1 points.
+# Finest landscape edge scan: it evaluates the gradient at grid + 1 points
+# on each edge of the simplex.
 _MAX_GRID = 10**6
-# Most multi-start landscape starts: each start runs three local searches.
+# Most landscape least-squares solves: starts on each face of 3+ actions.
 _MAX_STARTS = 10**5
 # Most RK4 steps in a flow to max(sim.horizon, analysis.ode_horizon): the
 # flow keeps every step, (m + 1) floats a step.

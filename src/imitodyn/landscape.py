@@ -10,8 +10,8 @@ the split of jump rates into potential-raising and potential-lowering parts.
 
 from __future__ import annotations
 
+import itertools
 import logging
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -88,13 +88,6 @@ def _reference_pair(game: Game):
     return phi, grad
 
 
-def _norm(v: list) -> float:
-    """np.linalg.norm(v) bit for bit.  numpy's dot may fuse multiply-adds,
-    so a Python sum of squares can differ in the last bit."""
-    a = np.array(v)
-    return math.sqrt(a.dot(a))
-
-
 def _is_ne(game: Game, x: np.ndarray, tol: float = 1e-7) -> bool:
     r = game.rewards_at(x)
     used = x > 1e-9
@@ -130,30 +123,31 @@ def _bisect(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalPoint]:
-    """Scan the reduced derivative g(x1) = dPhi/dx1 - dPhi/dx2 on the line
-    x = (x1, 1 - x1).
+def _kind(sign_left: float, sign_right: float) -> str:
+    if sign_left > 0 and sign_right < 0:
+        return "local_max"
+    if sign_left < 0 and sign_right > 0:
+        return "local_min"
+    return "saddle_or_degenerate"
+
+
+def _scan(g, grid: int) -> tuple[list[tuple[float, str]], float, float, bool]:
+    """Scan a scalar function g on [0, 1] at grid + 1 points.
 
     Sign changes bracket transversal roots (bisected to _REFINE_TOL) and are
     classified by the bracket signs: + to - is a local max, - to + a local
     min.  A run of grid points with |g| < 1e-9 is bracketed by its two
     neighbours: when they differ in sign the run holds a transversal root,
     bisected on g; otherwise it holds an even-order zero, bisected on the
-    slope g(v + h) - g(v - h) and classified as degenerate.  The two
-    vertices always appear as boundary points, classified one-sidedly.
+    slope g(v + h) - g(v - h) and classified as degenerate.
+
+    Returns the merged roots strictly inside (0, 1) with their kinds, the
+    signs of g at the first and last grid points inside (0, 1) where it is
+    not near zero, and whether near-zero values flood more than half the
+    grid (then no roots are returned).
     """
-    if game.m != 2:
-        raise ValueError(f"2-action scanner needs m = 2, got m = {game.m}")
-    if game.potential is None:
-        raise ValueError("landscape analysis requires a game with a potential")
     if grid < 8:
         raise ValueError("grid too coarse")
-
-    phi, grad = potential_pair(game) or _reference_pair(game)
-
-    def g(x1: float) -> float:
-        d = grad([x1, 1.0 - x1])
-        return d[0] - d[1]
 
     def slope(v: float) -> float:
         return g(v + _SLOPE_STEP) - g(v - _SLOPE_STEP)
@@ -163,25 +157,9 @@ def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalP
 
     near_zero = np.abs(gs) < _TANGENT_ZERO
     if np.count_nonzero(near_zero[1:-1]) > grid // 2:
-        warnings.warn(
-            "non-isolated critical set: the reduced derivative vanishes on more "
-            "than half the scan grid; classification is degenerate everywhere",
-            LandscapeWarning,
-        )
-        return [
-            _make_point(game, phi, np.array([x, 1.0 - x]), "saddle_or_degenerate", x in (0.0, 1.0))
-            for x in xs
-        ]
+        return [], 0.0, 0.0, True
 
     found: list[tuple[float, str]] = []
-
-    def classify(sign_left: float, sign_right: float) -> str:
-        if sign_left > 0 and sign_right < 0:
-            return "local_max"
-        if sign_left < 0 and sign_right > 0:
-            return "local_min"
-        return "saddle_or_degenerate"
-
     i = 1
     while i < grid:
         if near_zero[i]:
@@ -191,35 +169,61 @@ def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalP
                 j += 1
             left, right = np.sign(gs[i - 1]), np.sign(gs[j])
             root = _bisect(g if left * right < 0 else slope, float(xs[i - 1]), float(xs[j]))
-            found.append((root, classify(left, right)))
+            found.append((root, _kind(left, right)))
             i = j + 1
             continue
         if gs[i - 1] != 0.0 and np.sign(gs[i - 1]) != np.sign(gs[i]) and not near_zero[i - 1]:
             root = _bisect(g, float(xs[i - 1]), float(xs[i]))
-            found.append((root, classify(np.sign(gs[i - 1]), np.sign(gs[i]))))
+            found.append((root, _kind(np.sign(gs[i - 1]), np.sign(gs[i]))))
         i += 1
 
-    # dedupe interior roots, then add the vertices with one-sided classes
+    # dedupe the roots and drop those that ended up on an end point
     found.sort()
     merged: list[tuple[float, str]] = []
     for root, kind in found:
         if merged and abs(root - merged[-1][0]) <= 10.0 * _REFINE_TOL:
             continue
         if root <= 10.0 * _REFINE_TOL or root >= 1.0 - 10.0 * _REFINE_TOL:
-            continue  # ended up on a vertex; handled below
+            continue
         merged.append((root, kind))
-
-    points = [
-        _make_point(game, phi, np.array([x1, 1.0 - x1]), kind, on_boundary=False)
-        for x1, kind in merged
-    ]
 
     inner_left = next((gs[i] for i in range(1, grid) if not near_zero[i]), 0.0)
     inner_right = next((gs[i] for i in range(grid - 1, 0, -1) if not near_zero[i]), 0.0)
-    kind_left = "local_min" if inner_left > 0 else ("local_max" if inner_left < 0 else "saddle_or_degenerate")
-    kind_right = "local_max" if inner_right > 0 else ("local_min" if inner_right < 0 else "saddle_or_degenerate")
-    points.insert(0, _make_point(game, phi, np.array([0.0, 1.0]), kind_left, on_boundary=True))
-    points.append(_make_point(game, phi, np.array([1.0, 0.0]), kind_right, on_boundary=True))
+    return merged, float(np.sign(inner_left)), float(np.sign(inner_right)), False
+
+
+def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalPoint]:
+    """Scan the reduced derivative g(x1) = dPhi/dx1 - dPhi/dx2 on the line
+    x = (x1, 1 - x1) with _scan.  The two vertices always appear as boundary
+    points, classified one-sidedly.
+    """
+    if game.m != 2:
+        raise ValueError(f"2-action scanner needs m = 2, got m = {game.m}")
+    if game.potential is None:
+        raise ValueError("landscape analysis requires a game with a potential")
+
+    phi, grad = potential_pair(game) or _reference_pair(game)
+
+    def g(x1: float) -> float:
+        d = grad([x1, 1.0 - x1])
+        return d[0] - d[1]
+
+    roots, left, right, flooded = _scan(g, grid)
+    if flooded:
+        warnings.warn(
+            "non-isolated critical set: the reduced derivative vanishes on more "
+            "than half the scan grid; classification is degenerate everywhere",
+            LandscapeWarning,
+        )
+        return [
+            _make_point(game, phi, np.array([x, 1.0 - x]), "saddle_or_degenerate", x in (0.0, 1.0))
+            for x in np.linspace(0.0, 1.0, grid + 1)
+        ]
+
+    points = [_make_point(game, phi, np.array([x1, 1.0 - x1]), kind, on_boundary=False) for x1, kind in roots]
+    # a vertex is a minimum when the potential rises from it into the line
+    points.insert(0, _make_point(game, phi, np.array([0.0, 1.0]), _kind(-left, left), on_boundary=True))
+    points.append(_make_point(game, phi, np.array([1.0, 0.0]), _kind(right, -right), on_boundary=True))
 
     _warn_vertex_maxima(points)
     return points
@@ -271,23 +275,35 @@ def _classify_by_sphere(phi, x: np.ndarray, eps: float, rng: np.random.Generator
     return "saddle_or_degenerate"
 
 
+def _merge(xs: list[np.ndarray]) -> list[np.ndarray]:
+    """The points of xs, in order, that lie farther than _MERGE_TOL from every earlier kept one."""
+    kept: list[np.ndarray] = []
+    for x in xs:
+        if not any(np.linalg.norm(x - y) <= _MERGE_TOL for y in kept):
+            kept.append(x)
+    return kept
+
+
 def find_critical_points_multi(
     game: Game,
     starts: int = 64,
     step_tol: float = 1e-5,
     seed: int = 0,
-    max_iter: int = 500,
+    grid: int = 2000,
 ) -> list[CriticalPoint]:
-    """Multi-start search for critical points of the potential on the simplex.
+    """Critical points of the potential on every face of the simplex.
 
-    From each start this runs projected-gradient ascent and descent (which
-    land on maxima, minima, and the vertices) and a least-squares solve of
-    the reduced gradient (which also lands on saddles; plain ascent or
-    descent cannot).  Every non-vertex candidate is polished by a
-    derivative-free minimization of the squared reduced gradient, which
-    copes with degenerate roots where the least-squares step stalls.
-    Candidates closer than _MERGE_TOL collapse to one point (exact vertices
-    win, then the smallest gradient norm) and classify by sampling the
+    The rest points of imitation dynamics are the restricted equilibria of
+    the faces, where dPhi/dx_a is equal across the face's actions.  Every
+    vertex is one.  Each edge (a, b) is scanned with _scan at grid + 1
+    points of g(t) = dPhi/dx_a - dPhi/dx_b at t e_a + (1 - t) e_b.  On
+    each face of three or more actions a least-squares solve of the face's
+    reduced gradient runs from `starts` uniform points of the face;
+    solutions closer than _MERGE_TOL collapse to the one with the smallest
+    residual, which a derivative-free minimization of the squared reduced
+    gradient then polishes (it copes with degenerate roots where the
+    least-squares step stalls).  Across faces, vertices win, then edge
+    roots, then the smaller faces.  Every point classifies by sampling the
     potential on 2 m^2 points of an eps-sphere, eps = 10 * step_tol,
     intersected with the simplex.
     """
@@ -297,124 +313,90 @@ def find_critical_points_multi(
         raise ValueError(f"starts must be >= 1, got {starts}")
     if not step_tol > 0.0:
         raise ValueError(f"step_tol must be positive, got {step_tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     from scipy import optimize
 
     m = game.m
     rng = np.random.default_rng(seed)
-    eps = 10.0 * step_tol
     compiled = potential_pair(game)
     phi, grad = compiled or _reference_pair(game)
+    candidates: list[np.ndarray] = list(np.eye(m))
 
-    # The closures below run on lists of floats.  np_sum, `0.0 if t <= 0.0
-    # else t` and _norm repeat numpy's sum, maximum(t, 0.0) and norm bit for
-    # bit, so the search takes the same steps as its numpy form did.
+    flooded = 0
+    for a, b in itertools.combinations(range(m), 2):
 
-    def reduced(u: list) -> list:  # grad[:-1] - grad[-1] at (u, 1 - sum u)
-        d = grad(u + [1.0 - np_sum(u)])
-        last = d.pop()
-        return [v - last for v in d]
-
-    def reduced_grad(u: np.ndarray) -> np.ndarray:
-        return np.array(reduced(u.tolist()))
-
-    def grad_sq(u: np.ndarray) -> float:  # sum(reduced(maximum(u, 0)) ** 2)
-        u = u.tolist()
-        if any(v < -1e-12 for v in u) or np_sum(u) > 1.0 + 1e-12:
-            return 1e12
-        return np_sum([v * v for v in reduced([0.0 if v <= 0.0 else v for v in u])])
-
-    def tangent_grad_norm(x: np.ndarray) -> float:
-        d = np.array(grad(x.tolist()))
-        return float(np.linalg.norm(d - d.mean()))
-
-    candidates: list[np.ndarray] = [np.eye(m)[i] for i in range(m)]
-
-    def walk(x: list, direction: float) -> list:
-        step = 0.1
-        phi_x = phi(x)
-        for _ in range(max_iter):
+        def g(t: float, a: int = a, b: int = b) -> float:
+            x = [0.0] * m
+            x[a], x[b] = t, 1.0 - t
             d = grad(x)
-            mean = np_sum(d) / m
-            v = [di - mean for di in d]
-            if _norm(v) < step_tol:
-                break
-            moved = False
-            while step > 1e-12:
-                ds = direction * step
-                y = [0.0 if t <= 0.0 else t for t in (xi + ds * vi for xi, vi in zip(x, v))]
-                s = np_sum(y)
-                if s <= 0.0:
-                    step *= 0.5
-                    continue
-                y = [yi / s for yi in y]
-                phi_y = phi(y)
-                if (phi_y - phi_x) * direction > 0.0:
-                    if _norm([yi - xi for yi, xi in zip(y, x)]) < 0.25 * step_tol:
-                        return y
-                    x, phi_x = y, phi_y
-                    moved = True
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        return x
+            return d[a] - d[b]
 
-    failed = 0
-    for _ in range(starts):
-        u0 = uniform_simplex_sample(rng, m)
-        candidates.append(np.array(walk(u0.tolist(), +1.0)))
-        candidates.append(np.array(walk(u0.tolist(), -1.0)))
-        try:
-            sol = optimize.least_squares(
-                reduced_grad, u0[:-1], bounds=(np.zeros(m - 1), np.ones(m - 1)),
-                xtol=step_tol * 1e-3, ftol=1e-14, gtol=1e-14,
-            )
-        except Exception:
-            failed += 1
-            continue
-        u = sol.x
-        total = u.sum()
-        if total <= 1.0 + 1e-9 and np.max(np.abs(reduced_grad(u))) < max(10.0 * step_tol, 1e-6):
-            x = np.append(u, max(0.0, 1.0 - total))
-            candidates.append(x / x.sum())
+        roots, _, _, flat = _scan(g, grid)
+        flooded += flat
+        for t, _ in roots:
+            x = np.zeros(m)
+            x[a], x[b] = t, 1.0 - t
+            candidates.append(x)
 
-    def is_vertex(x: np.ndarray) -> bool:
-        return bool(np.max(x) > 1.0 - 1e-9)
+    def face_points(face: tuple[int, ...]) -> list[np.ndarray]:
+        nonlocal failed
+        k = len(face)
 
-    polished: list[tuple[np.ndarray, float, bool]] = []
-    for x in candidates:
-        if not is_vertex(x):
+        def embed(u: np.ndarray) -> np.ndarray:  # (u, 1 - sum u) on the face, 0 elsewhere
+            x = np.zeros(m)
+            x[list(face)] = np.append(u, 1.0 - u.sum())
+            return x
+
+        def reduced(u: np.ndarray) -> np.ndarray:  # face gradient minus its last entry
+            d = grad(embed(u).tolist())
+            return np.array([d[i] - d[face[-1]] for i in face[:-1]])
+
+        def grad_sq(u: np.ndarray) -> float:
+            if np.any(u < -1e-12) or u.sum() > 1.0 + 1e-12:
+                return 1e12
+            return float(np.sum(reduced(np.maximum(u, 0.0)) ** 2))
+
+        def lift(u: np.ndarray) -> np.ndarray:
+            x = np.maximum(embed(u), 0.0)
+            return x / x.sum()
+
+        solved = []
+        for _ in range(starts):
+            u0 = uniform_simplex_sample(rng, k)
+            try:
+                sol = optimize.least_squares(
+                    reduced, u0[:-1], bounds=(np.zeros(k - 1), np.ones(k - 1)),
+                    xtol=step_tol * 1e-3, ftol=1e-14, gtol=1e-14,
+                )
+            except Exception:
+                failed += 1
+                continue
+            residual = float(np.max(np.abs(reduced(sol.x))))
+            if sol.x.sum() <= 1.0 + 1e-9 and residual < max(10.0 * step_tol, 1e-6):
+                solved.append((residual, lift(sol.x)))
+
+        out = []
+        for x in _merge([x for _, x in sorted(solved, key=lambda t: t[0])]):
             res = optimize.minimize(
-                grad_sq, x[:-1], method="Nelder-Mead",
-                options={"xatol": 1e-9, "fatol": 0.0, "maxiter": 400 * m},
+                grad_sq, x[list(face)][:-1], method="Nelder-Mead",
+                options={"xatol": 1e-9, "fatol": 0.0, "maxiter": 400 * k},
             )
             u = np.maximum(res.x, 0.0)
-            if u.sum() <= 1.0 + 1e-9:
-                x = np.append(u, max(0.0, 1.0 - u.sum()))
-                x = x / x.sum()
-        polished.append((x, tangent_grad_norm(x), is_vertex(x)))
+            out.append(lift(u) if u.sum() <= 1.0 + 1e-9 else x)
+        return out
 
-    merged: list[tuple[np.ndarray, float, bool]] = []
-    for x, gnorm, vert in sorted(polished, key=lambda t: (not t[2], t[1])):
-        if not any(np.linalg.norm(x - y) <= _MERGE_TOL for y, _, _ in merged):
-            merged.append((x, gnorm, vert))
+    failed = 0
+    faces = [face for k in range(3, m + 1) for face in itertools.combinations(range(m), k)]
+    for face in faces:
+        candidates.extend(face_points(face))
 
     points = []
-    stalled = 0
-    for x, gnorm, vert in sorted(merged, key=lambda t: tuple(t[0])):
-        if not vert and gnorm > max(100.0 * step_tol, 1e-4):
-            stalled += 1  # walk stalled somewhere non-stationary
-            continue
-        on_boundary = bool(np.min(x) < 1e-9)
-        kind = _classify_by_sphere(phi, x, eps, rng)
-        points.append(_make_point(game, phi, x, kind, on_boundary))
+    for x in sorted(_merge(candidates), key=tuple):
+        kind = _classify_by_sphere(phi, x, 10.0 * step_tol, rng)
+        points.append(_make_point(game, phi, x, kind, on_boundary=bool(np.min(x) < 1e-9)))
     logger.debug(
-        "find_critical_points_multi: %d starts, %d candidates, %d merged, %d dropped as walk stalled, "
+        "find_critical_points_multi: %d starts, %d faces, %d points, %d flooded edges, "
         "%d least_squares solves raised, %s potential",
-        starts, len(candidates), len(merged), stalled, failed, "compiled" if compiled else "reference",
+        starts, len(faces), len(points), flooded, failed, "compiled" if compiled else "reference",
     )
 
     _warn_vertex_maxima(points)

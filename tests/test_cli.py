@@ -236,11 +236,25 @@ class TestLandscape:
         debug, quiet = tmp_path / "debug", tmp_path / "quiet"
         assert main(["landscape", "--config", config, "--out", str(debug), "--log-level", "debug"]) == 0
         err = capsys.readouterr().err
-        assert "imitodyn.landscape: DEBUG: find_critical_points_multi: 48 starts" in err
-        assert "0 dropped as walk stalled, 0 least_squares solves raised, compiled potential" in err
+        assert (
+            "imitodyn.landscape: DEBUG: find_critical_points_multi: 48 starts, 1 faces, 7 points, "
+            "0 flooded edges, 0 least_squares solves raised, compiled potential"
+        ) in err
         assert main(["landscape", "--config", config, "--out", str(quiet)]) == 0
         assert capsys.readouterr().err == ""
         assert (debug / "landscape.json").read_bytes() == (quiet / "landscape.json").read_bytes()
+
+    def test_face_count_bounds_starts(self, tmp_path, capsys):
+        # 12 actions have 4017 faces of 3 or more actions: 64 starts on each
+        # is over the solve cap, but the config itself is valid
+        data = sim_cfg(tmp_path, n=24, horizon=0.5)
+        data["game"] = {"type": "congestion", "polynomials": [[1.0, -1.0]] * 12}
+        data["init"] = {"fractions": [1.0 / 12] * 12}
+        cfg = write_cfg(tmp_path, data)
+        assert main(["landscape", "--config", cfg]) == 2
+        assert "config error: $.analysis.starts:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["simulate", "--config", cfg]) == 0
 
     def test_game_without_potential_is_a_config_error(self, tmp_path):
         # not reachable from a config file (built games always carry
@@ -302,6 +316,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg]) == 0
         out = tmp_path / "out"
         report = json.loads((out / "compare.json").read_text())
+        assert report["flow"] == "fully_mixed"
         assert [row["n"] for row in report["per_n"]] == [50, 400]
         for row in report["per_n"]:
             assert len(row["deviations"]) == 3

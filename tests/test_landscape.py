@@ -1,11 +1,12 @@
+import itertools
 import json
 import logging
-import re
-import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from imitodyn import (
@@ -137,32 +138,98 @@ class TestMultiStartFinder:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"starts": 0}, {"starts": -2}, {"step_tol": 0.0}, {"step_tol": -1e-5}, {"max_iter": 0}],
-        ids=["starts=0", "starts=-2", "step_tol=0", "step_tol<0", "max_iter=0"],
+        [{"starts": 0}, {"starts": -2}, {"step_tol": 0.0}, {"step_tol": -1e-5}, {"grid": 7}],
+        ids=["starts=0", "starts=-2", "step_tol=0", "step_tol<0", "grid=7"],
     )
     def test_rejects_bad_search_settings(self, game4, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             find_critical_points_multi(game4, **kwargs)
 
     def test_debug_log_counts_dropped_candidates(self, caplog, monkeypatch):
-        g = make_congestion_game([[1.0, -1.0]] * 3)
+        # actions 0 and 1 earn the same constant, so the edge between them floods
+        g = make_congestion_game([[1.0], [1.0], [1.0, -1.0], [1.0, -1.0]])
 
         def failing_solve(*args, **kwargs):
             raise ValueError("no solve")
 
-        def no_polish(fun, x0, **kwargs):
-            return types.SimpleNamespace(x=x0)
-
-        # one walk step and no polish leave every walk short of a critical point
         # the finder imports scipy.optimize when it runs
         monkeypatch.setattr(optimize, "least_squares", failing_solve)
-        monkeypatch.setattr(optimize, "minimize", no_polish)
-        with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"):
-            pts = find_critical_points_multi(g, starts=5, seed=0, max_iter=1)
-        assert all(np.max(p.x) == 1.0 for p in pts)
-        line = re.search(r"(\d+) dropped as walk stalled, (\d+) least_squares solves raised", caplog.text)
-        assert int(line.group(1)) > 0
-        assert int(line.group(2)) == 5
+        with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"), pytest.warns(LandscapeWarning):
+            pts = find_critical_points_multi(g, starts=5, seed=0)
+        # with every face solve failing only vertices and edge roots remain
+        assert all(np.count_nonzero(p.x) <= 2 for p in pts)
+        assert (
+            f"5 starts, 5 faces, {len(pts)} points, 1 flooded edges, 25 least_squares solves raised, "
+            "compiled potential" in caplog.text
+        )
+
+    def test_face_equilibrium_is_the_ess(self):
+        # action 2 always earns -1, so the only ESS lies on the edge of actions 0 and 1
+        g = make_congestion_game([[1.0, -1.0], [1.0, -1.0], [-1.0]])
+        ess = [p for p in find_critical_points_multi(g, starts=8, seed=0) if p.is_ess]
+        assert len(ess) == 1
+        assert np.max(np.abs(ess[0].x - [0.5, 0.5, 0.0])) < 1e-9
+        assert ess[0].on_boundary and ess[0].kind == "local_max"
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_symmetric_congestion_lists_every_face_barycentre(self, m):
+        # congestion3's game and its 4-action analogue: each face's barycentre
+        # is a critical point, the full simplex's the only ESS
+        pts = find_critical_points_multi(make_congestion_game([[1.0, -1.0]] * m), starts=48, seed=0)
+        assert len(pts) == 2**m - 1
+        for p in pts:
+            face = p.x > 0.0
+            assert np.max(np.abs(p.x[face] - 1.0 / np.count_nonzero(face))) < 1e-12
+        by_size = {k: [p for p in pts if np.count_nonzero(p.x) == k] for k in range(1, m + 1)}
+        assert all(p.kind == "local_min" for p in by_size[1])
+        assert all(p.x[p.x > 0.0].tolist() == [0.5, 0.5] for p in by_size[2])
+        assert all(p.kind == "saddle_or_degenerate" and not p.is_ess for k in range(2, m) for p in by_size[k])
+        (centre,) = by_size[m]
+        assert centre.kind == "local_max" and centre.is_ess and not centre.on_boundary
+        assert [p.is_ess for p in pts].count(True) == 1
+
+
+def _affine_face_solutions(c, b):
+    """For r_a = c_a - b_a x_a, the critical point of the potential on each
+    face S of two or more actions: x_a = (c_a - mu) / b_a with
+    mu = (sum_S c_a / b_a - 1) / sum_S 1 / b_a."""
+    m = len(c)
+    for k in range(2, m + 1):
+        for face in itertools.combinations(range(m), k):
+            s = list(face)
+            mu = (np.sum(c[s] / b[s]) - 1.0) / np.sum(1.0 / b[s])
+            x = np.zeros(m)
+            x[s] = (c[s] - mu) / b[s]
+            yield x, x[s]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m),
+            st.lists(st.floats(0.5, 4.0), min_size=m, max_size=m),
+        )
+    )
+)
+def test_multi_finder_matches_affine_closed_form(cb):
+    c, b = np.array(cb[0]), np.array(cb[1])
+    inside = []
+    for x, on_face in _affine_face_solutions(c, b):
+        assume(abs(np.min(on_face)) >= 1e-3)  # each face solution clear of its face's boundary
+        if np.min(on_face) > 0.0:
+            inside.append(x)
+    game = make_congestion_game([[ca, -ba] for ca, ba in zip(c, b)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pts = find_critical_points_multi(game, starts=8, seed=0)
+    found = [p.x for p in pts if np.max(p.x) < 1.0]
+    assert len(found) == len(inside)
+    for x in inside:
+        assert min(np.max(np.abs(x - y)) for y in found) < 1e-7
+    ess = [p for p in pts if p.is_ess]
+    assert len(ess) == 1
+    assert ess[0].phi == max(p.phi for p in pts)
 
 
 def _reference_game(game: Game) -> Game:
