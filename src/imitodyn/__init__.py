@@ -53,7 +53,6 @@ from .landscape import (
     CriticalPoint,
     LandscapeWarning,
     critical_point_to_dict,
-    find_critical_points_2action,
     find_critical_points_multi,
     ess_set,
     time_near_set,
@@ -109,7 +108,6 @@ __all__ = [
     "CriticalPoint",
     "LandscapeWarning",
     "critical_point_to_dict",
-    "find_critical_points_2action",
     "find_critical_points_multi",
     "ess_set",
     "time_near_set",

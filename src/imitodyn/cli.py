@@ -10,7 +10,7 @@ One config file drives every subcommand (see config.py for the schema).
 Every subcommand also takes --log-level {warning,info,debug} (default
 warning), the level at which the imitodyn loggers write to stderr; at debug
 the landscape search reports its faces, points, flooded edges and failed
-least-squares solves.
+least-squares solves (a 2-action game has 0 faces and loads no scipy).
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -34,14 +34,13 @@ from .config import _MAX_SEED, _MAX_STARTS, MAX_RUNS, ConfigError, ExperimentCon
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
 from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, derive_seed, ensemble, run_one  # noqa: F401
 from .games import PopulationType
-from .landscape import (
-    critical_point_to_dict,
-    find_critical_points_2action,
-    find_critical_points_multi,
-    metastability_report,
-)
+from .landscape import critical_point_to_dict, find_critical_points_multi, metastability_report
 from .meanfield import find_limit, integrate, kurtz_deviation
 from .output import ensure_dir, run_summary, write_json, write_trajectory_csv
+
+# find_critical_points_2action is unused here, but perfbench/tracer.py wraps
+# cli.find_critical_points_2action by name.
+find_critical_points_2action = find_critical_points_multi
 
 __all__ = ["main", "cmd_simulate", "cmd_ode", "cmd_landscape", "cmd_metastability", "cmd_compare"]
 
@@ -84,12 +83,9 @@ def _critical_points(cfg: ExperimentConfig):
         )
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        if m == 2:
-            points = find_critical_points_2action(cfg.game, grid=cfg.grid)
-        else:
-            points = find_critical_points_multi(
-                cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape"), grid=cfg.grid
-            )
+        points = find_critical_points_multi(
+            cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape"), grid=cfg.grid
+        )
     return points, [str(w.message) for w in wlist]
 
 

@@ -269,7 +269,10 @@ class ExperimentConfig:
             if t["side"] * t["side"] != n:
                 raise ConfigError(f"$.topology.side: side^2 != n = {n}")
             return square_lattice(t["side"], periodic=t["periodic"])
-        graph = from_edge_list(t["path"])
+        try:
+            graph = from_edge_list(t["path"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"$.topology.path: {exc}") from None
         if graph.n != n:
             raise ConfigError(
                 f"$.topology.path: edge list has {graph.n} nodes, sim.n = {n}"

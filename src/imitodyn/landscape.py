@@ -25,7 +25,6 @@ from .rules import ImitationRule
 __all__ = [
     "CriticalPoint",
     "LandscapeWarning",
-    "find_critical_points_2action",
     "find_critical_points_multi",
     "ess_set",
     "time_near_set",
@@ -39,6 +38,7 @@ logger = logging.getLogger(__name__)
 _TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
 _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
 _SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
+_STEP_TOL = 1e-5  # least-squares step tolerance; points classify on a sphere of 10x this
 _MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
 _DRIFT_MARGIN = 0.05  # drift checks skip states this close (sup norm) to a fixed point
 _DRIFT_SAMPLES = 200  # about this many drift checks per run
@@ -123,28 +123,17 @@ def _bisect(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _kind(sign_left: float, sign_right: float) -> str:
-    if sign_left > 0 and sign_right < 0:
-        return "local_max"
-    if sign_left < 0 and sign_right > 0:
-        return "local_min"
-    return "saddle_or_degenerate"
-
-
-def _scan(g, grid: int) -> tuple[list[tuple[float, str]], float, float, bool]:
+def _scan(g, grid: int) -> list[float] | None:
     """Scan a scalar function g on [0, 1] at grid + 1 points.
 
-    Sign changes bracket transversal roots (bisected to _REFINE_TOL) and are
-    classified by the bracket signs: + to - is a local max, - to + a local
-    min.  A run of grid points with |g| < 1e-9 is bracketed by its two
-    neighbours: when they differ in sign the run holds a transversal root,
-    bisected on g; otherwise it holds an even-order zero, bisected on the
-    slope g(v + h) - g(v - h) and classified as degenerate.
+    Sign changes bracket transversal roots, bisected to _REFINE_TOL.  A run
+    of grid points with |g| < 1e-9 is bracketed by its two neighbours: when
+    they differ in sign the run holds a transversal root, bisected on g;
+    otherwise it holds an even-order zero, bisected on the slope
+    g(v + h) - g(v - h).
 
-    Returns the merged roots strictly inside (0, 1) with their kinds, the
-    signs of g at the first and last grid points inside (0, 1) where it is
-    not near zero, and whether near-zero values flood more than half the
-    grid (then no roots are returned).
+    Returns the merged roots strictly inside (0, 1), or None when near-zero
+    values flood more than half the grid.
     """
     if grid < 8:
         raise ValueError("grid too coarse")
@@ -157,9 +146,9 @@ def _scan(g, grid: int) -> tuple[list[tuple[float, str]], float, float, bool]:
 
     near_zero = np.abs(gs) < _TANGENT_ZERO
     if np.count_nonzero(near_zero[1:-1]) > grid // 2:
-        return [], 0.0, 0.0, True
+        return None
 
-    found: list[tuple[float, str]] = []
+    found: list[float] = []
     i = 1
     while i < grid:
         if near_zero[i]:
@@ -167,66 +156,24 @@ def _scan(g, grid: int) -> tuple[list[tuple[float, str]], float, float, bool]:
             j = i
             while j < grid and near_zero[j]:
                 j += 1
-            left, right = np.sign(gs[i - 1]), np.sign(gs[j])
-            root = _bisect(g if left * right < 0 else slope, float(xs[i - 1]), float(xs[j]))
-            found.append((root, _kind(left, right)))
+            transversal = np.sign(gs[i - 1]) * np.sign(gs[j]) < 0
+            found.append(_bisect(g if transversal else slope, float(xs[i - 1]), float(xs[j])))
             i = j + 1
             continue
         if gs[i - 1] != 0.0 and np.sign(gs[i - 1]) != np.sign(gs[i]) and not near_zero[i - 1]:
-            root = _bisect(g, float(xs[i - 1]), float(xs[i]))
-            found.append((root, _kind(np.sign(gs[i - 1]), np.sign(gs[i]))))
+            found.append(_bisect(g, float(xs[i - 1]), float(xs[i])))
         i += 1
 
     # dedupe the roots and drop those that ended up on an end point
     found.sort()
-    merged: list[tuple[float, str]] = []
-    for root, kind in found:
-        if merged and abs(root - merged[-1][0]) <= 10.0 * _REFINE_TOL:
+    merged: list[float] = []
+    for root in found:
+        if merged and abs(root - merged[-1]) <= 10.0 * _REFINE_TOL:
             continue
         if root <= 10.0 * _REFINE_TOL or root >= 1.0 - 10.0 * _REFINE_TOL:
             continue
-        merged.append((root, kind))
-
-    inner_left = next((gs[i] for i in range(1, grid) if not near_zero[i]), 0.0)
-    inner_right = next((gs[i] for i in range(grid - 1, 0, -1) if not near_zero[i]), 0.0)
-    return merged, float(np.sign(inner_left)), float(np.sign(inner_right)), False
-
-
-def find_critical_points_2action(game: Game, grid: int = 2000) -> list[CriticalPoint]:
-    """Scan the reduced derivative g(x1) = dPhi/dx1 - dPhi/dx2 on the line
-    x = (x1, 1 - x1) with _scan.  The two vertices always appear as boundary
-    points, classified one-sidedly.
-    """
-    if game.m != 2:
-        raise ValueError(f"2-action scanner needs m = 2, got m = {game.m}")
-    if game.potential is None:
-        raise ValueError("landscape analysis requires a game with a potential")
-
-    phi, grad = potential_pair(game) or _reference_pair(game)
-
-    def g(x1: float) -> float:
-        d = grad([x1, 1.0 - x1])
-        return d[0] - d[1]
-
-    roots, left, right, flooded = _scan(g, grid)
-    if flooded:
-        warnings.warn(
-            "non-isolated critical set: the reduced derivative vanishes on more "
-            "than half the scan grid; classification is degenerate everywhere",
-            LandscapeWarning,
-        )
-        return [
-            _make_point(game, phi, np.array([x, 1.0 - x]), "saddle_or_degenerate", x in (0.0, 1.0))
-            for x in np.linspace(0.0, 1.0, grid + 1)
-        ]
-
-    points = [_make_point(game, phi, np.array([x1, 1.0 - x1]), kind, on_boundary=False) for x1, kind in roots]
-    # a vertex is a minimum when the potential rises from it into the line
-    points.insert(0, _make_point(game, phi, np.array([0.0, 1.0]), _kind(-left, left), on_boundary=True))
-    points.append(_make_point(game, phi, np.array([1.0, 0.0]), _kind(right, -right), on_boundary=True))
-
-    _warn_vertex_maxima(points)
-    return points
+        merged.append(root)
+    return merged
 
 
 def _warn_vertex_maxima(points: list[CriticalPoint]) -> None:
@@ -240,8 +187,12 @@ def _warn_vertex_maxima(points: list[CriticalPoint]) -> None:
             )
 
 
-def _tangent_directions(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    dirs = []
+def _tangent_directions(m: int, rng: np.random.Generator | None) -> np.ndarray:
+    """The m (m - 1) pairwise directions +-(e_a - e_b) / sqrt 2, then 2 m^2
+    random ones when rng is given."""
+    eye = np.eye(m)
+    dirs = [(eye[a] - eye[b]) / np.sqrt(2.0) for a, b in itertools.permutations(range(m), 2)]
+    count = len(dirs) + (2 * m * m if rng is not None else 0)
     while len(dirs) < count:
         v = rng.standard_normal(m)
         v -= v.mean()
@@ -251,12 +202,12 @@ def _tangent_directions(m: int, count: int, rng: np.random.Generator) -> np.ndar
     return np.asarray(dirs)
 
 
-def _classify_by_sphere(phi, x: np.ndarray, eps: float, rng: np.random.Generator) -> str:
+def _classify_by_sphere(phi, x: np.ndarray, eps: float, rng: np.random.Generator | None) -> str:
     m = x.size
     phi0 = phi(x.tolist())
     noise = 64.0 * np.finfo(float).eps * max(1.0, abs(phi0))
     higher = lower = False
-    for d in _tangent_directions(m, 2 * m * m, rng):
+    for d in _tangent_directions(m, rng):
         y = x + eps * d
         if np.any(y < 0.0):
             y = np.maximum(y, 0.0)
@@ -287,7 +238,6 @@ def _merge(xs: list[np.ndarray]) -> list[np.ndarray]:
 def find_critical_points_multi(
     game: Game,
     starts: int = 64,
-    step_tol: float = 1e-5,
     seed: int = 0,
     grid: int = 2000,
 ) -> list[CriticalPoint]:
@@ -304,19 +254,20 @@ def find_critical_points_multi(
     gradient then polishes (it copes with degenerate roots where the
     least-squares step stalls).  Across faces, vertices win, then edge
     roots, then the smaller faces.  Every point classifies by sampling the
-    potential on 2 m^2 points of an eps-sphere, eps = 10 * step_tol,
-    intersected with the simplex.
+    potential on an eps-sphere, eps = 10 * _STEP_TOL, intersected with the
+    simplex: in the m (m - 1) directions +-(e_a - e_b) and, for m >= 3, 2 m^2
+    random ones (on a line the pairwise directions are the only ones, so at
+    m = 2 the seed is unused).  An edge where g is near zero on more than
+    half the grid (a continuum of rest points) adds no point and raises a
+    LandscapeWarning.  scipy and numpy.random are loaded only when a face of
+    three or more actions exists.
     """
     if game.potential is None:
         raise ValueError("landscape analysis requires a game with a potential")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if not step_tol > 0.0:
-        raise ValueError(f"step_tol must be positive, got {step_tol}")
-    from scipy import optimize
-
     m = game.m
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if m > 2 else None
     compiled = potential_pair(game)
     phi, grad = compiled or _reference_pair(game)
     candidates: list[np.ndarray] = list(np.eye(m))
@@ -330,15 +281,24 @@ def find_critical_points_multi(
             d = grad(x)
             return d[a] - d[b]
 
-        roots, _, _, flat = _scan(g, grid)
-        flooded += flat
-        for t, _ in roots:
+        roots = _scan(g, grid)
+        if roots is None:
+            flooded += 1
+            warnings.warn(
+                f"non-isolated critical set: the reduced derivative on edge ({a}, {b}) vanishes "
+                "on more than half the scan grid; the edge adds no critical points",
+                LandscapeWarning,
+            )
+            continue
+        for t in roots:
             x = np.zeros(m)
             x[a], x[b] = t, 1.0 - t
             candidates.append(x)
 
     def face_points(face: tuple[int, ...]) -> list[np.ndarray]:
         nonlocal failed
+        from scipy import optimize
+
         k = len(face)
 
         def embed(u: np.ndarray) -> np.ndarray:  # (u, 1 - sum u) on the face, 0 elsewhere
@@ -365,13 +325,13 @@ def find_critical_points_multi(
             try:
                 sol = optimize.least_squares(
                     reduced, u0[:-1], bounds=(np.zeros(k - 1), np.ones(k - 1)),
-                    xtol=step_tol * 1e-3, ftol=1e-14, gtol=1e-14,
+                    xtol=_STEP_TOL * 1e-3, ftol=1e-14, gtol=1e-14,
                 )
             except Exception:
                 failed += 1
                 continue
             residual = float(np.max(np.abs(reduced(sol.x))))
-            if sol.x.sum() <= 1.0 + 1e-9 and residual < max(10.0 * step_tol, 1e-6):
+            if sol.x.sum() <= 1.0 + 1e-9 and residual < max(10.0 * _STEP_TOL, 1e-6):
                 solved.append((residual, lift(sol.x)))
 
         out = []
@@ -391,7 +351,7 @@ def find_critical_points_multi(
 
     points = []
     for x in sorted(_merge(candidates), key=tuple):
-        kind = _classify_by_sphere(phi, x, 10.0 * step_tol, rng)
+        kind = _classify_by_sphere(phi, x, 10.0 * _STEP_TOL, rng)
         points.append(_make_point(game, phi, x, kind, on_boundary=bool(np.min(x) < 1e-9)))
     logger.debug(
         "find_critical_points_multi: %d starts, %d faces, %d points, %d flooded edges, "

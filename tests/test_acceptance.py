@@ -21,7 +21,7 @@ from imitodyn import (
     erdos_renyi,
     example4_game,
     exit_time,
-    find_critical_points_2action,
+    find_critical_points_multi,
     find_limit,
     integrate,
     kurtz_deviation,
@@ -58,7 +58,7 @@ def _complete_spec(n: int, x1: float, horizon: float, **cfg_kwargs) -> RunSpec:
 
 def test_ac01_landscape_of_reference_game():
     t0 = time.perf_counter()
-    pts = find_critical_points_2action(GAME)
+    pts = find_critical_points_multi(GAME)
     elapsed = time.perf_counter() - t0
 
     locs = [float(p.x[0]) for p in pts]

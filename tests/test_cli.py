@@ -231,6 +231,16 @@ class TestLandscape:
         report = json.loads((tmp_path / "out" / "landscape.json").read_text())
         assert any("pure configuration" in w for w in report["warnings"])
 
+    def test_flooded_edge_reported_in_warnings(self, tmp_path):
+        # both actions earn 5 everywhere: the edge is a continuum of rest points
+        data = sim_cfg(tmp_path)
+        data["game"] = {"type": "congestion", "polynomials": [[5.0], [5.0]]}
+        cfg = write_cfg(tmp_path, data)
+        assert main(["landscape", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "landscape.json").read_text())
+        assert [p["x"] for p in report["critical_points"]] == [[0.0, 1.0], [1.0, 0.0]]
+        assert any("non-isolated" in w and "edge (0, 1)" in w for w in report["warnings"])
+
     def test_debug_log_level_reports_search_on_stderr(self, tmp_path, capsys):
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "congestion3.json")
         debug, quiet = tmp_path / "debug", tmp_path / "quiet"
@@ -274,15 +284,16 @@ class TestLandscape:
 class TestMetastability:
     def test_two_action_run_loads_no_scipy(self, tmp_path):
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
-        code = (
-            "import sys; from imitodyn.cli import main; "
-            f"assert main(['metastability', '--config', {cfg!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-        assert (tmp_path / "out" / "metastability.json").exists()
+        for command in ("landscape", "metastability"):
+            code = (
+                "import sys; from imitodyn.cli import main; "
+                f"assert main([{command!r}, '--config', {cfg!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]"
+            assert (tmp_path / "out" / f"{command}.json").exists()
 
     def test_sweep_report(self, tmp_path):
         data = sim_cfg(tmp_path)
@@ -438,6 +449,18 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lines", [None, "0 1\n1 2\nx y\n"], ids=["missing", "malformed"])
+    def test_bad_edge_file_exits_2_without_output(self, tmp_path, capsys, lines):
+        edges = tmp_path / "edges.txt"
+        if lines is not None:
+            edges.write_text(lines)
+        data = sim_cfg(tmp_path, n=3)
+        data["topology"] = {"type": "file", "path": str(edges)}
+        cfg = write_cfg(tmp_path, data)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "config error: $.topology.path: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))

@@ -23,7 +23,6 @@ from imitodyn import (
     ensemble,
     ess_set,
     exit_time,
-    find_critical_points_2action,
     find_critical_points_multi,
     make_congestion_game,
     metastability_report,
@@ -49,8 +48,10 @@ def _traj_from_counts(times, counts, n):
 
 
 class TestTwoActionScanner:
+    """2-action games: both vertices and the one edge's scanned roots."""
+
     def test_reference_game_landscape(self, game4):
-        pts = find_critical_points_2action(game4)
+        pts = find_critical_points_multi(game4)
         assert len(pts) == 4
         x1s = [p.x[0] for p in pts]
         assert x1s == sorted(x1s)
@@ -71,33 +72,40 @@ class TestTwoActionScanner:
         assert peak.phi == pytest.approx(PHI_ESS, abs=1e-9)
 
     def test_simplex_coordinates_sum_to_one(self, game4):
-        for p in find_critical_points_2action(game4):
+        for p in find_critical_points_multi(game4):
             assert p.x.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_three_action_game(self):
-        g = make_congestion_game([[1.0, -1.0]] * 3)
-        with pytest.raises(ValueError, match="m = 2"):
-            find_critical_points_2action(g)
-
     def test_constant_potential_floods(self):
+        # the edge is a continuum of rest points: it adds none, only a warning
         flat = make_congestion_game([[5.0], [5.0]])
-        with pytest.warns(LandscapeWarning, match="non-isolated"):
-            pts = find_critical_points_2action(flat, grid=200)
-        assert len(pts) == 201
+        with pytest.warns(LandscapeWarning, match=r"non-isolated critical set: .* edge \(0, 1\)"):
+            pts = find_critical_points_multi(flat, grid=200)
+        assert [p.x.tolist() for p in pts] == [[0.0, 1.0], [1.0, 0.0]]
         assert all(p.kind == "saddle_or_degenerate" for p in pts)
+
+    def test_same_points_at_every_landscape_seed(self, game4):
+        # a line has two tangent directions, +-(e_0 - e_1); random probes
+        # alone could all land on one side and misclassify a point
+        def key(s):
+            pts = find_critical_points_multi(game4, seed=derive_seed(s, "landscape"))
+            return [(p.x.tolist(), p.kind, p.is_ess) for p in pts]
+
+        first = key(0)
+        assert [kind for _, kind, _ in first] == ["local_min", "saddle_or_degenerate", "local_max", "local_min"]
+        assert all(key(s) == first for s in range(1, 200))
 
     def test_coordination_game_vertex_maxima_warn(self):
         # positive externalities: both pure states are strict maxima
         g = make_congestion_game([[0.0, 1.0]] * 2)
         with pytest.warns(LandscapeWarning, match="pure configuration"):
-            pts = find_critical_points_2action(g)
+            pts = find_critical_points_multi(g)
         kinds = {round(p.x[0], 6): p.kind for p in pts}
         assert kinds[0.0] == "local_max"
         assert kinds[1.0] == "local_max"
         assert kinds[0.5] == "local_min"
 
     def test_to_dict_round_trips_through_json(self, game4):
-        pts = find_critical_points_2action(game4)
+        pts = find_critical_points_multi(game4)
         payload = json.dumps([critical_point_to_dict(p) for p in pts])
         back = json.loads(payload)
         assert back[2]["kind"] == "local_max"
@@ -106,14 +114,6 @@ class TestTwoActionScanner:
 
 
 class TestMultiStartFinder:
-    def test_agrees_with_scanner_on_reference_game(self, game4):
-        scan = find_critical_points_2action(game4)
-        multi = find_critical_points_multi(game4, seed=0)
-        assert len(multi) == len(scan)
-        for a, b in zip(scan, sorted(multi, key=lambda p: p.x[0])):
-            assert abs(a.x[0] - b.x[0]) < 1e-6
-            assert a.is_ess == b.is_ess
-
     def test_anticoordination_barycenter_is_ess(self):
         g = make_congestion_game([[1.0, -1.0]] * 3)
         pts = find_critical_points_multi(g, seed=0)
@@ -138,8 +138,8 @@ class TestMultiStartFinder:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"starts": 0}, {"starts": -2}, {"step_tol": 0.0}, {"step_tol": -1e-5}, {"grid": 7}],
-        ids=["starts=0", "starts=-2", "step_tol=0", "step_tol<0", "grid=7"],
+        [{"starts": 0}, {"starts": -2}, {"grid": 7}],
+        ids=["starts=0", "starts=-2", "grid=7"],
     )
     def test_rejects_bad_search_settings(self, game4, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -154,8 +154,10 @@ class TestMultiStartFinder:
 
         # the finder imports scipy.optimize when it runs
         monkeypatch.setattr(optimize, "least_squares", failing_solve)
-        with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"), pytest.warns(LandscapeWarning):
+        with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"), pytest.warns(LandscapeWarning) as rec:
             pts = find_critical_points_multi(g, starts=5, seed=0)
+        flooded = [str(w.message) for w in rec if "non-isolated" in str(w.message)]
+        assert len(flooded) == 1 and "edge (0, 1)" in flooded[0]
         # with every face solve failing only vertices and edge roots remain
         assert all(np.count_nonzero(p.x) <= 2 for p in pts)
         assert (
@@ -270,13 +272,13 @@ class TestCompiledPotentialPath:
 
     def test_scanner_matches_reference_path(self, game4):
         _assert_same_points(
-            find_critical_points_2action(game4), find_critical_points_2action(_reference_game(game4))
+            find_critical_points_multi(game4), find_critical_points_multi(_reference_game(game4))
         )
 
 
 class TestEssSet:
     def test_reference_game(self, game4):
-        pts = find_critical_points_2action(game4)
+        pts = find_critical_points_multi(game4)
         ess = ess_set(pts)
         assert len(ess) == 1
         assert abs(ess[0].x[0] - 0.75) < 1e-6
@@ -299,7 +301,7 @@ class TestEssSet:
         g = make_congestion_game([[0.0, 1.0]] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pts = find_critical_points_2action(g)
+            pts = find_critical_points_multi(g)
         with pytest.warns(LandscapeWarning, match="pure configuration"):
             ess = ess_set(pts)
         assert {round(p.x[0], 6) for p in ess} == {0.0, 1.0}
@@ -369,7 +371,7 @@ def report(game4, arctan1):
     trajs = ensemble(spec, num_runs=8, base_seed=77)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pts = find_critical_points_2action(game4)
+        pts = find_critical_points_multi(game4)
     return metastability_report(trajs, pts, game4, arctan1)
 
 
