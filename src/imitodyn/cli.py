@@ -9,8 +9,14 @@
 One config file drives every subcommand (see config.py for the schema).
 Every subcommand also takes --log-level {warning,info,debug} (default
 warning), the level at which the imitodyn loggers write to stderr; at debug
-the landscape search reports its faces, points, flooded edges and failed
-least-squares solves (a 2-action game has 0 faces and loads no scipy).
+the landscape search reports its method, faces, points and continuum faces,
+the facts that landscape.json also holds in its "search" block.  Every game
+a config builds is a congestion game, whose landscape is solved exactly:
+analysis.grid, analysis.starts and the landscape seed change nothing, and
+landscape and metastability load no scipy.  They stay in the schema, and
+starts is still checked against the number of faces (_MAX_STARTS), for
+games built in the library without polynomial coefficients, which take the
+numeric search.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -39,7 +45,8 @@ from .meanfield import find_limit, integrate, kurtz_deviation
 from .output import ensure_dir, run_summary, write_json, write_trajectory_csv
 
 # find_critical_points_2action is unused here, but perfbench/tracer.py wraps
-# cli.find_critical_points_2action by name.
+# cli.find_critical_points_2action by name, so the alias stays with the
+# benchmark.
 find_critical_points_2action = find_critical_points_multi
 
 __all__ = ["main", "cmd_simulate", "cmd_ode", "cmd_landscape", "cmd_metastability", "cmd_compare"]
@@ -81,12 +88,14 @@ def _critical_points(cfg: ExperimentConfig):
             f"$.analysis.starts: {cfg.starts} starts on each face of 3 or more of {m} actions "
             f"make {solves} least-squares solves, more than {_MAX_STARTS}"
         )
+    search: dict = {}
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         points = find_critical_points_multi(
-            cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape"), grid=cfg.grid
+            cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape"), grid=cfg.grid,
+            search=search,
         )
-    return points, [str(w.message) for w in wlist]
+    return points, search, [str(w.message) for w in wlist]
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -121,13 +130,14 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
 
 
 def cmd_landscape(cfg: ExperimentConfig) -> int:
-    points, caught = _critical_points(cfg)
+    points, search, caught = _critical_points(cfg)
     ensure_dir(cfg.out_dir)
     write_json(
         os.path.join(cfg.out_dir, "landscape.json"),
         {
             "critical_points": [critical_point_to_dict(p) for p in points],
             "ess": [i for i, p in enumerate(points) if p.is_ess],
+            "search": search,
             "warnings": caught,
         },
     )
@@ -140,7 +150,7 @@ def cmd_metastability(cfg: ExperimentConfig) -> int:
             "$.init.fractions: metastability analysis assumes an interior initial "
             "condition (every action initially present)"
         )
-    points, caught = _critical_points(cfg)
+    points, _, caught = _critical_points(cfg)
     reports = {}
     for n in cfg.n_sweep:
         trajs = _run_ensemble(cfg, n)

@@ -34,10 +34,14 @@ at most 10**7 RK4 steps of analysis.ode_dt up to max(sim.horizon,
 analysis.ode_horizon).  Validation failures raise ConfigError with a
 JSON-path anchor; the CLI maps them to exit code 2.
 
-The landscape search scans every edge of the simplex at analysis.grid + 1
-points, at every m, and runs analysis.starts least-squares solves on each
-face of three or more actions; the CLI caps their total at _MAX_STARTS
-before a landscape runs.
+Both game types build congestion games, whose landscape the finder solves
+exactly from their polynomial coefficients, so analysis.grid,
+analysis.starts and the landscape seed change no result of a config.
+They keep their place in the schema and their bounds, for the numeric
+search that library games without coefficients take: it scans every edge
+of the simplex at analysis.grid + 1 points and runs analysis.starts
+least-squares solves on each face of three or more actions, and the CLI
+still caps their total at _MAX_STARTS before a landscape runs.
 """
 
 from __future__ import annotations

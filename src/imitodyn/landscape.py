@@ -14,10 +14,12 @@ import itertools
 import logging
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._law import np_sum, potential_pair
+from . import _poly
+from ._law import potential_pair
 from .engine import Trajectory, potential_drift_rates
 from .games import Game, PopulationType, _fd_gradient, uniform_simplex_sample
 from .rules import ImitationRule
@@ -40,6 +42,8 @@ _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
 _SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
 _STEP_TOL = 1e-5  # least-squares step tolerance; points classify on a sphere of 10x this
 _MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
+_MU_SCAN = 64  # intervals of the mu scan on a face whose monotone pieces rise and fall
+_SOLVE_STEPS = 200  # most steps of one float root solve
 _DRIFT_MARGIN = 0.05  # drift checks skip states this close (sup norm) to a fixed point
 _DRIFT_SAMPLES = 200  # about this many drift checks per run
 
@@ -135,9 +139,6 @@ def _scan(g, grid: int) -> list[float] | None:
     Returns the merged roots strictly inside (0, 1), or None when near-zero
     values flood more than half the grid.
     """
-    if grid < 8:
-        raise ValueError("grid too coarse")
-
     def slope(v: float) -> float:
         return g(v + _SLOPE_STEP) - g(v - _SLOPE_STEP)
 
@@ -235,44 +236,247 @@ def _merge(xs: list[np.ndarray]) -> list[np.ndarray]:
     return kept
 
 
-def find_critical_points_multi(
-    game: Game,
-    starts: int = 64,
-    seed: int = 0,
-    grid: int = 2000,
-) -> list[CriticalPoint]:
-    """Critical points of the potential on every face of the simplex.
+def _solve(f, lo: float, hi: float, df=None) -> float:
+    """A root of f on [lo, hi], where f(lo) and f(hi) differ in sign, to
+    adjacent floats: a Newton step from df while it stays inside the
+    bracket, bisection otherwise."""
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    x = 0.5 * (lo + hi)
+    for _ in range(_SOLVE_STEPS):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+        else:
+            hi = x
+        nx = 0.5 * (lo + hi)
+        d = df(x) if df is not None else 0.0
+        if d and lo < x - fx / d < hi:
+            nx = x - fx / d
+        if nx == x or nx == lo or nx == hi:
+            return x
+        x = nx
+    return x
 
-    The rest points of imitation dynamics are the restricted equilibria of
-    the faces, where dPhi/dx_a is equal across the face's actions.  Every
-    vertex is one.  Each edge (a, b) is scanned with _scan at grid + 1
-    points of g(t) = dPhi/dx_a - dPhi/dx_b at t e_a + (1 - t) e_b.  On
-    each face of three or more actions a least-squares solve of the face's
-    reduced gradient runs from `starts` uniform points of the face;
-    solutions closer than _MERGE_TOL collapse to the one with the smallest
-    residual, which a derivative-free minimization of the squared reduced
-    gradient then polishes (it copes with degenerate roots where the
-    least-squares step stalls).  Across faces, vertices win, then edge
-    roots, then the smaller faces.  Every point classifies by sampling the
-    potential on an eps-sphere, eps = 10 * _STEP_TOL, intersected with the
-    simplex: in the m (m - 1) directions +-(e_a - e_b) and, for m >= 3, 2 m^2
-    random ones (on a line the pairwise directions are the only ones, so at
-    m = 2 the seed is unused).  An edge where g is near zero on more than
-    half the grid (a continuum of rest points) adds no point and raises a
-    LandscapeWarning.  scipy and numpy.random are loaded only when a face of
-    three or more actions exists.
-    """
-    if game.potential is None:
-        raise ValueError("landscape analysis requires a game with a potential")
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
+
+def _pieces(r: list) -> list[tuple[float, float, float, float]]:
+    """(p, q, r(p), r(q)) for the pieces of [0, 1] between the turning
+    points of a non-constant exact polynomial r, on which r is monotone."""
+    rf = [float(c) for c in r]
+    ends = [0.0] + [float(lo) for lo, _, _ in _poly.unit_roots(_poly.derivative(r))] + [1.0]
+    return [(p, q, _poly.evaluate(rf, p), _poly.evaluate(rf, q)) for p, q in zip(ends, ends[1:]) if p < q]
+
+
+def _curvature(h: list) -> str:
+    """'max' or 'min' when diag(h) restricted to {sum v = 0} is negative or
+    positive definite, else 'degenerate'."""
+    for sign, name in ((1, "min"), (-1, "max")):
+        s = [sign * v for v in h]
+        neg = [v for v in s if v < 0]
+        zeros = s.count(0)
+        if (not neg and zeros <= 1) or (len(neg) == 1 and not zeros and sum(1 / v for v in s) < 0):
+            return name
+    return "degenerate"
+
+
+def _affine_face(c: list, s: list) -> tuple[list, bool]:
+    """Rest points of a face whose rewards are c_a + s_a x_a, all s_a != 0:
+    sum_a (mu - c_a) / s_a = 1 is linear in mu.
+
+    Like _constant_face and _monotone_face it returns (solutions,
+    continuum): each solution is (x on the face, mu_lo, mu_hi, curvature),
+    mu_lo = mu_hi when mu is exact, and continuum says whether the face
+    holds a continuum of rest points."""
+    s1 = sum(1 / v for v in s)
+    s2 = sum(a / v for a, v in zip(c, s))
+    if s1 == 0:
+        # every mu solves when s2 = -1: a continuum wherever all x_a > 0
+        lo = max((a for a, v in zip(c, s) if v > 0), default=None)
+        hi = min((a for a, v in zip(c, s) if v < 0), default=None)
+        return [], s2 == -1 and (lo is None or hi is None or lo < hi)
+    mu = (1 + s2) / s1
+    x = [(mu - a) / v for a, v in zip(c, s)]
+    if min(x) <= 0:
+        return [], False
+    return [([float(v) for v in x], mu, mu, _curvature(s))], False
+
+
+def _constant_face(face: tuple, R: list, D: list) -> tuple[list, bool]:
+    """Rest points of a face where some rewards are constant: mu is their
+    common value, every other x_b a root of r_b - mu, and the one constant
+    action takes the rest (two or more share it: a continuum)."""
+    consts = [a for a in face if len(R[a]) <= 1]
+    values = {_poly.evaluate(R[a], 0) for a in consts}
+    if len(values) > 1:
+        return [], False
+    (mu,) = values
+    others = [a for a in face if a not in consts]
+    options = [_poly.unit_roots(_poly.sub(R[b], [mu])) for b in others]
+    out, continuum = [], False
+    for combo in itertools.product(*options):
+        rest = 1 - sum(lo for lo, _, _ in combo)
+        if rest <= 0:
+            continue
+        if len(consts) > 1:
+            continuum = True
+            continue
+        x = dict(zip(others, (lo for lo, _, _ in combo)))
+        x[consts[0]] = rest
+        h = {b: (0 if k > 1 else _poly.evaluate(D[b], lo)) for b, (lo, _, k) in zip(others, combo)}
+        h[consts[0]] = 0
+        out.append(([float(x[a]) for a in face], mu, mu, _curvature([h[a] for a in face])))
+    return out, continuum
+
+
+def _monotone_face(face: tuple, R: list, D: list, pieces: dict) -> tuple[list, bool]:
+    """Rest points of a face of non-constant rewards, in floats.  On each
+    tuple of monotone pieces (one per action) x_a(mu) inverts r_a, and the
+    roots of F(mu) = sum_a x_a(mu) - 1 over the mu range the pieces share
+    are the rest points.  When the pieces all rise or all fall, F is
+    monotone and a sign change at the ends brackets its one root;
+    otherwise F is scanned at _MU_SCAN + 1 values of mu and each sign
+    change bisected, which misses a root where F touches zero without
+    crossing it."""
+    Rf = [[float(c) for c in r] for r in R]
+    Df = [[float(c) for c in d] for d in D]
+    for a in face:
+        if a not in pieces:
+            pieces[a] = _pieces(R[a])
+
+    def inverse(a: int, piece: tuple, mu: float) -> float:
+        p, q, vp, vq = piece
+        if (mu - vp) * (mu - vq) >= 0.0:  # at or past an end of the piece
+            return p if abs(mu - vp) <= abs(mu - vq) else q
+        ra, da = Rf[a], Df[a]
+        return _solve(lambda v: _poly.evaluate(ra, v) - mu, p, q, lambda v: _poly.evaluate(da, v))
+
+    out, continuum = [], False
+    for tup in itertools.product(*(pieces[a] for a in face)):
+        lo = max(min(vp, vq) for _, _, vp, vq in tup)
+        hi = min(max(vp, vq) for _, _, vp, vq in tup)
+        if lo > hi:
+            continue
+
+        def F(mu: float, tup: tuple = tup) -> float:
+            return sum(inverse(a, piece, mu) for a, piece in zip(face, tup)) - 1.0
+
+        rising = {vq > vp for _, _, vp, vq in tup}
+        mus = [lo, hi] if len(rising) == 1 else [lo + (hi - lo) * i / _MU_SCAN for i in range(_MU_SCAN + 1)]
+        values = [F(mu) for mu in mus]
+        if len(mus) > 2 and sum(abs(v) < _TANGENT_ZERO for v in values) > _MU_SCAN // 2:
+            continuum = True
+            continue
+        roots = [mu for mu, v in zip(mus, values) if v == 0.0]
+        roots += [
+            _solve(F, mus[i - 1], mus[i])
+            for i in range(1, len(mus))
+            if values[i - 1] * values[i] < 0.0
+        ]
+        for mu in roots:
+            x = [inverse(a, piece, mu) for a, piece in zip(face, tup)]
+            # mu pins x_a least where r_a is flattest: that coordinate takes the rest
+            slopes = [abs(_poly.evaluate(Df[a], v)) for a, v in zip(face, x)]
+            j = slopes.index(min(slopes))
+            x[j] = 1.0 - sum(v for i, v in enumerate(x) if i != j)
+            if min(x) <= 0.0:
+                continue
+            # a root on the end of a piece is also found from the next piece
+            if any(max(abs(u - v) for u, v in zip(x, y[0])) <= 1e-12 for y in out):
+                continue
+            exact = [Fraction(v) for v in x]
+            mus_at = [_poly.evaluate(R[a], v) for a, v in zip(face, exact)]
+            h = [_poly.evaluate(D[a], v) for a, v in zip(face, exact)]
+            out.append((x, min(mus_at), max(mus_at), _curvature(h)))
+    return out, continuum
+
+
+def _warn_continuum(face: tuple) -> None:
+    what = f"edge {face}" if len(face) == 2 else f"face {face}"
+    warnings.warn(
+        f"non-isolated critical set: the rewards on {what} are equal on a continuum of "
+        f"points; the {what.split()[0]} adds no critical points",
+        LandscapeWarning,
+    )
+
+
+def _exact_points(game: Game, phi) -> tuple[list[CriticalPoint], list[list[int]]]:
+    """Every face rest point of a congestion game from exact polynomial
+    roots, classified exactly; and the faces that hold a continuum."""
+    m = game.m
+    R = [_poly.poly(c) for c in game.potential_gradient.coeffs]
+    D = [_poly.derivative(r) for r in R]
+    at0 = [_poly.evaluate(r, 0) for r in R]
+    pieces: dict = {}  # action -> _pieces, made when a face first needs them
+    found = []  # (face, x on the face, mu_lo, mu_hi, curvature)
+    continuum = []
+    for a in range(m):
+        mu = _poly.evaluate(R[a], 1)
+        found.append(((a,), [1.0], mu, mu, None))
+    for a, b in itertools.combinations(range(m), 2):
+        # g(t) = r_a(t) - r_b(1 - t) is dPhi/dt along t e_a + (1 - t) e_b
+        g = _poly.sub(R[a], _poly.flip(R[b]))
+        if not g:
+            continuum.append([a, b])
+            _warn_continuum((a, b))
+            continue
+        for lo, hi, k in _poly.unit_roots(g):
+            # at a root of odd multiplicity k, g crosses zero with the sign of g^(k)
+            curvature = "degenerate"
+            if k % 2:
+                dk = g
+                for _ in range(k):
+                    dk = _poly.derivative(dk)
+                signs = {_poly.sign(_poly.evaluate(dk, lo)), _poly.sign(_poly.evaluate(dk, hi))}
+                curvature = "max" if signs == {-1} else "min" if signs == {1} else "degenerate"
+            mus = sorted((_poly.evaluate(R[a], lo), _poly.evaluate(R[a], hi)))
+            found.append(((a, b), [float(lo), float(1 - lo)], mus[0], mus[1], curvature))
+    for k in range(3, m + 1):
+        for face in itertools.combinations(range(m), k):
+            if any(len(R[a]) <= 1 for a in face):
+                solutions, flat = _constant_face(face, R, D)
+            elif all(len(R[a]) == 2 for a in face):
+                solutions, flat = _affine_face([R[a][0] for a in face], [R[a][1] for a in face])
+            else:
+                solutions, flat = _monotone_face(face, R, D, pieces)
+            if flat:
+                continuum.append(list(face))
+                _warn_continuum(face)
+            found += [(face, *solution) for solution in solutions]
+
+    points = []
+    for face, on_face, mu_lo, mu_hi, curvature in found:
+        x = np.zeros(m)
+        x[list(face)] = on_face
+        # entering an absent action b changes Phi at the rate r_b(0) - mu
+        absent = [at0[b] for b in range(m) if b not in face]
+        if curvature in (None, "max") and all(v < mu_lo for v in absent):
+            kind = "local_max"
+        elif curvature in (None, "min") and all(v > mu_hi for v in absent):
+            kind = "local_min"
+        else:
+            kind = "saddle_or_degenerate"
+        ne = all(v <= mu_hi for v in absent)
+        points.append(
+            CriticalPoint(
+                x=x, phi=phi(x.tolist()), kind=kind, is_ne=ne,
+                is_ess=(kind == "local_max" and ne), on_boundary=len(face) < m,
+            )
+        )
+    return sorted(points, key=lambda p: tuple(p.x)), continuum
+
+
+def _numeric_points(game: Game, starts: int, seed: int, grid: int):
+    """The face-by-face numeric search of a game without polynomial
+    coefficients: (points, flooded edges, raised least-squares solves)."""
     m = game.m
     rng = np.random.default_rng(seed) if m > 2 else None
-    compiled = potential_pair(game)
-    phi, grad = compiled or _reference_pair(game)
+    phi, grad = _reference_pair(game)
     candidates: list[np.ndarray] = list(np.eye(m))
 
-    flooded = 0
+    flooded = []
     for a, b in itertools.combinations(range(m), 2):
 
         def g(t: float, a: int = a, b: int = b) -> float:
@@ -283,7 +487,7 @@ def find_critical_points_multi(
 
         roots = _scan(g, grid)
         if roots is None:
-            flooded += 1
+            flooded.append([a, b])
             warnings.warn(
                 f"non-isolated critical set: the reduced derivative on edge ({a}, {b}) vanishes "
                 "on more than half the scan grid; the edge adds no critical points",
@@ -345,20 +549,101 @@ def find_critical_points_multi(
         return out
 
     failed = 0
-    faces = [face for k in range(3, m + 1) for face in itertools.combinations(range(m), k)]
-    for face in faces:
-        candidates.extend(face_points(face))
+    for k in range(3, m + 1):
+        for face in itertools.combinations(range(m), k):
+            candidates.extend(face_points(face))
 
     points = []
     for x in sorted(_merge(candidates), key=tuple):
         kind = _classify_by_sphere(phi, x, 10.0 * _STEP_TOL, rng)
         points.append(_make_point(game, phi, x, kind, on_boundary=bool(np.min(x) < 1e-9)))
-    logger.debug(
-        "find_critical_points_multi: %d starts, %d faces, %d points, %d flooded edges, "
-        "%d least_squares solves raised, %s potential",
-        starts, len(faces), len(points), flooded, failed, "compiled" if compiled else "reference",
-    )
+    return points, flooded, failed
 
+
+def find_critical_points_multi(
+    game: Game,
+    starts: int = 64,
+    seed: int = 0,
+    grid: int = 2000,
+    search: dict | None = None,
+) -> list[CriticalPoint]:
+    """Critical points of the potential on every face of the simplex.
+
+    The rest points of imitation dynamics are the restricted equilibria of
+    the faces: on the face with support S, r_a(x_a) = mu for every a in S
+    (Sandholm 2010, ch. 5).  Every vertex is one.
+
+    A congestion game (the game potential_pair compiles, which includes
+    every game a config builds) is solved exactly, from its polynomial
+    coefficients as fractions, with no random numbers: `starts`, `seed`
+    and `grid` are checked but unused, and scipy is never imported.
+      - On each edge (a, b) the rest points are the roots in (0, 1) of
+        g(t) = r_a(t) - r_b(1 - t), found by _poly.unit_roots: exact when
+        rational, else bracketed until both coordinates round to one float.
+      - On a face of three or more affine rewards, sum_a x_a(mu) = 1 is
+        linear in mu and solved exactly; a constant reward fixes mu, and
+        the other coordinates are exact roots of r_b - mu.
+      - Otherwise x_a(mu) inverts r_a on each of its monotone pieces, in
+        floats, and sum_a x_a(mu) = 1 is bisected over the mu range a tuple
+        of pieces shares: at most one root where the pieces all rise or all
+        fall, a scan of _MU_SCAN + 1 values of mu where they are mixed (a
+        root where the sum touches 1 without crossing it is missed there).
+      - Each point classifies exactly.  Within its face, Phi is a local
+        max (min) when diag(r_a'(x_a)) is negative (positive) definite on
+        {sum v = 0}; at an edge root of multiplicity k, when g^(k) < 0
+        (> 0) for odd k.  Entering an absent action b changes Phi at the
+        rate r_b(0) - mu.  A local max needs a max within the face and
+        r_b(0) < mu for every absent b, a local min the reverse; a singular
+        face Hessian, an even multiplicity or a tie r_b(0) = mu is
+        saddle_or_degenerate.  A point is a NE iff r_b(0) <= mu for every
+        absent b (Sandholm 2001: the NE of a potential game are the KKT
+        points of its potential).
+
+    Any other game takes the numeric search.  Each edge (a, b) is scanned
+    with _scan at grid + 1 points of g(t) = dPhi/dx_a - dPhi/dx_b at
+    t e_a + (1 - t) e_b.  On each face of three or more actions a
+    least-squares solve of the face's reduced gradient runs from `starts`
+    uniform points of the face; solutions closer than _MERGE_TOL collapse
+    to the one with the smallest residual, which a derivative-free
+    minimization of the squared reduced gradient then polishes.  Across
+    faces, vertices win, then edge roots, then the smaller faces.  Every
+    point classifies by sampling the potential on an eps-sphere,
+    eps = 10 * _STEP_TOL, intersected with the simplex: in the m (m - 1)
+    directions +-(e_a - e_b) and, for m >= 3, 2 m^2 random ones drawn from
+    `seed`.  scipy and numpy.random load only when a face of three or more
+    actions exists.
+
+    An edge or face that holds a continuum of rest points adds no point
+    and raises a LandscapeWarning.  When `search` is a dict it receives the
+    search facts: "method" ("exact" or "numeric"), "faces" (the faces of
+    two or more actions solved), "points" and "continuum_faces".
+    """
+    if game.potential is None:
+        raise ValueError("landscape analysis requires a game with a potential")
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if grid < 8:
+        raise ValueError(f"grid too coarse: {grid} < 8")
+    m = game.m
+    compiled = potential_pair(game)
+    if compiled is not None:
+        points, continuum = _exact_points(game, compiled[0])
+        extra = ""
+    else:
+        points, continuum, failed = _numeric_points(game, starts, seed, grid)
+        extra = f", {starts} starts, {failed} least_squares solves raised"
+    facts = {
+        "method": "numeric" if compiled is None else "exact",
+        "faces": 2**m - 1 - m,
+        "points": len(points),
+        "continuum_faces": continuum,
+    }
+    logger.debug(
+        "find_critical_points_multi: %s search, %d faces, %d points, %d continuum faces%s",
+        facts["method"], facts["faces"], facts["points"], len(continuum), extra,
+    )
+    if search is not None:
+        search.update(facts)
     _warn_vertex_maxima(points)
     return points
 
@@ -442,9 +727,13 @@ def metastability_report(
 
     Per run: absorbing time (None while unabsorbed), occupation fraction
     near the stable set per gamma, dwell times around each interior critical
-    point per delta, and drift-rate checks q_plus >= q_minus on sampled
-    states away from fixed points.  Aggregates report medians, censoring
-    fractions, and the observed minimum of q_plus / q_minus as the margin.
+    point per delta (with whether the path entered the delta/2 ball at
+    all), and drift-rate checks q_plus >= q_minus on sampled states away
+    from fixed points.  Aggregates report medians, the observed minimum of
+    q_plus / q_minus as the margin, and per point and delta: the fraction
+    of runs that never entered, the fraction that entered but never left
+    (censored), and median_dwell over the runs that entered, a censored
+    dwell counting as +inf, None when half or more of them are censored.
     """
     ess_points = [cp for cp in critical_points if cp.is_ess]
     ess_targets = [cp.x for cp in ess_points]
@@ -478,12 +767,17 @@ def metastability_report(
         exits = []
         for idx, cp in enumerate(interior_points):
             for dlt in deltas:
+                dwell = exit_time(traj, cp.x, dlt, norm=exit_norm)
+                entered = dwell is not None or bool(
+                    np.min(_distances(traj.fractions, cp.x, exit_norm)) < 0.5 * dlt
+                )
                 exits.append(
                     {
                         "point": idx,
                         "center": [float(v) for v in cp.x],
                         "delta": dlt,
-                        "dwell": exit_time(traj, cp.x, dlt, norm=exit_norm),
+                        "entered": entered,
+                        "dwell": dwell,
                     }
                 )
         entry["exit_times"] = exits
@@ -528,24 +822,21 @@ def metastability_report(
     exit_agg = []
     for idx, cp in enumerate(interior_points):
         for dlt in deltas:
-            vals = []
-            censored = 0
-            for e in per_run:
-                match = next(
-                    v["dwell"] for v in e["exit_times"] if v["point"] == idx and v["delta"] == dlt
-                )
-                if match is None:
-                    censored += 1
-                else:
-                    vals.append(match)
+            rows = [
+                next(v for v in e["exit_times"] if v["point"] == idx and v["delta"] == dlt) for e in per_run
+            ]
+            # a censored dwell lasts past the record: +inf in the median
+            dwells = [np.inf if v["dwell"] is None else v["dwell"] for v in rows if v["entered"]]
+            censored = dwells.count(np.inf)
             exit_agg.append(
                 {
                     "point": idx,
                     "center": [float(v) for v in cp.x],
                     "kind": cp.kind,
                     "delta": dlt,
-                    "median_dwell": float(np.median(vals)) if vals else None,
+                    "median_dwell": float(np.median(dwells)) if 2 * censored < len(dwells) else None,
                     "censored_fraction": (censored / len(per_run)) if per_run else None,
+                    "never_entered_fraction": ((len(per_run) - len(dwells)) / len(per_run)) if per_run else None,
                 }
             )
     aggregates["exit_times"] = exit_agg

@@ -240,6 +240,7 @@ class TestLandscape:
         report = json.loads((tmp_path / "out" / "landscape.json").read_text())
         assert [p["x"] for p in report["critical_points"]] == [[0.0, 1.0], [1.0, 0.0]]
         assert any("non-isolated" in w and "edge (0, 1)" in w for w in report["warnings"])
+        assert report["search"]["continuum_faces"] == [[0, 1]]
 
     def test_debug_log_level_reports_search_on_stderr(self, tmp_path, capsys):
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "congestion3.json")
@@ -247,12 +248,14 @@ class TestLandscape:
         assert main(["landscape", "--config", config, "--out", str(debug), "--log-level", "debug"]) == 0
         err = capsys.readouterr().err
         assert (
-            "imitodyn.landscape: DEBUG: find_critical_points_multi: 48 starts, 1 faces, 7 points, "
-            "0 flooded edges, 0 least_squares solves raised, compiled potential"
+            "imitodyn.landscape: DEBUG: find_critical_points_multi: exact search, 4 faces, 7 points, "
+            "0 continuum faces\n"
         ) in err
         assert main(["landscape", "--config", config, "--out", str(quiet)]) == 0
         assert capsys.readouterr().err == ""
         assert (debug / "landscape.json").read_bytes() == (quiet / "landscape.json").read_bytes()
+        report = json.loads((quiet / "landscape.json").read_text())
+        assert report["search"] == {"method": "exact", "faces": 4, "points": 7, "continuum_faces": []}
 
     def test_face_count_bounds_starts(self, tmp_path, capsys):
         # 12 actions have 4017 faces of 3 or more actions: 64 starts on each
@@ -294,6 +297,50 @@ class TestMetastability:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]"
             assert (tmp_path / "out" / f"{command}.json").exists()
+
+    def test_shipped_landscape_steps_load_no_scipy(self, tmp_path):
+        # congestion3's landscape and two_phase's metastability are solved exactly
+        configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+        steps = [
+            ["landscape", "--config", os.path.join(configs, "congestion3.json"), "--out", str(tmp_path / "c3")],
+            ["metastability", "--config", os.path.join(configs, "two_phase.json"), "--out", str(tmp_path / "tp"),
+             "--runs", "1"],
+        ]
+        code = (
+            "import sys; from imitodyn.cli import main; "
+            f"assert all(main(argv) == 0 for argv in {steps!r}); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "c3" / "landscape.json").exists() and (tmp_path / "tp" / "metastability.json").exists()
+
+    def test_two_phase_centre_is_exact(self, tmp_path):
+        # the lattice states c/n = 0.15, 0.20, 0.30 and 0.35 sit at the
+        # thresholds delta/2 = 0.05, delta = 0.1 and _DRIFT_MARGIN = 0.05 from
+        # x_0 = 1/4, so the dwell and drift results depend on the centre's
+        # last digit; it is exact, and the side of each state is pinned here
+        from imitodyn.landscape import _DRIFT_MARGIN, _distances
+
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "two_phase.json")
+        assert main(["metastability", "--config", config, "--out", str(tmp_path), "--runs", "1"]) == 0
+        doc = json.loads((tmp_path / "metastability.json").read_text())
+        for rep in doc["reports"].values():
+            rows = rep["aggregates"]["exit_times"]
+            assert [(r["center"], r["kind"], r["delta"]) for r in rows] == [
+                ([0.25, 0.75], "saddle_or_degenerate", 0.1),
+                ([0.75, 0.25], "local_max", 0.1),
+            ]
+        centre = np.array([0.25, 0.75])
+        for n in doc["n_values"]:
+            states = np.array([[c / n, 1.0 - c / n] for c in (3 * n // 20, n // 5, 3 * n // 10, 7 * n // 20)])
+            d = _distances(states, centre, "sup")
+            # 0.20 and 0.30 lie just outside the entry ball and the drift margin
+            assert (d < 0.05).tolist() == [False, False, False, False]
+            assert (d <= _DRIFT_MARGIN).tolist() == [False, False, False, False]
+            # 0.15 has left the delta ball, 0.35 has not
+            assert (d >= 0.1).tolist() == [True, False, False, False]
 
     def test_sweep_report(self, tmp_path):
         data = sim_cfg(tmp_path)

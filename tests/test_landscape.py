@@ -47,6 +47,17 @@ def _traj_from_counts(times, counts, n):
     )
 
 
+def _reference_game(game: Game) -> Game:
+    """The same potential and gradient as plain callables, which the
+    finders evaluate through game.potential rather than compiled."""
+    return Game(
+        m=game.m,
+        rewards=game.rewards,
+        potential=lambda x: game.potential(x),
+        potential_gradient=lambda x: game.potential_gradient(x),
+    )
+
+
 class TestTwoActionScanner:
     """2-action games: both vertices and the one edge's scanned roots."""
 
@@ -146,24 +157,27 @@ class TestMultiStartFinder:
             find_critical_points_multi(game4, **kwargs)
 
     def test_debug_log_counts_dropped_candidates(self, caplog, monkeypatch):
-        # actions 0 and 1 earn the same constant, so the edge between them floods
-        g = make_congestion_game([[1.0], [1.0], [1.0, -1.0], [1.0, -1.0]])
+        # actions 0 and 1 earn the same constant, so the edge between them
+        # floods; without coefficients the game takes the numeric search
+        g = _reference_game(make_congestion_game([[1.0], [1.0], [1.0, -1.0], [1.0, -1.0]]))
 
         def failing_solve(*args, **kwargs):
             raise ValueError("no solve")
 
         # the finder imports scipy.optimize when it runs
         monkeypatch.setattr(optimize, "least_squares", failing_solve)
+        search = {}
         with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"), pytest.warns(LandscapeWarning) as rec:
-            pts = find_critical_points_multi(g, starts=5, seed=0)
+            pts = find_critical_points_multi(g, starts=5, seed=0, search=search)
         flooded = [str(w.message) for w in rec if "non-isolated" in str(w.message)]
         assert len(flooded) == 1 and "edge (0, 1)" in flooded[0]
         # with every face solve failing only vertices and edge roots remain
         assert all(np.count_nonzero(p.x) <= 2 for p in pts)
         assert (
-            f"5 starts, 5 faces, {len(pts)} points, 1 flooded edges, 25 least_squares solves raised, "
-            "compiled potential" in caplog.text
+            f"numeric search, 11 faces, {len(pts)} points, 1 continuum faces, 5 starts, "
+            "25 least_squares solves raised" in caplog.text
         )
+        assert search == {"method": "numeric", "faces": 11, "points": len(pts), "continuum_faces": [[0, 1]]}
 
     def test_face_equilibrium_is_the_ess(self):
         # action 2 always earns -1, so the only ESS lies on the edge of actions 0 and 1
@@ -234,27 +248,19 @@ def test_multi_finder_matches_affine_closed_form(cb):
     assert ess[0].phi == max(p.phi for p in pts)
 
 
-def _reference_game(game: Game) -> Game:
-    """The same potential and gradient as plain callables, which the
-    finders evaluate through game.potential rather than compiled."""
-    return Game(
-        m=game.m,
-        rewards=game.rewards,
-        potential=lambda x: game.potential(x),
-        potential_gradient=lambda x: game.potential_gradient(x),
-    )
-
-
-def _assert_same_points(compiled, reference):
-    assert len(compiled) == len(reference)
-    for a, b in zip(compiled, reference):
-        assert np.array_equal(a.x, b.x)
-        assert (a.phi, a.kind, a.is_ne, a.is_ess, a.on_boundary) == (
-            b.phi, b.kind, b.is_ne, b.is_ess, b.on_boundary
-        )
+def _assert_reference_points_found(exact, reference, tol=1e-6):
+    """Every point of the numeric reference search lies within tol of an
+    exact point with the same kind and flags."""
+    for p in reference:
+        q = min(exact, key=lambda q: np.max(np.abs(q.x - p.x)))
+        assert np.max(np.abs(q.x - p.x)) < tol, (p.x, [e.x for e in exact])
+        assert (q.kind, q.is_ne, q.is_ess, q.on_boundary) == (p.kind, p.is_ne, p.is_ess, p.on_boundary)
 
 
 class TestCompiledPotentialPath:
+    """The exact search of a congestion game against the numeric search,
+    which runs on the same game without its polynomial coefficients."""
+
     @pytest.mark.parametrize(
         "polys",
         [[[1.0, -1.0]] * 3, [[0.0, 1.0]] * 3],  # configs/congestion3.json's game, coordination
@@ -266,14 +272,129 @@ class TestCompiledPotentialPath:
         assert potential_pair(game) is not None and potential_pair(reference) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = find_critical_points_multi(game, starts=8, seed=3)
+            got = find_critical_points_multi(game)
             want = find_critical_points_multi(reference, starts=8, seed=3)
-        _assert_same_points(got, want)
+        assert len(got) == len(want) == 7
+        _assert_reference_points_found(got, want)
 
     def test_scanner_matches_reference_path(self, game4):
-        _assert_same_points(
-            find_critical_points_multi(game4), find_critical_points_multi(_reference_game(game4))
-        )
+        got = find_critical_points_multi(game4)
+        want = find_critical_points_multi(_reference_game(game4))
+        assert len(got) == len(want)
+        _assert_reference_points_found(got, want)
+
+
+class TestExactSearch:
+    def test_example4_points_are_exact(self, game4):
+        search = {}
+        pts = find_critical_points_multi(game4, search=search)
+        assert [p.x.tolist() for p in pts] == [[0.0, 1.0], [0.25, 0.75], [0.75, 0.25], [1.0, 0.0]]
+        assert search == {"method": "exact", "faces": 1, "points": 4, "continuum_faces": []}
+
+    def test_congestion3_points_and_kinds(self):
+        third = 0.3333333333333333
+        pts = find_critical_points_multi(make_congestion_game([[1.0, -1.0]] * 3))
+        assert [(p.x.tolist(), p.kind, p.is_ne, p.is_ess) for p in pts] == [
+            ([0.0, 0.0, 1.0], "local_min", False, False),
+            ([0.0, 0.5, 0.5], "saddle_or_degenerate", False, False),
+            ([0.0, 1.0, 0.0], "local_min", False, False),
+            ([third, third, third], "local_max", True, True),
+            ([0.5, 0.0, 0.5], "saddle_or_degenerate", False, False),
+            ([0.5, 0.5, 0.0], "saddle_or_degenerate", False, False),
+            ([1.0, 0.0, 0.0], "local_min", False, False),
+        ]
+        assert [p.on_boundary for p in pts] == [True, True, True, False, True, True, True]
+
+    def test_draws_no_random_numbers(self, game4, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the exact search drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        game = make_congestion_game([[1.0, -1.0]] * 4)
+        assert len(find_critical_points_multi(game, starts=3, seed=11, grid=9)) == 15
+
+    def test_tie_with_an_absent_action_is_degenerate(self):
+        # on the edge of actions 0 and 1, mu = 1/2 = r_2(0): entering action 2
+        # is flat to first order, so the edge midpoint is a NE but no maximum
+        pts = find_critical_points_multi(make_congestion_game([[1.0, -1.0], [1.0, -1.0], [0.5]]))
+        (mid,) = [p for p in pts if p.x.tolist() == [0.5, 0.5, 0.0]]
+        assert mid.kind == "saddle_or_degenerate" and mid.is_ne and not mid.is_ess
+
+    def test_constant_reward_fixes_mu(self):
+        # action 0 earns 0.25 everywhere, so mu = 0.25 on the full face,
+        # 1 - 3 x = 0.25 gives x_1 = x_2 = 0.25, and action 0 takes the rest
+        pts = find_critical_points_multi(make_congestion_game([[0.25], [1.0, -3.0], [1.0, -3.0]]))
+        (centre,) = [p for p in pts if not p.on_boundary]
+        assert centre.x.tolist() == [0.5, 0.25, 0.25]
+        # the constant action is flat: the face Hessian is diag(0, -3, -3)
+        assert centre.kind == "local_max" and centre.is_ess
+
+    @pytest.mark.parametrize(
+        "polys, faces",
+        [
+            ([[1.0], [1.0], [1.5, -1.0]], [[0, 1], [0, 1, 2]]),  # two equal constants share the rest
+            ([[0.0, 1.0], [0.0, 1.0], [0.5, -0.5]], [[0, 1, 2]]),  # (mu, mu, 1 - 2 mu) for every mu
+        ],
+        ids=["constants", "affine"],
+    )
+    def test_continuum_faces_warn_and_add_no_point(self, polys, faces):
+        search = {}
+        with pytest.warns(LandscapeWarning, match="non-isolated critical set") as rec:
+            pts = find_critical_points_multi(make_congestion_game(polys), search=search)
+        assert search["continuum_faces"] == faces
+        assert sum("non-isolated" in str(w.message) for w in rec) == len(faces)
+        assert not any(np.flatnonzero(p.x).tolist() in faces for p in pts)
+
+
+def _reward_spread(game, p) -> float:
+    r = game.rewards_at(p.x)[p.x > 0.0]
+    return float(np.max(r) - np.min(r))
+
+
+def _games(coefficients):
+    polys = st.lists(coefficients, min_size=1, max_size=4)
+    return st.integers(2, 5).flatmap(lambda m: st.lists(polys, min_size=m, max_size=m))
+
+
+_GAMES = _games(st.floats(-3.0, 3.0))
+# the numeric reference counts |g| < 1e-9 as zero, so a tiny coefficient
+# makes it report points that are not there
+_SCALED_GAMES = _games(st.floats(-3.0, 3.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-2))
+
+
+def _exact_search(polys):
+    game = make_congestion_game(polys)
+    search = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        points = find_critical_points_multi(game, search=search)
+    assume(not search["continuum_faces"])
+    assert search["method"] == "exact" and search["points"] == len(points)
+    return game, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GAMES)
+def test_exact_points_have_equal_rewards_on_their_support(polys):
+    game, exact = _exact_search(polys)
+    for p in exact:
+        assert _reward_spread(game, p) <= 1e-10
+        assert p.x.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_SCALED_GAMES)
+def test_numeric_reference_finds_no_other_point(polys):
+    game, exact = _exact_search(polys)
+    search = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference = find_critical_points_multi(_reference_game(game), starts=4, seed=0, search=search)
+    # rewards within 1e-9 of each other along a whole edge flood the scan
+    assume(not search["continuum_faces"])
+    for p in reference:
+        if _reward_spread(game, p) <= 1e-8:
+            assert min(np.max(np.abs(q.x - p.x)) for q in exact) < 1e-6, (p.x, [q.x for q in exact])
 
 
 class TestEssSet:
@@ -404,3 +525,30 @@ class TestMetastabilityReport:
         for r in rows:
             assert r["median_dwell"] is None or r["median_dwell"] > 0.0
             assert 0.0 <= r["censored_fraction"] <= 1.0
+
+    def test_dwell_entry_and_censoring_are_reported_apart(self, game4, arctan1):
+        runs = [
+            _traj_from_counts([0.0, 1.0, 3.0], [[25, 75], [40, 60], [40, 60]], n=100),  # dwell 1
+            _traj_from_counts([0.0, 2.0], [[50, 50], [60, 40]], n=100),  # never enters
+            _traj_from_counts([0.0, 2.0], [[26, 74], [27, 73]], n=100),  # censored
+            _traj_from_counts([0.0, 3.0], [[25, 75], [10, 90]], n=100),  # dwell 3
+        ]
+        pts = find_critical_points_multi(game4)
+        rep = metastability_report(runs, pts, game4, arctan1)
+        saddle = [e["exit_times"][0] for e in rep["per_run"]]
+        assert [(e["center"], e["entered"], e["dwell"]) for e in saddle] == [
+            ([0.25, 0.75], True, 1.0),
+            ([0.25, 0.75], False, None),
+            ([0.25, 0.75], True, None),
+            ([0.25, 0.75], True, 3.0),
+        ]
+        saddle_agg, peak_agg = rep["aggregates"]["exit_times"]
+        # over the three runs that entered, the censored one counts as +inf
+        assert saddle_agg["median_dwell"] == 3.0
+        assert saddle_agg["censored_fraction"] == 0.25
+        assert saddle_agg["never_entered_fraction"] == 0.25
+        assert peak_agg["never_entered_fraction"] == 1.0 and peak_agg["median_dwell"] is None
+        # half or more of the entered runs censored: no median
+        rep = metastability_report(runs[1:3] + runs[:1], pts, game4, arctan1)
+        assert rep["aggregates"]["exit_times"][0]["median_dwell"] is None
+
