@@ -14,11 +14,9 @@ import itertools
 import logging
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import _poly
 from ._law import potential_pair
 from .engine import Trajectory, potential_drift_rates
 from .games import Game, PopulationType, _fd_gradient, uniform_simplex_sample
@@ -42,8 +40,6 @@ _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
 _SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
 _STEP_TOL = 1e-5  # least-squares step tolerance; points classify on a sphere of 10x this
 _MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
-_MU_SCAN = 64  # intervals of the mu scan on a face whose monotone pieces rise and fall
-_SOLVE_STEPS = 200  # most steps of one float root solve
 _DRIFT_MARGIN = 0.05  # drift checks skip states this close (sup norm) to a fixed point
 _DRIFT_SAMPLES = 200  # about this many drift checks per run
 
@@ -236,163 +232,6 @@ def _merge(xs: list[np.ndarray]) -> list[np.ndarray]:
     return kept
 
 
-def _solve(f, lo: float, hi: float, df=None) -> float:
-    """A root of f on [lo, hi], where f(lo) and f(hi) differ in sign, to
-    adjacent floats: a Newton step from df while it stays inside the
-    bracket, bisection otherwise."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    x = 0.5 * (lo + hi)
-    for _ in range(_SOLVE_STEPS):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-        else:
-            hi = x
-        nx = 0.5 * (lo + hi)
-        d = df(x) if df is not None else 0.0
-        if d and lo < x - fx / d < hi:
-            nx = x - fx / d
-        if nx == x or nx == lo or nx == hi:
-            return x
-        x = nx
-    return x
-
-
-def _pieces(r: list) -> list[tuple[float, float, float, float]]:
-    """(p, q, r(p), r(q)) for the pieces of [0, 1] between the turning
-    points of a non-constant exact polynomial r, on which r is monotone."""
-    rf = [float(c) for c in r]
-    ends = [0.0] + [float(lo) for lo, _, _ in _poly.unit_roots(_poly.derivative(r))] + [1.0]
-    return [(p, q, _poly.evaluate(rf, p), _poly.evaluate(rf, q)) for p, q in zip(ends, ends[1:]) if p < q]
-
-
-def _curvature(h: list) -> str:
-    """'max' or 'min' when diag(h) restricted to {sum v = 0} is negative or
-    positive definite, else 'degenerate'."""
-    for sign, name in ((1, "min"), (-1, "max")):
-        s = [sign * v for v in h]
-        neg = [v for v in s if v < 0]
-        zeros = s.count(0)
-        if (not neg and zeros <= 1) or (len(neg) == 1 and not zeros and sum(1 / v for v in s) < 0):
-            return name
-    return "degenerate"
-
-
-def _affine_face(c: list, s: list) -> tuple[list, bool]:
-    """Rest points of a face whose rewards are c_a + s_a x_a, all s_a != 0:
-    sum_a (mu - c_a) / s_a = 1 is linear in mu.
-
-    Like _constant_face and _monotone_face it returns (solutions,
-    continuum): each solution is (x on the face, mu_lo, mu_hi, curvature),
-    mu_lo = mu_hi when mu is exact, and continuum says whether the face
-    holds a continuum of rest points."""
-    s1 = sum(1 / v for v in s)
-    s2 = sum(a / v for a, v in zip(c, s))
-    if s1 == 0:
-        # every mu solves when s2 = -1: a continuum wherever all x_a > 0
-        lo = max((a for a, v in zip(c, s) if v > 0), default=None)
-        hi = min((a for a, v in zip(c, s) if v < 0), default=None)
-        return [], s2 == -1 and (lo is None or hi is None or lo < hi)
-    mu = (1 + s2) / s1
-    x = [(mu - a) / v for a, v in zip(c, s)]
-    if min(x) <= 0:
-        return [], False
-    return [([float(v) for v in x], mu, mu, _curvature(s))], False
-
-
-def _constant_face(face: tuple, R: list, D: list) -> tuple[list, bool]:
-    """Rest points of a face where some rewards are constant: mu is their
-    common value, every other x_b a root of r_b - mu, and the one constant
-    action takes the rest (two or more share it: a continuum)."""
-    consts = [a for a in face if len(R[a]) <= 1]
-    values = {_poly.evaluate(R[a], 0) for a in consts}
-    if len(values) > 1:
-        return [], False
-    (mu,) = values
-    others = [a for a in face if a not in consts]
-    options = [_poly.unit_roots(_poly.sub(R[b], [mu])) for b in others]
-    out, continuum = [], False
-    for combo in itertools.product(*options):
-        rest = 1 - sum(lo for lo, _, _ in combo)
-        if rest <= 0:
-            continue
-        if len(consts) > 1:
-            continuum = True
-            continue
-        x = dict(zip(others, (lo for lo, _, _ in combo)))
-        x[consts[0]] = rest
-        h = {b: (0 if k > 1 else _poly.evaluate(D[b], lo)) for b, (lo, _, k) in zip(others, combo)}
-        h[consts[0]] = 0
-        out.append(([float(x[a]) for a in face], mu, mu, _curvature([h[a] for a in face])))
-    return out, continuum
-
-
-def _monotone_face(face: tuple, R: list, D: list, pieces: dict) -> tuple[list, bool]:
-    """Rest points of a face of non-constant rewards, in floats.  On each
-    tuple of monotone pieces (one per action) x_a(mu) inverts r_a, and the
-    roots of F(mu) = sum_a x_a(mu) - 1 over the mu range the pieces share
-    are the rest points.  When the pieces all rise or all fall, F is
-    monotone and a sign change at the ends brackets its one root;
-    otherwise F is scanned at _MU_SCAN + 1 values of mu and each sign
-    change bisected, which misses a root where F touches zero without
-    crossing it."""
-    Rf = [[float(c) for c in r] for r in R]
-    Df = [[float(c) for c in d] for d in D]
-    for a in face:
-        if a not in pieces:
-            pieces[a] = _pieces(R[a])
-
-    def inverse(a: int, piece: tuple, mu: float) -> float:
-        p, q, vp, vq = piece
-        if (mu - vp) * (mu - vq) >= 0.0:  # at or past an end of the piece
-            return p if abs(mu - vp) <= abs(mu - vq) else q
-        ra, da = Rf[a], Df[a]
-        return _solve(lambda v: _poly.evaluate(ra, v) - mu, p, q, lambda v: _poly.evaluate(da, v))
-
-    out, continuum = [], False
-    for tup in itertools.product(*(pieces[a] for a in face)):
-        lo = max(min(vp, vq) for _, _, vp, vq in tup)
-        hi = min(max(vp, vq) for _, _, vp, vq in tup)
-        if lo > hi:
-            continue
-
-        def F(mu: float, tup: tuple = tup) -> float:
-            return sum(inverse(a, piece, mu) for a, piece in zip(face, tup)) - 1.0
-
-        rising = {vq > vp for _, _, vp, vq in tup}
-        mus = [lo, hi] if len(rising) == 1 else [lo + (hi - lo) * i / _MU_SCAN for i in range(_MU_SCAN + 1)]
-        values = [F(mu) for mu in mus]
-        if len(mus) > 2 and sum(abs(v) < _TANGENT_ZERO for v in values) > _MU_SCAN // 2:
-            continuum = True
-            continue
-        roots = [mu for mu, v in zip(mus, values) if v == 0.0]
-        roots += [
-            _solve(F, mus[i - 1], mus[i])
-            for i in range(1, len(mus))
-            if values[i - 1] * values[i] < 0.0
-        ]
-        for mu in roots:
-            x = [inverse(a, piece, mu) for a, piece in zip(face, tup)]
-            # mu pins x_a least where r_a is flattest: that coordinate takes the rest
-            slopes = [abs(_poly.evaluate(Df[a], v)) for a, v in zip(face, x)]
-            j = slopes.index(min(slopes))
-            x[j] = 1.0 - sum(v for i, v in enumerate(x) if i != j)
-            if min(x) <= 0.0:
-                continue
-            # a root on the end of a piece is also found from the next piece
-            if any(max(abs(u - v) for u, v in zip(x, y[0])) <= 1e-12 for y in out):
-                continue
-            exact = [Fraction(v) for v in x]
-            mus_at = [_poly.evaluate(R[a], v) for a, v in zip(face, exact)]
-            h = [_poly.evaluate(D[a], v) for a, v in zip(face, exact)]
-            out.append((x, min(mus_at), max(mus_at), _curvature(h)))
-    return out, continuum
-
-
 def _warn_continuum(face: tuple) -> None:
     what = f"edge {face}" if len(face) == 2 else f"face {face}"
     warnings.warn(
@@ -403,68 +242,20 @@ def _warn_continuum(face: tuple) -> None:
 
 
 def _exact_points(game: Game, phi) -> tuple[list[CriticalPoint], list[list[int]]]:
-    """Every face rest point of a congestion game from exact polynomial
-    roots, classified exactly; and the faces that hold a continuum."""
-    m = game.m
-    R = [_poly.poly(c) for c in game.potential_gradient.coeffs]
-    D = [_poly.derivative(r) for r in R]
-    at0 = [_poly.evaluate(r, 0) for r in R]
-    pieces: dict = {}  # action -> _pieces, made when a face first needs them
-    found = []  # (face, x on the face, mu_lo, mu_hi, curvature)
-    continuum = []
-    for a in range(m):
-        mu = _poly.evaluate(R[a], 1)
-        found.append(((a,), [1.0], mu, mu, None))
-    for a, b in itertools.combinations(range(m), 2):
-        # g(t) = r_a(t) - r_b(1 - t) is dPhi/dt along t e_a + (1 - t) e_b
-        g = _poly.sub(R[a], _poly.flip(R[b]))
-        if not g:
-            continuum.append([a, b])
-            _warn_continuum((a, b))
-            continue
-        for lo, hi, k in _poly.unit_roots(g):
-            # at a root of odd multiplicity k, g crosses zero with the sign of g^(k)
-            curvature = "degenerate"
-            if k % 2:
-                dk = g
-                for _ in range(k):
-                    dk = _poly.derivative(dk)
-                signs = {_poly.sign(_poly.evaluate(dk, lo)), _poly.sign(_poly.evaluate(dk, hi))}
-                curvature = "max" if signs == {-1} else "min" if signs == {1} else "degenerate"
-            mus = sorted((_poly.evaluate(R[a], lo), _poly.evaluate(R[a], hi)))
-            found.append(((a, b), [float(lo), float(1 - lo)], mus[0], mus[1], curvature))
-    for k in range(3, m + 1):
-        for face in itertools.combinations(range(m), k):
-            if any(len(R[a]) <= 1 for a in face):
-                solutions, flat = _constant_face(face, R, D)
-            elif all(len(R[a]) == 2 for a in face):
-                solutions, flat = _affine_face([R[a][0] for a in face], [R[a][1] for a in face])
-            else:
-                solutions, flat = _monotone_face(face, R, D, pieces)
-            if flat:
-                continuum.append(list(face))
-                _warn_continuum(face)
-            found += [(face, *solution) for solution in solutions]
+    """Every face rest point of a congestion game, found and classified
+    exactly by _exact.rest_points; and the faces that hold a continuum."""
+    from ._exact import rest_points  # fractions loads only when an exact search runs
 
-    points = []
-    for face, on_face, mu_lo, mu_hi, curvature in found:
-        x = np.zeros(m)
-        x[list(face)] = on_face
-        # entering an absent action b changes Phi at the rate r_b(0) - mu
-        absent = [at0[b] for b in range(m) if b not in face]
-        if curvature in (None, "max") and all(v < mu_lo for v in absent):
-            kind = "local_max"
-        elif curvature in (None, "min") and all(v > mu_hi for v in absent):
-            kind = "local_min"
-        else:
-            kind = "saddle_or_degenerate"
-        ne = all(v <= mu_hi for v in absent)
-        points.append(
-            CriticalPoint(
-                x=x, phi=phi(x.tolist()), kind=kind, is_ne=ne,
-                is_ess=(kind == "local_max" and ne), on_boundary=len(face) < m,
-            )
+    found, continuum = rest_points(game.potential_gradient.coeffs)
+    for face in continuum:
+        _warn_continuum(tuple(face))
+    points = [
+        CriticalPoint(
+            x=np.array(x), phi=phi(x), kind=kind, is_ne=ne,
+            is_ess=(kind == "local_max" and ne), on_boundary=on_boundary,
         )
+        for x, kind, ne, on_boundary in found
+    ]
     return sorted(points, key=lambda p: tuple(p.x)), continuum
 
 
@@ -578,15 +369,16 @@ def find_critical_points_multi(
     coefficients as fractions, with no random numbers: `starts`, `seed`
     and `grid` are checked but unused, and scipy is never imported.
       - On each edge (a, b) the rest points are the roots in (0, 1) of
-        g(t) = r_a(t) - r_b(1 - t), found by _poly.unit_roots: exact when
-        rational, else bracketed until both coordinates round to one float.
+        g(t) = r_a(t) - r_b(1 - t), found by _exact.unit_roots: exact for
+        the root of a linear factor or one that bisection hits, otherwise
+        bracketed until both coordinates round to one float.
       - On a face of three or more affine rewards, sum_a x_a(mu) = 1 is
         linear in mu and solved exactly; a constant reward fixes mu, and
         the other coordinates are exact roots of r_b - mu.
       - Otherwise x_a(mu) inverts r_a on each of its monotone pieces, in
         floats, and sum_a x_a(mu) = 1 is bisected over the mu range a tuple
         of pieces shares: at most one root where the pieces all rise or all
-        fall, a scan of _MU_SCAN + 1 values of mu where they are mixed (a
+        fall, a scan of 65 values of mu where they are mixed (a
         root where the sum touches 1 without crossing it is missed there).
       - Each point classifies exactly.  Within its face, Phi is a local
         max (min) when diag(r_a'(x_a)) is negative (positive) definite on
@@ -768,9 +560,14 @@ def metastability_report(
         for idx, cp in enumerate(interior_points):
             for dlt in deltas:
                 dwell = exit_time(traj, cp.x, dlt, norm=exit_norm)
-                entered = dwell is not None or bool(
-                    np.min(_distances(traj.fractions, cp.x, exit_norm)) < 0.5 * dlt
-                )
+                entered = dwell is not None
+                if not entered:
+                    # a path that entered and never left ends within delta; one
+                    # that ends within delta/2 has entered; else scan the path
+                    last = float(_distances(traj.counts[-1:] / traj.n, cp.x, exit_norm)[0])
+                    entered = last < 0.5 * dlt or (
+                        last < dlt and bool(np.min(_distances(traj.fractions, cp.x, exit_norm)) < 0.5 * dlt)
+                    )
                 exits.append(
                     {
                         "point": idx,

@@ -305,7 +305,7 @@ class TestExactSearch:
         ]
         assert [p.on_boundary for p in pts] == [True, True, True, False, True, True, True]
 
-    def test_draws_no_random_numbers(self, game4, monkeypatch):
+    def test_draws_no_random_numbers(self, monkeypatch):
         def no_rng(*args, **kwargs):
             raise AssertionError("the exact search drew random numbers")
 
