@@ -20,14 +20,14 @@ the pair is compiled once:
 engine.transition_rates and meanfield.mean_field_rhs stay the reference
 definitions that the tests compare these paths against.
 
-The landscape finders evaluate the potential and its gradient tens of
-thousands of times on one m-vector each.  potential_pair compiles a
-congestion game's potential (_PolyPotential) and gradient (_PolyRewards)
-into closures phi(x) and grad(x) on a list of floats: Horner per action and
-numpy's summation order, so both equal game.potential and
-game.potential_gradient bit for bit.  Any other game has no compiled pair,
-and the finders call game.potential and landscape._gradient, which stay
-the reference.
+potential_pair compiles a congestion game's potential (_PolyPotential) and
+gradient (_PolyRewards) into closures phi(x) and grad(x) on a list of
+floats: Horner per action and numpy's summation order, so both equal
+game.potential and game.potential_gradient bit for bit.  The landscape
+finder solves the games that have a compiled pair exactly, from their
+coefficients, and takes each point's potential from phi.  Any other game
+has no compiled pair, and the finder's numeric search calls game.potential
+and landscape._gradient.
 """
 
 from __future__ import annotations

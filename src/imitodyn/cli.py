@@ -16,7 +16,9 @@ analysis.grid, analysis.starts and the landscape seed change nothing, and
 landscape and metastability load no scipy.  They stay in the schema, and
 starts is still checked against the number of faces (_MAX_STARTS), for
 games built in the library without polynomial coefficients, which take the
-numeric search.
+numeric search.  The unused alias find_critical_points_2action and the
+unused run_one import stay because perfbench/tracer.py patches them by
+name, as it patches landscape.exit_time and landscape.time_near_set.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
