@@ -11,14 +11,24 @@ the pair is compiled once:
 - at m >= 3, congestion rewards (_PolyRewards) are separable, r_a depends
   on x_a alone, so at population n they become per-count tables
   R[a][c] = r_a(c/n), and in the flow an inline Horner per action;
-- the replicator rule becomes the table g[a][c] = f_ia, and the arctan
+- the replicator rule becomes the table G[a][c] = f_ia, and the arctan
   rule at m = 2 an inline atan in the flow's drift;
 - any other game or rule at m >= 3 (the arctan rule included) falls back
   to rule.prob_matrix(game.rewards_at(x)) per state, range-checked on
   every call.
 
-engine.transition_rates and meanfield.mean_field_rhs stay the reference
-definitions that the tests compare these paths against.
+_Law's rhs (the flow's right-hand side), step (one RK4 step with the
+clip-and-renormalise guard) and cum_rates (the running sums of the jump
+rates that the m >= 3 complete engine bisects) are straight-line Python
+that _compile generates and execs once per m and law shape: one flat
+statement per Horner coefficient and per (i, j) term, with names built
+from indices and every coefficient passed in through a factory.  Each
+statement does the float operations of the loop it replaced, in the same
+order, so results are the same bits; the tests keep those loops as the
+reference.  On the replicator path Horner and the clamp (with its debug
+log) run inline and the rates read G; the fallback reads F from probs_at
+and probs.  engine.transition_rates and meanfield.mean_field_rhs stay the
+reference definitions that the tests compare these paths against.
 
 potential_pair compiles a congestion game's potential (_PolyPotential) and
 gradient (_PolyRewards) into closures phi(x) and grad(x) on a list of
@@ -32,6 +42,7 @@ and landscape._gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,13 +70,22 @@ def pair_tables(game: Game, rule: ImitationRule, n: int) -> tuple[np.ndarray, np
     return F[0, 1], F[1, 0]
 
 
+def _replicator_consts(rule: ReplicatorRule) -> dict:
+    """The constants of ReplicatorRule._mapped on Python floats, and
+    clamped(), which writes its debug log when a reward is clamped."""
+
+    def clamped() -> None:
+        logger.debug("replicator rule clamped rewards outside (%s, %s)", rule.r_lo, rule.r_hi)
+
+    eps = rule.eps_margin
+    return dict(eps=eps, slope=rule.slope, lo=rule.r_lo, cap=1.0 - eps, clamped=clamped)
+
+
 def _replicator_map(rule: ReplicatorRule):
     """Scalar form of ReplicatorRule._mapped (same operations, same bits,
     and the same debug log when a reward is clamped)."""
-    eps = rule.eps_margin
-    lo = rule.r_lo
-    s = rule.slope
-    cap = 1.0 - eps
+    k = _replicator_consts(rule)
+    eps, s, lo, cap, clamped = k["eps"], k["slope"], k["lo"], k["cap"], k["clamped"]
 
     def g(r: float) -> float:
         f = eps + s * (r - lo)
@@ -75,7 +95,7 @@ def _replicator_map(rule: ReplicatorRule):
             f = cap
         else:
             return f
-        logger.debug("replicator rule clamped rewards outside (%s, %s)", rule.r_lo, rule.r_hi)
+        clamped()
         return f
 
     return g
@@ -131,16 +151,141 @@ def potential_pair(game: Game):
     return phi, grad
 
 
+def _names(prefix: str, count: int) -> str:
+    return ", ".join(f"{prefix}{a}" for a in range(count))
+
+
+def _rhs_lines(m: int, degrees: tuple | None, z: str, out: str) -> list:
+    """Statements that set out0..out{m-1} to the flow's right-hand side at
+    z0..z{m-1}: t = 0.0, then t += (F_ji - F_ij) * z_j for each j != i in
+    order, then lam * z_i * t."""
+    if degrees is None:
+        lines = [f"{_names('F', m)} = probs_at([{_names(z, m)}])"]
+
+        def diff(i: int, j: int) -> str:
+            return f"F{j}[{i}] - F{i}[{j}]"
+
+    else:
+        # f_ij = g(r_j) for every i, so F_ji - F_ij = g(r_i) - g(r_j)
+        lines = []
+        for a, d in enumerate(degrees):
+            lines.append(f"r = A{a} * {z}{a} + C{a}_0" if d else f"r = A{a}")
+            lines += [f"r = r * {z}{a} + C{a}_{k}" for k in range(1, d)]
+            lines += [
+                f"f{a} = eps + slope * (r - lo)",
+                f"if f{a} < eps:",
+                f"    f{a} = eps",
+                "    clamped()",
+                f"elif f{a} > cap:",
+                f"    f{a} = cap",
+                "    clamped()",
+            ]
+
+        def diff(i: int, j: int) -> str:
+            return f"f{i} - f{j}"
+
+    for i in range(m):
+        terms = [f"({diff(i, j)}) * {z}{j}" for j in range(m) if j != i]
+        lines.append(f"t = 0.0 + {terms[0]}")
+        lines += [f"t += {term}" for term in terms[1:]]
+        lines.append(f"{out}{i} = lam * {z}{i} * t")
+    return lines
+
+
+def _step_lines(m: int, degrees: tuple | None) -> list:
+    """Body of step(x, h, k1): the RK4 stages, x + h/6 (k1 + 2 k2 + 2 k3 + k4),
+    then the guard that clips negatives to 0 and renormalises."""
+    lines = [f"{_names('x', m)} = x", f"{_names('k1_', m)} = k1", "half = 0.5 * h"]
+    for stage, scale in ((2, "half"), (3, "half"), (4, "h")):
+        lines += [f"z{a} = x{a} + {scale} * k{stage - 1}_{a}" for a in range(m)]
+        lines += _rhs_lines(m, degrees, "z", f"k{stage}_")
+    lines.append("sixth = h / 6.0")
+    lines += [f"x{a} = x{a} + sixth * (k1_{a} + 2.0 * k2_{a} + 2.0 * k3_{a} + k4_{a})" for a in range(m)]
+    lines += ["clipped = 0.0", "total = 0.0"]
+    for a in range(m):
+        lines += [f"if x{a} < 0.0:", f"    clipped -= x{a}", "else:", f"    total += x{a}"]
+    lines.append("if clipped > 0.0:")
+    for a in range(m):
+        lines += [f"    if not x{a} > 0.0:", f"        x{a} = 0.0"]
+    quotients = ", ".join(f"x{a} / total" for a in range(m))
+    lines.append(f"return [{quotients}], max(clipped, abs(total - 1.0)), clipped > 0.0")
+    return lines
+
+
+def _rates_lines(m: int, degrees: tuple | None) -> list:
+    """Body of cum_rates(counts): the running sums of the jump rates
+    cn * (x_i * x_j) * f_ij over the off-diagonal (i, j), row-major, added
+    left to right as itertools.accumulate adds them."""
+    lines = [f"{_names('c', m)} = counts"]
+    lines += [f"w{a} = xs[c{a}]" for a in range(m)]
+    if degrees is None:
+        lines.append(f"{_names('F', m)} = probs(counts)")
+
+        def f(i: int, j: int) -> str:
+            return f"F{i}[{j}]"
+
+    else:
+        lines += [f"g{a} = G{a}[c{a}]" for a in range(m)]
+
+        def f(i: int, j: int) -> str:
+            return f"g{j}"
+
+    # x_i * x_j == x_j * x_i bit for bit, so each pair's cn * (x_i * x_j)
+    # is computed once
+    lines += [f"s{i}_{j} = cn * (w{i} * w{j})" for i in range(m) for j in range(i + 1, m)]
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    for k, (i, j) in enumerate(pairs):
+        rate = f"s{min(i, j)}_{max(i, j)} * {f(i, j)}"
+        lines.append(f"u{k} = u{k - 1} + {rate}" if k else f"u0 = {rate}")
+    lines.append(f"return [{_names('u', len(pairs))}]")
+    return lines
+
+
+@functools.cache
+def _compile(m: int, degrees: tuple | None):
+    """factory(lam, xs, cn, probs_at, probs, G, **replicator constants) ->
+    (rhs, step, cum_rates) as straight-line code for m actions.  degrees
+    holds the number of Horner steps of each action's reward on the
+    replicator path; None compiles the fallback, which reads F from
+    probs_at and probs.  Every statement is flat, so no expression nests
+    deeper as m or the degree grows."""
+    body = []
+    if degrees is not None:
+        body.append(f"{_names('A', m)} = A")
+        body += [f"{_names(f'C{a}_', d)}, = C[{a}]" for a, d in enumerate(degrees) if d]
+        body += ["if G is not None:", f"    {_names('G', m)} = G"]
+    functions = {
+        "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, degrees, "x", "k"), f"return [{_names('k', m)}]"],
+        "step(x, h, k1)": _step_lines(m, degrees),
+        "cum_rates(counts)": _rates_lines(m, degrees),
+    }
+    for signature, lines in functions.items():
+        body += [f"def {signature}:", *("    " + line for line in lines)]
+    body.append("return rhs, step, cum_rates")
+    head = "def factory(lam, xs, cn, probs_at, probs, G, A=None, C=None, eps=None, slope=None, lo=None, cap=None,"
+    head += " clamped=None):"
+    source = "\n".join([head, *("    " + line for line in body)])
+    namespace: dict = {}
+    exec(compile(source, f"<imitodyn._law m={m} degrees={degrees}>", "exec"), namespace)
+    return namespace["factory"]
+
+
 class _Law:
-    """The law of (game, rule) at rate lam, as closures on Python floats.
+    """The law of (game, rule) at rate lam, on Python floats.
 
     - probs_at(x): F[i][j] = f_ij at a frequency list x (diagonal unread);
     - rhs(x): the mean-field right-hand side lam x_i sum_j (f_ji - f_ij) x_j;
+    - step(x, h, k1): one RK4 step of size h from x given k1 = rhs(x), then
+      the guard: (x with negatives clipped to 0 and renormalised, violation
+      size, whether it clipped);
     - drift(v), m = 2 only: the x_0 component of rhs at (v, 1 - v);
-    - with n given, probs(counts), F at counts / n (at m = 2 from
-      pair_tables, so at (k/n, 1 - k/n)), and rates(counts), the
-      jump rates n lam x_i x_j f_ij of the (i, j) in `pairs` (row-major,
-      off-diagonal).
+    - with n given, probs(counts), F at counts / n (at m = 2 at
+      (k/n, 1 - k/n), from pair_tables), and cum_rates(counts), the running
+      sums of the jump rates n lam x_i x_j f_ij over the (i, j) in `pairs`
+      (row-major, off-diagonal).
+
+    rhs, step and cum_rates are the straight-line code that _compile
+    generates for m and the law's shape.
     """
 
     def __init__(self, game: Game, rule: ImitationRule, lam: float = 1.0, n: int | None = None):
@@ -149,17 +294,30 @@ class _Law:
         self._game = game
         self._rule = rule
         poly = isinstance(game.rewards, _PolyRewards)
+        replicator = poly and isinstance(rule, ReplicatorRule)
         # the replicator map on polynomial rewards; None selects the
         # per-state fallback
-        self._g = _replicator_map(rule) if poly and isinstance(rule, ReplicatorRule) else None
+        self._g = _replicator_map(rule) if replicator else None
         self._horner = [_horner(c) for c in game.rewards.coeffs] if poly else None
-        self.rhs = self._rhs(lam)
         if m == 2:
             self.drift = self._drift(lam)
+        probs = G = xs = cn = None
         if n is not None:
             self.pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-            self.probs = self._count_probs(n)
-            self.rates = self._rates(n, lam)
+            probs, G = self._count_probs(n)
+            self.probs = probs
+            xs = (np.arange(n + 1) / n).tolist()
+            cn = n * lam
+        consts: dict = {}
+        degrees = None
+        if replicator:
+            A, C = zip(*self._horner)
+            consts = dict(_replicator_consts(rule), A=A, C=C)
+            degrees = tuple(map(len, C))
+        factory = _compile(m, degrees)
+        self.rhs, self.step, cum_rates = factory(lam, xs, cn, self.probs_at, probs, G, **consts)
+        if n is not None:
+            self.cum_rates = cum_rates
 
     def _fallback(self, x: np.ndarray) -> list:
         return check_probs(self._rule.prob_matrix(self._game.rewards_at(x))).tolist()
@@ -168,30 +326,13 @@ class _Law:
         g = self._g
         if g is None:
             return self._fallback(np.asarray(x))
-        # inline Horner: the flow calls this once per RK4 stage
+        # inline Horner: the 2-action drift calls this once per RK4 stage
         r = []
         for (ra, cs), v in zip(self._horner, x):
             for c in cs:
                 ra = ra * v + c
             r.append(g(ra))
         return [r] * self.m
-
-    def _rhs(self, lam: float):
-        probs_at = self.probs_at
-        others = [[j for j in range(self.m) if j != i] for i in range(self.m)]
-
-        def rhs(x: list) -> list:
-            F = probs_at(x)
-            out = []
-            for i, js in enumerate(others):
-                Fi = F[i]
-                s = 0.0
-                for j in js:
-                    s += (F[j][i] - Fi[j]) * x[j]
-                out.append(lam * x[i] * s)
-            return out
-
-        return rhs
 
     def _drift(self, lam: float):
         if self._horner is None or not isinstance(self._rule, ArctanRule):
@@ -226,7 +367,26 @@ class _Law:
         return drift
 
     def _count_probs(self, n: int):
+        """(probs, G): G[a][c] = f_ia at count c of action a on the
+        replicator path, else None."""
         m = self.m
+        if self._g is not None:
+            if m == 2:
+                # pair_tables' bits: f_10 at count k of action 0, f_01 at
+                # count n - k of action 1
+                f01, f10 = pair_tables(self._game, self._rule, n)
+                G = [f10.tolist(), f01.tolist()[::-1]]
+            else:
+                # separable rewards: row a holds r_a(c / n) for c = 0..n
+                R = rewards_grid(self._game, np.tile(np.arange(n + 1) / n, (m, 1)))
+                Gm = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
+                check_probs(np.broadcast_to(Gm[None], (m, m, n + 1)))
+                G = Gm.tolist()
+
+            def probs(counts: list) -> list:
+                return [[Ga[c] for Ga, c in zip(G, counts)]] * m
+
+            return probs, G
         if m == 2:
             f01, f10 = pair_tables(self._game, self._rule, n)
             # the diagonal is never read
@@ -235,34 +395,10 @@ class _Law:
             def probs(counts: list) -> list:
                 return tables[counts[0]]
 
-            return probs
-        if self._g is None:
-            fallback = self._fallback
-
-            def probs(counts: list) -> list:
-                return fallback(np.asarray(counts) / n)
-
-            return probs
-        # separable rewards: row a holds r_a(c / n) for c = 0..n
-        R = rewards_grid(self._game, np.tile(np.arange(n + 1) / n, (m, 1)))
-        G = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
-        check_probs(np.broadcast_to(G[None], (m, m, n + 1)))
-        G = G.tolist()
+            return probs, None
+        fallback = self._fallback
 
         def probs(counts: list) -> list:
-            return [[Ga[c] for Ga, c in zip(G, counts)]] * m
+            return fallback(np.asarray(counts) / n)
 
-        return probs
-
-    def _rates(self, n: int, lam: float):
-        probs = self.probs
-        pairs = self.pairs
-        xs = (np.arange(n + 1) / n).tolist()
-        cn = n * lam
-
-        def rates(counts: list) -> list:
-            F = probs(counts)
-            x = [xs[c] for c in counts]
-            return [cn * (x[i] * x[j]) * F[i][j] for i, j in pairs]
-
-        return rates
+        return probs, None

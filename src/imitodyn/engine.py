@@ -6,11 +6,12 @@ runs per-node activation, contact, and copy on an arbitrary graph.  Both
 use inverse-CDF exponential waiting times from the run's own seeded stream,
 so every run is reproducible bit for bit.
 
-Every loop takes its copy probabilities from the compiled law (_law); this
-module holds the loops and the reference rate matrix (_rate_matrix) that
-transition_rates and potential_drift_rates return and the tests check the
-compiled law against.  Every loop records its path through one _Recorder,
-which holds at most _CHUNK rows in Python lists.
+Every loop takes its copy probabilities from the compiled law (_law); the
+m >= 3 complete loop bisects the law's generated cumulative rates
+(cum_rates).  This module holds the loops and the reference rate matrix
+(_rate_matrix) that transition_rates and potential_drift_rates return and
+the tests check the compiled law against.  Every loop records its path
+through one _Recorder, which holds at most _CHUNK rows in Python lists.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import os
 import pickle
 import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -319,7 +318,7 @@ def _simulate_complete_generic(
 ) -> Trajectory:
     n = x0.n
     law = _Law(game, rule, cfg.lam, n)
-    rates = law.rates
+    cum_rates = law.cum_rates
     pairs = law.pairs
     rng = random.Random(cfg.seed)
     rr = rng.random
@@ -336,7 +335,7 @@ def _simulate_complete_generic(
     next_rec = 0.0
 
     while True:
-        cum = list(accumulate(rates(counts)))
+        cum = cum_rates(counts)
         total = cum[-1]
         if total <= 0.0:
             break
@@ -553,5 +552,8 @@ def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajector
         raise ValueError(
             f"run spec cannot be sent to worker processes ({exc}); set IMITODYN_THREADS=1 to run sequentially"
         ) from exc
+    # imported here: the pool's modules cost about 20 ms of every import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, [(run_spec, s) for s in seeds]))

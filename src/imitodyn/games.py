@@ -343,9 +343,18 @@ def reward_bounds(game: Game) -> tuple[float, float]:
     percent.
 
     The widening keeps affine reward-to-probability maps strictly inside
-    (0, 1) when rewards attain the raw extremes.
+    (0, 1) when rewards attain the raw extremes.  Polynomial rewards are
+    separable: r_a depends on x_a alone, which takes every value k / res on
+    the grid, so each action is evaluated on those res + 1 values instead,
+    with the same extremes bit for bit.
     """
-    R = rewards_grid(game, simplex_grid(game.m, 256 if game.m == 2 else 64).T)
+    m = game.m
+    res = 256 if m == 2 else 64
+    if isinstance(game.rewards, _PolyRewards):
+        X = np.tile(np.arange(res + 1) / res, (m, 1))
+    else:
+        X = simplex_grid(m, res).T
+    R = rewards_grid(game, X)
     lo = float(np.min(R))
     hi = float(np.max(R))
     span = hi - lo

@@ -4,8 +4,10 @@ The large-population limit of the jump chain follows
 x' = lambda * diag(x) (F(x)^T - F(x)) x, which preserves the simplex and
 increases the potential along trajectories of potential games.  Fixed-step
 RK4 keeps results reproducible across runs and platforms.  integrate and
-find_limit step on Python floats through the compiled law (_law), in x_0
-alone for two actions; mean_field_rhs is the reference right-hand side.
+find_limit step on Python floats through the compiled law (_law): in x_0
+alone for two actions, and for m >= 3 with the law's generated
+straight-line rhs and step.  mean_field_rhs is the reference right-hand
+side.
 """
 
 from __future__ import annotations
@@ -90,33 +92,12 @@ class _Flow1:
 
 
 class _FlowM:
-    """Flow of an m-action game on frequency lists."""
+    """Flow of an m-action game on frequency lists, stepped by the law's
+    generated rhs and step."""
 
     def __init__(self, game: Game, rule: ImitationRule, lam: float):
-        self.rhs = rhs = _Law(game, rule, lam).rhs
-
-        def step(x: list, h: float, k1: list) -> tuple[list, float, bool]:
-            """RK4 step of size h from x, given k1 = rhs(x), then the guard:
-            (x with negatives clipped and renormalized, violation size,
-            whether it clipped)."""
-            half = 0.5 * h
-            k2 = rhs([a + half * b for a, b in zip(x, k1)])
-            k3 = rhs([a + half * b for a, b in zip(x, k2)])
-            k4 = rhs([a + h * b for a, b in zip(x, k3)])
-            sixth = h / 6.0
-            x = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-            clipped = 0.0
-            total = 0.0
-            for v in x:
-                if v < 0.0:
-                    clipped -= v
-                else:
-                    total += v
-            if clipped > 0.0:
-                x = [v if v > 0.0 else 0.0 for v in x]
-            return [v / total for v in x], max(clipped, abs(total - 1.0)), clipped > 0.0
-
-        self.step = step
+        law = _Law(game, rule, lam)
+        self.rhs, self.step = law.rhs, law.step
 
     @staticmethod
     def norm(k: list) -> float:

@@ -71,9 +71,11 @@ def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_json(path: str, obj) -> None:
+    """Serialise obj before the file is opened, so a value that does not
+    serialise (NaN, a numpy scalar) raises without touching path."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _jsonable(v):

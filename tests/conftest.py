@@ -3,6 +3,9 @@
 The birth-death helpers below compute absorption statistics of the 2-action
 complete-graph chain independently of the engine, straight from the rate
 definition, so empirical results can be checked against exact numbers.
+
+loop_rhs, loop_rates and loop_step are the loops that the law's generated
+straight-line code replaced, kept as its bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -72,3 +75,61 @@ def exact_absorbed_probability_by(up: np.ndarray, dn: np.ndarray, k0: int, T: fl
         Q[k, k] = -(up[k] + dn[k])
     P = linalg.expm(Q * T)
     return float(P[k0, 0] + P[k0, n])
+
+
+def loop_rhs(law, lam: float):
+    """The flow's right-hand side as a loop over law.probs_at's lists."""
+    probs_at = law.probs_at
+    others = [[j for j in range(law.m) if j != i] for i in range(law.m)]
+
+    def rhs(x: list) -> list:
+        F = probs_at(x)
+        out = []
+        for i, js in enumerate(others):
+            Fi = F[i]
+            s = 0.0
+            for j in js:
+                s += (F[j][i] - Fi[j]) * x[j]
+            out.append(lam * x[i] * s)
+        return out
+
+    return rhs
+
+
+def loop_rates(law, n: int, lam: float):
+    """The jump rates n lam (x_i x_j) f_ij over law.pairs, from law.probs."""
+    probs = law.probs
+    pairs = law.pairs
+    xs = (np.arange(n + 1) / n).tolist()
+    cn = n * lam
+
+    def rates(counts: list) -> list:
+        F = probs(counts)
+        x = [xs[c] for c in counts]
+        return [cn * (x[i] * x[j]) * F[i][j] for i, j in pairs]
+
+    return rates
+
+
+def loop_step(rhs):
+    """The RK4 step and clip-and-renormalise guard on lists."""
+
+    def step(x: list, h: float, k1: list) -> tuple[list, float, bool]:
+        half = 0.5 * h
+        k2 = rhs([a + half * b for a, b in zip(x, k1)])
+        k3 = rhs([a + half * b for a, b in zip(x, k2)])
+        k4 = rhs([a + h * b for a, b in zip(x, k3)])
+        sixth = h / 6.0
+        x = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        clipped = 0.0
+        total = 0.0
+        for v in x:
+            if v < 0.0:
+                clipped -= v
+            else:
+                total += v
+        if clipped > 0.0:
+            x = [v if v > 0.0 else 0.0 for v in x]
+        return [v / total for v in x], max(clipped, abs(total - 1.0)), clipped > 0.0
+
+    return step

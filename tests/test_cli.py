@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ class TestSimulate:
         assert main(["simulate", "--config", write_cfg(tmp_path, data, name="lat.json")]) == 0
         summary = json.loads((tmp_path / "lat" / "summary.json").read_text())
         assert len(summary["runs"]) == 2
+
+
+    def test_eight_action_replicator_without_bounds(self, tmp_path):
+        # reward_bounds evaluates separable rewards on a 1-D grid, not on the
+        # 8-action simplex grid of C(71, 7) points
+        data = sim_cfg(tmp_path, n=64, horizon=2.0)
+        data["game"] = {"type": "congestion", "polynomials": [[1.0 + 0.1 * a, -1.0] for a in range(8)]}
+        data["rule"] = {"type": "replicator", "eps_margin": 0.01}
+        data["init"] = {"fractions": [0.125] * 8}
+        cfg = write_cfg(tmp_path, data)
+        t0 = time.perf_counter()
+        assert main(["simulate", "--config", cfg, "--runs", "1"]) == 0
+        assert time.perf_counter() - t0 < 10.0
+        assert (tmp_path / "out" / "run_000.csv").exists()
 
 
 class TestOde:
@@ -531,6 +546,19 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "run_000.csv").exists()
+
+    def test_sequential_run_loads_no_multiprocessing(self, tmp_path):
+        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
+        code = (
+            "import sys; from imitodyn.cli import main; "
+            f"assert main(['simulate', '--config', {cfg!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+        )
+        env = dict(os.environ, IMITODYN_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_threads_env_var_does_not_change_output(self, tmp_path):
         assert_threads_do_not_change_output(tmp_path, sim_cfg(tmp_path, out="a"), sim_cfg(tmp_path, out="b"))

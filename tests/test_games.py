@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from imitodyn import (
     reward_bounds,
     support,
 )
-from imitodyn.games import as_simplex_point, simplex_grid, uniform_simplex_sample
+from imitodyn.games import as_simplex_point, rewards_grid, simplex_grid, uniform_simplex_sample
 
 
 def simplex_points(m: int):
@@ -73,6 +75,25 @@ class TestReferenceGame:
         r = np.array([game.rewards_at(x) for x in pts])
         pad = 0.01 * (r.max() - r.min())
         assert reward_bounds(game) == (r.min() - pad, r.max() + pad)
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_separable_reward_bounds_equal_simplex_grid_bounds(self, m, data):
+        # polynomial rewards take the 1-D grid; the simplex grid must agree exactly
+        coefficient = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+        polys = data.draw(st.lists(st.lists(coefficient, min_size=1, max_size=5), min_size=m, max_size=m))
+        game = make_congestion_game(polys)
+        R = rewards_grid(game, _reward_grid(m))
+        lo, hi = float(np.min(R)), float(np.max(R))
+        span = hi - lo
+        pad = 0.01 * span if span > 0.0 else 0.01 * abs(hi) + 1e-9
+        assert reward_bounds(game) == (lo - pad, hi + pad)
+
+
+@functools.cache
+def _reward_grid(m: int) -> np.ndarray:
+    """The simplex grid that reward_bounds scans for games that are not separable."""
+    return simplex_grid(m, 256 if m == 2 else 64).T
 
 
 class TestCongestionBuilder:

@@ -17,6 +17,9 @@ from imitodyn import (
     replicator_rule,
     reward_bounds,
 )
+from imitodyn import meanfield
+from imitodyn._law import _Law
+from conftest import loop_rhs, loop_step
 
 
 def _two_action_rule(game, name):
@@ -172,6 +175,48 @@ class TestFindLimit:
             find_limit(game4, rule, np.array([0.9, 0.1]), dt=5.0, lam=10.0)
         with pytest.raises(RuntimeError, match="simplex violation"):
             integrate(game4, rule, np.array([0.9, 0.1]), T=50.0, dt=5.0, lam=10.0)
+
+
+class _LoopFlowM(meanfield._FlowM):
+    """The m-action flow on the loops that the generated law replaced."""
+
+    def __init__(self, game, rule, lam):
+        self.rhs = loop_rhs(_Law(game, rule, lam), lam)
+        self.step = loop_step(self.rhs)
+
+
+class TestGeneratedFlow:
+    """integrate and find_limit on the law's generated step equal the loop
+    RK4, array for array."""
+
+    POLYS = ([1.0, -1.0], [0.5, 2.0, -3.0], [2.0, -1.5], [1.0, 0.0, -1.0, 0.25], [0.8, -0.5])
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("rule_name", ["replicator", "arctan_pairs", "fallback"])
+    def test_integrate_and_find_limit_equal_loop_rk4(self, monkeypatch, m, rule_name):
+        game = make_congestion_game(self.POLYS[:m])
+        rule = {
+            "replicator": lambda: replicator_rule(*reward_bounds(game), 0.01),
+            "arctan_pairs": lambda: arctan_rule(0.5 + (np.arange(m * m) % 3).reshape(m, m)),
+            "fallback": lambda: arctan_rule(1.0),
+        }[rule_name]()
+        if rule_name == "fallback":  # the same rewards behind a lambda
+            poly = game
+            game = Game(m=m, rewards=lambda x: poly.rewards(x))
+        x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
+        runs = []
+        for flow in (meanfield._FlowM, _LoopFlowM):
+            monkeypatch.setattr(meanfield, "_FlowM", flow)
+            runs.append(
+                (
+                    integrate(game, rule, x0, T=4.0, dt=0.02, lam=1.5),
+                    find_limit(game, rule, x0, tol=1e-7, max_T=30.0, dt=0.05, lam=1.5),
+                )
+            )
+        (traj, limit), (traj_ref, limit_ref) = runs
+        assert np.array_equal(traj.times, traj_ref.times) and np.array_equal(traj.states, traj_ref.states)
+        assert np.array_equal(limit.x, limit_ref.x)
+        assert (limit.converged, limit.t, limit.rhs_norm) == (limit_ref.converged, limit_ref.t, limit_ref.rhs_norm)
 
 
 class TestKurtzDeviation:

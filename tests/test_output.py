@@ -30,6 +30,7 @@ from imitodyn import (
     square_lattice,
     write_trajectory_csv,
 )
+from imitodyn.output import write_json
 
 
 def csv_bytes(tmp_path, name, times, states, n=None):
@@ -119,3 +120,17 @@ def test_engine_paths_write_the_same_bytes_from_counts(tmp_path):
         assert count.count(b"\n") == len(traj.times) + 1
         assert run_summary(traj)["final_state"] == [float(v) for v in traj.fractions[-1]]
     assert len(shapes) == 6
+
+
+@pytest.mark.parametrize("bad", [float("nan"), np.bool_(True)])
+def test_write_json_that_fails_leaves_no_partial_artifact(tmp_path, bad):
+    path = tmp_path / "report.json"
+    report = {"a": list(range(500)), "z": bad}
+    with pytest.raises((ValueError, TypeError)):
+        write_json(str(path), report)
+    assert not path.exists()
+    write_json(str(path), {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises((ValueError, TypeError)):
+        write_json(str(path), report)
+    assert path.read_bytes() == before == b'{\n  "a": 1\n}\n'
