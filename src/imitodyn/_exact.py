@@ -8,7 +8,7 @@ Sturm sequence counts the distinct roots of a square-free factor in an
 interval, and bisection on rational endpoints narrows each root until
 its bracket rounds to one float.  rest_points solves every face of the
 simplex with them (see landscape.find_critical_points_multi).  landscape
-imports this module only when an exact search runs, so that the other
+imports this module only when a search runs, so that the other
 subcommands do not load fractions.
 """
 

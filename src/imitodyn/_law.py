@@ -35,9 +35,8 @@ gradient (_PolyRewards) into closures phi(x) and grad(x) on a list of
 floats: Horner per action and numpy's summation order, so both equal
 game.potential and game.potential_gradient bit for bit.  The landscape
 finder solves the games that have a compiled pair exactly, from their
-coefficients, and takes each point's potential from phi.  Any other game
-has no compiled pair, and the finder's numeric search calls game.potential
-and landscape._gradient.
+coefficients, and takes each point's potential from phi; it rejects any
+other game.
 """
 
 from __future__ import annotations

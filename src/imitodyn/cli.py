@@ -11,14 +11,11 @@ Every subcommand also takes --log-level {warning,info,debug} (default
 warning), the level at which the imitodyn loggers write to stderr; at debug
 the landscape search reports its method, faces, points and continuum faces,
 the facts that landscape.json also holds in its "search" block.  Every game
-a config builds is a congestion game, whose landscape is solved exactly:
-analysis.grid, analysis.starts and the landscape seed change nothing, and
-landscape and metastability load no scipy.  They stay in the schema, and
-starts is still checked against the number of faces (_MAX_STARTS), for
-games built in the library without polynomial coefficients, which take the
-numeric search.  The unused alias find_critical_points_2action and the
-unused run_one import stay because perfbench/tracer.py patches them by
-name, as it patches landscape.exit_time and landscape.time_near_set.
+a config builds is a congestion game, whose landscape is solved exactly,
+with no random numbers; --seed seeds the ensembles only.  The unused alias
+find_critical_points_2action and the unused run_one import stay because
+perfbench/tracer.py patches them by name, as it patches landscape.exit_time
+and landscape.time_near_set.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -38,9 +35,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import _MAX_SEED, _MAX_STARTS, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
+from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
-from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, derive_seed, ensemble, run_one  # noqa: F401
+from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, ensemble, run_one  # noqa: F401
 from .games import PopulationType
 from .landscape import critical_point_to_dict, find_critical_points_multi, metastability_report
 from .meanfield import find_limit, integrate, kurtz_deviation
@@ -83,20 +80,10 @@ def _run_ensemble(cfg: ExperimentConfig, n: int) -> list[Trajectory]:
 def _critical_points(cfg: ExperimentConfig):
     if cfg.game.potential is None:
         raise ConfigError("$.game: landscape analysis requires a potential")
-    m = cfg.game.m
-    solves = cfg.starts * (2**m - 1 - m - m * (m - 1) // 2)  # one per start on each face of 3+ actions
-    if solves > _MAX_STARTS:
-        raise ConfigError(
-            f"$.analysis.starts: {cfg.starts} starts on each face of 3 or more of {m} actions "
-            f"make {solves} least-squares solves, more than {_MAX_STARTS}"
-        )
     search: dict = {}
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        points = find_critical_points_multi(
-            cfg.game, starts=cfg.starts, seed=derive_seed(cfg.base_seed, "landscape"), grid=cfg.grid,
-            search=search,
-        )
+        points = find_critical_points_multi(cfg.game, search=search)
     return points, search, [str(w.message) for w in wlist]
 
 

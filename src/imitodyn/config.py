@@ -15,9 +15,9 @@ Schema (defaults in parentheses):
                    "record_stride": 0.1, "stop_on_absorption": true},
       "init":     {"fractions": [0.3, 0.7]},
       "ensemble": {"runs": 4, "base_seed": 0}                       (4, 0)
-      "analysis": {"gammas": [0.05], "deltas": [0.1], "grid": 2000,
-                   "starts": 64, "ode_dt": 0.01, "ode_horizon": sim.horizon,
-                   "limit_tol": 1e-8, "n_sweep": [sim.n]},
+      "analysis": {"gammas": [0.05], "deltas": [0.1], "ode_dt": 0.01,
+                   "ode_horizon": sim.horizon, "limit_tol": 1e-8,
+                   "n_sweep": [sim.n]},
       "output":   {"dir": "out"}                                    ("out")
     }
 
@@ -29,19 +29,11 @@ Every JSON number goes through one reader, _value, which rejects booleans,
 Infinity, NaN and integers too large for a float, and checks these bounds:
 population sizes (sim.n, analysis.n_sweep) 2 .. 2**53; ensemble.runs
 1 .. MAX_RUNS = 10**6; seeds (ensemble.base_seed, topology.seed, --seed)
-0 .. 2**64 - 1; analysis.grid 8 .. 10**6; analysis.starts 1 .. 10**5; and
-at most 10**7 RK4 steps of analysis.ode_dt up to max(sim.horizon,
-analysis.ode_horizon).  Validation failures raise ConfigError with a
-JSON-path anchor; the CLI maps them to exit code 2.
-
-Both game types build congestion games, whose landscape the finder solves
-exactly from their polynomial coefficients, so analysis.grid,
-analysis.starts and the landscape seed change no result of a config.
-They keep their place in the schema and their bounds, for the numeric
-search that library games without coefficients take: it scans every edge
-of the simplex at analysis.grid + 1 points and runs analysis.starts
-least-squares solves on each face of three or more actions, and the CLI
-still caps their total at _MAX_STARTS before a landscape runs.
+0 .. 2**64 - 1; and at most 10**7 RK4 steps of analysis.ode_dt up to
+max(sim.horizon, analysis.ode_horizon).  Validation failures raise
+ConfigError with a JSON-path anchor; the CLI maps them to exit code 2.
+Keys a section does not list are ignored, so a config that still sets the
+retired analysis.grid or analysis.starts loads unchanged.
 """
 
 from __future__ import annotations
@@ -67,11 +59,6 @@ _MAX_N = 2**53
 MAX_RUNS = 10**6
 # Seeds are 64-bit.
 _MAX_SEED = 2**64 - 1
-# Finest landscape edge scan: it evaluates the gradient at grid + 1 points
-# on each edge of the simplex.
-_MAX_GRID = 10**6
-# Most landscape least-squares solves: starts on each face of 3+ actions.
-_MAX_STARTS = 10**5
 # Most RK4 steps in a flow to max(sim.horizon, analysis.ode_horizon): the
 # flow keeps every step, (m + 1) floats a step.
 _MAX_FLOW_STEPS = 10**7
@@ -246,8 +233,6 @@ class ExperimentConfig:
     base_seed: int
     gammas: tuple[float, ...]
     deltas: tuple[float, ...]
-    grid: int
-    starts: int
     ode_dt: float
     ode_horizon: float
     limit_tol: float
@@ -329,8 +314,6 @@ def load_config(path: str) -> ExperimentConfig:
     ana = _section(raw, "analysis", required=False)
     gammas = tuple(_number_list(ana, "gammas", "$.analysis", default=[0.05], positive=True))
     deltas = tuple(_number_list(ana, "deltas", "$.analysis", default=[0.1], positive=True))
-    grid = _number(ana, "grid", "$.analysis", default=2000, integer=True, lo=8, hi=_MAX_GRID)
-    starts = _number(ana, "starts", "$.analysis", default=64, integer=True, lo=1, hi=_MAX_STARTS)
     ode_dt = _number(ana, "ode_dt", "$.analysis", default=0.01, positive=True)
     ode_horizon = _number(ana, "ode_horizon", "$.analysis", default=horizon, positive=True)
     flow_t = max(horizon, ode_horizon)
@@ -360,8 +343,6 @@ def load_config(path: str) -> ExperimentConfig:
         base_seed=base_seed,
         gammas=gammas,
         deltas=deltas,
-        grid=grid,
-        starts=starts,
         ode_dt=ode_dt,
         ode_horizon=ode_horizon,
         limit_tol=limit_tol,

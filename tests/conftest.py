@@ -6,15 +6,38 @@ definition, so empirical results can be checked against exact numbers.
 
 loop_rhs, loop_rates and loop_step are the loops that the law's generated
 straight-line code replaced, kept as its bit-for-bit reference.
+
+numeric_critical_points is the numeric landscape search (edge scans,
+least-squares face solves and sphere classification) that the exact search
+replaced, kept as its cross-check reference; it runs on any game with a
+potential, through game.potential and its gradient (reference_pair).
 """
 
 from __future__ import annotations
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy import linalg
 
-from imitodyn import PopulationType, arctan_rule, example4_game, transition_rates
+from imitodyn import (
+    CriticalPoint,
+    Game,
+    LandscapeWarning,
+    PopulationType,
+    arctan_rule,
+    example4_game,
+    transition_rates,
+)
+from imitodyn.games import _fd_gradient, uniform_simplex_sample
+
+_TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
+_REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
+_SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
+_STEP_TOL = 1e-5  # least-squares step tolerance; points classify on a sphere of 10x this
+_MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
 
 
 @pytest.fixture(scope="session")
@@ -133,3 +156,260 @@ def loop_step(rhs):
         return [v / total for v in x], max(clipped, abs(total - 1.0)), clipped > 0.0
 
     return step
+
+
+def _gradient(game: Game, x: np.ndarray) -> np.ndarray:
+    if game.potential_gradient is not None:
+        return np.asarray(game.potential_gradient(x), dtype=float)
+    return _fd_gradient(game.potential, x)
+
+
+def reference_pair(game: Game):
+    """(phi, grad) on lists of floats through game.potential and _gradient,
+    for games that potential_pair does not compile."""
+
+    def phi(x: list) -> float:
+        return float(game.potential(np.array(x)))
+
+    def grad(x: list) -> list:
+        return _gradient(game, np.array(x)).tolist()
+
+    return phi, grad
+
+
+def _is_ne(game: Game, x: np.ndarray, tol: float = 1e-7) -> bool:
+    r = game.rewards_at(x)
+    used = x > 1e-9
+    scale = max(1.0, float(np.max(np.abs(r))))
+    return bool(np.min(r[used]) >= np.max(r) - tol * scale)
+
+
+def _make_point(game: Game, phi, x: np.ndarray, kind: str, on_boundary: bool) -> CriticalPoint:
+    x = np.asarray(x, dtype=float)
+    ne = _is_ne(game, x)
+    return CriticalPoint(
+        x=x,
+        phi=phi(x.tolist()),
+        kind=kind,
+        is_ne=ne,
+        is_ess=(kind == "local_max" and ne),
+        on_boundary=on_boundary,
+    )
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """A sign change of f on [a, b], bisected to _REFINE_TOL."""
+    fa = f(a)
+    while b - a > _REFINE_TOL:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _scan(g, grid: int) -> list[float] | None:
+    """Scan a scalar function g on [0, 1] at grid + 1 points.
+
+    Sign changes bracket transversal roots, bisected to _REFINE_TOL.  A run
+    of grid points with |g| < 1e-9 is bracketed by its two neighbours: when
+    they differ in sign the run holds a transversal root, bisected on g;
+    otherwise it holds an even-order zero, bisected on the slope
+    g(v + h) - g(v - h).
+
+    Returns the merged roots strictly inside (0, 1), or None when near-zero
+    values flood more than half the grid.
+    """
+    def slope(v: float) -> float:
+        return g(v + _SLOPE_STEP) - g(v - _SLOPE_STEP)
+
+    xs = np.linspace(0.0, 1.0, grid + 1)
+    gs = np.array([g(x) for x in xs.tolist()])
+
+    near_zero = np.abs(gs) < _TANGENT_ZERO
+    if np.count_nonzero(near_zero[1:-1]) > grid // 2:
+        return None
+
+    found: list[float] = []
+    i = 1
+    while i < grid:
+        if near_zero[i]:
+            # batch a run of consecutive near-zero grid points
+            j = i
+            while j < grid and near_zero[j]:
+                j += 1
+            transversal = np.sign(gs[i - 1]) * np.sign(gs[j]) < 0
+            found.append(_bisect(g if transversal else slope, float(xs[i - 1]), float(xs[j])))
+            i = j + 1
+            continue
+        if gs[i - 1] != 0.0 and np.sign(gs[i - 1]) != np.sign(gs[i]) and not near_zero[i - 1]:
+            found.append(_bisect(g, float(xs[i - 1]), float(xs[i])))
+        i += 1
+
+    # dedupe the roots and drop those that ended up on an end point
+    found.sort()
+    merged: list[float] = []
+    for root in found:
+        if merged and abs(root - merged[-1]) <= 10.0 * _REFINE_TOL:
+            continue
+        if root <= 10.0 * _REFINE_TOL or root >= 1.0 - 10.0 * _REFINE_TOL:
+            continue
+        merged.append(root)
+    return merged
+
+
+def _tangent_directions(m: int, rng: np.random.Generator | None) -> np.ndarray:
+    """The m (m - 1) pairwise directions +-(e_a - e_b) / sqrt 2, then 2 m^2
+    random ones when rng is given."""
+    eye = np.eye(m)
+    dirs = [(eye[a] - eye[b]) / np.sqrt(2.0) for a, b in itertools.permutations(range(m), 2)]
+    count = len(dirs) + (2 * m * m if rng is not None else 0)
+    while len(dirs) < count:
+        v = rng.standard_normal(m)
+        v -= v.mean()
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            dirs.append(v / norm)
+    return np.asarray(dirs)
+
+
+def _classify_by_sphere(phi, x: np.ndarray, eps: float, rng: np.random.Generator | None) -> str:
+    m = x.size
+    phi0 = phi(x.tolist())
+    noise = 64.0 * np.finfo(float).eps * max(1.0, abs(phi0))
+    higher = lower = False
+    for d in _tangent_directions(m, rng):
+        y = x + eps * d
+        if np.any(y < 0.0):
+            y = np.maximum(y, 0.0)
+            y = y / y.sum()
+            if np.linalg.norm(y - x) < 0.25 * eps:
+                continue
+        dphi = phi(y.tolist()) - phi0
+        if dphi > noise:
+            higher = True
+        elif dphi < -noise:
+            lower = True
+    if higher and not lower:
+        return "local_min"
+    if lower and not higher:
+        return "local_max"
+    return "saddle_or_degenerate"
+
+
+def _merge(xs: list[np.ndarray]) -> list[np.ndarray]:
+    """The points of xs, in order, that lie farther than _MERGE_TOL from every earlier kept one."""
+    kept: list[np.ndarray] = []
+    for x in xs:
+        if not any(np.linalg.norm(x - y) <= _MERGE_TOL for y in kept):
+            kept.append(x)
+    return kept
+
+
+def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: int = 2000):
+    """The face-by-face numeric search of a game without polynomial
+    coefficients: (points, flooded edges, raised least-squares solves).
+
+    Each edge (a, b) is scanned with _scan at grid + 1 points of
+    g(t) = dPhi/dx_a - dPhi/dx_b at t e_a + (1 - t) e_b.  On each face of
+    three or more actions a least-squares solve of the face's reduced
+    gradient runs from `starts` uniform points of the face; solutions
+    closer than _MERGE_TOL collapse to the one with the smallest residual,
+    which a derivative-free minimization of the squared reduced gradient
+    then polishes.  Across faces, vertices win, then edge roots, then the
+    smaller faces.  Every point classifies by sampling the potential on an
+    eps-sphere, eps = 10 * _STEP_TOL, intersected with the simplex: in the
+    m (m - 1) directions +-(e_a - e_b) and, for m >= 3, 2 m^2 random ones
+    drawn from `seed`.
+    """
+    m = game.m
+    rng = np.random.default_rng(seed) if m > 2 else None
+    phi, grad = reference_pair(game)
+    candidates: list[np.ndarray] = list(np.eye(m))
+
+    flooded = []
+    for a, b in itertools.combinations(range(m), 2):
+
+        def g(t: float, a: int = a, b: int = b) -> float:
+            x = [0.0] * m
+            x[a], x[b] = t, 1.0 - t
+            d = grad(x)
+            return d[a] - d[b]
+
+        roots = _scan(g, grid)
+        if roots is None:
+            flooded.append([a, b])
+            warnings.warn(
+                f"non-isolated critical set: the reduced derivative on edge ({a}, {b}) vanishes "
+                "on more than half the scan grid; the edge adds no critical points",
+                LandscapeWarning,
+            )
+            continue
+        for t in roots:
+            x = np.zeros(m)
+            x[a], x[b] = t, 1.0 - t
+            candidates.append(x)
+
+    def face_points(face: tuple[int, ...]) -> list[np.ndarray]:
+        nonlocal failed
+        from scipy import optimize
+
+        k = len(face)
+
+        def embed(u: np.ndarray) -> np.ndarray:  # (u, 1 - sum u) on the face, 0 elsewhere
+            x = np.zeros(m)
+            x[list(face)] = np.append(u, 1.0 - u.sum())
+            return x
+
+        def reduced(u: np.ndarray) -> np.ndarray:  # face gradient minus its last entry
+            d = grad(embed(u).tolist())
+            return np.array([d[i] - d[face[-1]] for i in face[:-1]])
+
+        def grad_sq(u: np.ndarray) -> float:
+            if np.any(u < -1e-12) or u.sum() > 1.0 + 1e-12:
+                return 1e12
+            return float(np.sum(reduced(np.maximum(u, 0.0)) ** 2))
+
+        def lift(u: np.ndarray) -> np.ndarray:
+            x = np.maximum(embed(u), 0.0)
+            return x / x.sum()
+
+        solved = []
+        for _ in range(starts):
+            u0 = uniform_simplex_sample(rng, k)
+            try:
+                sol = optimize.least_squares(
+                    reduced, u0[:-1], bounds=(np.zeros(k - 1), np.ones(k - 1)),
+                    xtol=_STEP_TOL * 1e-3, ftol=1e-14, gtol=1e-14,
+                )
+            except Exception:
+                failed += 1
+                continue
+            residual = float(np.max(np.abs(reduced(sol.x))))
+            if sol.x.sum() <= 1.0 + 1e-9 and residual < max(10.0 * _STEP_TOL, 1e-6):
+                solved.append((residual, lift(sol.x)))
+
+        out = []
+        for x in _merge([x for _, x in sorted(solved, key=lambda t: t[0])]):
+            res = optimize.minimize(
+                grad_sq, x[list(face)][:-1], method="Nelder-Mead",
+                options={"xatol": 1e-9, "fatol": 0.0, "maxiter": 400 * k},
+            )
+            u = np.maximum(res.x, 0.0)
+            out.append(lift(u) if u.sum() <= 1.0 + 1e-9 else x)
+        return out
+
+    failed = 0
+    for k in range(3, m + 1):
+        for face in itertools.combinations(range(m), k):
+            candidates.extend(face_points(face))
+
+    points = []
+    for x in sorted(_merge(candidates), key=tuple):
+        kind = _classify_by_sphere(phi, x, 10.0 * _STEP_TOL, rng)
+        points.append(_make_point(game, phi, x, kind, on_boundary=bool(np.min(x) < 1e-9)))
+    return points, flooded, failed

@@ -230,7 +230,6 @@ class TestLandscape:
         data = sim_cfg(tmp_path)
         data["game"] = {"type": "congestion", "polynomials": [[1.0, -1.0]] * 3}
         data["init"] = {"fractions": [0.4, 0.3, 0.3]}
-        data["analysis"] = {"starts": 32}
         cfg = write_cfg(tmp_path, data)
         assert main(["landscape", "--config", cfg]) == 0
         report = json.loads((tmp_path / "out" / "landscape.json").read_text())
@@ -272,17 +271,30 @@ class TestLandscape:
         report = json.loads((quiet / "landscape.json").read_text())
         assert report["search"] == {"method": "exact", "faces": 4, "points": 7, "continuum_faces": []}
 
-    def test_face_count_bounds_starts(self, tmp_path, capsys):
-        # 12 actions have 4017 faces of 3 or more actions: 64 starts on each
-        # is over the solve cap, but the config itself is valid
+    def test_twelve_action_landscape_solves_every_face(self, tmp_path):
+        # 12 actions have 4083 faces of two or more actions, each holding
+        # its barycentre, and 12 vertices
         data = sim_cfg(tmp_path, n=24, horizon=0.5)
         data["game"] = {"type": "congestion", "polynomials": [[1.0, -1.0]] * 12}
         data["init"] = {"fractions": [1.0 / 12] * 12}
         cfg = write_cfg(tmp_path, data)
-        assert main(["landscape", "--config", cfg]) == 2
-        assert "config error: $.analysis.starts:" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert main(["landscape", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "landscape.json").read_text())
+        assert len(report["critical_points"]) == 4095
+        assert report["search"] == {"method": "exact", "faces": 4083, "points": 4095, "continuum_faces": []}
         assert main(["simulate", "--config", cfg]) == 0
+
+    def test_retired_search_keys_load_and_change_nothing(self, tmp_path):
+        # analysis.grid and analysis.starts are ignored like any unknown key,
+        # at values the old bounds rejected
+        data = sim_cfg(tmp_path)
+        data["game"] = {"type": "congestion", "polynomials": [[1.0, -1.0]] * 3}
+        data["init"] = {"fractions": [0.4, 0.3, 0.3]}
+        assert main(["landscape", "--config", write_cfg(tmp_path, data), "--out", str(tmp_path / "new")]) == 0
+        data["analysis"] = {"grid": 10**13, "starts": 0}
+        assert main(["landscape", "--config", write_cfg(tmp_path, data), "--out", str(tmp_path / "old")]) == 0
+        new = (tmp_path / "new" / "landscape.json").read_bytes()
+        assert (tmp_path / "old" / "landscape.json").read_bytes() == new
 
     def test_game_without_potential_is_a_config_error(self, tmp_path):
         # not reachable from a config file (built games always carry
@@ -314,21 +326,24 @@ class TestMetastability:
             assert (tmp_path / "out" / f"{command}.json").exists()
 
     def test_shipped_landscape_steps_load_no_scipy(self, tmp_path):
-        # congestion3's landscape and two_phase's metastability are solved exactly
+        # scipy is a test dependency only: importing the package loads none of
+        # it, and congestion3's landscape and two_phase's metastability are
+        # solved exactly
         configs = os.path.join(os.path.dirname(__file__), "..", "configs")
         steps = [
             ["landscape", "--config", os.path.join(configs, "congestion3.json"), "--out", str(tmp_path / "c3")],
             ["metastability", "--config", os.path.join(configs, "two_phase.json"), "--out", str(tmp_path / "tp"),
              "--runs", "1"],
         ]
+        scipy_modules = "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
         code = (
-            "import sys; from imitodyn.cli import main; "
-            f"assert all(main(argv) == 0 for argv in {steps!r}); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+            f"import sys; import imitodyn; {scipy_modules}"
+            "from imitodyn.cli import main; "
+            f"assert all(main(argv) == 0 for argv in {steps!r}); {scipy_modules}"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split("\n") == ["[]", "[]", ""]
         assert (tmp_path / "c3" / "landscape.json").exists() and (tmp_path / "tp" / "metastability.json").exists()
 
     def test_two_phase_centre_is_exact(self, tmp_path):
@@ -470,10 +485,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "command, analysis, anchor",
         [
-            ("landscape", {"grid": 10**13}, "$.analysis.grid: must be <= 1000000"),
             ("ode", {"ode_dt": 1e-300}, "$.analysis.ode_dt: a flow to t = 4.0 takes more than 10000000 steps"),
         ],
-        ids=["grid", "flow-steps"],
+        ids=["flow-steps"],
     )
     def test_allocation_bounds_exit_2_without_output(self, tmp_path, capsys, command, analysis, anchor):
         data = sim_cfg(tmp_path)

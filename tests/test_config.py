@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imitodyn import ArctanRule, ConfigError, ReplicatorRule, load_config
-from imitodyn.config import _MAX_FLOW_STEPS, _MAX_GRID, MAX_RUNS
+from imitodyn.config import _MAX_FLOW_STEPS, MAX_RUNS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -47,7 +47,6 @@ class TestValidConfigs:
         assert cfg.record_stride == 0.1 and cfg.stop_on_absorption is True
         assert cfg.runs == 4 and cfg.base_seed == 0
         assert cfg.gammas == (0.05,) and cfg.deltas == (0.1,)
-        assert cfg.grid == 2000 and cfg.starts == 64
         assert cfg.ode_dt == 0.01 and cfg.ode_horizon == 5.0
         assert cfg.limit_tol == 1e-8
         assert cfg.n_sweep == (100,)
@@ -71,8 +70,6 @@ class TestValidConfigs:
             "analysis": {
                 "gammas": [0.02, 0.05],
                 "deltas": [0.05],
-                "grid": 500,
-                "starts": 16,
                 "ode_dt": 0.005,
                 "ode_horizon": 20.0,
                 "limit_tol": 1e-6,
@@ -438,8 +435,6 @@ NUMERIC_FIELDS = {
     "$.ensemble.base_seed": {"ensemble": {"base_seed": "@"}},
     "$.analysis.gammas[0]": {"analysis": {"gammas": ["@"]}},
     "$.analysis.deltas[0]": {"analysis": {"deltas": ["@"]}},
-    "$.analysis.grid": {"analysis": {"grid": "@"}},
-    "$.analysis.starts": {"analysis": {"starts": "@"}},
     "$.analysis.ode_dt": {"analysis": {"ode_dt": "@"}},
     "$.analysis.ode_horizon": {"analysis": {"ode_horizon": "@"}},
     "$.analysis.limit_tol": {"analysis": {"limit_tol": "@"}},
@@ -465,13 +460,6 @@ class TestNumberReader:
 
 
 class TestAllocationBounds:
-    def test_grid(self, write_cfg):
-        data = base_config()
-        data["analysis"] = {"grid": _MAX_GRID}
-        assert load_config(write_cfg(data)).grid == _MAX_GRID
-        data["analysis"] = {"grid": _MAX_GRID + 1}
-        expect_error(write_cfg, data, r"\$\.analysis\.grid: must be <= 1000000")
-
     def test_flow_steps(self, write_cfg):
         data = base_config()
         data["analysis"] = {"ode_dt": 5.0 / _MAX_FLOW_STEPS}

@@ -1,13 +1,11 @@
 import itertools
 import json
-import logging
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 
 from imitodyn import (
     CriticalPoint,
@@ -30,6 +28,8 @@ from imitodyn import (
 )
 from imitodyn._law import potential_pair
 
+from conftest import numeric_critical_points
+
 PHI_SADDLE = 443.0 / 48.0
 PHI_ESS = 153.0 / 16.0
 
@@ -49,7 +49,8 @@ def _traj_from_counts(times, counts, n):
 
 def _reference_game(game: Game) -> Game:
     """The same potential and gradient as plain callables, which the
-    finders evaluate through game.potential rather than compiled."""
+    numeric reference evaluates through game.potential rather than
+    compiled."""
     return Game(
         m=game.m,
         rewards=game.rewards,
@@ -90,20 +91,9 @@ class TestTwoActionScanner:
         # the edge is a continuum of rest points: it adds none, only a warning
         flat = make_congestion_game([[5.0], [5.0]])
         with pytest.warns(LandscapeWarning, match=r"non-isolated critical set: .* edge \(0, 1\)"):
-            pts = find_critical_points_multi(flat, grid=200)
+            pts = find_critical_points_multi(flat)
         assert [p.x.tolist() for p in pts] == [[0.0, 1.0], [1.0, 0.0]]
         assert all(p.kind == "saddle_or_degenerate" for p in pts)
-
-    def test_same_points_at_every_landscape_seed(self, game4):
-        # a line has two tangent directions, +-(e_0 - e_1); random probes
-        # alone could all land on one side and misclassify a point
-        def key(s):
-            pts = find_critical_points_multi(game4, seed=derive_seed(s, "landscape"))
-            return [(p.x.tolist(), p.kind, p.is_ess) for p in pts]
-
-        first = key(0)
-        assert [kind for _, kind, _ in first] == ["local_min", "saddle_or_degenerate", "local_max", "local_min"]
-        assert all(key(s) == first for s in range(1, 200))
 
     def test_coordination_game_vertex_maxima_warn(self):
         # positive externalities: both pure states are strict maxima
@@ -127,7 +117,7 @@ class TestTwoActionScanner:
 class TestMultiStartFinder:
     def test_anticoordination_barycenter_is_ess(self):
         g = make_congestion_game([[1.0, -1.0]] * 3)
-        pts = find_critical_points_multi(g, seed=0)
+        pts = find_critical_points_multi(g)
         interior = [p for p in pts if not p.on_boundary]
         assert len(interior) >= 1
         best = min(interior, key=lambda p: np.max(np.abs(p.x - 1 / 3)))
@@ -137,52 +127,22 @@ class TestMultiStartFinder:
     def test_coordination_three_actions_vertices_are_maxima(self):
         g = make_congestion_game([[0.0, 1.0]] * 3)
         with pytest.warns(LandscapeWarning, match="pure configuration"):
-            pts = find_critical_points_multi(g, seed=1)
+            pts = find_critical_points_multi(g)
         vertex_kinds = [p.kind for p in pts if np.max(p.x) > 1.0 - 1e-9]
         assert len(vertex_kinds) == 3
         assert all(k == "local_max" for k in vertex_kinds)
 
     def test_requires_potential(self, game4):
+        # a potential given as plain callables has no coefficients to solve
         bare = Game(m=game4.m, rewards=game4.rewards, name="bare")
-        with pytest.raises(ValueError, match="potential"):
-            find_critical_points_multi(bare)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"starts": 0}, {"starts": -2}, {"grid": 7}],
-        ids=["starts=0", "starts=-2", "grid=7"],
-    )
-    def test_rejects_bad_search_settings(self, game4, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            find_critical_points_multi(game4, **kwargs)
-
-    def test_debug_log_counts_dropped_candidates(self, caplog, monkeypatch):
-        # actions 0 and 1 earn the same constant, so the edge between them
-        # floods; without coefficients the game takes the numeric search
-        g = _reference_game(make_congestion_game([[1.0], [1.0], [1.0, -1.0], [1.0, -1.0]]))
-
-        def failing_solve(*args, **kwargs):
-            raise ValueError("no solve")
-
-        # the finder imports scipy.optimize when it runs
-        monkeypatch.setattr(optimize, "least_squares", failing_solve)
-        search = {}
-        with caplog.at_level(logging.DEBUG, logger="imitodyn.landscape"), pytest.warns(LandscapeWarning) as rec:
-            pts = find_critical_points_multi(g, starts=5, seed=0, search=search)
-        flooded = [str(w.message) for w in rec if "non-isolated" in str(w.message)]
-        assert len(flooded) == 1 and "edge (0, 1)" in flooded[0]
-        # with every face solve failing only vertices and edge roots remain
-        assert all(np.count_nonzero(p.x) <= 2 for p in pts)
-        assert (
-            f"numeric search, 11 faces, {len(pts)} points, 1 continuum faces, 5 starts, "
-            "25 least_squares solves raised" in caplog.text
-        )
-        assert search == {"method": "numeric", "faces": 11, "points": len(pts), "continuum_faces": [[0, 1]]}
+        for game in (bare, _reference_game(game4)):
+            with pytest.raises(ValueError, match="potential.*make_congestion_game"):
+                find_critical_points_multi(game)
 
     def test_face_equilibrium_is_the_ess(self):
         # action 2 always earns -1, so the only ESS lies on the edge of actions 0 and 1
         g = make_congestion_game([[1.0, -1.0], [1.0, -1.0], [-1.0]])
-        ess = [p for p in find_critical_points_multi(g, starts=8, seed=0) if p.is_ess]
+        ess = [p for p in find_critical_points_multi(g) if p.is_ess]
         assert len(ess) == 1
         assert np.max(np.abs(ess[0].x - [0.5, 0.5, 0.0])) < 1e-9
         assert ess[0].on_boundary and ess[0].kind == "local_max"
@@ -191,7 +151,7 @@ class TestMultiStartFinder:
     def test_symmetric_congestion_lists_every_face_barycentre(self, m):
         # congestion3's game and its 4-action analogue: each face's barycentre
         # is a critical point, the full simplex's the only ESS
-        pts = find_critical_points_multi(make_congestion_game([[1.0, -1.0]] * m), starts=48, seed=0)
+        pts = find_critical_points_multi(make_congestion_game([[1.0, -1.0]] * m))
         assert len(pts) == 2**m - 1
         for p in pts:
             face = p.x > 0.0
@@ -238,7 +198,7 @@ def test_multi_finder_matches_affine_closed_form(cb):
     game = make_congestion_game([[ca, -ba] for ca, ba in zip(c, b)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pts = find_critical_points_multi(game, starts=8, seed=0)
+        pts = find_critical_points_multi(game)
     found = [p.x for p in pts if np.max(p.x) < 1.0]
     assert len(found) == len(inside)
     for x in inside:
@@ -273,13 +233,13 @@ class TestCompiledPotentialPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = find_critical_points_multi(game)
-            want = find_critical_points_multi(reference, starts=8, seed=3)
+            want, _, _ = numeric_critical_points(reference, starts=8, seed=3)
         assert len(got) == len(want) == 7
         _assert_reference_points_found(got, want)
 
     def test_scanner_matches_reference_path(self, game4):
         got = find_critical_points_multi(game4)
-        want = find_critical_points_multi(_reference_game(game4))
+        want, _, _ = numeric_critical_points(_reference_game(game4))
         assert len(got) == len(want)
         _assert_reference_points_found(got, want)
 
@@ -311,7 +271,7 @@ class TestExactSearch:
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         game = make_congestion_game([[1.0, -1.0]] * 4)
-        assert len(find_critical_points_multi(game, starts=3, seed=11, grid=9)) == 15
+        assert len(find_critical_points_multi(game)) == 15
 
     def test_tie_with_an_absent_action_is_degenerate(self):
         # on the edge of actions 0 and 1, mu = 1/2 = r_2(0): entering action 2
@@ -386,12 +346,11 @@ def test_exact_points_have_equal_rewards_on_their_support(polys):
 @given(_SCALED_GAMES)
 def test_numeric_reference_finds_no_other_point(polys):
     game, exact = _exact_search(polys)
-    search = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference = find_critical_points_multi(_reference_game(game), starts=4, seed=0, search=search)
+        reference, flooded, _ = numeric_critical_points(_reference_game(game), starts=4, seed=0)
     # rewards within 1e-9 of each other along a whole edge flood the scan
-    assume(not search["continuum_faces"])
+    assume(not flooded)
     for p in reference:
         if _reward_spread(game, p) <= 1e-8:
             assert min(np.max(np.abs(q.x - p.x)) for q in exact) < 1e-6, (p.x, [q.x for q in exact])

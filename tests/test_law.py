@@ -32,8 +32,7 @@ from imitodyn import (
     transition_rates,
 )
 from imitodyn._law import _compile, _Law, potential_pair
-from imitodyn.landscape import _reference_pair
-from conftest import loop_rates, loop_rhs, loop_step
+from conftest import loop_rates, loop_rhs, loop_step, reference_pair
 
 POLYS = ([1.0, -2.0, 0.5], [0.3, 1.0], [2.0, -1.0, -1.0], [0.5], [1.5, 0.0, -2.0, 0.5], [-0.5, 3.0])
 RULES = ("arctan", "arctan_pairs", "replicator", "replicator_clamped")
@@ -214,7 +213,7 @@ def test_compiled_potential_equals_reference(m, data, plain):
             potential_gradient=lambda x: poly.potential_gradient(x),
         )
         assert potential_pair(game) is None
-        phi, grad = _reference_pair(game)
+        phi, grad = reference_pair(game)
     else:
         game = poly
         phi, grad = potential_pair(game)
