@@ -60,7 +60,7 @@ from .landscape import (
     metastability_report,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .output import write_trajectory_csv, read_trajectory_csv, write_json, run_summary
+from .output import write_trajectory_csv, write_json, run_summary
 
 __version__ = "0.1.0"
 
@@ -117,7 +117,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "write_json",
     "run_summary",
 ]

@@ -7,28 +7,33 @@ the pair is compiled once:
 
 - at m = 2, pair_tables gives f_01 and f_10 at every count k = 0..n of
   action 0 from one batched rule.prob_matrix call on the states
-  (k/n, 1 - k/n), for any game and rule;
-- at m >= 3, congestion rewards (_PolyRewards) are separable, r_a depends
-  on x_a alone, so at population n they become per-count tables
-  R[a][c] = r_a(c/n), and in the flow an inline Horner per action;
-- the replicator rule becomes the table G[a][c] = f_ia, and the arctan
-  rule at m = 2 an inline atan in the flow's drift;
-- any other game or rule at m >= 3 (the arctan rule included) falls back
-  to rule.prob_matrix(game.rewards_at(x)) per state, range-checked on
-  every call.
+  (k/n, 1 - k/n), for any game and rule; the count paths read them;
+- congestion rewards (_PolyRewards) are separable, r_a depends on x_a
+  alone, so the flow evaluates each by an inline Horner, and at m >= 3 and
+  population n the count paths read the per-count tables R[a][c] = r_a(c/n);
+- on those rewards both rules a config can name are one law shape each:
+  the replicator rule clamps g_a = f_ia (with its debug log; the count
+  paths read the table G[a][c] instead), and the arctan rule computes one
+  f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi per ordered pair, K scalar or
+  per pair (one atan call per unordered pair when K is symmetric);
+- any other game or rule (CustomRule, rewards given as a plain callable)
+  falls back to rule.prob_matrix(game.rewards_at(x)) per state,
+  range-checked on every call.
 
 _Law's rhs (the flow's right-hand side), step (one RK4 step with the
-clip-and-renormalise guard) and cum_rates (the running sums of the jump
-rates that the m >= 3 complete engine bisects) are straight-line Python
-that _compile generates and execs once per m and law shape: one flat
-statement per Horner coefficient and per (i, j) term, with names built
-from indices and every coefficient passed in through a factory.  Each
-statement does the float operations of the loop it replaced, in the same
-order, so results are the same bits; the tests keep those loops as the
-reference.  On the replicator path Horner and the clamp (with its debug
-log) run inline and the rates read G; the fallback reads F from probs_at
-and probs.  engine.transition_rates and meanfield.mean_field_rhs stay the
-reference definitions that the tests compare these paths against.
+clip-and-renormalise guard), cum_rates (the running sums of the jump rates
+that the m >= 3 complete engine bisects), probs_at and probs are
+straight-line Python that _compile generates and execs once per m and law
+shape: one flat statement per Horner coefficient, copy probability and
+(i, j) term, with names built from indices and every coefficient passed in
+through a factory.  One emitter (_f_lines) writes the copy probabilities
+for all of them, so they read the same F.  Each statement does the float
+operations of the loop it replaced, in the same order, so results are the
+same bits; the tests keep those loops as the reference.  The fallback
+reads F from probs_at and probs.  engine.transition_rates and
+meanfield.mean_field_rhs stay the reference definitions that the tests
+compare these paths against; under the arctan rule math.atan may differ
+from numpy's arctan in the last bit.
 
 potential_pair compiles a congestion game's potential (_PolyPotential) and
 gradient (_PolyRewards) into closures phi(x) and grad(x) on a list of
@@ -78,26 +83,6 @@ def _replicator_consts(rule: ReplicatorRule) -> dict:
 
     eps = rule.eps_margin
     return dict(eps=eps, slope=rule.slope, lo=rule.r_lo, cap=1.0 - eps, clamped=clamped)
-
-
-def _replicator_map(rule: ReplicatorRule):
-    """Scalar form of ReplicatorRule._mapped (same operations, same bits,
-    and the same debug log when a reward is clamped)."""
-    k = _replicator_consts(rule)
-    eps, s, lo, cap, clamped = k["eps"], k["slope"], k["lo"], k["cap"], k["clamped"]
-
-    def g(r: float) -> float:
-        f = eps + s * (r - lo)
-        if f < eps:
-            f = eps
-        elif f > cap:
-            f = cap
-        else:
-            return f
-        clamped()
-        return f
-
-    return g
 
 
 def _horner(coeffs: tuple) -> tuple[float, tuple]:
@@ -154,50 +139,76 @@ def _names(prefix: str, count: int) -> str:
     return ", ".join(f"{prefix}{a}" for a in range(count))
 
 
-def _rhs_lines(m: int, degrees: tuple | None, z: str, out: str) -> list:
+def _pairs(m: int) -> list:
+    """The ordered pairs (i, j), i != j, row-major."""
+    return [(i, j) for i in range(m) for j in range(m) if i != j]
+
+
+def _f_lines(m: int, shape: tuple, src: str) -> tuple[list, object]:
+    """(statements, f): the statements set the copy probabilities at the
+    frequencies {src}0..{src}{m-1}, or at the counts c0..c{m-1} when src is
+    "c", and f(i, j) is the expression that reads f_ij after them.  The
+    fallback reads F from probs_at and probs; so do the counts at m = 2,
+    where probs reads the pair tables."""
+    kind, degrees, symmetric = shape
+    if kind is None or (src == "c" and m == 2):
+        call = "probs(counts)" if src == "c" else f"probs_at([{_names(src, m)}])"
+        return [f"{_names('F', m)} = {call}"], lambda i, j: f"F{i}[{j}]"
+    lines = []
+    for a, d in enumerate(degrees):
+        if src == "c":
+            lines.append(f"g{a} = G{a}[c{a}]" if kind == "replicator" else f"r{a} = R{a}[c{a}]")
+            continue
+        lines.append(f"r{a} = A{a} * {src}{a} + C{a}_0" if d else f"r{a} = A{a}")
+        lines += [f"r{a} = r{a} * {src}{a} + C{a}_{k}" for k in range(1, d)]
+        if kind == "replicator":
+            lines += [
+                f"g{a} = eps + slope * (r{a} - lo)",
+                f"if g{a} < eps:",
+                f"    g{a} = eps",
+                "    clamped()",
+                f"elif g{a} > cap:",
+                f"    g{a} = cap",
+                "    clamped()",
+            ]
+    if kind == "replicator":
+        return lines, lambda i, j: f"g{j}"
+    if not symmetric:
+        lines += [f"f{i}_{j} = 0.5 + atan(K{i}_{j} * (r{j} - r{i})) / pi" for i, j in _pairs(m)]
+        return lines, lambda i, j: f"f{i}_{j}"
+    # K_ji = K_ij, and atan, the negations r_i - r_j = -(r_j - r_i) and the
+    # division by pi are odd bit for bit, so f_ji = 0.5 - a_ij is the float
+    # that 0.5 + atan(K_ji * (r_i - r_j)) / pi gives, for one atan per pair
+    for i, j in _pairs(m):
+        if i < j:
+            lines += [
+                f"a{i}_{j} = atan(K{i}_{j} * (r{j} - r{i})) / pi",
+                f"f{i}_{j} = 0.5 + a{i}_{j}",
+                f"f{j}_{i} = 0.5 - a{i}_{j}",
+            ]
+    return lines, lambda i, j: f"f{i}_{j}"
+
+
+def _rhs_lines(m: int, shape: tuple, z: str, out: str) -> list:
     """Statements that set out0..out{m-1} to the flow's right-hand side at
     z0..z{m-1}: t = 0.0, then t += (F_ji - F_ij) * z_j for each j != i in
     order, then lam * z_i * t."""
-    if degrees is None:
-        lines = [f"{_names('F', m)} = probs_at([{_names(z, m)}])"]
-
-        def diff(i: int, j: int) -> str:
-            return f"F{j}[{i}] - F{i}[{j}]"
-
-    else:
-        # f_ij = g(r_j) for every i, so F_ji - F_ij = g(r_i) - g(r_j)
-        lines = []
-        for a, d in enumerate(degrees):
-            lines.append(f"r = A{a} * {z}{a} + C{a}_0" if d else f"r = A{a}")
-            lines += [f"r = r * {z}{a} + C{a}_{k}" for k in range(1, d)]
-            lines += [
-                f"f{a} = eps + slope * (r - lo)",
-                f"if f{a} < eps:",
-                f"    f{a} = eps",
-                "    clamped()",
-                f"elif f{a} > cap:",
-                f"    f{a} = cap",
-                "    clamped()",
-            ]
-
-        def diff(i: int, j: int) -> str:
-            return f"f{i} - f{j}"
-
+    lines, f = _f_lines(m, shape, z)
     for i in range(m):
-        terms = [f"({diff(i, j)}) * {z}{j}" for j in range(m) if j != i]
+        terms = [f"({f(j, i)} - {f(i, j)}) * {z}{j}" for j in range(m) if j != i]
         lines.append(f"t = 0.0 + {terms[0]}")
         lines += [f"t += {term}" for term in terms[1:]]
         lines.append(f"{out}{i} = lam * {z}{i} * t")
     return lines
 
 
-def _step_lines(m: int, degrees: tuple | None) -> list:
+def _step_lines(m: int, shape: tuple) -> list:
     """Body of step(x, h, k1): the RK4 stages, x + h/6 (k1 + 2 k2 + 2 k3 + k4),
     then the guard that clips negatives to 0 and renormalises."""
     lines = [f"{_names('x', m)} = x", f"{_names('k1_', m)} = k1", "half = 0.5 * h"]
     for stage, scale in ((2, "half"), (3, "half"), (4, "h")):
         lines += [f"z{a} = x{a} + {scale} * k{stage - 1}_{a}" for a in range(m)]
-        lines += _rhs_lines(m, degrees, "z", f"k{stage}_")
+        lines += _rhs_lines(m, shape, "z", f"k{stage}_")
     lines.append("sixth = h / 6.0")
     lines += [f"x{a} = x{a} + sixth * (k1_{a} + 2.0 * k2_{a} + 2.0 * k3_{a} + k4_{a})" for a in range(m)]
     lines += ["clipped = 0.0", "total = 0.0"]
@@ -211,61 +222,71 @@ def _step_lines(m: int, degrees: tuple | None) -> list:
     return lines
 
 
-def _rates_lines(m: int, degrees: tuple | None) -> list:
+def _rates_lines(m: int, shape: tuple) -> list:
     """Body of cum_rates(counts): the running sums of the jump rates
     cn * (x_i * x_j) * f_ij over the off-diagonal (i, j), row-major, added
     left to right as itertools.accumulate adds them."""
     lines = [f"{_names('c', m)} = counts"]
     lines += [f"w{a} = xs[c{a}]" for a in range(m)]
-    if degrees is None:
-        lines.append(f"{_names('F', m)} = probs(counts)")
-
-        def f(i: int, j: int) -> str:
-            return f"F{i}[{j}]"
-
-    else:
-        lines += [f"g{a} = G{a}[c{a}]" for a in range(m)]
-
-        def f(i: int, j: int) -> str:
-            return f"g{j}"
-
+    f_lines, f = _f_lines(m, shape, "c")
+    lines += f_lines
     # x_i * x_j == x_j * x_i bit for bit, so each pair's cn * (x_i * x_j)
     # is computed once
     lines += [f"s{i}_{j} = cn * (w{i} * w{j})" for i in range(m) for j in range(i + 1, m)]
-    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(_pairs(m)):
         rate = f"s{min(i, j)}_{max(i, j)} * {f(i, j)}"
         lines.append(f"u{k} = u{k - 1} + {rate}" if k else f"u0 = {rate}")
-    lines.append(f"return [{_names('u', len(pairs))}]")
+    lines.append(f"return [{_names('u', m * (m - 1))}]")
     return lines
 
 
+def _probs_lines(m: int, shape: tuple, src: str) -> list:
+    """Statements that return F as a list of rows; the diagonal is never
+    read."""
+    lines, f = _f_lines(m, shape, src)
+    if shape[0] == "replicator":  # f_ij = g_j in every row i: one row serves
+        F = f"[[{_names('g', m)}]] * {m}"
+    else:
+        F = "[" + ", ".join("[" + ", ".join(f(i, j) if i != j else "1.0" for j in range(m)) + "]" for i in range(m)) + "]"
+    return [f"{_names(src, m)} = {'counts' if src == 'c' else src}", *lines, f"return {F}"]
+
+
 @functools.cache
-def _compile(m: int, degrees: tuple | None):
-    """factory(lam, xs, cn, probs_at, probs, G, **replicator constants) ->
-    (rhs, step, cum_rates) as straight-line code for m actions.  degrees
-    holds the number of Horner steps of each action's reward on the
-    replicator path; None compiles the fallback, which reads F from
-    probs_at and probs.  Every statement is flat, so no expression nests
-    deeper as m or the degree grows."""
+def _compile(m: int, shape: tuple):
+    """factory(lam, xs, cn, probs_at, probs, T, **constants) -> (rhs, step,
+    cum_rates, probs_at, probs) as straight-line code for m actions.  shape
+    is (kind, degrees, symmetric): kind "replicator" or "arctan" on rewards
+    whose Horner forms take degrees steps per action, symmetric when the
+    arctan rule's K is, and (None, None, False) for the fallback, which
+    reads F from the probs_at and probs it is given.  The generated
+    probs_at, and at m >= 3 probs, replace the given ones.  T is the
+    per-count table of the count paths at m >= 3, G for the replicator rule
+    and R for the arctan rule.  Every statement is flat, so no expression
+    nests deeper as m or the degree grows."""
+    kind, degrees, _ = shape
     body = []
-    if degrees is not None:
+    functions = {
+        "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, shape, "x", "k"), f"return [{_names('k', m)}]"],
+        "step(x, h, k1)": _step_lines(m, shape),
+        "cum_rates(counts)": _rates_lines(m, shape),
+    }
+    if kind is not None:
         body.append(f"{_names('A', m)} = A")
         body += [f"{_names(f'C{a}_', d)}, = C[{a}]" for a, d in enumerate(degrees) if d]
-        body += ["if G is not None:", f"    {_names('G', m)} = G"]
-    functions = {
-        "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, degrees, "x", "k"), f"return [{_names('k', m)}]"],
-        "step(x, h, k1)": _step_lines(m, degrees),
-        "cum_rates(counts)": _rates_lines(m, degrees),
-    }
+        body += ["if T is not None:", f"    {_names('G' if kind == 'replicator' else 'R', m)} = T"]
+        functions["probs_at(x)"] = _probs_lines(m, shape, "x")
+        if m > 2:
+            functions["probs(counts)"] = _probs_lines(m, shape, "c")
+    if kind == "arctan":
+        body += [f"{', '.join(f'K{i}_{j}' for i, j in _pairs(m))} = K", "atan = math.atan", "pi = math.pi"]
     for signature, lines in functions.items():
         body += [f"def {signature}:", *("    " + line for line in lines)]
-    body.append("return rhs, step, cum_rates")
-    head = "def factory(lam, xs, cn, probs_at, probs, G, A=None, C=None, eps=None, slope=None, lo=None, cap=None,"
-    head += " clamped=None):"
+    body.append("return rhs, step, cum_rates, probs_at, probs")
+    head = "def factory(lam, xs, cn, probs_at, probs, T=None, A=None, C=None, K=None, eps=None, slope=None, lo=None,"
+    head += " cap=None, clamped=None):"
     source = "\n".join([head, *("    " + line for line in body)])
-    namespace: dict = {}
-    exec(compile(source, f"<imitodyn._law m={m} degrees={degrees}>", "exec"), namespace)
+    namespace: dict = {"math": math}
+    exec(compile(source, f"<imitodyn._law m={m} shape={shape}>", "exec"), namespace)
     return namespace["factory"]
 
 
@@ -277,14 +298,14 @@ class _Law:
     - step(x, h, k1): one RK4 step of size h from x given k1 = rhs(x), then
       the guard: (x with negatives clipped to 0 and renormalised, violation
       size, whether it clipped);
-    - drift(v), m = 2 only: the x_0 component of rhs at (v, 1 - v);
     - with n given, probs(counts), F at counts / n (at m = 2 at
       (k/n, 1 - k/n), from pair_tables), and cum_rates(counts), the running
       sums of the jump rates n lam x_i x_j f_ij over the (i, j) in `pairs`
       (row-major, off-diagonal).
 
-    rhs, step and cum_rates are the straight-line code that _compile
-    generates for m and the law's shape.
+    All of them are the straight-line code that _compile generates for m
+    and the law's shape, except the fallback's probs_at and probs and the
+    pair tables at m = 2.
     """
 
     def __init__(self, game: Game, rule: ImitationRule, lam: float = 1.0, n: int | None = None):
@@ -292,100 +313,38 @@ class _Law:
         self.m = m
         self._game = game
         self._rule = rule
-        poly = isinstance(game.rewards, _PolyRewards)
-        replicator = poly and isinstance(rule, ReplicatorRule)
-        # the replicator map on polynomial rewards; None selects the
-        # per-state fallback
-        self._g = _replicator_map(rule) if replicator else None
-        self._horner = [_horner(c) for c in game.rewards.coeffs] if poly else None
-        if m == 2:
-            self.drift = self._drift(lam)
-        probs = G = xs = cn = None
+        kind, degrees, symmetric, consts = None, None, False, {}
+        if isinstance(game.rewards, _PolyRewards):
+            if isinstance(rule, ReplicatorRule):
+                kind, consts = "replicator", _replicator_consts(rule)
+            elif isinstance(rule, ArctanRule):
+                K = rule._k_for(m)
+                kind, consts = "arctan", dict(K=[float(K[i, j]) for i, j in _pairs(m)])
+                symmetric = bool(np.array_equal(K, K.T))
+        if kind is not None:
+            A, C = zip(*(_horner(c) for c in game.rewards.coeffs))
+            consts.update(A=A, C=C)
+            degrees = tuple(map(len, C))
+        probs = xs = cn = None
         if n is not None:
-            self.pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-            probs, G = self._count_probs(n)
-            self.probs = probs
+            self.pairs = _pairs(m)
+            probs, consts["T"] = self._count_probs(n, kind)
             xs = (np.arange(n + 1) / n).tolist()
             cn = n * lam
-        consts: dict = {}
-        degrees = None
-        if replicator:
-            A, C = zip(*self._horner)
-            consts = dict(_replicator_consts(rule), A=A, C=C)
-            degrees = tuple(map(len, C))
-        factory = _compile(m, degrees)
-        self.rhs, self.step, cum_rates = factory(lam, xs, cn, self.probs_at, probs, G, **consts)
+        factory = _compile(m, (kind, degrees, symmetric))
+        self.rhs, self.step, cum_rates, self.probs_at, probs = factory(lam, xs, cn, self._fallback, probs, **consts)
         if n is not None:
-            self.cum_rates = cum_rates
+            self.cum_rates, self.probs = cum_rates, probs
 
-    def _fallback(self, x: np.ndarray) -> list:
-        return check_probs(self._rule.prob_matrix(self._game.rewards_at(x))).tolist()
+    def _fallback(self, x: list) -> list:
+        return check_probs(self._rule.prob_matrix(self._game.rewards_at(np.asarray(x)))).tolist()
 
-    def probs_at(self, x: list) -> list:
-        g = self._g
-        if g is None:
-            return self._fallback(np.asarray(x))
-        # inline Horner: the 2-action drift calls this once per RK4 stage
-        r = []
-        for (ra, cs), v in zip(self._horner, x):
-            for c in cs:
-                ra = ra * v + c
-            r.append(g(ra))
-        return [r] * self.m
-
-    def _drift(self, lam: float):
-        if self._horner is None or not isinstance(self._rule, ArctanRule):
-            probs_at = self.probs_at
-
-            def drift(v: float) -> float:
-                F = probs_at([v, 1.0 - v])
-                return lam * v * (1.0 - v) * (F[1][0] - F[0][1])
-
-            return drift
-        # find_limit calls this millions of times, so the arctan rule on
-        # polynomial rewards runs inline
-        (a0, c0), (a1, c1) = self._horner
-        K = self._rule._k_for(2)
-        k10 = float(K[1, 0])
-        k01 = float(K[0, 1])
-        atan = math.atan
-        pi = math.pi
-
-        def drift(v: float) -> float:
-            r0 = a0
-            for c in c0:
-                r0 = r0 * v + c
-            w = 1.0 - v
-            r1 = a1
-            for c in c1:
-                r1 = r1 * w + c
-            # f_10 - f_01 = (atan(k10 g) + atan(k01 g)) / pi, g = r_0 - r_1
-            g = r0 - r1
-            return lam * v * (1.0 - v) * (atan(k10 * g) + atan(k01 * g)) / pi
-
-        return drift
-
-    def _count_probs(self, n: int):
-        """(probs, G): G[a][c] = f_ia at count c of action a on the
-        replicator path, else None."""
+    def _count_probs(self, n: int, kind: str | None):
+        """(probs, T): probs reads the pair tables at m = 2 and the
+        fallback at m >= 3; at m >= 3 the generated probs replaces it and
+        reads T, the per-count table G[a][c] = f_ia of the replicator rule
+        or R[a][c] = r_a(c / n) of the arctan rule."""
         m = self.m
-        if self._g is not None:
-            if m == 2:
-                # pair_tables' bits: f_10 at count k of action 0, f_01 at
-                # count n - k of action 1
-                f01, f10 = pair_tables(self._game, self._rule, n)
-                G = [f10.tolist(), f01.tolist()[::-1]]
-            else:
-                # separable rewards: row a holds r_a(c / n) for c = 0..n
-                R = rewards_grid(self._game, np.tile(np.arange(n + 1) / n, (m, 1)))
-                Gm = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
-                check_probs(np.broadcast_to(Gm[None], (m, m, n + 1)))
-                G = Gm.tolist()
-
-            def probs(counts: list) -> list:
-                return [[Ga[c] for Ga, c in zip(G, counts)]] * m
-
-            return probs, G
         if m == 2:
             f01, f10 = pair_tables(self._game, self._rule, n)
             # the diagonal is never read
@@ -395,9 +354,17 @@ class _Law:
                 return tables[counts[0]]
 
             return probs, None
-        fallback = self._fallback
+        if kind is None:
+            fallback = self._fallback
 
-        def probs(counts: list) -> list:
-            return fallback(np.asarray(counts) / n)
+            def probs(counts: list) -> list:
+                return fallback(np.asarray(counts) / n)
 
-        return probs, None
+            return probs, None
+        # separable rewards: row a holds r_a(c / n) for c = 0..n
+        R = rewards_grid(self._game, np.tile(np.arange(n + 1) / n, (m, 1)))
+        if kind == "arctan":
+            return None, R.tolist()
+        G = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
+        check_probs(np.broadcast_to(G[None], (m, m, n + 1)))
+        return None, G.tolist()

@@ -4,10 +4,9 @@ The large-population limit of the jump chain follows
 x' = lambda * diag(x) (F(x)^T - F(x)) x, which preserves the simplex and
 increases the potential along trajectories of potential games.  Fixed-step
 RK4 keeps results reproducible across runs and platforms.  integrate and
-find_limit step on Python floats through the compiled law (_law): in x_0
-alone for two actions, and for m >= 3 with the law's generated
-straight-line rhs and step.  mean_field_rhs is the reference right-hand
-side.
+find_limit step on Python floats, at every m, with the compiled law's
+(_law) generated straight-line rhs and step.  mean_field_rhs is the
+reference right-hand side.
 """
 
 from __future__ import annotations
@@ -58,64 +57,6 @@ def mean_field_rhs(game: Game, rule: ImitationRule, x: np.ndarray, lam: float = 
     return lam * x * ((F.T - F) @ x)
 
 
-class _Flow1:
-    """Flow of a 2-action game in v = x_0 alone, x_1 = 1 - v."""
-
-    def __init__(self, game: Game, rule: ImitationRule, lam: float):
-        self.rhs = rhs = _Law(game, rule, lam).drift
-
-        def step(v: float, h: float, k1: float) -> tuple[float, float, bool]:
-            """RK4 step of size h from v, given k1 = rhs(v), then the guard:
-            (new v clipped to [0, 1], violation size, whether it clipped)."""
-            half = 0.5 * h
-            k2 = rhs(v + half * k1)
-            k3 = rhs(v + half * k2)
-            k4 = rhs(v + h * k3)
-            v += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if v < 0.0:
-                return 0.0, -v, True
-            if v > 1.0:
-                return 1.0, v - 1.0, True
-            return v, 0.0, False
-
-        self.step = step
-
-    norm = staticmethod(abs)
-
-    @staticmethod
-    def start(x: np.ndarray) -> float:
-        return float(x[0])
-
-    @staticmethod
-    def point(v: float) -> tuple[float, float]:
-        return v, 1.0 - v
-
-
-class _FlowM:
-    """Flow of an m-action game on frequency lists, stepped by the law's
-    generated rhs and step."""
-
-    def __init__(self, game: Game, rule: ImitationRule, lam: float):
-        law = _Law(game, rule, lam)
-        self.rhs, self.step = law.rhs, law.step
-
-    @staticmethod
-    def norm(k: list) -> float:
-        return max(abs(v) for v in k)
-
-    @staticmethod
-    def start(x: np.ndarray) -> list:
-        return x.tolist()
-
-    @staticmethod
-    def point(x: list) -> list:
-        return x
-
-
-def _flow(game: Game, rule: ImitationRule, lam: float) -> _Flow1 | _FlowM:
-    return (_Flow1 if game.m == 2 else _FlowM)(game, rule, lam)
-
-
 def integrate(
     game: Game,
     rule: ImitationRule,
@@ -128,13 +69,12 @@ def integrate(
 
     A clip-and-renormalize guard keeps iterates on the simplex; the run
     aborts if the guard fires more than 10^3 times or a step leaves the
-    simplex by more than 1e-6 even after guarding.  A 2-action flow runs
-    in x_0 alone.
+    simplex by more than 1e-6 even after guarding.
     """
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("need T > 0 and dt > 0")
     x0 = as_simplex_point(x0)
-    flow = _flow(game, rule, lam)
+    law = _Law(game, rule, lam)
     steps = int(math.floor(T / dt + 1e-9))
     rem = T - steps * dt
     total = steps + (1 if rem > 1e-12 else 0)
@@ -142,12 +82,12 @@ def integrate(
     states = np.empty((total + 1, game.m))
     times[0] = 0.0
     states[0] = x0
-    x = flow.start(x0)
+    x = x0.tolist()
     guard_hits = 0
     t = 0.0
     for step in range(total):
         h = dt if step < steps else rem
-        x, violation, hit = flow.step(x, h, flow.rhs(x))
+        x, violation, hit = law.step(x, h, law.rhs(x))
         guard_hits += hit
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} at t = {t + h:g} exceeds 1e-6")
@@ -155,7 +95,7 @@ def integrate(
             raise RuntimeError("simplex guard activated more than 1000 times")
         t += h
         times[step + 1] = t
-        states[step + 1] = flow.point(x)
+        states[step + 1] = x
     return OdeTrajectory(times=times, states=states)
 
 
@@ -177,21 +117,21 @@ def find_limit(
     """
     if tol <= 0.0 or max_T <= 0.0 or dt <= 0.0:
         raise ValueError("need tol > 0, max_T > 0, dt > 0")
-    flow = _flow(game, rule, lam)
-    rhs, step, norm = flow.rhs, flow.step, flow.norm
-    x = flow.start(as_simplex_point(x0))
+    law = _Law(game, rule, lam)
+    rhs, step = law.rhs, law.step
+    x = as_simplex_point(x0).tolist()
     t = 0.0
     converged = False
     while t < max_T:
         k1 = rhs(x)
-        if norm(k1) < tol:
+        if max(map(abs, k1)) < tol:
             converged = True
             break
         x, violation, _ = step(x, dt, k1)
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} during find_limit")
         t += dt
-    return LimitResult(np.array(flow.point(x)), converged, t, norm(rhs(x)))
+    return LimitResult(np.array(x), converged, t, max(map(abs, rhs(x))))
 
 
 def kurtz_deviation(stoch: Trajectory, ode: OdeTrajectory, T: float) -> float:

@@ -18,7 +18,6 @@ from .engine import _CHUNK, Trajectory
 
 __all__ = [
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "write_json",
     "run_summary",
     "ensure_dir",
@@ -62,12 +61,6 @@ def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray, n: in
         for lo in range(0, times.size, _CHUNK):
             hi = lo + _CHUNK
             fh.writelines([f"{t!r},{tail}" for t, tail in zip(times[lo:hi].tolist(), tails(states[lo:hi]))])
-
-
-def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    data = np.atleast_2d(data)
-    return data[:, 0], data[:, 1:]
 
 
 def write_json(path: str, obj) -> None:

@@ -5,13 +5,16 @@ laws; every engine loop and the flow run on imitodyn._law instead.
 The two must agree to 1e-12 on every kind of game and rule, including the
 per-state fallback that a lambda-rewards game takes.  The law's generated
 rhs, step and cum_rates must equal the loops they replaced (conftest's
-loop_rhs, loop_step and loop_rates) bit for bit.  The compiled potential
+loop_rhs, loop_step and loop_rates) bit for bit.  The generated arctan
+probabilities must equal rule.prob_matrix to 1e-15, and no game and rule
+that a config can build may reach the fallback.  The compiled potential
 and gradient that the landscape finders use must equal game.potential and
 game.potential_gradient bit for bit.
 """
 
 import functools
 import logging
+import math
 import time
 from itertools import accumulate
 
@@ -21,14 +24,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import (
+    Configuration,
     Game,
     PopulationType,
+    SimConfig,
     arctan_rule,
+    complete,
     example4_game,
+    find_limit,
+    integrate,
     make_congestion_game,
     mean_field_rhs,
     replicator_rule,
     reward_bounds,
+    simulate_complete,
+    simulate_network,
     transition_rates,
 )
 from imitodyn._law import _compile, _Law, potential_pair
@@ -106,10 +116,6 @@ def test_rhs_matches_mean_field_rhs(case, weights, lam):
     law = _Law(game, rule, lam)
     ref = mean_field_rhs(game, rule, x, lam)
     np.testing.assert_allclose(law.rhs(x.tolist()), ref, rtol=0.0, atol=1e-12)
-    if m == 2:
-        v = float(x[0])
-        ref = mean_field_rhs(game, rule, np.array([v, 1.0 - v]), lam)[0]
-        assert law.drift(v) == pytest.approx(ref, rel=0.0, abs=1e-12)
 
 
 def _hex(values) -> list:
@@ -162,23 +168,74 @@ def test_generated_step_clips_like_the_loop(rule_name, lambda_rewards):
     assert (_hex(y), violation.hex(), hit) == (_hex(y_ref), violation_ref.hex(), hit_ref)
 
 
+@given(st.integers(2, 6), st.sampled_from(["arctan", "arctan_pairs"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generated_arctan_probs_match_reference(m, rule_name, data):
+    # absolute, not relative: math.atan and np.arctan may differ in the last
+    # bit, which moves f_ij by about 2e-16 however small f_ij is
+    game, rule = _case(m, rule_name, False)
+    off = ~np.eye(m, dtype=bool)
+    x = np.array(_simplex_list(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))))
+    n = data.draw(st.integers(2, 300))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    counts = np.diff([0, *cuts, n])
+    law = _Law(game, rule, 1.0, n)
+    K = rule._k_for(m)
+    for F, y in ((law.probs_at(x.tolist()), x), (law.probs(counts.tolist()), counts / n)):
+        r = game.rewards_at(y)
+        F_ref = rule.prob_matrix(r)
+        np.testing.assert_allclose(np.array(F)[off], F_ref[off], rtol=0.0, atol=1e-15)
+        if m > 2 or y is x:  # at m = 2 probs reads pair_tables, numpy's bits
+            # one formula per ordered pair, also where a symmetric K shares
+            # one atan between f_ij and f_ji
+            r = r.tolist()
+            ref = [0.5 + math.atan(float(K[i, j]) * (r[j] - r[i])) / math.pi for i, j in law.pairs]
+            assert _hex(F[i][j] for i, j in law.pairs) == _hex(ref)
+
+
 def test_twelve_action_law_builds_fast_and_once_per_shape():
     # degrees up to 35: every Horner coefficient is its own statement
     polys = [[1.0 + a, -1.0] + [0.25 / (k + 1) for k in range(3 * a)] for a in range(12)]
     game = make_congestion_game(polys)
-    rule = replicator_rule(*reward_bounds(game), 0.01)
-    _compile.cache_clear()
-    t0 = time.perf_counter()
-    law = _Law(game, rule, 1.0, 1000)
-    assert time.perf_counter() - t0 < 1.0
-    counts = [83] * 11 + [87]
-    assert _hex(law.cum_rates(counts)) == _hex(accumulate(loop_rates(law, 1000, 1.0)(counts)))
-    x = [c / 1000 for c in counts]
-    assert _hex(law.step(x, 0.05, law.rhs(x))[0]) == _hex(loop_step(loop_rhs(law, 1.0))(x, 0.05, law.rhs(x))[0])
-    # other coefficients of the same degrees reuse the compiled factory
     other = make_congestion_game([[2.0 * c for c in p] for p in polys])
-    _Law(other, replicator_rule(*reward_bounds(other), 0.01), 2.0, 500)
-    assert _compile.cache_info().misses == 1
+    # each rule twice: other coefficients of the same degrees, and another
+    # symmetric K, reuse the compiled factory
+    i, j = np.indices((12, 12))
+    for rule, other_rule in (
+        (replicator_rule(*reward_bounds(game), 0.01), replicator_rule(*reward_bounds(other), 0.01)),
+        (arctan_rule(0.7), arctan_rule(0.5 + (i + j) % 5 / 4.0)),
+    ):
+        _compile.cache_clear()
+        t0 = time.perf_counter()
+        law = _Law(game, rule, 1.0, 1000)
+        assert time.perf_counter() - t0 < 1.0
+        counts = [83] * 11 + [87]
+        assert _hex(law.cum_rates(counts)) == _hex(accumulate(loop_rates(law, 1000, 1.0)(counts)))
+        x = [c / 1000 for c in counts]
+        k1 = law.rhs(x)
+        assert _hex(law.step(x, 0.05, k1)[0]) == _hex(loop_step(loop_rhs(law, 1.0))(x, 0.05, k1)[0])
+        _Law(other, other_rule, 2.0, 500)
+        assert _compile.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("rule_name", ["arctan", "arctan_pairs", "replicator"])
+def test_config_pairs_never_fall_back(monkeypatch, m, rule_name):
+    # every game a config builds is a congestion game, and every rule it
+    # names is the arctan or the replicator rule
+    game, rule = _case(m, rule_name, False)
+
+    def fallback(self, x):
+        raise AssertionError("the law fell back to rule.prob_matrix")
+
+    monkeypatch.setattr(_Law, "_fallback", fallback)
+    x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
+    integrate(game, rule, x0, T=2.0, dt=0.05)
+    find_limit(game, rule, x0, max_T=5.0)
+    cfg = SimConfig(horizon=2.0, seed=0)
+    simulate_complete(game, rule, PopulationType.from_fractions(60, x0), cfg)
+    y0 = Configuration(np.arange(60) % m, m=m)
+    simulate_network(complete(60), game, rule, y0, cfg)
 
 
 @pytest.mark.parametrize("rule_name, logged", [("replicator", False), ("replicator_clamped", True)])

@@ -177,8 +177,9 @@ class TestFindLimit:
             integrate(game4, rule, np.array([0.9, 0.1]), T=50.0, dt=5.0, lam=10.0)
 
 
-class _LoopFlowM(meanfield._FlowM):
-    """The m-action flow on the loops that the generated law replaced."""
+class _LoopLaw:
+    """The law with its generated rhs and step swapped for the loops they
+    replaced."""
 
     def __init__(self, game, rule, lam):
         self.rhs = loop_rhs(_Law(game, rule, lam), lam)
@@ -191,7 +192,7 @@ class TestGeneratedFlow:
 
     POLYS = ([1.0, -1.0], [0.5, 2.0, -3.0], [2.0, -1.5], [1.0, 0.0, -1.0, 0.25], [0.8, -0.5])
 
-    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("rule_name", ["replicator", "arctan_pairs", "fallback"])
     def test_integrate_and_find_limit_equal_loop_rk4(self, monkeypatch, m, rule_name):
         game = make_congestion_game(self.POLYS[:m])
@@ -205,8 +206,8 @@ class TestGeneratedFlow:
             game = Game(m=m, rewards=lambda x: poly.rewards(x))
         x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
         runs = []
-        for flow in (meanfield._FlowM, _LoopFlowM):
-            monkeypatch.setattr(meanfield, "_FlowM", flow)
+        for law in (_Law, _LoopLaw):
+            monkeypatch.setattr(meanfield, "_Law", law)
             runs.append(
                 (
                     integrate(game, rule, x0, T=4.0, dt=0.02, lam=1.5),
