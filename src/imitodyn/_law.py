@@ -15,7 +15,7 @@ the pair is compiled once:
   the replicator rule clamps g_a = f_ia (with its debug log; the count
   paths read the table G[a][c] instead), and the arctan rule computes one
   f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi per ordered pair, K scalar or
-  per pair (one atan call per unordered pair when K is symmetric);
+  per pair;
 - any other game or rule (CustomRule, rewards given as a plain callable)
   falls back to rule.prob_matrix(game.rewards_at(x)) per state,
   range-checked on every call.
@@ -150,7 +150,7 @@ def _f_lines(m: int, shape: tuple, src: str) -> tuple[list, object]:
     "c", and f(i, j) is the expression that reads f_ij after them.  The
     fallback reads F from probs_at and probs; so do the counts at m = 2,
     where probs reads the pair tables."""
-    kind, degrees, symmetric = shape
+    kind, degrees = shape
     if kind is None or (src == "c" and m == 2):
         call = "probs(counts)" if src == "c" else f"probs_at([{_names(src, m)}])"
         return [f"{_names('F', m)} = {call}"], lambda i, j: f"F{i}[{j}]"
@@ -173,19 +173,7 @@ def _f_lines(m: int, shape: tuple, src: str) -> tuple[list, object]:
             ]
     if kind == "replicator":
         return lines, lambda i, j: f"g{j}"
-    if not symmetric:
-        lines += [f"f{i}_{j} = 0.5 + atan(K{i}_{j} * (r{j} - r{i})) / pi" for i, j in _pairs(m)]
-        return lines, lambda i, j: f"f{i}_{j}"
-    # K_ji = K_ij, and atan, the negations r_i - r_j = -(r_j - r_i) and the
-    # division by pi are odd bit for bit, so f_ji = 0.5 - a_ij is the float
-    # that 0.5 + atan(K_ji * (r_i - r_j)) / pi gives, for one atan per pair
-    for i, j in _pairs(m):
-        if i < j:
-            lines += [
-                f"a{i}_{j} = atan(K{i}_{j} * (r{j} - r{i})) / pi",
-                f"f{i}_{j} = 0.5 + a{i}_{j}",
-                f"f{j}_{i} = 0.5 - a{i}_{j}",
-            ]
+    lines += [f"f{i}_{j} = 0.5 + atan(K{i}_{j} * (r{j} - r{i})) / pi" for i, j in _pairs(m)]
     return lines, lambda i, j: f"f{i}_{j}"
 
 
@@ -255,15 +243,14 @@ def _probs_lines(m: int, shape: tuple, src: str) -> list:
 def _compile(m: int, shape: tuple):
     """factory(lam, xs, cn, probs_at, probs, T, **constants) -> (rhs, step,
     cum_rates, probs_at, probs) as straight-line code for m actions.  shape
-    is (kind, degrees, symmetric): kind "replicator" or "arctan" on rewards
-    whose Horner forms take degrees steps per action, symmetric when the
-    arctan rule's K is, and (None, None, False) for the fallback, which
-    reads F from the probs_at and probs it is given.  The generated
-    probs_at, and at m >= 3 probs, replace the given ones.  T is the
+    is (kind, degrees): kind "replicator" or "arctan" on rewards whose
+    Horner forms take degrees steps per action, and (None, None) for the
+    fallback, which reads F from the probs_at and probs it is given.  The
+    generated probs_at, and at m >= 3 probs, replace the given ones.  T is the
     per-count table of the count paths at m >= 3, G for the replicator rule
     and R for the arctan rule.  Every statement is flat, so no expression
     nests deeper as m or the degree grows."""
-    kind, degrees, _ = shape
+    kind, degrees = shape
     body = []
     functions = {
         "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, shape, "x", "k"), f"return [{_names('k', m)}]"],
@@ -313,14 +300,13 @@ class _Law:
         self.m = m
         self._game = game
         self._rule = rule
-        kind, degrees, symmetric, consts = None, None, False, {}
+        kind, degrees, consts = None, None, {}
         if isinstance(game.rewards, _PolyRewards):
             if isinstance(rule, ReplicatorRule):
                 kind, consts = "replicator", _replicator_consts(rule)
             elif isinstance(rule, ArctanRule):
                 K = rule._k_for(m)
                 kind, consts = "arctan", dict(K=[float(K[i, j]) for i, j in _pairs(m)])
-                symmetric = bool(np.array_equal(K, K.T))
         if kind is not None:
             A, C = zip(*(_horner(c) for c in game.rewards.coeffs))
             consts.update(A=A, C=C)
@@ -331,7 +317,7 @@ class _Law:
             probs, consts["T"] = self._count_probs(n, kind)
             xs = (np.arange(n + 1) / n).tolist()
             cn = n * lam
-        factory = _compile(m, (kind, degrees, symmetric))
+        factory = _compile(m, (kind, degrees))
         self.rhs, self.step, cum_rates, self.probs_at, probs = factory(lam, xs, cn, self._fallback, probs, **consts)
         if n is not None:
             self.cum_rates, self.probs = cum_rates, probs
@@ -364,6 +350,12 @@ class _Law:
         # separable rewards: row a holds r_a(c / n) for c = 0..n
         R = rewards_grid(self._game, np.tile(np.arange(n + 1) / n, (m, 1)))
         if kind == "arctan":
+            # f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi lies in [0, 1] unless
+            # r_j - r_i is NaN: at a NaN reward, or where two actions' rewards
+            # are the same infinity at counts c_i + c_j <= n
+            first = [[int(row.argmax()) if row.any() else n + 1 for row in R == s] for s in (np.inf, -np.inf)]
+            if np.isnan(R).any() or any(sum(sorted(c)[:2]) <= n for c in first):
+                raise ValueError("rate conservation violated: copy probability nan outside [0, 1]")
             return None, R.tolist()
         G = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
         check_probs(np.broadcast_to(G[None], (m, m, n + 1)))

@@ -57,6 +57,15 @@ def mean_field_rhs(game: Game, rule: ImitationRule, x: np.ndarray, lam: float = 
     return lam * x * ((F.T - F) @ x)
 
 
+def _finite(x: list) -> list:
+    """x, after checking that the flow met no NaN copy probability: with
+    every f_ij in [0, 1] the flow stays finite, and a NaN reaches every
+    later state."""
+    if math.isnan(sum(x)):
+        raise ValueError("rate conservation violated: copy probability nan outside [0, 1] on the flow")
+    return x
+
+
 def integrate(
     game: Game,
     rule: ImitationRule,
@@ -96,6 +105,7 @@ def integrate(
         t += h
         times[step + 1] = t
         states[step + 1] = x
+    _finite(x)
     return OdeTrajectory(times=times, states=states)
 
 
@@ -131,7 +141,7 @@ def find_limit(
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} during find_limit")
         t += dt
-    return LimitResult(np.array(x), converged, t, max(map(abs, rhs(x))))
+    return LimitResult(np.array(_finite(x)), converged, t, max(map(abs, rhs(x))))
 
 
 def kurtz_deviation(stoch: Trajectory, ode: OdeTrajectory, T: float) -> float:
