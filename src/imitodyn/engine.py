@@ -2,9 +2,12 @@
 
 Two engines share one law on the complete graph: simulate_complete runs the
 population-type jump chain (rates n lambda x_i x_j f_ij), simulate_network
-runs per-node activation, contact, and copy on an arbitrary graph.  Both
-use inverse-CDF exponential waiting times from the run's own seeded stream,
-so every run is reproducible bit for bit.
+runs per-node activation, contact, and copy on an arbitrary graph.  The
+complete-graph loops draw from random.Random(seed), one inverse-CDF
+exponential waiting time and one uniform per jump; the network loop draws
+numpy blocks from PCG64(seed), ziggurat exponentials included, and handles
+each block's activations in one Python pass.  Every run is reproducible
+bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law); the
 m >= 3 complete loop bisects the law's generated cumulative rates
@@ -52,6 +55,11 @@ __all__ = [
 EVENT_RECORD_CAP = 10_000_000
 # Rows a loop keeps in Python lists before moving them into numpy blocks.
 _CHUNK = 16_384
+# The network loop draws for 32, 64, ... activations at a time, up to this
+# many: larger blocks raised the network workload's peak RSS and ran no
+# faster.  The block sizes are part of its random stream, so this does not
+# follow _CHUNK, which tests lower to exercise the recorder alone.
+_DRAW_CAP = 2_048
 
 logger = logging.getLogger(__name__)
 
@@ -165,8 +173,9 @@ class _Recorder:
     full chunk of _CHUNK rows into numpy blocks, clearing the lists in place
     so the bound methods stay valid, and at event EVENT_RECORD_CAP switches
     an every-jump path to stride recording: from then on it returns 0, so
-    the loop calls it at every recorded row.  Each row is a count vector, or
-    the count of action 0 when m = 2.
+    the loop calls it at every recorded row.  The network loop writes its
+    stride rows through `stride_rows`, which does the same for a run of
+    rows.  Each row is a count vector, or the count of action 0 when m = 2.
     """
 
     def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
@@ -200,6 +209,27 @@ class _Recorder:
                 "seed %d: recorded every jump up to event %d, stride recording from t=%r", self.cfg.seed, events, t
             )
         return self._next_check(events)
+
+    def stride_rows(self, s: float, until: float, row: list, events: int) -> tuple[float, int]:
+        """Append a copy of `row` at each stride time s, s + stride, ... up to
+        `until` and before the horizon, as if check(events, time) followed
+        each; return the next stride time and check's threshold.  Only the
+        first row can switch to stride recording, as `events` is fixed, so
+        the rows after it need only the chunk test."""
+        stride, horizon, chunk = self.cfg.record_stride, self.cfg.horizon, self._chunk
+        times, rows = self.times, self.rows
+        if s <= until and s < horizon:
+            times.append(s)
+            rows.append(row.copy())
+            self.check(events, s)
+            s += stride
+            while s <= until and s < horizon:
+                times.append(s)
+                rows.append(row.copy())
+                if len(times) >= chunk:
+                    self._flush()
+                s += stride
+        return s, self._next_check(events)
 
     def close(self, final, n: int, absorbed_at: float | None, events: int, meta: dict) -> Trajectory:
         """The Trajectory of a path whose current state is `final`.
@@ -372,6 +402,20 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     complete graph) and copies with probability f_ij evaluated at the global
     type.  The type is recorded every record_stride, at each of the first
     EVENT_RECORD_CAP changes when cfg.record_jumps is set, and at absorption.
+
+    Each run draws from np.random.Generator(PCG64(cfg.seed)) in blocks of
+    32, 64, ... activations, doubling up to _DRAW_CAP.  A block draws, in
+    this order: its standard exponentials; its active nodes u and contacts
+    v, as rows 0 and 1 of one integers(0, n, (2, size)) on the complete
+    graph, otherwise as integers(0, n, size) and then the uniform neighbour
+    flat[off[u] + integers(0, deg[u])]; and its copy uniforms, random().
+    numpy's bounded integers depend on how the draws are split into calls,
+    so the block sizes are part of the stream.  The clock is one sequential
+    sum carried from block to block, equal bit for bit to t += e / (n *
+    lambda) per activation.  Python then visits each activation of the
+    block once and acts only on copies.  A stride row at s holds the state
+    left by the activations before s; it is written before the first copy
+    at or after s or at the end of the run.
     """
     if y0.n != graph.n:
         raise ValueError(f"configuration has {y0.n} nodes, graph has {graph.n}")
@@ -379,82 +423,75 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
         raise ValueError(f"configuration has {y0.m} actions, game has {game.m}")
     n = graph.n
     m = game.m
-    lam = cfg.lam
     meta = _meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
     counts = np.bincount(y0.actions, minlength=m).tolist()
     if max(counts) == n:
         return _Recorder(counts, cfg).close(counts, n, 0.0, 0, meta)
 
-    law = _Law(game, rule, lam, n).probs
+    law = _Law(game, rule, cfg.lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
-    # per node: (contacts, their count d, d.bit_length()); on the complete
-    # graph every node contacts range(n), itself included
-    if graph.is_complete:
-        nodes = [(range(n), n, n.bit_length())] * n
-    else:
-        nodes = [(nb, len(nb), len(nb).bit_length()) for nb in (a.tolist() for a in graph.neighbors)]
-    kn = n.bit_length()
-    rng = random.Random(cfg.seed)
-    rr = rng.random
-    getrandbits = rng.getrandbits
-    log = math.log
+    if not graph.is_complete:
+        deg = np.array([nb.size for nb in graph.neighbors])
+        off = np.cumsum(deg) - deg
+        flat = np.concatenate(graph.neighbors)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = cfg.horizon
-    stride = cfg.record_stride
     record_jumps = cfg.record_jumps
-    total_rate = n * lam
+    total_rate = n * cfg.lam
 
     t = 0.0
     rec = _Recorder(counts.copy(), cfg, every_jump=record_jumps)
-    append_t, append_c, check = rec.times.append, rec.rows.append, rec.check
+    append_t, append_c, check, stride_rows = rec.times.append, rec.rows.append, rec.check, rec.stride_rows
     next_check = rec.start
-    next_rec = stride
+    next_rec = cfg.record_stride
     events = 0
     flips = 0
     absorbed_at: float | None = None
+    size = 32
 
-    while True:
-        t_next = t - log(1.0 - rr()) / total_rate
-        while next_rec <= t_next and next_rec < horizon:
-            append_t(next_rec)
-            append_c(counts.copy())
-            next_check = check(flips, next_rec)  # stride rows fill chunks too
-            next_rec += stride
-        if t_next >= horizon:
-            t = horizon
-            break
-        t = t_next
-        events += 1
-        # u = randrange(n), then v = nb[randrange(d)], drawn as CPython 3.11's
-        # Random._randbelow_with_getrandbits draws them (same calls, same
-        # stream); tests/test_engine.py::TestNetworkDrawStream pins this
-        u = getrandbits(kn)
-        while u >= n:
-            u = getrandbits(kn)
-        i = y[u]
-        nb, d, kd = nodes[u]
-        v = getrandbits(kd)
-        while v >= d:
-            v = getrandbits(kd)
-        j = y[nb[v]]
-        if i == j:
-            continue
-        if rr() < F[i][j]:
-            y[u] = j
-            counts[i] -= 1
-            counts[j] += 1
-            flips += 1
-            F = law(counts)
-            if record_jumps:
-                append_t(t)
-                append_c(counts.copy())
-                if flips >= next_check:
-                    next_check = check(flips, t)
-                    record_jumps = rec.every_jump
-            if counts[j] == n:
-                absorbed_at = t
-                break
+    while absorbed_at is None and t < horizon:
+        times = rng.standard_exponential(size)
+        if graph.is_complete:
+            u, v = rng.integers(0, n, (2, size)).tolist()
+        else:
+            u = rng.integers(0, n, size)
+            v = flat[off[u] + rng.integers(0, deg[u])].tolist()
+            u = u.tolist()
+        copy = rng.random(size).tolist()
+        times /= total_rate
+        times[0] += t
+        np.add.accumulate(times, out=times)
+        t = float(times[-1])
+        stop = size if t < horizon else int(np.searchsorted(times, horizon))  # activations before the horizon
+        clock = memoryview(times)  # reads Python floats
+        for k, a, b, c in zip(range(stop), u, v, copy):
+            i = y[a]
+            j = y[b]
+            if i != j and c < F[i][j]:
+                s = clock[k]
+                if next_rec <= s:  # stride rows fill chunks too
+                    next_rec, next_check = stride_rows(next_rec, s, counts, flips)
+                y[a] = j
+                counts[i] -= 1
+                counts[j] += 1
+                flips += 1
+                F = law(counts)
+                if record_jumps:
+                    append_t(s)
+                    append_c(counts.copy())
+                    if flips >= next_check:
+                        next_check = check(flips, s)
+                        record_jumps = rec.every_jump
+                if counts[j] == n:
+                    absorbed_at = s
+                    stop = k + 1
+                    break
+        events += stop
+        size = min(2 * size, _DRAW_CAP)
 
+    if absorbed_at is None:
+        stride_rows(next_rec, horizon, counts, flips)
     meta["flip_count"] = flips
     return rec.close(counts, n, absorbed_at, events, meta)
 

@@ -1,5 +1,4 @@
-import math
-import random
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -512,18 +511,37 @@ class TestNetworkAgainstNodeGenerator:
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
+def _network_draws(graph, seed):
+    """The network loop's draws for one activation at a time: (standard
+    exponential, active node, contact, copy uniform), drawn as the loop
+    draws them, in blocks of 32, 64, ... up to 2,048 activations."""
+    n = graph.n
+    adj = None if graph.is_complete else [a.tolist() for a in graph.neighbors]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    size = 32
+    while True:
+        waits = rng.standard_exponential(size).tolist()
+        if adj is None:
+            nodes, contacts = rng.integers(0, n, (2, size)).tolist()
+        else:
+            nodes = rng.integers(0, n, size).tolist()
+            picks = rng.integers(0, np.array([len(adj[u]) for u in nodes])).tolist()
+            contacts = [adj[u][k] for u, k in zip(nodes, picks)]
+        copies = rng.random(size).tolist()
+        yield from zip(waits, nodes, contacts, copies)
+        size = min(2 * size, 2_048)
+
+
 def _reference_network(graph, game, rule, y0, cfg):
-    """simulate_network as it was written with rng.randrange, kept as the
-    reference for the engine's inlined draws."""
+    """simulate_network one activation at a time: the clock advances by
+    e / (n * lambda) per activation, and the stride rows up to each
+    activation's time are written before it is handled."""
     n = graph.n
     meta = engine_mod._meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
     counts = np.bincount(y0.actions, minlength=game.m).tolist()
     law = _Law(game, rule, cfg.lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
-    adj = None if graph.is_complete else [a.tolist() for a in graph.neighbors]
-    rng = random.Random(cfg.seed)
-    rr, randrange = rng.random, rng.randrange
     stride, record_jumps = cfg.record_stride, cfg.record_jumps
     t = 0.0
     rec = engine_mod._Recorder(counts.copy(), cfg, every_jump=record_jumps)
@@ -531,29 +549,21 @@ def _reference_network(graph, game, rule, y0, cfg):
     next_rec = stride
     events = flips = 0
     absorbed_at = None
-    while True:
-        t_next = t - math.log(1.0 - rr()) / (n * cfg.lam)
+    for e, u, v, c in _network_draws(graph, cfg.seed):
+        t_next = t + e / (n * cfg.lam)
         while next_rec <= t_next and next_rec < cfg.horizon:
             rec.times.append(next_rec)
             rec.rows.append(counts.copy())
             next_check = rec.check(flips, next_rec)
             next_rec += stride
         if t_next >= cfg.horizon:
-            t = cfg.horizon
             break
         t = t_next
         events += 1
-        u = randrange(n)
-        i = y[u]
-        if adj is None:
-            v = randrange(n)
-        else:
-            nb = adj[u]
-            v = nb[randrange(len(nb))]
-        j = y[v]
+        i, j = y[u], y[v]
         if i == j:
             continue
-        if rr() < F[i][j]:
+        if c < F[i][j]:
             y[u] = j
             counts[i] -= 1
             counts[j] += 1
@@ -573,28 +583,47 @@ def _reference_network(graph, game, rule, y0, cfg):
 
 
 class TestNetworkDrawStream:
-    """simulate_network draws the active node and its contact with CPython's
-    Random._randbelow_with_getrandbits written inline.  Its paths must equal
-    the randrange reference's on every graph shape: the complete graph, a
-    regular lattice whose degree 4 is a power of two, a star whose hub
-    degree 5 is not, and an m = 3 ER graph.  If a Python release changes
-    how randrange draws, this fails."""
+    """simulate_network draws its randomness in numpy blocks and handles the
+    activations of a block in one pass.  Its paths must equal, bit for bit,
+    those of the one-activation-at-a-time reference on the same draws, on
+    every graph shape: the complete graph, a regular lattice, a star whose
+    hub has 5 neighbours and an m = 3 ER graph; with and without every-jump
+    rows, with a low every-jump cap, and with runs that end inside a block
+    at absorption or at the horizon."""
 
     def _cases(self, game4, arctan1):
+        """(name, graph, [(game, rule, start), ...]): on each graph some runs
+        absorb within the horizons below and some do not."""
         g3 = make_congestion_game([[1.0, -1.0]] * 3)
         rep3 = replicator_rule(*reward_bounds(g3), eps_margin=0.01)
+        ranked = make_congestion_game([[1.0], [0.5], [0.0]])  # action 0 takes over
+        rep_ranked = replicator_rule(*reward_bounds(ranked), eps_margin=0.01)
         star_adj = TestNetworkAgainstNodeGenerator.GRAPHS["star"][0]
         star = Graph(n=6, neighbors=tuple(np.array(a) for a in star_adj), self_loops=False, kind="star")
-        yield "complete", complete(37), game4, arctan1, np.arange(37) % 2
-        yield "lattice", square_lattice(5, periodic=True), game4, arctan1, np.arange(25) % 2
-        yield "star", star, game4, arctan1, np.array([0, 1, 1, 0, 1, 0])
-        yield "er", erdos_renyi(60, 0.1, seed=3), g3, rep3, np.arange(60) % 3
+        for name, graph in (("complete", complete(37)), ("lattice", square_lattice(5, periodic=True))):
+            lone = np.ones(graph.n, dtype=np.int64)
+            lone[0] = 0  # one node of action 0 drifts out more often than not
+            yield name, graph, [(game4, arctan1, np.arange(graph.n) % 2), (game4, arctan1, lone)]
+        yield "star", star, [(game4, arctan1, np.array([0, 1, 1, 0, 1, 0]))]
+        er = erdos_renyi(60, 0.1, seed=3)
+        yield "er", er, [(g3, rep3, np.arange(60) % 3), (ranked, rep_ranked, np.arange(60) % 3)]
 
-    def test_paths_equal_randrange_reference(self, game4, arctan1):
-        for name, graph, game, rule, actions in self._cases(game4, arctan1):
-            y0 = Configuration(actions, m=game.m)
-            for k in range(20):
-                cfg = SimConfig(horizon=30.0, seed=derive_seed(12, name, k), record_stride=0.5, record_jumps=True)
+    def test_paths_equal_one_activation_reference(self, game4, arctan1, monkeypatch):
+        for cap, record_jumps in itertools.product([25, engine_mod.EVENT_RECORD_CAP], [True, False]):
+            monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", cap)
+            self._check_paths(game4, arctan1, record_jumps, low_cap=cap == 25)
+
+    def _check_paths(self, game4, arctan1, record_jumps, low_cap):
+        ends = {}
+        switched = 0
+        for name, graph, runs in self._cases(game4, arctan1):
+            # about 10,000 activations run past the last block size
+            horizons = [3.0] * 8 + [30.0] * 8 + [10_000 / graph.n]
+            for k, ((game, rule, actions), horizon) in enumerate(itertools.product(runs, horizons)):
+                y0 = Configuration(actions, m=game.m)
+                cfg = SimConfig(
+                    horizon=horizon, seed=derive_seed(12, name, k), record_stride=0.5, record_jumps=record_jumps
+                )
                 got = simulate_network(graph, game, rule, y0, cfg)
                 want = _reference_network(graph, game, rule, y0, cfg)
                 assert np.array_equal(got.times, want.times), (name, k)
@@ -603,6 +632,12 @@ class TestNetworkDrawStream:
                     want.event_count, want.absorbed_at, want.absorbing_action
                 ), (name, k)
                 assert got.meta == want.meta, (name, k)
+                ends.setdefault(name, set()).add("horizon" if got.absorbed_at is None else "absorbed")
+                switched += "stride_from" in got.meta
+                if horizon > 30.0 and got.absorbed_at is None:
+                    assert got.event_count > 4_064  # 32 + 64 + ... + 2,048
+        assert all(e == {"horizon", "absorbed"} for e in ends.values()), ends
+        assert (switched > 0) == (record_jumps and low_cap)
 
 
 class TestNetworkEngine:
@@ -652,8 +687,30 @@ class TestNetworkEngine:
     def test_size_mismatch_rejected(self, game4, arctan1):
         g = complete(10)
         y0 = Configuration(np.array([0, 1]), m=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nodes"):
             simulate_network(g, game4, arctan1, y0, SimConfig(horizon=1.0, seed=0))
+        y3 = Configuration(np.arange(10) % 3, m=3)
+        with pytest.raises(ValueError, match="actions"):
+            simulate_network(g, game4, arctan1, y3, SimConfig(horizon=1.0, seed=0))
+
+    def test_peak_memory_does_not_grow_with_horizon(self, game4, arctan1):
+        # Draw blocks hold at most _DRAW_CAP activations, so a run three times
+        # as long peaks higher only by its extra recorded rows.
+        g = square_lattice(20, periodic=True)
+        y0 = Configuration(np.array([0, 1] * 200), m=2)
+        simulate_network(g, game4, arctan1, y0, SimConfig(horizon=1.0, seed=3))  # warm the law's caches
+        peaks, rows = [], []
+        for horizon in (20.0, 60.0):  # 8k and 24k activations, past 32 + 64 + ... + 2,048
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traj = simulate_network(g, game4, arctan1, y0, SimConfig(horizon=horizon, seed=3, record_stride=1.0))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert traj.absorbed_at is None and traj.event_count > 4_064
+            rows.append(len(traj.times))
+        assert peaks[1] <= peaks[0] + 256 * (rows[1] - rows[0])
 
     def test_absorbing_fraction_close_to_complete_engine(self, game4, arctan1):
         # complete-with-self-loops network chain is the same CTMC as the

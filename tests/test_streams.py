@@ -5,6 +5,11 @@ Each case is one short run; its digest is sha256 over the float64 bytes of
 draws from its stream, or to the copy probabilities it reads, changes the
 digest.  The m = 2 complete loop's stream in particular must stay as it is:
 the saddle-exit acceptance check (AC06) is calibrated on it.
+
+The complete-graph loops draw from `random.Random`.  The network loop draws
+numpy blocks from PCG64 (see `simulate_network`), so the three network
+digests also change if a numpy release changes how `standard_exponential`,
+`integers` or `random` turn the bit stream into values.
 """
 
 import hashlib
@@ -31,9 +36,9 @@ DIGESTS = {
     "complete_m2_congestion": "cc3bccd665ff5620e7bc18dcc58574e8904ad30dac4102bdd546f955be0f20ca",
     "complete_m2_replicator": "d10258571f6885a59560642c439b0e0de35c9a7f2de85f131efe3cd25a943b0d",
     "complete_m3": "65c785987e222b2feb76aa954a638dcc083dc029cc674e037774ec7ff9c13bf3",
-    "lattice_m2_jumps": "4138cd1f2d32d7a7c94f1a906c857d720e4b843cdfc67b29b57c27aa933ba0da",
-    "er_m3": "98e26e77bc738d3daec8160222e161c352ef2040d0f3e63dacf3fae7004346bf",
-    "network_m2_replicator": "476fcd9f77fe83d1d7e1ceb85e3a4668d7f2f5a17bdf8bd5ed77193cccecd8af",
+    "lattice_m2_jumps": "9b8681e940db8d676149afa0990a1ce5cac6c2607f7c3a903ab177a9b0be9c71",
+    "er_m3": "24d63879605271ae74374b25f5df39950b941b19b91c7591ebaabdd531e822da",
+    "network_m2_replicator": "c37cfed2a053ccab4c4a06e83201c44b423d2fade8d0534416e42e35bbfb5eb6",
 }
 
 
