@@ -55,13 +55,18 @@ from .games import Game, _PolyPotential, _PolyRewards, rewards_grid
 from .rules import ArctanRule, ImitationRule, ReplicatorRule, logger
 
 
+@functools.cache
+def _off_diagonal(m: int) -> np.ndarray:
+    return ~np.eye(m, dtype=bool)
+
+
 def check_probs(F: np.ndarray) -> np.ndarray:
     """Return F, an (m, m) or (m, m, K) copy-probability array, after checking
     that every off-diagonal entry lies in [0, 1].  Outside that range a rule
     can make the jump rates out of a state exceed n * lambda."""
-    off = F[~np.eye(F.shape[0], dtype=bool)]
-    bad = ~((off >= 0.0) & (off <= 1.0))
-    if np.any(bad):
+    off = F[_off_diagonal(F.shape[0])]
+    if not (off.min() >= 0.0 and off.max() <= 1.0):  # a NaN fails both
+        bad = ~((off >= 0.0) & (off <= 1.0))
         raise ValueError(f"rate conservation violated: copy probability {float(off[bad][0])!r} outside [0, 1]")
     return F
 
@@ -69,8 +74,10 @@ def check_probs(F: np.ndarray) -> np.ndarray:
 def pair_tables(game: Game, rule: ImitationRule, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(f01, f10) of a 2-action game at every state (k/n, 1 - k/n), as
     arrays indexed by k = 0..n, the count of action 0."""
-    ks = np.arange(n + 1, dtype=float)
-    F = check_probs(rule.prob_matrix(rewards_grid(game, np.vstack([ks / n, 1.0 - ks / n]))))
+    X = np.empty((2, n + 1))
+    np.divide(np.arange(n + 1, dtype=float), n, out=X[0])
+    np.subtract(1.0, X[0], out=X[1])
+    F = check_probs(rule.prob_matrix(rewards_grid(game, X)))
     return F[0, 1], F[1, 0]
 
 

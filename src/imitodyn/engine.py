@@ -4,17 +4,19 @@ Two engines share one law on the complete graph: simulate_complete runs the
 population-type jump chain (rates n lambda x_i x_j f_ij), simulate_network
 runs per-node activation, contact, and copy on an arbitrary graph.  The
 complete-graph loops draw from random.Random(seed), one inverse-CDF
-exponential waiting time and one uniform per jump; the network loop draws
-numpy blocks from PCG64(seed), ziggurat exponentials included, and handles
-each block's activations in one Python pass.  Every run is reproducible
-bit for bit.
+exponential waiting time and one uniform per jump; the m = 2 loop reads
+that stream in numpy blocks (_uniforms) and walks each block in one Python
+pass.  The network loop draws numpy blocks from PCG64(seed), ziggurat
+exponentials included, and handles each block's activations in one Python
+pass.  Every run is reproducible bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law); the
 m >= 3 complete loop bisects the law's generated cumulative rates
 (cum_rates).  This module holds the loops and the reference rate matrix
 (_rate_matrix) that transition_rates and potential_drift_rates return and
 the tests check the compiled law against.  Every loop records its path
-through one _Recorder, which holds at most _CHUNK rows in Python lists.
+through one _Recorder, which holds at most _CHUNK rows in Python lists;
+the m = 2 loop hands it numpy slices instead.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ EVENT_RECORD_CAP = 10_000_000
 # Rows a loop keeps in Python lists before moving them into numpy blocks.
 _CHUNK = 16_384
 # The network loop draws for 32, 64, ... activations at a time, up to this
-# many: larger blocks raised the network workload's peak RSS and ran no
-# faster.  The block sizes are part of its random stream, so this does not
-# follow _CHUNK, which tests lower to exercise the recorder alone.
+# many, and the m = 2 complete loop for at most this many jumps: larger
+# blocks raised peak memory and ran no faster.  The network loop's block
+# sizes are part of its random stream, so this does not follow _CHUNK,
+# which tests lower to exercise the recorder alone.
 _DRAW_CAP = 2_048
 
 logger = logging.getLogger(__name__)
@@ -175,7 +178,10 @@ class _Recorder:
     an every-jump path to stride recording: from then on it returns 0, so
     the loop calls it at every recorded row.  The network loop writes its
     stride rows through `stride_rows`, which does the same for a run of
-    rows.  Each row is a count vector, or the count of action 0 when m = 2.
+    rows.  The m = 2 complete loop hands over each draw block's jumps as
+    numpy arrays through `jumps`, which applies the same rules and joins
+    the arrays into one block per _CHUNK rows.  Each row is a count vector,
+    or the count of action 0 when m = 2.
     """
 
     def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
@@ -187,13 +193,57 @@ class _Recorder:
         self._cap = EVENT_RECORD_CAP  # read per run: tests lower it
         self._chunk = _CHUNK
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._held: list[tuple[np.ndarray, np.ndarray]] = []  # rows from `jumps`
+        self._held_rows = 0
+        self._next_rec = 0.0
         self.start = self._next_check(0)
 
     def _next_check(self, events: int) -> int:
         room = events + self._chunk - len(self.times)
         return min(self._cap, room) if self.every_jump else 0
 
+    def jumps(self, times: np.ndarray, rows: np.ndarray, events: int) -> None:
+        """Record jumps events + 1, events + 2, ... at `times`, to the m = 2
+        `rows`, as appending each and calling check would: every jump up to
+        event EVENT_RECORD_CAP, then the first jump at or after the last
+        recorded one's time plus the stride."""
+        if not times.size:
+            return
+        if self.every_jump:
+            keep = min(times.size, max(self._cap - events, 1))
+            self._put(times[:keep], rows[:keep])
+            if events + keep < self._cap:
+                return
+            self.check(events + keep, float(times[keep - 1]))
+            self._next_rec = float(times[keep - 1]) + self.cfg.record_stride
+            times, rows = times[keep:], rows[keep:]
+        picked = []
+        i = int(np.searchsorted(times, self._next_rec))
+        while i < times.size:
+            picked.append(i)
+            self._next_rec = float(times[i]) + self.cfg.record_stride
+            i = max(i + 1, int(np.searchsorted(times, self._next_rec)))
+        self._put(times[picked], rows[picked])
+
+    def _put(self, times: np.ndarray, rows: np.ndarray) -> None:
+        """Hold numpy rows after the listed ones; every _CHUNK held rows
+        become one block."""
+        if self.times:
+            self._flush()
+        self._held.append((times, rows))
+        self._held_rows += times.size
+        if self._held_rows >= self._chunk:
+            self._flush()
+
     def _flush(self) -> None:
+        if self._held:
+            held = self._held
+            if len(held) == 1:
+                self._blocks.append(held[0])
+            else:
+                self._blocks.append((np.concatenate([h[0] for h in held]), np.concatenate([h[1] for h in held])))
+            held.clear()
+            self._held_rows = 0
         if self.times:
             self._blocks.append((np.array(self.times), np.array(self.rows, dtype=np.int64)))
             self.times.clear()
@@ -277,6 +327,14 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
     Every jump is recorded up to EVENT_RECORD_CAP, then recording falls back
     to the configured stride.  Unabsorbed runs get a final sample exactly at
     the horizon so the trajectory covers [0, horizon].
+
+    Each jump takes two values of random.Random(cfg.seed).random(): its
+    waiting time -log(1 - u) / rate, then its direction.  At m = 2 the
+    values come in blocks, 2 * size of them from one getrandbits call; a
+    Python pass walks the count over the block's directions, and the block's
+    times are math.log mapped over 1 - u, divided by the rates and summed
+    from the carried time by one np.add.accumulate, equal bit for bit to
+    one jump at a time.  The block sizes do not change the stream.
     """
     if x0.m != game.m:
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
@@ -299,48 +357,61 @@ def _simulate_complete_2action(
     up = base * f10  # a 1-player copies action 0: k -> k + 1
     dn = base * f01
     tot_arr = up + dn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pup_arr = np.where(tot_arr > 0.0, up / np.where(tot_arr > 0.0, tot_arr, 1.0), 0.0)
+    pup = np.divide(up, tot_arr, out=np.zeros(n + 1), where=tot_arr > 0.0).tolist()
     tot = tot_arr.tolist()
-    pup = pup_arr.tolist()
+    neg_tot = -tot_arr
 
     rng = random.Random(cfg.seed)
-    rr = rng.random
     log = math.log
     horizon = cfg.horizon
-    stride = cfg.record_stride
     t = 0.0
     k = int(x0.counts[0])
     rec = _Recorder(k, cfg)
-    append_t, append_k, check = rec.times.append, rec.rows.append, rec.check
-    next_check = rec.start
     events = 0
     absorbed_at: float | None = None
-    next_rec = 0.0
 
-    while True:
-        lam_k = tot[k]
-        if lam_k <= 0.0:
-            break  # defensive; absorption is handled at the jump below
-        t_next = t - log(1.0 - rr()) / lam_k
-        if t_next >= horizon:
-            t = horizon
+    while tot[k] > 0.0:
+        # Four fifths of the jumps expected before the horizon at this
+        # state's rate, plus a margin: walking past the horizon costs more
+        # than one more block.
+        left = (horizon - t) * tot[k]
+        size = int(min(_DRAW_CAP, 0.8 * left + math.sqrt(left) + 8.0))
+        draws = _uniforms(rng, 2 * size)  # (time, direction) for each jump
+        np.subtract(1.0, draws[0::2], out=draws[0::2])
+        u = draws.tolist()
+        path = [k]
+        step = path.append
+        for d in u[1::2]:
+            k = k + 1 if d < pup[k] else k - 1
+            step(k)
+            if tot[k] <= 0.0:
+                break  # absorbed, or a state that nothing leaves
+        path = np.fromiter(path, np.int64, len(path))
+        jumps = path.size - 1
+        times = np.fromiter(map(log, u[0 : 2 * jumps : 2]), float, jumps)
+        times /= neg_tot[path[:-1]]
+        times[0] += t
+        np.add.accumulate(times, out=times)
+        # the jumps before the horizon
+        stop = jumps if times[-1] < horizon else int(np.searchsorted(times, horizon))
+        rec.jumps(times[:stop], path[1 : stop + 1], events)
+        events += stop
+        if stop < jumps:
+            k = int(path[stop])
             break
-        t = t_next
-        k = k + 1 if rr() < pup[k] else k - 1
-        events += 1
-        if t >= next_rec:
-            append_t(t)
-            append_k(k)
-            if events >= next_check:
-                next_check = check(events, t)
-                if not rec.every_jump:
-                    next_rec = t + stride
+        t = float(times[-1])
         if k == 0 or k == n:
             absorbed_at = t
-            break
 
     return rec.close(k, n, absorbed_at, events, meta)
+
+
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """The next `count` values of rng.random(), drawn at once: random()
+    joins two 32-bit words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53,
+    and getrandbits returns the same words, first word lowest."""
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _simulate_complete_generic(

@@ -180,7 +180,8 @@ class _PolyRewards:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         C = np.array(self.coeffs)  # (m, deg+1), ascending
-        r = np.broadcast_to(C[:, -1].reshape((-1,) + (1,) * (x.ndim - 1)), x.shape).copy()
+        r = np.empty(x.shape)
+        r[...] = C[:, -1].reshape((-1,) + (1,) * (x.ndim - 1))
         for j in range(C.shape[1] - 2, -1, -1):
             r *= x
             r += C[:, j].reshape((-1,) + (1,) * (x.ndim - 1))

@@ -83,7 +83,7 @@ class ArctanRule(ImitationRule):
     def prob_matrix(self, rewards: np.ndarray) -> np.ndarray:
         r = np.asarray(rewards, dtype=float)
         m = r.shape[0]
-        K = self._k_for(m)
+        K = self.K if self.K.shape == (1, 1) else self._k_for(m)  # (1, 1) broadcasts below
         diff = r[None, :, ...] - r[:, None, ...]  # diff[i, j] = r_j - r_i
         K = K.reshape(K.shape + (1,) * (r.ndim - 1))
         F = 0.5 + np.arctan(K * diff) / np.pi

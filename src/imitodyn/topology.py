@@ -119,8 +119,10 @@ def square_lattice(side: int, periodic: bool = True) -> Graph:
 
 
 def _rows(flat: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split the concatenated sorted adjacency rows by node degree."""
-    return tuple(np.split(flat, np.cumsum(deg)[:-1]))
+    """Split the concatenated sorted adjacency rows by node degree, as
+    views of `flat`."""
+    ends = np.cumsum(deg).tolist()
+    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
 def from_edge_list(path: str | Path) -> Graph:

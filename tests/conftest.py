@@ -7,6 +7,10 @@ definition, so empirical results can be checked against exact numbers.
 loop_rhs, loop_rates and loop_step are the loops that the law's generated
 straight-line code replaced, kept as its bit-for-bit reference.
 
+loop_complete_2action is the m = 2 complete-graph engine as a scalar loop,
+two random() calls and one log per jump, which the block-drawn engine
+replaced; it is that engine's bit-for-bit reference.
+
 numeric_critical_points is the numeric landscape search (edge scans,
 least-squares face solves and sphere classification) that the exact search
 replaced, kept as its cross-check reference; it runs on any game with a
@@ -16,6 +20,8 @@ potential, through game.potential and its gradient (reference_pair).
 from __future__ import annotations
 
 import itertools
+import math
+import random
 import warnings
 
 import numpy as np
@@ -31,6 +37,8 @@ from imitodyn import (
     example4_game,
     transition_rates,
 )
+from imitodyn._law import pair_tables
+from imitodyn.engine import _Recorder
 from imitodyn.games import _fd_gradient, uniform_simplex_sample
 
 _TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
@@ -156,6 +164,60 @@ def loop_step(rhs):
         return [v / total for v in x], max(clipped, abs(total - 1.0)), clipped > 0.0
 
     return step
+
+
+def loop_complete_2action(game, rule, x0, cfg, meta):
+    """The m = 2 complete-graph jump chain, one jump per iteration."""
+    n = x0.n
+    lam = cfg.lam
+    f01, f10 = pair_tables(game, rule, n)
+    ks = np.arange(n + 1, dtype=float)
+    base = lam * ks * (n - ks) / n
+    up = base * f10  # a 1-player copies action 0: k -> k + 1
+    dn = base * f01
+    tot_arr = up + dn
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pup_arr = np.where(tot_arr > 0.0, up / np.where(tot_arr > 0.0, tot_arr, 1.0), 0.0)
+    tot = tot_arr.tolist()
+    pup = pup_arr.tolist()
+
+    rng = random.Random(cfg.seed)
+    rr = rng.random
+    log = math.log
+    horizon = cfg.horizon
+    stride = cfg.record_stride
+    t = 0.0
+    k = int(x0.counts[0])
+    rec = _Recorder(k, cfg)
+    append_t, append_k, check = rec.times.append, rec.rows.append, rec.check
+    next_check = rec.start
+    events = 0
+    absorbed_at: float | None = None
+    next_rec = 0.0
+
+    while True:
+        lam_k = tot[k]
+        if lam_k <= 0.0:
+            break  # defensive; absorption is handled at the jump below
+        t_next = t - log(1.0 - rr()) / lam_k
+        if t_next >= horizon:
+            t = horizon
+            break
+        t = t_next
+        k = k + 1 if rr() < pup[k] else k - 1
+        events += 1
+        if t >= next_rec:
+            append_t(t)
+            append_k(k)
+            if events >= next_check:
+                next_check = check(events, t)
+                if not rec.every_jump:
+                    next_rec = t + stride
+        if k == 0 or k == n:
+            absorbed_at = t
+            break
+
+    return rec.close(k, n, absorbed_at, events, meta)
 
 
 def _gradient(game: Game, x: np.ndarray) -> np.ndarray:

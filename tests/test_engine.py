@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from conftest import (
     exact_absorbed_probability_by,
     exact_hit_probability,
     exact_mean_absorption_time,
+    loop_complete_2action,
 )
 
 
@@ -388,6 +390,87 @@ class TestAgainstBirthDeathOracle:
         hits = sum(run_one(spec, derive_seed(9, i)).absorbed_at is not None for i in range(runs))
         sigma = np.sqrt(p_exact * (1 - p_exact) / runs)
         assert abs(hits / runs - p_exact) < 4 * sigma
+
+
+class _TieStallRule(ImitationRule):
+    """The arctan rule (K = 1), except that no one copies an action whose
+    reward ties with their own.  On example4 the rewards tie at x_0 = 1/4
+    and 3/4, so for n divisible by 4 nothing leaves those interior states."""
+
+    def prob_matrix(self, rewards):
+        r = np.asarray(rewards, dtype=float)
+        F = arctan_rule(1.0).prob_matrix(r)
+        m = r.shape[0]
+        off = ~np.eye(m, dtype=bool).reshape((m, m) + (1,) * (r.ndim - 1))
+        F[(r[None, :, ...] == r[:, None, ...]) & off] = 0.0
+        return F
+
+
+class TestCompleteDrawStream:
+    """The m = 2 complete engine draws each block's uniforms with one
+    getrandbits call and walks the block in one Python pass.  Its paths must
+    equal, bit for bit, those of the scalar loop that calls random() twice
+    per jump (loop_complete_2action), whatever the block sizes."""
+
+    SEEDS = (0, 7, 2**32 - 1, 2**32, 2**63 + 5)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 64, 3601])
+    def test_block_uniforms_continue_random(self, count):
+        for seed in self.SEEDS:
+            blocks, calls = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = engine_mod._uniforms(blocks, count)
+                assert got.dtype == np.float64
+                assert got.tolist() == [calls.random() for _ in range(count)]
+            assert blocks.random() == calls.random()  # the stream goes on in step
+
+    @staticmethod
+    def _specs(game4):
+        g2 = make_congestion_game([[1.0, -1.0], [0.5, -2.0, 1.0]])
+        return [
+            ("arctan1", game4, arctan_rule(1.0)),
+            ("arctan5", game4, arctan_rule(5.0)),
+            ("replicator", game4, replicator_rule(*reward_bounds(game4))),
+            ("g2", g2, arctan_rule(1.0)),
+            ("stall", game4, _TieStallRule()),
+        ]
+
+    @pytest.mark.parametrize(
+        "cap, draw_cap, switches", [(40, 37, True), (1000, 3601, True), (engine_mod.EVENT_RECORD_CAP, None, False)]
+    )
+    def test_paths_equal_scalar_reference(self, game4, monkeypatch, cap, draw_cap, switches):
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", cap)
+        if draw_cap is not None:
+            monkeypatch.setattr(engine_mod, "_DRAW_CAP", draw_cap)
+        # (n, horizon): small n absorb within the horizon, large n end at it
+        sizes = [(4, 50.0), (12, 50.0), (300, 7.3), (2500, 2.1)]
+        ends = set()
+        for (name, game, rule), (n, horizon), seed, stop in itertools.product(
+            self._specs(game4), sizes, self.SEEDS, [True, False]
+        ):
+            x0 = PopulationType.from_fractions(n, [0.5, 0.5])
+            cfg = SimConfig(horizon=horizon, seed=seed, record_stride=0.1, stop_on_absorption=stop)
+            got = simulate_complete(game, rule, x0, cfg)
+            meta = engine_mod._meta("complete", game, rule, cfg, n, f"complete(n={n})")
+            want = loop_complete_2action(game, rule, x0, cfg, meta)
+            case = (name, n, seed, stop)
+            assert np.array_equal(got.times, want.times), case
+            assert np.array_equal(got.counts, want.counts), case
+            assert (got.event_count, got.absorbed_at, got.absorbing_action) == (
+                want.event_count, want.absorbed_at, want.absorbing_action
+            ), case
+            assert got.meta == want.meta, case
+            k = int(got.counts[-1, 0])
+            if got.absorbed_at is not None:
+                ends.add("absorbed")
+            elif name == "stall" and k in (n // 4, 3 * n // 4):
+                ends.add("stalled")
+            else:
+                ends.add("horizon")
+            if "stride_from" in got.meta:
+                ends.add("stride")
+        assert ends >= {"absorbed", "stalled", "horizon"}
+        assert ("stride" in ends) == switches
 
 
 class TestNetworkAgainstNodeGenerator:

@@ -6,7 +6,9 @@ draws from its stream, or to the copy probabilities it reads, changes the
 digest.  The m = 2 complete loop's stream in particular must stay as it is:
 the saddle-exit acceptance check (AC06) is calibrated on it.
 
-The complete-graph loops draw from `random.Random`.  The network loop draws
+The complete-graph loops draw from `random.Random`; the m = 2 loop reads it
+in blocks through `getrandbits`, which leaves its digests as they were.
+The network loop draws
 numpy blocks from PCG64 (see `simulate_network`), so the three network
 digests also change if a numpy release changes how `standard_exponential`,
 `integers` or `random` turn the bit stream into values.

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import complete, erdos_renyi, from_edge_list, square_lattice
+from imitodyn.topology import _rows
 
 
 def _reference_erdos_renyi(n, p, seed):
@@ -65,6 +66,26 @@ class TestBuildersMatchReference:
         for n, p, seed in itertools.product([2, 3, 5, 12, 40, 150], [0.0, 0.01, 0.05, 0.2, 1.0], range(6)):
             _same_rows(erdos_renyi(n, p, seed=seed), _reference_erdos_renyi(n, p, seed))
         assert len(caplog.records) > 100  # the grid re-wires isolated nodes
+
+
+def test_rows_equal_np_split(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n4 3\n5 0\n")
+    for graph in (
+        square_lattice(7),
+        square_lattice(5, periodic=False),
+        erdos_renyi(60, 0.1, seed=3),
+        erdos_renyi(30, 0.0, seed=1),
+        from_edge_list(edges),
+    ):
+        flat = np.concatenate(graph.neighbors)
+        deg = np.array([a.size for a in graph.neighbors])
+        got = _rows(flat, deg)
+        want = np.split(flat, np.cumsum(deg)[:-1])
+        assert len(got) == len(want) == graph.n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.base is flat  # views, as np.split gives
 
 
 class TestComplete:
