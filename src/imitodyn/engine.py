@@ -66,6 +66,8 @@ _DRAW_CAP = 2_048
 
 logger = logging.getLogger(__name__)
 
+_NO_ROWS = (np.empty(0), np.empty(0, dtype=np.int64))  # a full buffer of size 0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -179,9 +181,9 @@ class _Recorder:
     the loop calls it at every recorded row.  The network loop writes its
     stride rows through `stride_rows`, which does the same for a run of
     rows.  The m = 2 complete loop hands over each draw block's jumps as
-    numpy arrays through `jumps`, which applies the same rules and joins
-    the arrays into one block per _CHUNK rows.  Each row is a count vector,
-    or the count of action 0 when m = 2.
+    numpy arrays through `jumps`, which applies the same rules and copies
+    the rows into numpy buffers of at most _CHUNK rows.  Each row is a
+    count vector, or the count of action 0 when m = 2.
     """
 
     def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
@@ -193,8 +195,9 @@ class _Recorder:
         self._cap = EVENT_RECORD_CAP  # read per run: tests lower it
         self._chunk = _CHUNK
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._held: list[tuple[np.ndarray, np.ndarray]] = []  # rows from `jumps`
-        self._held_rows = 0
+        self._buf = _NO_ROWS  # rows from `jumps`
+        self._fill = 0
+        self._buf_rows = 128
         self._next_rec = 0.0
         self.start = self._next_check(0)
 
@@ -226,24 +229,31 @@ class _Recorder:
         self._put(times[picked], rows[picked])
 
     def _put(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Hold numpy rows after the listed ones; every _CHUNK held rows
-        become one block."""
+        """Copy numpy rows, after the listed ones, into buffers of 256, 512,
+        ... rows, up to _CHUNK; each full buffer becomes one block.  Short
+        runs allocate little, and no draw block's arrays outlive it."""
         if self.times:
             self._flush()
-        self._held.append((times, rows))
-        self._held_rows += times.size
-        if self._held_rows >= self._chunk:
-            self._flush()
+        done = 0
+        while done < times.size:
+            tb, rb = self._buf
+            if self._fill == tb.size:
+                self._flush()
+                self._buf_rows = min(self._chunk, 2 * self._buf_rows)
+                tb, rb = self._buf = np.empty(self._buf_rows), np.empty(self._buf_rows, dtype=np.int64)
+            take = min(times.size - done, tb.size - self._fill)
+            end = self._fill + take
+            tb[self._fill : end] = times[done : done + take]
+            rb[self._fill : end] = rows[done : done + take]
+            self._fill = end
+            done += take
 
     def _flush(self) -> None:
-        if self._held:
-            held = self._held
-            if len(held) == 1:
-                self._blocks.append(held[0])
-            else:
-                self._blocks.append((np.concatenate([h[0] for h in held]), np.concatenate([h[1] for h in held])))
-            held.clear()
-            self._held_rows = 0
+        if self._fill:
+            tb, rb = self._buf
+            self._blocks.append((tb[: self._fill], rb[: self._fill]))
+            self._buf = _NO_ROWS
+            self._fill = 0
         if self.times:
             self._blocks.append((np.array(self.times), np.array(self.rows, dtype=np.int64)))
             self.times.clear()
@@ -291,7 +301,7 @@ class _Recorder:
         self._flush()
         last_times, last_rows = self._blocks[-1]
         t_end = last_times[-1]
-        if absorbed_at is not None and (t_end != absorbed_at or not np.array_equal(last_rows[-1], final)):
+        if absorbed_at is not None and (t_end != absorbed_at or (last_rows[-1] != final).any()):
             self.times.append(absorbed_at)
             self.rows.append(final)
             t_end = absorbed_at
