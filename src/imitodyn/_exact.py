@@ -276,7 +276,9 @@ def _monotone_face(face: tuple, R: list, D: list, pieces: dict) -> tuple[list, b
     monotone and a sign change at the ends brackets its one root;
     otherwise F is scanned at _MU_SCAN + 1 values of mu and each sign
     change bisected, which misses a root where F touches zero without
-    crossing it."""
+    crossing it.  A piece on which r_a is flat to float precision (its
+    values round to one float) pins mu to that value, and x_a takes the
+    rest when the rest lies on the piece; two such pieces add nothing."""
     Rf = [[float(c) for c in r] for r in R]
     Df = [[float(c) for c in d] for d in D]
     for a in face:
@@ -300,25 +302,31 @@ def _monotone_face(face: tuple, R: list, D: list, pieces: dict) -> tuple[list, b
         def F(mu: float, tup: tuple = tup) -> float:
             return sum(inverse(a, piece, mu) for a, piece in zip(face, tup)) - 1.0
 
-        rising = {vq > vp for _, _, vp, vq in tup}
-        mus = [lo, hi] if len(rising) == 1 else [lo + (hi - lo) * i / _MU_SCAN for i in range(_MU_SCAN + 1)]
-        values = [F(mu) for mu in mus]
-        if len(mus) > 2 and sum(abs(v) < _FLAT for v in values) > _MU_SCAN // 2:
-            continuum = True
+        flat = [i for i, (_, _, vp, vq) in enumerate(tup) if vp == vq]
+        if len(flat) > 1:
             continue
-        roots = [mu for mu, v in zip(mus, values) if v == 0.0]
-        roots += [
-            _solve(F, mus[i - 1], mus[i])
-            for i in range(1, len(mus))
-            if values[i - 1] * values[i] < 0.0
-        ]
+        if flat:
+            roots = [lo]  # == hi
+        else:
+            rising = {vq > vp for _, _, vp, vq in tup}
+            mus = [lo, hi] if len(rising) == 1 else [lo + (hi - lo) * i / _MU_SCAN for i in range(_MU_SCAN + 1)]
+            values = [F(mu) for mu in mus]
+            if len(mus) > 2 and sum(abs(v) < _FLAT for v in values) > _MU_SCAN // 2:
+                continuum = True
+                continue
+            roots = [mu for mu, v in zip(mus, values) if v == 0.0]
+            roots += [
+                _solve(F, mus[i - 1], mus[i])
+                for i in range(1, len(mus))
+                if values[i - 1] * values[i] < 0.0
+            ]
         for mu in roots:
             x = [inverse(a, piece, mu) for a, piece in zip(face, tup)]
             # mu pins x_a least where r_a is flattest: that coordinate takes the rest
             slopes = [abs(evaluate(Df[a], v)) for a, v in zip(face, x)]
-            j = slopes.index(min(slopes))
+            j = flat[0] if flat else slopes.index(min(slopes))
             x[j] = 1.0 - sum(v for i, v in enumerate(x) if i != j)
-            if min(x) <= 0.0:
+            if min(x) <= 0.0 or (flat and not tup[j][0] <= x[j] <= tup[j][1]):
                 continue
             # a root on the end of a piece is also found from the next piece
             if any(max(abs(u - v) for u, v in zip(x, y[0])) <= 1e-12 for y in out):

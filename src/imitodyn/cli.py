@@ -10,12 +10,14 @@ One config file drives every subcommand (see config.py for the schema).
 Every subcommand also takes --log-level {warning,info,debug} (default
 warning), the level at which the imitodyn loggers write to stderr; at debug
 the landscape search reports its method, faces, points and continuum faces,
-the facts that landscape.json also holds in its "search" block.  Every game
-a config builds is a congestion game, whose landscape is solved exactly,
-with no random numbers; --seed seeds the ensembles only.  The unused alias
-find_critical_points_2action and the unused run_one import stay because
-perfbench/tracer.py patches them by name, as it patches landscape.exit_time
-and landscape.time_near_set.
+the facts that landscape.json also holds in its "search" block; at info
+simulate and ode report the seconds spent in the engine (or the flow and
+its limit) and in writing CSVs, with events (or RK4 steps) per second and
+the rows and bytes written.  Every game a config builds is a congestion
+game, whose landscape is solved exactly, with no random numbers; --seed
+seeds the ensembles only.  The unused alias find_critical_points_2action
+and the unused run_one import stay because perfbench/tracer.py patches
+them by name, as it patches landscape.exit_time and landscape.time_near_set.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -30,6 +32,7 @@ import functools
 import logging
 import os
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -47,6 +50,8 @@ from .output import ensure_dir, run_summary, write_json, write_trajectory_csv
 # cli.find_critical_points_2action by name, so the alias stays with the
 # benchmark.
 find_critical_points_2action = find_critical_points_multi
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["main", "cmd_simulate", "cmd_ode", "cmd_landscape", "cmd_metastability", "cmd_compare"]
 
@@ -88,11 +93,21 @@ def _critical_points(cfg: ExperimentConfig):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    start = time.perf_counter()
     trajs = _run_ensemble(cfg, cfg.n)
     ensure_dir(cfg.out_dir)
     width = max(3, len(str(cfg.runs - 1)))
-    for i, traj in enumerate(trajs):
-        write_trajectory_csv(os.path.join(cfg.out_dir, f"run_{i:0{width}d}.csv"), traj.times, traj.counts, n=traj.n)
+    simulated = time.perf_counter()
+    paths = [os.path.join(cfg.out_dir, f"run_{i:0{width}d}.csv") for i in range(len(trajs))]
+    for path, traj in zip(paths, trajs):
+        write_trajectory_csv(path, traj.times, traj.counts, n=traj.n)
+    written = time.perf_counter()
+    events = sum(t.event_count for t in trajs)
+    logger.info(
+        "simulate: engine %.3f s, %d events (%.0f events/s); csv %.3f s, %d rows, %d bytes",
+        simulated - start, events, events / max(simulated - start, 1e-9), written - simulated,
+        sum(len(t.times) for t in trajs), sum(map(os.path.getsize, paths)),
+    )
     write_json(
         os.path.join(cfg.out_dir, "summary.json"),
         {"config": cfg.raw, "runs": [run_summary(t) for t in trajs]},
@@ -101,11 +116,21 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ode(cfg: ExperimentConfig) -> int:
+    start = time.perf_counter()
     x0 = np.asarray(cfg.init_fractions, dtype=float)
     traj = integrate(cfg.game, cfg.rule, x0, T=cfg.ode_horizon, dt=cfg.ode_dt, lam=cfg.lam)
+    flowed = time.perf_counter()
     limit = find_limit(cfg.game, cfg.rule, x0, tol=cfg.limit_tol, lam=cfg.lam)
     ensure_dir(cfg.out_dir)
-    write_trajectory_csv(os.path.join(cfg.out_dir, "ode.csv"), traj.times, traj.states)
+    limited = time.perf_counter()
+    path = os.path.join(cfg.out_dir, "ode.csv")
+    write_trajectory_csv(path, traj.times, traj.states)
+    steps = len(traj.times) - 1
+    logger.info(
+        "ode: flow %.3f s, %d RK4 steps (%.0f steps/s); limit %.3f s; csv %.3f s, %d rows, %d bytes",
+        flowed - start, steps, steps / max(flowed - start, 1e-9), limited - flowed,
+        time.perf_counter() - limited, len(traj.times), os.path.getsize(path),
+    )
     write_json(
         os.path.join(cfg.out_dir, "limit.json"),
         {

@@ -12,7 +12,8 @@ pass.  Every run is reproducible bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law); the
 m >= 3 complete loop bisects the law's generated cumulative rates
-(cum_rates).  This module holds the loops and the reference rate matrix
+(cum_rates).  That loop and the network loop build the law once for the
+runs of one spec (_shared_law).  This module holds the loops and the reference rate matrix
 (_rate_matrix) that transition_rates and potential_drift_rates return and
 the tests check the compiled law against.  Every loop records its path
 through one _Recorder, which holds at most _CHUNK rows in Python lists;
@@ -67,6 +68,8 @@ _DRAW_CAP = 2_048
 logger = logging.getLogger(__name__)
 
 _NO_ROWS = (np.empty(0), np.empty(0, dtype=np.int64))  # a full buffer of size 0
+# (game, rule, lam, n, law) of the last law a loop built; see _shared_law
+_LAW_MEMO: list = [None]
 
 
 @dataclass(frozen=True)
@@ -424,11 +427,26 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
+def _shared_law(game: Game, rule: ImitationRule, lam: float, n: int) -> _Law:
+    """_Law(game, rule, lam, n), kept for the next call: the runs of one
+    spec share it.  A call matches the kept law when game and rule are the
+    same objects and lam and n are equal, so a law is only ever reused for
+    the objects it was built from; it holds them alive until the next spec.
+    The replicator's clamp debug line, written while a law is built, comes
+    once per spec."""
+    memo = _LAW_MEMO[0]
+    if memo is not None and memo[0] is game and memo[1] is rule and memo[2] == lam and memo[3] == n:
+        return memo[4]
+    law = _Law(game, rule, lam, n)
+    _LAW_MEMO[0] = (game, rule, lam, n, law)
+    return law
+
+
 def _simulate_complete_generic(
     game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig, meta: dict
 ) -> Trajectory:
     n = x0.n
-    law = _Law(game, rule, cfg.lam, n)
+    law = _shared_law(game, rule, cfg.lam, n)
     cum_rates = law.cum_rates
     pairs = law.pairs
     rng = random.Random(cfg.seed)
@@ -509,7 +527,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     if max(counts) == n:
         return _Recorder(counts, cfg).close(counts, n, 0.0, 0, meta)
 
-    law = _Law(game, rule, cfg.lam, n).probs
+    law = _shared_law(game, rule, cfg.lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
     if not graph.is_complete:

@@ -11,6 +11,10 @@ loop_complete_2action is the m = 2 complete-graph engine as a scalar loop,
 two random() calls and one log per jump, which the block-drawn engine
 replaced; it is that engine's bit-for-bit reference.
 
+loop_write_trajectory_csv is the trajectory CSV writer that joined one
+repr string per cell, which the block writer (output._reprs and its byte
+matrices) replaced; it is that writer's byte-for-byte reference.
+
 numeric_critical_points is the numeric landscape search (edge scans,
 least-squares face solves and sphere classification) that the exact search
 replaced, kept as its cross-check reference; it runs on any game with a
@@ -38,10 +42,10 @@ from imitodyn import (
     transition_rates,
 )
 from imitodyn._law import pair_tables
-from imitodyn.engine import _Recorder
+from imitodyn.engine import _CHUNK, _Recorder
 from imitodyn.games import _fd_gradient, uniform_simplex_sample
 
-_TANGENT_ZERO = 1e-9  # |reduced derivative| below this flags a tangential zero
+_TANGENT_ZERO = 1e-9  # |g| below this times the game's largest edge |g| flags a tangential zero
 _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
 _SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
 _STEP_TOL = 1e-5  # least-squares step tolerance; points classify on a sphere of 10x this
@@ -220,6 +224,45 @@ def loop_complete_2action(game, rule, x0, cfg, meta):
     return rec.close(k, n, absorbed_at, events, meta)
 
 
+def loop_write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray, n: int | None = None) -> None:
+    """states has one row per time, one column per action: fractions, or,
+    with n, the integer counts of a population of n, written as count / n.
+
+    Both forms give the same bytes for states = counts / n.  From counts
+    each x-value is one of n + 1 cached repr strings (one "x_0,x_1" tail per
+    count when m = 2), so only the time takes a fresh repr per row.  A path
+    with no more cells than the cache would take reprs to build is written
+    from counts / n instead.
+    """
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float if n is None else np.int64)
+    if states.ndim != 2 or states.shape[0] != times.size:
+        raise ValueError(f"states shape {states.shape} does not match {times.size} times")
+    m = states.shape[1]
+    if n is not None:
+        if states.size and (states.min() < 0 or np.any(states.sum(axis=1) != n)):
+            raise ValueError(f"counts must be non-negative and sum to n = {n} in every row")
+        if times.size * m <= (n + 1) * (2 if m == 2 else 1):
+            states, n = states / n, None
+    if n is not None and m == 2:
+        x = np.arange(n + 1) / n
+        cache = [f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), x[::-1].tolist())]
+
+        def tails(block: np.ndarray) -> list[str]:
+            return [cache[c] for c in block[:, 0].tolist()]
+    else:
+        cell = repr if n is None else list(map(repr, (np.arange(n + 1) / n).tolist())).__getitem__
+
+        def tails(block: np.ndarray) -> list[str]:
+            return [",".join(map(cell, row)) + "\n" for row in block.tolist()]
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t," + ",".join(f"x_{j}" for j in range(m)) + "\n")
+        for lo in range(0, times.size, _CHUNK):
+            hi = lo + _CHUNK
+            fh.writelines([f"{t!r},{tail}" for t, tail in zip(times[lo:hi].tolist(), tails(states[lo:hi]))])
+
+
 def _gradient(game: Game, x: np.ndarray) -> np.ndarray:
     if game.potential_gradient is not None:
         return np.asarray(game.potential_gradient(x), dtype=float)
@@ -274,14 +317,17 @@ def _bisect(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan(g, grid: int) -> list[float] | None:
-    """Scan a scalar function g on [0, 1] at grid + 1 points.
+def _scan(g, gs: np.ndarray, scale: float) -> list[float] | None:
+    """Scan a scalar function g on [0, 1] from its values gs at the
+    len(gs) grid points of np.linspace(0, 1, len(gs)).
 
     Sign changes bracket transversal roots, bisected to _REFINE_TOL.  A run
-    of grid points with |g| < 1e-9 is bracketed by its two neighbours: when
-    they differ in sign the run holds a transversal root, bisected on g;
-    otherwise it holds an even-order zero, bisected on the slope
-    g(v + h) - g(v - h).
+    of grid points with |g| <= _TANGENT_ZERO scale is bracketed by its two
+    neighbours: when they differ in sign the run holds a transversal root,
+    bisected on g; otherwise it holds an even-order zero, bisected on the
+    slope g(v + h) - g(v - h).  A run that reaches an end point is that end
+    point's zero (a flat zero at a vertex, such as t**3 at 0) and adds
+    nothing.
 
     Returns the merged roots strictly inside (0, 1), or None when near-zero
     values flood more than half the grid.
@@ -289,10 +335,9 @@ def _scan(g, grid: int) -> list[float] | None:
     def slope(v: float) -> float:
         return g(v + _SLOPE_STEP) - g(v - _SLOPE_STEP)
 
+    grid = gs.size - 1
     xs = np.linspace(0.0, 1.0, grid + 1)
-    gs = np.array([g(x) for x in xs.tolist()])
-
-    near_zero = np.abs(gs) < _TANGENT_ZERO
+    near_zero = np.abs(gs) <= _TANGENT_ZERO * scale
     if np.count_nonzero(near_zero[1:-1]) > grid // 2:
         return None
 
@@ -304,8 +349,9 @@ def _scan(g, grid: int) -> list[float] | None:
             j = i
             while j < grid and near_zero[j]:
                 j += 1
-            transversal = np.sign(gs[i - 1]) * np.sign(gs[j]) < 0
-            found.append(_bisect(g if transversal else slope, float(xs[i - 1]), float(xs[j])))
+            if not near_zero[i - 1] and not near_zero[j]:
+                transversal = np.sign(gs[i - 1]) * np.sign(gs[j]) < 0
+                found.append(_bisect(g if transversal else slope, float(xs[i - 1]), float(xs[j])))
             i = j + 1
             continue
         if gs[i - 1] != 0.0 and np.sign(gs[i - 1]) != np.sign(gs[i]) and not near_zero[i - 1]:
@@ -377,7 +423,9 @@ def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: i
     coefficients: (points, flooded edges, raised least-squares solves).
 
     Each edge (a, b) is scanned with _scan at grid + 1 points of
-    g(t) = dPhi/dx_a - dPhi/dx_b at t e_a + (1 - t) e_b.  On each face of
+    g(t) = dPhi/dx_a - dPhi/dx_b at t e_a + (1 - t) e_b, on the scale of
+    the largest |g| on any edge: an edge whose g is negligible next to the
+    game's is flat, whatever the game's own size.  On each face of
     three or more actions a least-squares solve of the face's reduced
     gradient runs from `starts` uniform points of the face; solutions
     closer than _MERGE_TOL collapse to the one with the smallest residual,
@@ -394,6 +442,8 @@ def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: i
     candidates: list[np.ndarray] = list(np.eye(m))
 
     flooded = []
+    ts = np.linspace(0.0, 1.0, grid + 1).tolist()
+    edges = {}
     for a, b in itertools.combinations(range(m), 2):
 
         def g(t: float, a: int = a, b: int = b) -> float:
@@ -402,7 +452,10 @@ def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: i
             d = grad(x)
             return d[a] - d[b]
 
-        roots = _scan(g, grid)
+        edges[a, b] = g, np.array([g(t) for t in ts])
+    scale = max(float(np.abs(gs).max()) for _, gs in edges.values())
+    for (a, b), (g, gs) in edges.items():
+        roots = _scan(g, gs, scale)
         if roots is None:
             flooded.append([a, b])
             warnings.warn(

@@ -127,8 +127,10 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(quiet)]) == 0
         assert capsys.readouterr().err == ""
         assert read_all_bytes(info) == read_all_bytes(quiet)
-        assert len(lines) == 3
-        for i, line in enumerate(lines):
+        # three engine lines, then the command's stage timing
+        assert len(lines) == 4
+        assert lines[3].startswith("imitodyn.cli: INFO: simulate: engine ")
+        for i, line in enumerate(lines[:3]):
             prefix = f"imitodyn.engine: INFO: seed {derive_seed(11, i)}: recorded every jump up to event 40, "
             assert line.startswith(prefix + "stride recording from t=")
             # the header, the start row, then one row per jump up to the switch
@@ -188,6 +190,31 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--runs", "1"]) == 0
         assert time.perf_counter() - t0 < 10.0
         assert (tmp_path / "out" / "run_000.csv").exists()
+
+
+class TestStageTiming:
+    @pytest.mark.parametrize("command", ["simulate", "ode"])
+    def test_info_reports_stages_and_keeps_bytes(self, tmp_path, capsys, command):
+        data = sim_cfg(tmp_path)
+        data["analysis"] = {"ode_horizon": 20.0}
+        cfg = write_cfg(tmp_path, data)
+        info, quiet = tmp_path / "info", tmp_path / "quiet"
+        assert main([command, "--config", cfg, "--out", str(info), "--log-level", "info"]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert main([command, "--config", cfg, "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_all_bytes(info) == read_all_bytes(quiet)
+        csvs = sorted(f for f in os.listdir(info) if f.endswith(".csv"))
+        size = sum(os.path.getsize(info / f) for f in csvs)
+        rows = sum(len((info / f).read_text().splitlines()) - 1 for f in csvs)
+        work = "engine" if command == "simulate" else "flow"
+        assert line.startswith(f"imitodyn.cli: INFO: {command}: {work} ")
+        assert line.endswith(f" s, {rows} rows, {size} bytes")
+        if command == "simulate":
+            events = sum(r["event_count"] for r in json.loads((info / "summary.json").read_text())["runs"])
+            assert f" s, {events} events (" in line
+        else:
+            assert f" s, {rows - 1} RK4 steps (" in line
 
 
 class TestOde:

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 import tracemalloc
 
@@ -983,3 +984,45 @@ class TestSimConfig:
             SimConfig(horizon=1.0, seed=0, record_stride=0.0)
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=0, lam=-1.0)
+
+
+def test_runs_of_one_spec_share_one_law(monkeypatch, caplog):
+    built = []
+
+    class CountingLaw(_Law):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine_mod, "_Law", CountingLaw)
+    monkeypatch.setattr(engine_mod, "_LAW_MEMO", [None])
+    game = make_congestion_game([[1.0, -1.0]] * 3)
+    lo, hi = reward_bounds(game)
+    rule = replicator_rule(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), 0.01)  # clamps part of the range
+    sim = SimConfig(horizon=2.0)
+    specs = [
+        RunSpec(game, rule, sim, x0=PopulationType.from_fractions(30, [0.6, 0.3, 0.1])),
+        RunSpec(game, rule, sim, graph=complete(30), init_fractions=(0.6, 0.3, 0.1)),
+    ]
+    with caplog.at_level(logging.DEBUG, logger="imitodyn"):
+        shared = [run_one(spec, seed) for spec in specs for seed in (1, 2, 3)]
+    # both engines, one game, rule, lam and n: one law, one clamp line
+    assert len(built) == 1
+    assert caplog.text.count("replicator rule clamped rewards") == 1
+    fresh = []
+    for spec in specs:
+        for seed in (1, 2, 3):
+            monkeypatch.setattr(engine_mod, "_LAW_MEMO", [None])
+            fresh.append(run_one(spec, seed))
+    assert len(built) == 7
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
+        assert a.event_count == b.event_count > 0
+    # another lam, n or rule object builds its own law
+    x0 = PopulationType.from_fractions(30, [0.6, 0.3, 0.1])
+    twin = replicator_rule(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), 0.01)
+    run_one(RunSpec(game, rule, SimConfig(horizon=2.0, lam=2.0), x0=x0), 1)
+    run_one(RunSpec(game, rule, sim, x0=PopulationType.from_fractions(31, [0.6, 0.3, 0.1])), 1)
+    run_one(RunSpec(game, twin, sim, x0=x0), 1)
+    run_one(RunSpec(game, twin, sim, x0=x0), 2)
+    assert len(built) == 10
