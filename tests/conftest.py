@@ -427,7 +427,8 @@ def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: i
     the largest |g| on any edge: an edge whose g is negligible next to the
     game's is flat, whatever the game's own size.  On each face of
     three or more actions a least-squares solve of the face's reduced
-    gradient runs from `starts` uniform points of the face; solutions
+    gradient runs from `starts` uniform points of the face and keeps the
+    solutions where it is at most _TANGENT_ZERO times that scale; solutions
     closer than _MERGE_TOL collapse to the one with the smallest residual,
     which a derivative-free minimization of the squared reduced gradient
     then polishes.  Across faces, vertices win, then edge roots, then the
@@ -505,7 +506,7 @@ def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: i
                 failed += 1
                 continue
             residual = float(np.max(np.abs(reduced(sol.x))))
-            if sol.x.sum() <= 1.0 + 1e-9 and residual < max(10.0 * _STEP_TOL, 1e-6):
+            if sol.x.sum() <= 1.0 + 1e-9 and residual <= _TANGENT_ZERO * scale:
                 solved.append((residual, lift(sol.x)))
 
         out = []

@@ -344,6 +344,7 @@ def test_exact_points_have_equal_rewards_on_their_support(polys):
 @example([[0.0, 1e-6], [0.0]])  # rewards 1e-9 apart near (0.001, 0.999)
 @example([[0.0, 0.0, 0.0, 1.0], [0.0]])  # a flat zero at a vertex
 @example([[0.0], [0.0, 1.0], [5.877178349111224e-253]])  # an edge flat next to the game
+@example([[0.0], [1e-08], [0.0, 1.0]])  # a least-squares minimum 5e-9 off zero
 @example(  # r_2 flat to float precision: its face's rest point
     [[0.0], [1.5], [-2.67728703991979, 3.4073026265153546e-222], [-2.471909990523258, -2.1693918079729118],
      [0.0, -1.5571449059978648, -2.0]]
