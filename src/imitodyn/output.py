@@ -48,7 +48,7 @@ def _halves(a):
 @functools.cache
 def _tables() -> dict:
     """Constants of _reprs, indexed by the scale s in x * 10**s, by the
-    kept digit count L, or by a group of four digits."""
+    number of digit bytes kept, or by a group of four digits."""
     s = np.arange(23)
     k = 17 - s  # digits before the decimal point
     p10 = 10.0**s  # exact up to 10**22
@@ -100,11 +100,14 @@ def _reprs_fast(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     x that has a positional repr, and return the indices of the others.
 
     With s such that V = v * 10**s lies in [1e16, 1e17), repr's digits are
-    those of the integer in V's rounding interval [V - h, V + h] (closed
-    when the mantissa is even) that has the most trailing zeros, the one
-    nearest V when several do.  V = hi + lo exactly (Dekker's product) and
-    h = 10**s ulp(v) / 2 is 5**s times a power of two, so every bound below
-    is exact.  0.0 is written as is.  Powers of two (whose interval is
+    those of the integer in V's rounding interval [V - h, V + h] that has
+    the most trailing zeros, the one nearest V when several do.  V = hi + lo
+    exactly (Dekker's product) and h = 10**s ulp(v) / 2 is 5**s times a
+    power of two, so every bound below is exact.  Whether the interval's
+    ends count (they do when the mantissa is even) never changes the
+    choice here: an end, v +- ulp(v) / 2, has 17 or more significant digits
+    and ends in 5, or, for v >= 2**53, is the odd neighbour of an even v
+    that is itself the nearest multiple of ten.  0.0 is written as is.  Powers of two (whose interval is
     lopsided), exact ties between two candidates, and the other v outside
     [1e-4, 1e16), where repr turns to exponent form, are left to repr.
     """
@@ -121,12 +124,9 @@ def _reprs_fast(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     yh, yl = tab["p10_hi"][s], tab["p10_lo"][s]
     lo = ((xh * yh - hi) + xh * yl + xl * yh) + xl * yl
     half = np.spacing(x) * tab["half_p10"][s]
-    odd = (bits & 1).astype(float)
-    # the integers in V's interval: hi + [first, last]; an odd mantissa
-    # leaves out an end that is an integer
-    a, b = lo - half, lo + half
-    first = np.ceil(np.nextafter(a, a + odd))
-    last = np.floor(np.nextafter(b, b - odd))
+    # the integers in V's interval: hi + [first, last]
+    first = np.ceil(lo - half)
+    last = np.floor(lo + half)
     count = (last - first).astype(np.int64) + 1
     hi_int = hi.astype(np.int64)
     top = hi_int + last.astype(np.int64)
