@@ -48,6 +48,12 @@ def both_paths(tmp_path, times, counts, n):
     return csv_bytes(tmp_path, "count.csv", times, counts, n=n), csv_bytes(tmp_path, "float.csv", times, counts / n)
 
 
+def reference_bytes(tmp_path, times, states, n=None):
+    path = tmp_path / "reference.csv"
+    loop_write_trajectory_csv(str(path), times, states, n=n)
+    return path.read_bytes()
+
+
 def random_path(seed, m, n, rows):
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, rng.dirichlet(np.ones(m)), size=rows)
@@ -75,7 +81,7 @@ def test_count_path_bytes_equal_float_path(tmp_path_factory, m, n, rows, seed):
 def test_count_path_past_one_chunk(tmp_path, m):
     times, counts = random_path(m, m, 2500, output_mod._CHUNK + 3)
     count, flt = both_paths(tmp_path, times, counts, 2500)
-    assert count == flt
+    assert count == flt == reference_bytes(tmp_path, times, counts, 2500)
 
 
 def test_count_path_rejects_counts_off_the_population(tmp_path):
@@ -119,7 +125,7 @@ def test_engine_paths_write_the_same_bytes_from_counts(tmp_path):
     for name, traj in _paths():
         shapes.append(name)
         count, flt = both_paths(tmp_path, traj.times, traj.counts, traj.n)
-        assert count == flt, name
+        assert count == flt == reference_bytes(tmp_path, traj.times, traj.counts, traj.n), name
         assert (traj.absorbed_at is not None) == name.startswith("absorbed")
         assert ("stride_from" in traj.meta) == name.startswith("capped")
         assert count.count(b"\n") == len(traj.times) + 1
@@ -169,7 +175,8 @@ FIXED = {
     "powers_of_ten": POWERS_OF_TEN,
     "next_powers_of_ten": np.concatenate([np.nextafter(POWERS_OF_TEN, np.inf), np.nextafter(POWERS_OF_TEN, -np.inf)]),
     "range_ends": [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf)],
-    # exact short decimals: every shorter rounding of them is an exact tie
+    # short decimals; the dyadic ones (0.375, 0.625, ...) lie exactly halfway
+    # between their shorter roundings
     "short_decimals": [0.5, 0.25, 0.375, 0.125, 0.625, 0.0625, 2.5, 12.5, 0.1, 0.3, 0.7, 1.1, 1234.5678],
     "near_2_53": 2.0**53 + np.arange(-20, 21),
     "near_2_53_over_10": (2.0**53 + np.arange(-20, 21)) / 10,
@@ -212,12 +219,6 @@ def counts_path(seed, m, n, rows):
     return times, counts
 
 
-def reference_bytes(tmp_path, times, states, n=None):
-    path = tmp_path / "reference.csv"
-    loop_write_trajectory_csv(str(path), times, states, n=n)
-    return path.read_bytes()
-
-
 CHUNK = 7
 
 
@@ -243,13 +244,6 @@ def test_float_writer_bytes_equal_reference(tmp_path, rows, m):
     with mock.patch.object(output_mod, "_CHUNK", CHUNK):
         got = csv_bytes(tmp_path, "float.csv", times, states)
     assert got == reference_bytes(tmp_path, times, states)
-
-
-def test_writer_bytes_equal_reference_at_default_chunk(tmp_path):
-    for m, n in [(2, 2500), (3, 900), (2, 10**9)]:
-        times, counts = counts_path(m, m, n, 2 * output_mod._CHUNK + 5)
-        count, flt = both_paths(tmp_path, times, counts, n)
-        assert count == flt == reference_bytes(tmp_path, times, counts, n), (m, n)
 
 
 def writer_peak(tmp_path, times, states, n=None) -> int:
