@@ -13,11 +13,15 @@ the landscape search reports its method, faces, points and continuum faces,
 the facts that landscape.json also holds in its "search" block; at info
 simulate and ode report the seconds spent in the engine (or the flow and
 its limit) and in writing CSVs, with events (or RK4 steps) per second and
-the rows and bytes written.  Every game a config builds is a congestion
-game, whose landscape is solved exactly, with no random numbers; --seed
-seeds the ensembles only.  The unused alias find_critical_points_2action
-and the unused run_one import stay because perfbench/tracer.py patches
-them by name, as it patches landscape.exit_time and landscape.time_near_set.
+the rows and bytes written; metastability and compare report the seconds
+spent in the engine, with events and events per second, and in analysing
+the paths, and compare also the seconds and RK4 steps of its flow.  Every
+game a config builds is a congestion game, whose landscape is solved
+exactly, with no random numbers; --seed seeds the ensembles only.  The
+unused alias find_critical_points_2action and the unused run_one import
+stay because perfbench/tracer.py patches them by name, as it patches
+integrate, kurtz_deviation and metastability_report here, which the
+subcommands call through this module.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
@@ -42,7 +46,7 @@ from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, 
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
 from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, ensemble, run_one  # noqa: F401
 from .games import PopulationType
-from .landscape import critical_point_to_dict, find_critical_points_multi, metastability_report
+from .landscape import _median, critical_point_to_dict, find_critical_points_multi, metastability_report
 from .meanfield import find_limit, integrate, kurtz_deviation
 from .output import ensure_dir, run_summary, write_json, write_trajectory_csv
 
@@ -158,6 +162,15 @@ def cmd_landscape(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _log_stages(command: str, engine_s: float, events: int, analysis_s: float, more: str = "") -> None:
+    """The info line of a subcommand that simulates ensembles and analyses
+    their paths."""
+    logger.info(
+        "%s: engine %.3f s, %d events (%.0f events/s); analysis %.3f s%s",
+        command, engine_s, events, events / max(engine_s, 1e-9), analysis_s, more,
+    )
+
+
 def cmd_metastability(cfg: ExperimentConfig) -> int:
     if np.any(cfg.init_fractions <= 0.0):
         raise ConfigError(
@@ -166,11 +179,19 @@ def cmd_metastability(cfg: ExperimentConfig) -> int:
         )
     points, _, caught = _critical_points(cfg)
     reports = {}
+    engine_s = analysis_s = 0.0
+    events = 0
     for n in cfg.n_sweep:
+        start = time.perf_counter()
         trajs = _run_ensemble(cfg, n)
+        simulated = time.perf_counter()
         reports[str(n)] = metastability_report(
             trajs, points, cfg.game, cfg.rule, gammas=cfg.gammas, deltas=cfg.deltas
         )
+        engine_s += simulated - start
+        analysis_s += time.perf_counter() - simulated
+        events += sum(t.event_count for t in trajs)
+    _log_stages("metastability", engine_s, events, analysis_s)
     ensure_dir(cfg.out_dir)
     write_json(
         os.path.join(cfg.out_dir, "metastability.json"),
@@ -180,20 +201,31 @@ def cmd_metastability(cfg: ExperimentConfig) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
+    start = time.perf_counter()
     x0 = np.asarray(cfg.init_fractions, dtype=float)
     ode = integrate(cfg.game, cfg.rule, x0, T=cfg.horizon, dt=cfg.ode_dt, lam=cfg.lam)
+    flow_s = time.perf_counter() - start
+    engine_s = analysis_s = 0.0
+    events = 0
     per_n = []
     for n in cfg.n_sweep:
+        start = time.perf_counter()
         trajs = _run_ensemble(cfg, n)
+        simulated = time.perf_counter()
         devs = [kurtz_deviation(t, ode, T=cfg.horizon) for t in trajs]
+        engine_s += simulated - start
+        analysis_s += time.perf_counter() - simulated
+        events += sum(t.event_count for t in trajs)
         per_n.append(
             {
                 "n": n,
                 "deviations": [float(d) for d in devs],
-                "median_deviation": float(np.median(devs)),
+                "median_deviation": _median(devs),
                 "max_deviation": float(np.max(devs)),
             }
         )
+    steps = len(ode.times) - 1
+    _log_stages("compare", engine_s, events, analysis_s, f"; flow {flow_s:.3f} s, {steps} RK4 steps")
     ensure_dir(cfg.out_dir)
     report = {"flow": "fully_mixed", "ode_points": len(ode.times), "per_n": per_n}
     write_json(os.path.join(cfg.out_dir, "compare.json"), report)

@@ -12,10 +12,11 @@ pass.  Every run is reproducible bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law); the
 m >= 3 complete loop bisects the law's generated cumulative rates
-(cum_rates).  That loop and the network loop build the law once for the
-runs of one spec (_shared_law).  This module holds the loops and the reference rate matrix
-(_rate_matrix) that transition_rates and potential_drift_rates return and
-the tests check the compiled law against.  Every loop records its path
+(cum_rates), and the m = 2 loop walks the law's rate tables (walk).  Every
+loop builds the law once for the runs of one spec (_shared_law).  This
+module holds the loops and the reference rate matrix (_rate_matrix) that
+transition_rates and potential_drift_rates return and the tests check the
+compiled law against.  Every loop records its path
 through one _Recorder, which holds at most _CHUNK rows in Python lists;
 the m = 2 loop hands it numpy slices instead.
 """
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._law import _Law, check_probs, pair_tables
+from ._law import _Law, check_probs
 from .games import Configuration, Game, PopulationType
 from .rules import ImitationRule
 from .topology import Graph
@@ -363,16 +364,7 @@ def _simulate_complete_2action(
     game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig, meta: dict
 ) -> Trajectory:
     n = x0.n
-    lam = cfg.lam
-    f01, f10 = pair_tables(game, rule, n)
-    ks = np.arange(n + 1, dtype=float)
-    base = lam * ks * (n - ks) / n
-    up = base * f10  # a 1-player copies action 0: k -> k + 1
-    dn = base * f01
-    tot_arr = up + dn
-    pup = np.divide(up, tot_arr, out=np.zeros(n + 1), where=tot_arr > 0.0).tolist()
-    tot = tot_arr.tolist()
-    neg_tot = -tot_arr
+    pup, tot, neg_tot = _shared_law(game, rule, cfg.lam, n).walk
 
     rng = random.Random(cfg.seed)
     log = math.log

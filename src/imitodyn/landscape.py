@@ -176,10 +176,68 @@ def ess_set(critical_points: list[CriticalPoint]) -> list[CriticalPoint]:
 def _distances(fractions: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
     diff = fractions - center[None, :]
     if norm == "euclidean":
+        # row by row in numpy's order (pairwise from m = 8 on); a row's
+        # norm does not depend on the other rows of the array
         return np.linalg.norm(diff, axis=1)
     if norm == "sup":
-        return np.max(np.abs(diff), axis=1)
+        d = np.abs(diff[:, 0])
+        for c in range(1, diff.shape[1]):
+            np.maximum(d, np.abs(diff[:, c]), out=d)
+        return d
     raise ValueError(f"unknown norm {norm!r}")
+
+
+class _Path:
+    """A sample path as the metrics read it: its times, its distinct
+    states and the state of each row (`index`).  Fractions and distances
+    are computed once per state, the distances once per (center, norm).
+
+    At m = 2 the states are the counts k of action 0 from the path's
+    least to its greatest, as fractions (k / n, (n - k) / n), the values
+    counts / n holds.  Otherwise, or when that span is much longer than the
+    path, they are its distinct count rows, found by sorting one integer
+    key per row (the first m - 1 counts in base n + 1) or, when the key
+    does not fit in int64, the rows themselves."""
+
+    def __init__(self, traj: Trajectory) -> None:
+        self.times = traj.times
+        counts, n = traj.counts, traj.n
+        m = counts.shape[1]
+        key = counts[:, 0]
+        lo, hi = int(key.min()), int(key.max())
+        if m == 2 and hi - lo <= 2 * key.size:
+            ks = np.arange(lo, hi + 1)
+            states, self.index = np.stack([ks, n - ks], axis=1), key - lo
+        elif (n + 1) ** (m - 1) < 2**62:
+            for a in range(1, m - 1):
+                key = key * (n + 1) + counts[:, a]
+            _, first, self.index = np.unique(key, return_index=True, return_inverse=True)
+            states = counts[first]
+        else:
+            states, index = np.unique(counts, axis=0, return_inverse=True)
+            self.index = index.reshape(-1)
+        self.fractions = states / n
+        self._distance: dict = {}
+
+    def distances(self, center: np.ndarray, norm: str) -> np.ndarray:
+        """_distances of each state from center."""
+        key = (center.tobytes(), norm)
+        d = self._distance.get(key)
+        if d is None:
+            d = self._distance[key] = _distances(self.fractions, center, norm)
+        return d
+
+
+def _path(traj: Trajectory | _Path) -> _Path:
+    return traj if isinstance(traj, _Path) else _Path(traj)
+
+
+def _median(values: list[float]) -> float:
+    """The median as np.median gives it, by sorting: the middle value, or
+    the mean of the middle two as (a + b) / 2."""
+    s = sorted(values)
+    half = len(s) // 2
+    return float(s[half]) if len(s) % 2 else float((s[half - 1] + s[half]) / 2)
 
 
 def time_near_set(
@@ -193,15 +251,15 @@ def time_near_set(
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    fr = traj.fractions
-    near = np.zeros(len(fr), dtype=bool)
+    path = _path(traj)
+    near = np.zeros(len(path.fractions), dtype=bool)
     for center in targets:
-        near |= _distances(fr, center, norm) < gamma
-    total = float(traj.times[-1] - traj.times[0])
+        near |= path.distances(center, norm) < gamma
+    total = float(path.times[-1] - path.times[0])
     if total <= 0.0:
-        return 1.0 if near[0] else 0.0
-    dwell = np.diff(traj.times)
-    return float(dwell[near[:-1]].sum() / total)
+        return 1.0 if near[path.index[0]] else 0.0
+    dwell = np.diff(path.times)
+    return float(dwell[near[path.index[:-1]]].sum() / total)
 
 
 def exit_time(
@@ -215,16 +273,17 @@ def exit_time(
     never enters, or never exits before the record ends (censored)."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    center = np.asarray(center, dtype=float)
-    d = _distances(traj.fractions, center, norm)
-    inside = np.flatnonzero(d < 0.5 * delta)
-    if inside.size == 0:
+    path = _path(traj)
+    d = path.distances(np.asarray(center, dtype=float), norm)
+    inside = (d < 0.5 * delta)[path.index]
+    start = int(inside.argmax())
+    if not inside[start]:
         return None
-    start = inside[0]
-    outside = np.flatnonzero(d[start:] >= delta)
-    if outside.size == 0:
+    outside = (d >= delta)[path.index[start:]]
+    stop = int(outside.argmax())
+    if not outside[stop]:
         return None
-    return float(traj.times[start + outside[0]] - traj.times[start])
+    return float(path.times[start + stop] - path.times[start])
 
 
 def metastability_report(
@@ -264,7 +323,9 @@ def metastability_report(
     min_ratio: float | None = None
     lam = float(trajectories[0].meta.get("lambda", 1.0)) if trajectories else 1.0
 
+    drift: dict = {}  # (n, counts) -> (q_plus, q_minus): each state's rates once per report
     for traj in trajectories:
+        path = _Path(traj)
         entry: dict = {
             "seed": traj.meta.get("seed"),
             "n": traj.n,
@@ -273,21 +334,17 @@ def metastability_report(
             "event_count": traj.event_count,
         }
         entry["time_near_ess"] = {
-            str(g): (time_near_set(traj, ess_targets, g, norm=near_norm) if ess_targets else None)
+            str(g): (time_near_set(path, ess_targets, g, norm=near_norm) if ess_targets else None)
             for g in gammas
         }
         exits = []
         for idx, cp in enumerate(interior_points):
             for dlt in deltas:
-                dwell = exit_time(traj, cp.x, dlt, norm=exit_norm)
-                entered = dwell is not None
-                if not entered:
-                    # a path that entered and never left ends within delta; one
-                    # that ends within delta/2 has entered; else scan the path
-                    last = float(_distances(traj.counts[-1:] / traj.n, cp.x, exit_norm)[0])
-                    entered = last < 0.5 * dlt or (
-                        last < dlt and bool(np.min(_distances(traj.fractions, cp.x, exit_norm)) < 0.5 * dlt)
-                    )
+                dwell = exit_time(path, cp.x, dlt, norm=exit_norm)
+                # a path that never left entered iff it visits a state
+                # within delta/2
+                near = path.distances(cp.x, exit_norm) < 0.5 * dlt
+                entered = dwell is not None or bool(near[path.index].any())
                 exits.append(
                     {
                         "point": idx,
@@ -299,19 +356,27 @@ def metastability_report(
                 )
         entry["exit_times"] = exits
 
+        # drift checks on every stride-th row whose state lies farther than
+        # the margin from every fixed point
         stride = max(1, len(traj.times) // _DRIFT_SAMPLES)
-        fractions = traj.fractions
+        away = np.ones(len(path.fractions), dtype=bool)
+        for c in fixed_centers:
+            away &= ~(path.distances(c, "sup") <= _DRIFT_MARGIN)
+        rows = np.arange(0, len(traj.times), stride)
+        rows = rows[away[path.index[rows]]].tolist()
         viol = 0
         run_min: float | None = None
-        for row in range(0, len(traj.times), stride):
-            x = fractions[row]
-            if any(np.max(np.abs(x - c)) <= _DRIFT_MARGIN for c in fixed_centers):
-                continue
-            dr = potential_drift_rates(game, rule, traj.state(row), lam)
-            if dr.q_plus < dr.q_minus:
+        for row in rows:
+            key = (traj.n, traj.counts[row].tobytes())
+            q = drift.get(key)
+            if q is None:
+                dr = potential_drift_rates(game, rule, traj.state(row), lam)
+                q = drift[key] = (dr.q_plus, dr.q_minus)
+            q_plus, q_minus = q
+            if q_plus < q_minus:
                 viol += 1
-            if dr.q_minus > 0.0:
-                ratio = dr.q_plus / dr.q_minus
+            if q_minus > 0.0:
+                ratio = q_plus / q_minus
                 run_min = ratio if run_min is None else min(run_min, ratio)
         entry["drift_violations"] = viol
         entry["min_drift_ratio"] = run_min
@@ -324,10 +389,10 @@ def metastability_report(
     aggregates: dict = {
         "runs": len(per_run),
         "absorbed_fraction": (len(absorbed) / len(per_run)) if per_run else None,
-        "median_absorbing_time": float(np.median(absorbed)) if absorbed else None,
+        "median_absorbing_time": _median(absorbed) if absorbed else None,
         "median_time_near_ess": {
             str(g): (
-                float(np.median([e["time_near_ess"][str(g)] for e in per_run]))
+                _median([e["time_near_ess"][str(g)] for e in per_run])
                 if per_run and ess_targets
                 else None
             )
@@ -351,7 +416,7 @@ def metastability_report(
                     "center": [float(v) for v in cp.x],
                     "kind": cp.kind,
                     "delta": dlt,
-                    "median_dwell": float(np.median(dwells)) if 2 * censored < len(dwells) else None,
+                    "median_dwell": _median(dwells) if 2 * censored < len(dwells) else None,
                     "censored_fraction": (censored / len(per_run)) if per_run else None,
                     "never_entered_fraction": ((len(per_run) - len(dwells)) / len(per_run)) if per_run else None,
                 }

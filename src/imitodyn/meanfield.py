@@ -84,6 +84,7 @@ def integrate(
         raise ValueError("need T > 0 and dt > 0")
     x0 = as_simplex_point(x0)
     law = _Law(game, rule, lam)
+    rhs, step = law.rhs, law.step
     steps = int(math.floor(T / dt + 1e-9))
     rem = T - steps * dt
     total = steps + (1 if rem > 1e-12 else 0)
@@ -91,20 +92,26 @@ def integrate(
     states = np.empty((total + 1, game.m))
     times[0] = 0.0
     states[0] = x0
+    # flat typed views of the arrays: Python floats go in without a numpy
+    # call per step
+    tv, sv = memoryview(times), memoryview(states.reshape(-1))
+    at = game.m
     x = x0.tolist()
     guard_hits = 0
     t = 0.0
-    for step in range(total):
-        h = dt if step < steps else rem
-        x, violation, hit = law.step(x, h, law.rhs(x))
+    for k in range(total):
+        h = dt if k < steps else rem
+        x, violation, hit = step(x, h, rhs(x))
         guard_hits += hit
         if violation > 1e-6:
             raise RuntimeError(f"simplex violation {violation:g} at t = {t + h:g} exceeds 1e-6")
         if guard_hits > 1000:
             raise RuntimeError("simplex guard activated more than 1000 times")
         t += h
-        times[step + 1] = t
-        states[step + 1] = x
+        tv[k + 1] = t
+        for v in x:
+            sv[at] = v
+            at += 1
     _finite(x)
     return OdeTrajectory(times=times, states=states)
 
@@ -162,16 +169,38 @@ def kurtz_deviation(stoch: Trajectory, ode: OdeTrajectory, T: float) -> float:
     if stoch_end < T - 1e-9 and stoch.absorbed_at is None:
         raise ValueError(f"sample path covers only [0, {stoch_end:g}], need [0, {T:g}]")
 
-    grid = np.union1d(stoch.times[stoch.times <= T], ode.times[ode.times <= T])
-    if grid[-1] < T:
-        grid = np.append(grid, T)
-    idx = np.searchsorted(stoch.times, grid, side="right") - 1
-    X = stoch.fractions[idx]  # right-continuous step values, (G, m)
-    xs = np.empty_like(X)
+    # On each cell of the union grid of both paths' times up to T (and T)
+    # the step path is constant and the flow linear, so the sup is the max
+    # of the gap at each grid point and of the step value there against
+    # the flow at the next point.  Those values come without the grid: at
+    # the step path's distinct times (the last row of each run of equal
+    # times) the gap and the carry from the distinct time before; at the
+    # flow's knots, which np.interp returns exactly, the gap alone, as the
+    # carry into a knot equals it; and the gap at T past both paths' times.
+    times = stoch.times
+    t = times[: np.searchsorted(times, T, side="right")]
+    rows = _last_of_runs(t)
+    X = stoch.counts[: t.size][rows] / stoch.n
+    t = t[rows]
+    flow = np.empty_like(X)
     for c in range(ode.m):
-        xs[:, c] = np.interp(grid, ode.times, ode.states[:, c])
-    # On each cell the step path is constant and the flow is linear, so the
-    # sup is attained at cell endpoints (against the left step value).
-    d_here = np.abs(X - xs).max()
-    d_carry = np.abs(X[:-1] - xs[1:]).max() if len(grid) > 1 else 0.0
-    return float(max(d_here, d_carry))
+        flow[:, c] = np.interp(t, ode.times, ode.states[:, c])
+    gap = float(np.abs(X - flow).max())
+    if t.size > 1:
+        gap = max(gap, float(np.abs(X[:-1] - flow[1:]).max()))
+    knots = ode.times[: np.searchsorted(ode.times, T, side="right")]
+    last = _last_of_runs(knots)  # np.interp reads the last of equal knots
+    at = np.searchsorted(times, knots[last], side="right") - 1
+    held = np.take(stoch.counts, at, axis=0) / stoch.n
+    gap = max(gap, float(np.abs(held - ode.states[: knots.size][last]).max()))
+    if max(t[-1], knots[-1]) < T:
+        end = np.array([np.interp(T, ode.times, ode.states[:, c]) for c in range(ode.m)])
+        gap = max(gap, float(np.abs(X[-1] - end).max()))
+    return gap
+
+
+def _last_of_runs(t: np.ndarray) -> slice | np.ndarray:
+    """The index of the last of each run of equal values of the sorted t:
+    all of t, as a slice, when no value repeats."""
+    new = t[1:] != t[:-1]
+    return slice(None) if new.all() else np.flatnonzero(np.append(new, True))

@@ -15,6 +15,11 @@ loop_write_trajectory_csv is the trajectory CSV writer that joined one
 repr string per cell, which the block writer (output._reprs and its byte
 matrices) replaced; it is that writer's byte-for-byte reference.
 
+reference_time_near_set, reference_exit_time, reference_metastability_report
+and reference_kurtz_deviation are the path metrics as they were written on
+whole fraction arrays, with np.union1d grids and np.median, before they
+moved to per-state tables; they are those metrics' bit-for-bit reference.
+
 numeric_critical_points is the numeric landscape search (edge scans,
 least-squares face solves and sphere classification) that the exact search
 replaced, kept as its cross-check reference; it runs on any game with a
@@ -35,15 +40,22 @@ from scipy import linalg
 from imitodyn import (
     CriticalPoint,
     Game,
+    ImitationRule,
     LandscapeWarning,
+    OdeTrajectory,
     PopulationType,
+    Trajectory,
     arctan_rule,
+    critical_point_to_dict,
+    ess_set,
     example4_game,
+    potential_drift_rates,
     transition_rates,
 )
 from imitodyn._law import pair_tables
 from imitodyn.engine import _CHUNK, _Recorder
 from imitodyn.games import _fd_gradient, uniform_simplex_sample
+from imitodyn.landscape import _DRIFT_MARGIN, _DRIFT_SAMPLES
 
 _TANGENT_ZERO = 1e-9  # |g| below this times the game's largest edge |g| flags a tangential zero
 _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
@@ -529,3 +541,236 @@ def numeric_critical_points(game: Game, starts: int = 64, seed: int = 0, grid: i
         kind = _classify_by_sphere(phi, x, 10.0 * _STEP_TOL, rng)
         points.append(_make_point(game, phi, x, kind, on_boundary=bool(np.min(x) < 1e-9)))
     return points, flooded, failed
+
+
+def _reference_distances(fractions: np.ndarray, center: np.ndarray, norm: str) -> np.ndarray:
+    diff = fractions - center[None, :]
+    if norm == "euclidean":
+        return np.linalg.norm(diff, axis=1)
+    if norm == "sup":
+        return np.max(np.abs(diff), axis=1)
+    raise ValueError(f"unknown norm {norm!r}")
+
+
+def reference_time_near_set(
+    traj: Trajectory,
+    targets: list[np.ndarray] | np.ndarray,
+    gamma: float,
+    norm: str = "euclidean",
+) -> float:
+    """Fraction of [0, last recorded time] spent within gamma of the target
+    set, integrated exactly from the piecewise-constant path."""
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    fr = traj.fractions
+    near = np.zeros(len(fr), dtype=bool)
+    for center in targets:
+        near |= _reference_distances(fr, center, norm) < gamma
+    total = float(traj.times[-1] - traj.times[0])
+    if total <= 0.0:
+        return 1.0 if near[0] else 0.0
+    dwell = np.diff(traj.times)
+    return float(dwell[near[:-1]].sum() / total)
+
+
+def reference_exit_time(
+    traj: Trajectory,
+    center: np.ndarray,
+    delta: float,
+    norm: str = "sup",
+) -> float | None:
+    """Dwell duration around a point: from first entry into the delta/2-ball
+    until the path first sits delta or farther away.  None when the path
+    never enters, or never exits before the record ends (censored)."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    center = np.asarray(center, dtype=float)
+    d = _reference_distances(traj.fractions, center, norm)
+    inside = np.flatnonzero(d < 0.5 * delta)
+    if inside.size == 0:
+        return None
+    start = inside[0]
+    outside = np.flatnonzero(d[start:] >= delta)
+    if outside.size == 0:
+        return None
+    return float(traj.times[start + outside[0]] - traj.times[start])
+
+
+def reference_metastability_report(
+    trajectories: list[Trajectory],
+    critical_points: list[CriticalPoint],
+    game: Game,
+    rule: ImitationRule,
+    gammas: tuple[float, ...] = (0.05,),
+    deltas: tuple[float, ...] = (0.1,),
+) -> dict:
+    """Aggregate long-run metrics over an ensemble of sample paths.
+
+    Per run: absorbing time (None while unabsorbed), occupation fraction
+    near the stable set per gamma, dwell times around each interior critical
+    point per delta (with whether the path entered the delta/2 ball at
+    all), and drift-rate checks q_plus >= q_minus on sampled states away
+    from fixed points.  Aggregates report medians, the observed minimum of
+    q_plus / q_minus as the margin, and per point and delta: the fraction
+    of runs that never entered, the fraction that entered but never left
+    (censored), and median_dwell over the runs that entered, a censored
+    dwell counting as +inf, None when half or more of them are censored.
+    """
+    ess_points = [cp for cp in critical_points if cp.is_ess]
+    ess_targets = [cp.x for cp in ess_points]
+    interior_points = [cp for cp in critical_points if not cp.on_boundary]
+    fixed_centers = [cp.x for cp in critical_points]
+    m = game.m
+    for i in range(m):
+        v = np.zeros(m)
+        v[i] = 1.0
+        if not any(np.allclose(v, c) for c in fixed_centers):
+            fixed_centers.append(v)
+
+    near_norm, exit_norm = "euclidean", "sup"
+    per_run = []
+    violations_total = 0
+    min_ratio: float | None = None
+    lam = float(trajectories[0].meta.get("lambda", 1.0)) if trajectories else 1.0
+
+    for traj in trajectories:
+        entry: dict = {
+            "seed": traj.meta.get("seed"),
+            "n": traj.n,
+            "absorbed_at": traj.absorbed_at,
+            "absorbing_action": traj.absorbing_action,
+            "event_count": traj.event_count,
+        }
+        entry["time_near_ess"] = {
+            str(g): (reference_time_near_set(traj, ess_targets, g, norm=near_norm) if ess_targets else None)
+            for g in gammas
+        }
+        exits = []
+        for idx, cp in enumerate(interior_points):
+            for dlt in deltas:
+                dwell = reference_exit_time(traj, cp.x, dlt, norm=exit_norm)
+                entered = dwell is not None
+                if not entered:
+                    # a path that entered and never left ends within delta; one
+                    # that ends within delta/2 has entered; else scan the path
+                    last = float(_reference_distances(traj.counts[-1:] / traj.n, cp.x, exit_norm)[0])
+                    entered = last < 0.5 * dlt or (
+                        last < dlt and bool(np.min(_reference_distances(traj.fractions, cp.x, exit_norm)) < 0.5 * dlt)
+                    )
+                exits.append(
+                    {
+                        "point": idx,
+                        "center": [float(v) for v in cp.x],
+                        "delta": dlt,
+                        "entered": entered,
+                        "dwell": dwell,
+                    }
+                )
+        entry["exit_times"] = exits
+
+        stride = max(1, len(traj.times) // _DRIFT_SAMPLES)
+        fractions = traj.fractions
+        viol = 0
+        run_min: float | None = None
+        for row in range(0, len(traj.times), stride):
+            x = fractions[row]
+            if any(np.max(np.abs(x - c)) <= _DRIFT_MARGIN for c in fixed_centers):
+                continue
+            dr = potential_drift_rates(game, rule, traj.state(row), lam)
+            if dr.q_plus < dr.q_minus:
+                viol += 1
+            if dr.q_minus > 0.0:
+                ratio = dr.q_plus / dr.q_minus
+                run_min = ratio if run_min is None else min(run_min, ratio)
+        entry["drift_violations"] = viol
+        entry["min_drift_ratio"] = run_min
+        violations_total += viol
+        if run_min is not None:
+            min_ratio = run_min if min_ratio is None else min(min_ratio, run_min)
+        per_run.append(entry)
+
+    absorbed = [e["absorbed_at"] for e in per_run if e["absorbed_at"] is not None]
+    aggregates: dict = {
+        "runs": len(per_run),
+        "absorbed_fraction": (len(absorbed) / len(per_run)) if per_run else None,
+        "median_absorbing_time": float(np.median(absorbed)) if absorbed else None,
+        "median_time_near_ess": {
+            str(g): (
+                float(np.median([e["time_near_ess"][str(g)] for e in per_run]))
+                if per_run and ess_targets
+                else None
+            )
+            for g in gammas
+        },
+        "drift_violations": violations_total,
+        "observed_min_drift_ratio": min_ratio,
+    }
+    exit_agg = []
+    for idx, cp in enumerate(interior_points):
+        for dlt in deltas:
+            rows = [
+                next(v for v in e["exit_times"] if v["point"] == idx and v["delta"] == dlt) for e in per_run
+            ]
+            # a censored dwell lasts past the record: +inf in the median
+            dwells = [np.inf if v["dwell"] is None else v["dwell"] for v in rows if v["entered"]]
+            censored = dwells.count(np.inf)
+            exit_agg.append(
+                {
+                    "point": idx,
+                    "center": [float(v) for v in cp.x],
+                    "kind": cp.kind,
+                    "delta": dlt,
+                    "median_dwell": float(np.median(dwells)) if 2 * censored < len(dwells) else None,
+                    "censored_fraction": (censored / len(per_run)) if per_run else None,
+                    "never_entered_fraction": ((len(per_run) - len(dwells)) / len(per_run)) if per_run else None,
+                }
+            )
+    aggregates["exit_times"] = exit_agg
+
+    caught: list[str] = []
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        ess_set(critical_points)
+        caught = [str(w.message) for w in wlist]
+
+    return {
+        "critical_points": [critical_point_to_dict(cp) for cp in critical_points],
+        "norms": {"time_near_set": near_norm, "exit_time": exit_norm},
+        "per_run": per_run,
+        "aggregates": aggregates,
+        "warnings": caught,
+    }
+
+
+def reference_kurtz_deviation(stoch: Trajectory, ode: OdeTrajectory, T: float) -> float:
+    """Exact sup over [0, T] of the max-coordinate gap between the
+    piecewise-constant sample path and the linearly interpolated flow.
+
+    Both inputs must cover [0, T]; an absorbed sample path extends past its
+    absorption time by holding the vertex state.
+    """
+    if T <= 0.0:
+        raise ValueError("need T > 0")
+    if stoch.m != ode.m:
+        raise ValueError("dimension mismatch between sample path and flow")
+    ode_end = float(ode.times[-1])
+    if ode_end < T - 1e-9:
+        raise ValueError(f"flow covers only [0, {ode_end:g}], need [0, {T:g}]")
+    stoch_end = float(stoch.times[-1])
+    if stoch_end < T - 1e-9 and stoch.absorbed_at is None:
+        raise ValueError(f"sample path covers only [0, {stoch_end:g}], need [0, {T:g}]")
+
+    grid = np.union1d(stoch.times[stoch.times <= T], ode.times[ode.times <= T])
+    if grid[-1] < T:
+        grid = np.append(grid, T)
+    idx = np.searchsorted(stoch.times, grid, side="right") - 1
+    X = stoch.fractions[idx]  # right-continuous step values, (G, m)
+    xs = np.empty_like(X)
+    for c in range(ode.m):
+        xs[:, c] = np.interp(grid, ode.times, ode.states[:, c])
+    # On each cell the step path is constant and the flow is linear, so the
+    # sup is attained at cell endpoints (against the left step value).
+    d_here = np.abs(X - xs).max()
+    d_carry = np.abs(X[:-1] - xs[1:]).max() if len(grid) > 1 else 0.0
+    return float(max(d_here, d_carry))

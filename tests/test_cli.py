@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -215,6 +216,49 @@ class TestStageTiming:
             assert f" s, {events} events (" in line
         else:
             assert f" s, {rows - 1} RK4 steps (" in line
+
+
+    @pytest.mark.parametrize("command", ["metastability", "compare"])
+    def test_info_reports_engine_and_analysis_and_keeps_bytes(self, tmp_path, capsys, command):
+        data = sim_cfg(tmp_path)
+        data["analysis"] = {"n_sweep": [40, 80]}
+        cfg = write_cfg(tmp_path, data)
+        info, quiet = tmp_path / "info", tmp_path / "quiet"
+        assert main([command, "--config", cfg, "--out", str(info), "--log-level", "info"]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert main([command, "--config", cfg, "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_all_bytes(info) == read_all_bytes(quiet)
+        seconds = r"\d+\.\d{3} s"
+        flow = f"; flow {seconds}, (\\d+) RK4 steps" if command == "compare" else ""
+        match = re.fullmatch(
+            rf"imitodyn\.cli: INFO: {command}: engine {seconds}, (\d+) events \(\d+ events/s\); "
+            rf"analysis {seconds}{flow}",
+            line,
+        )
+        assert match, line
+        if command == "metastability":
+            reports = json.loads((info / "metastability.json").read_text())["reports"].values()
+            events = sum(r["event_count"] for rep in reports for r in rep["per_run"])
+            assert int(match[1]) == events > 0
+        else:
+            assert int(match[2]) == json.loads((info / "compare.json").read_text())["ode_points"] - 1
+
+    def test_path_analyses_do_not_load_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on its first call, 12-16 ms of a run
+        data = sim_cfg(tmp_path)
+        data["analysis"] = {"n_sweep": [40]}
+        cfg = write_cfg(tmp_path, data)
+        code = (
+            "import sys; from imitodyn.cli import main; "
+            f"assert main(['metastability', '--config', {cfg!r}]) == 0; "
+            f"assert main(['compare', '--config', {cfg!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert sorted(os.listdir(tmp_path / "out")) == ["compare.json", "deviation_vs_n.csv", "metastability.json"]
 
 
 class TestOde:
