@@ -295,11 +295,7 @@ class _Law:
     - with n given, probs(counts), F at counts / n (at m = 2 at
       (k/n, 1 - k/n), from pair_tables), and cum_rates(counts), the running
       sums of the jump rates n lam x_i x_j f_ij over the (i, j) in `pairs`
-      (row-major, off-diagonal);
-    - with n given at m = 2, walk = (pup, tot, -tot) for the m = 2 complete
-      engine, indexed by the count k of action 0: the total jump rate
-      lam k (n - k) / n (f01 + f10) as a list and negated as an array, and
-      the chance that a jump goes up, k -> k + 1, as a list.
+      (row-major, off-diagonal).
 
     All of them are the straight-line code that _compile generates for m
     and the law's shape, except the fallback's probs_at and probs and the
@@ -325,7 +321,7 @@ class _Law:
         probs = xs = cn = None
         if n is not None:
             self.pairs = _pairs(m)
-            probs, consts["T"] = self._count_probs(n, lam, kind)
+            probs, consts["T"] = self._count_probs(n, kind)
             xs = (np.arange(n + 1) / n).tolist()
             cn = n * lam
         factory = _compile(m, (kind, degrees))
@@ -333,39 +329,21 @@ class _Law:
         if n is not None:
             self.cum_rates, self.probs = cum_rates, probs
 
-    @functools.cached_property
-    def walk(self) -> tuple[list, list, np.ndarray]:
-        """(pup, tot, -tot) at m = 2, built at the first read: the network
-        engine reads probs alone."""
-        n, lam = self._n_lam
-        f01, f10 = pair_tables(self._game, self._rule, n)
-        ks = np.arange(n + 1, dtype=float)
-        base = lam * ks * (n - ks) / n
-        up = base * f10  # a 1-player copies action 0: k -> k + 1
-        tot = up + base * f01
-        pup = np.divide(up, tot, out=np.zeros(n + 1), where=tot > 0.0)
-        return pup.tolist(), tot.tolist(), -tot
-
     def _fallback(self, x: list) -> list:
         return check_probs(self._rule.prob_matrix(self._game.rewards_at(np.asarray(x)))).tolist()
 
-    def _count_probs(self, n: int, lam: float, kind: str | None):
-        """(probs, T): probs reads the pair tables at m = 2, as walk does,
-        and the fallback at m >= 3; at m >= 3 the generated probs
-        replaces it and reads T, the per-count table G[a][c] = f_ia of the
-        replicator rule or R[a][c] = r_a(c / n) of the arctan rule."""
+    def _count_probs(self, n: int, kind: str | None):
+        """(probs, T): probs reads the pair tables at m = 2 and the
+        fallback at m >= 3; at m >= 3 the generated probs replaces it and
+        reads T, the per-count table G[a][c] = f_ia of the replicator rule
+        or R[a][c] = r_a(c / n) of the arctan rule."""
         m = self.m
         if m == 2:
-            game, rule = self._game, self._rule
-            self._n_lam = n, lam
-            # F at each k, built at the first call: the complete engine reads walk alone
-            tables: list = []
+            f01, f10 = pair_tables(self._game, self._rule, n)
+            # the diagonal is never read
+            tables = [[[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist())]
 
             def probs(counts: list) -> list:
-                if not tables:
-                    f01, f10 = pair_tables(game, rule, n)
-                    # the diagonal is never read
-                    tables.extend([[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist()))
                 return tables[counts[0]]
 
             return probs, None

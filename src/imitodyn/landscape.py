@@ -180,10 +180,7 @@ def _distances(fractions: np.ndarray, center: np.ndarray, norm: str) -> np.ndarr
         # norm does not depend on the other rows of the array
         return np.linalg.norm(diff, axis=1)
     if norm == "sup":
-        d = np.abs(diff[:, 0])
-        for c in range(1, diff.shape[1]):
-            np.maximum(d, np.abs(diff[:, c]), out=d)
-        return d
+        return np.max(np.abs(diff), axis=1)
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -192,23 +189,16 @@ class _Path:
     states and the state of each row (`index`).  Fractions and distances
     are computed once per state, the distances once per (center, norm).
 
-    At m = 2 the states are the counts k of action 0 from the path's
-    least to its greatest, as fractions (k / n, (n - k) / n), the values
-    counts / n holds.  Otherwise, or when that span is much longer than the
-    path, they are its distinct count rows, found by sorting one integer
-    key per row (the first m - 1 counts in base n + 1) or, when the key
-    does not fit in int64, the rows themselves."""
+    The states are the path's distinct count rows, found by sorting one
+    integer key per row (the first m - 1 counts in base n + 1) or, when
+    the key does not fit in int64, the rows themselves."""
 
     def __init__(self, traj: Trajectory) -> None:
         self.times = traj.times
         counts, n = traj.counts, traj.n
         m = counts.shape[1]
-        key = counts[:, 0]
-        lo, hi = int(key.min()), int(key.max())
-        if m == 2 and hi - lo <= 2 * key.size:
-            ks = np.arange(lo, hi + 1)
-            states, self.index = np.stack([ks, n - ks], axis=1), key - lo
-        elif (n + 1) ** (m - 1) < 2**62:
+        if (n + 1) ** (m - 1) < 2**62:
+            key = counts[:, 0]
             for a in range(1, m - 1):
                 key = key * (n + 1) + counts[:, a]
             _, first, self.index = np.unique(key, return_index=True, return_inverse=True)

@@ -10,8 +10,8 @@ anywhere.
 The CSV writer turns each block of _CHUNK rows into one NUL-padded uint8
 matrix and writes its non-NUL bytes.  _reprs fills the float cells: it
 finds repr's digits for a whole array with numpy (Dekker's exact product
-and int64 digit arithmetic) and hands the few values it cannot decide, and
-arrays too short to repay its fixed cost, to repr itself.
+and int64 digit arithmetic) and hands the few values it cannot decide to
+repr itself.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ __all__ = [
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _SUB = 4096  # values _reprs formats at a time, which bounds its temporaries
-# Below this many values one repr call per value is faster than _reprs_fast,
-# whose numpy steps cost about 0.13 ms per call before the first value: 256
-# mixed jump times and c/2500 took 149 us by _reprs_fast, 159 us by repr.
-_FEW = 256
 _SLICE = 1 << 17  # bytes of a block's matrix masked and written at a time
 _WIDTH = 24  # bytes in the longest repr of a float, "-2.2250738585072014e-308"
 _ZERO = int.from_bytes(b"0.0", "little")
@@ -84,21 +80,13 @@ def _reprs(x: np.ndarray) -> np.ndarray:
     """repr(float(v)) of every v in x as the rows of a NUL-padded uint8
     matrix, as wide as the longest of them."""
     x = np.ascontiguousarray(x, dtype=float).ravel()
-    if x.size < _FEW:
-        return _trim(_repr_cells(x.tolist()))
     out = np.empty((x.size, 3), np.uint64)
     slow = [_reprs_fast(x[i : i + _SUB], out[i : i + _SUB]) + i for i in range(0, x.size, _SUB)]
     out8 = out.view(np.uint8)
     if slow and (slow := np.concatenate(slow)).size:
-        out8[slow] = _repr_cells(x[slow].tolist())
+        text = b"".join(repr(v).encode().ljust(_WIDTH, b"\0") for v in x[slow].tolist())
+        out8[slow] = np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
     return _trim(out8)
-
-
-def _repr_cells(values: list) -> np.ndarray:
-    """repr(v) of every v as the rows of a NUL-padded (len, _WIDTH) uint8
-    matrix, one repr call per value."""
-    text = b"".join(repr(v).encode().ljust(_WIDTH, b"\0") for v in values)
-    return np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
 
 
 def _trim(cells: np.ndarray) -> np.ndarray:

@@ -1026,3 +1026,32 @@ def test_runs_of_one_spec_share_one_law(monkeypatch, caplog):
     run_one(RunSpec(game, twin, sim, x0=x0), 1)
     run_one(RunSpec(game, twin, sim, x0=x0), 2)
     assert len(built) == 10
+
+
+def test_m2_runs_of_one_spec_share_one_walk(monkeypatch):
+    built = []
+    walk_tables = engine_mod._walk_tables
+
+    def counting_tables(*args):
+        built.append(args)
+        return walk_tables(*args)
+
+    game = make_congestion_game([[1.0, -1.0]] * 2)
+    lo, hi = reward_bounds(game)
+    rule = replicator_rule(lo, hi, 0.01)
+    x0 = PopulationType.from_fractions(40, [0.6, 0.4])
+    spec = RunSpec(game, rule, SimConfig(horizon=5.0), x0=x0)
+    fresh = []
+    for seed in (1, 2, 3):
+        monkeypatch.setattr(engine_mod, "_WALK_MEMO", [None])
+        fresh.append(run_one(spec, seed))
+    monkeypatch.setattr(engine_mod, "_WALK_MEMO", [None])
+    monkeypatch.setattr(engine_mod, "_walk_tables", counting_tables)
+    shared = [run_one(spec, seed) for seed in (1, 2, 3)]
+    assert len(built) == 1
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
+        assert a.event_count == b.event_count > 0
+    # another lam builds its own tables
+    run_one(RunSpec(game, rule, SimConfig(horizon=5.0, lam=2.0), x0=x0), 1)
+    assert len(built) == 2

@@ -5,9 +5,7 @@ both against the repr-joining reference writer.
 that the float path writes for `counts / n`, on synthetic grids and on every
 shape of path the engines return, and both must write the bytes of
 `loop_write_trajectory_csv`.  The float cells come from `output._reprs`,
-which must equal `repr` on every double.  _reprs sends arrays of fewer than
-`output._FEW` values to repr; the tests that write small blocks set _FEW
-to 0 so that they keep exercising the vectorised path.
+which must equal `repr` on every double.
 """
 
 import tracemalloc
@@ -73,7 +71,7 @@ def random_path(seed, m, n, rows):
 )
 def test_count_path_bytes_equal_float_path(tmp_path_factory, m, n, rows, seed):
     times, counts = random_path(seed, m, n, rows)
-    with mock.patch.object(output_mod, "_CHUNK", 7), mock.patch.object(output_mod, "_FEW", 0):  # 20 rows span three blocks
+    with mock.patch.object(output_mod, "_CHUNK", 7):  # 20 rows span three blocks
         count, flt = both_paths(tmp_path_factory.mktemp("csv"), times, counts, n)
     assert count == flt
     assert count.count(b"\n") == rows + 1
@@ -150,16 +148,12 @@ def test_write_json_that_fails_leaves_no_partial_artifact(tmp_path, bad):
 
 
 def assert_reprs(values):
-    """_reprs equals repr on values, by the vectorised path (_FEW = 0) and by
-    whichever path the length of values takes."""
     x = np.asarray(values, dtype=float)
+    cells = _reprs(x)
+    assert cells.dtype == np.uint8 and cells.shape[0] == x.size
     want = [repr(v).encode() for v in x.tolist()]
-    for few in (0, output_mod._FEW):
-        with mock.patch.object(output_mod, "_FEW", few):
-            cells = _reprs(x)
-        assert cells.dtype == np.uint8 and cells.shape[0] == x.size
-        assert cells.shape[1] == max(map(len, want), default=0)
-        assert [bytes(row) for row in cells] == [w.ljust(cells.shape[1], b"\0") for w in want]
+    assert cells.shape[1] == max(map(len, want), default=0)
+    assert [bytes(row) for row in cells] == [w.ljust(cells.shape[1], b"\0") for w in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,7 +227,7 @@ CHUNK = 7
 @pytest.mark.parametrize("n", [1, 2, 9, 1600, 2**31 + 11, 2**53])
 def test_writer_bytes_equal_reference(tmp_path, rows, m, n):
     times, counts = counts_path(rows * 1000 + m * 10 + n % 7, m, n, rows)
-    with mock.patch.object(output_mod, "_CHUNK", CHUNK), mock.patch.object(output_mod, "_FEW", 0):
+    with mock.patch.object(output_mod, "_CHUNK", CHUNK):
         count, flt = both_paths(tmp_path, times, counts, n)
     assert count == flt == reference_bytes(tmp_path, times, counts, n)
     assert count.count(b"\n") == rows + 1
@@ -247,26 +241,9 @@ def test_float_writer_bytes_equal_reference(tmp_path, rows, m):
     states = rng.dirichlet(np.ones(m), size=rows)
     states[::3, 0] = 0.0  # on a face
     states[1::4, -1] = 10.0 ** rng.uniform(-30.0, -3.0, states[1::4].shape[0])  # exponent form
-    with mock.patch.object(output_mod, "_CHUNK", CHUNK), mock.patch.object(output_mod, "_FEW", 0):
+    with mock.patch.object(output_mod, "_CHUNK", CHUNK):
         got = csv_bytes(tmp_path, "float.csv", times, states)
     assert got == reference_bytes(tmp_path, times, states)
-
-
-@pytest.mark.parametrize("step", [-1, 0, 1])
-@pytest.mark.parametrize("m", [2, 3])
-def test_writer_bytes_around_the_repr_break_even(tmp_path, step, m):
-    few = output_mod._FEW
-    # the float path formats rows * (m + 1) cells per block: 252 to 260
-    rows = few // (m + 1) + step
-    times, counts = counts_path(rows + m, m, 1600, rows)
-    assert csv_bytes(tmp_path, "float.csv", times, counts / 1600) == reference_bytes(tmp_path, times, counts / 1600)
-    # the count path formats its times and its n + 1 table cells together:
-    # few - 1, few and few + 1 values
-    rows = 100
-    n = few + step - rows - 1
-    times, counts = counts_path(rows + n, m, n, rows)
-    count, flt = both_paths(tmp_path, times, counts, n)
-    assert count == flt == reference_bytes(tmp_path, times, counts, n)
 
 
 def writer_peak(tmp_path, times, states, n=None) -> int:
