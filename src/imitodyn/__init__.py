@@ -9,23 +9,16 @@ from .games import (
     Game,
     PopulationType,
     Configuration,
-    ConsistencyReport,
-    support,
-    is_interior,
     make_congestion_game,
     example4_game,
-    check_potential_consistency,
     reward_bounds,
 )
 from .rules import (
     ImitationRule,
     ArctanRule,
     ReplicatorRule,
-    CustomRule,
     arctan_rule,
     replicator_rule,
-    copy_prob,
-    verify_sign_condition,
 )
 from .topology import Graph, complete, erdos_renyi, square_lattice, from_edge_list
 from .engine import (
@@ -33,7 +26,6 @@ from .engine import (
     Trajectory,
     DriftRates,
     RunSpec,
-    transition_rates,
     simulate_complete,
     simulate_network,
     potential_drift_rates,
@@ -68,21 +60,14 @@ __all__ = [
     "Game",
     "PopulationType",
     "Configuration",
-    "ConsistencyReport",
-    "support",
-    "is_interior",
     "make_congestion_game",
     "example4_game",
-    "check_potential_consistency",
     "reward_bounds",
     "ImitationRule",
     "ArctanRule",
     "ReplicatorRule",
-    "CustomRule",
     "arctan_rule",
     "replicator_rule",
-    "copy_prob",
-    "verify_sign_condition",
     "Graph",
     "complete",
     "erdos_renyi",
@@ -92,7 +77,6 @@ __all__ = [
     "Trajectory",
     "DriftRates",
     "RunSpec",
-    "transition_rates",
     "simulate_complete",
     "simulate_network",
     "potential_drift_rates",

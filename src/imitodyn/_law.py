@@ -15,10 +15,12 @@ the pair is compiled once:
   the replicator rule clamps g_a = f_ia (with its debug log; the count
   paths read the table G[a][c] instead), and the arctan rule computes one
   f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi per ordered pair, K scalar or
-  per pair;
-- any other game or rule (CustomRule, rewards given as a plain callable)
-  falls back to rule.prob_matrix(game.rewards_at(x)) per state,
-  range-checked on every call.
+  per pair.
+
+_Law raises ValueError for any other game or rule, so the flow, the
+m >= 3 complete loop and the network loop reject such a pair before they
+draw.  The m = 2 complete loop builds no _Law: it reads pair_tables alone,
+which serve any game whose rewards broadcast over a batch of states.
 
 _Law's rhs (the flow's right-hand side), step (one RK4 step with the
 clip-and-renormalise guard), cum_rates (the running sums of the jump rates
@@ -29,17 +31,15 @@ shape: one flat statement per Horner coefficient, copy probability and
 through a factory.  One emitter (_f_lines) writes the copy probabilities
 for all of them, so they read the same F.  Each statement does the float
 operations of the loop it replaced, in the same order, so results are the
-same bits; the tests keep those loops as the reference.  The fallback
-reads F from probs_at and probs.  engine.transition_rates and
-meanfield.mean_field_rhs stay the reference definitions that the tests
-compare these paths against; under the arctan rule math.atan may differ
-from numpy's arctan in the last bit.
+same bits; the tests keep those loops as the reference, and compare them
+with the reference rate matrix and meanfield.mean_field_rhs, which
+evaluate rule.prob_matrix(game.rewards_at(x)); under the arctan rule
+math.atan may differ from numpy's arctan in the last bit.
 
-potential_pair compiles a congestion game's potential (_PolyPotential) and
-gradient (_PolyRewards) into closures phi(x) and grad(x) on a list of
-floats: Horner per action and numpy's summation order, so both equal
-game.potential and game.potential_gradient bit for bit.  The landscape
-finder solves the games that have a compiled pair exactly, from their
+compiled_potential compiles a congestion game's potential (_PolyPotential)
+into a closure phi(x) on a list of floats: Horner per action and numpy's
+summation order, so it equals game.potential bit for bit.  The landscape
+finder solves the games that have a compiled potential exactly, from their
 coefficients, and takes each point's potential from phi; it rejects any
 other game.
 """
@@ -124,22 +124,17 @@ def np_sum(values: list) -> float:
     return s
 
 
-def potential_pair(game: Game):
-    """(phi, grad) of a congestion game as closures on a list of m floats,
-    equal bit for bit to game.potential and game.potential_gradient; None
-    for any other game."""
+def compiled_potential(game: Game):
+    """phi, the potential of a congestion game as a closure on a list of m
+    floats, equal bit for bit to game.potential; None for any other game."""
     if not (isinstance(game.potential, _PolyPotential) and isinstance(game.potential_gradient, _PolyRewards)):
         return None
     P = [_horner(c) for c in game.potential.coeffs]
-    D = [_horner(c) for c in game.potential_gradient.coeffs]
 
     def phi(x: list) -> float:
         return np_sum(_horner_all(P, x))
 
-    def grad(x: list) -> list:
-        return _horner_all(D, x)
-
-    return phi, grad
+    return phi
 
 
 def _names(prefix: str, count: int) -> str:
@@ -155,12 +150,10 @@ def _f_lines(m: int, shape: tuple, src: str) -> tuple[list, object]:
     """(statements, f): the statements set the copy probabilities at the
     frequencies {src}0..{src}{m-1}, or at the counts c0..c{m-1} when src is
     "c", and f(i, j) is the expression that reads f_ij after them.  The
-    fallback reads F from probs_at and probs; so do the counts at m = 2,
-    where probs reads the pair tables."""
+    counts at m = 2 read F from probs, the pair tables."""
     kind, degrees = shape
-    if kind is None or (src == "c" and m == 2):
-        call = "probs(counts)" if src == "c" else f"probs_at([{_names(src, m)}])"
-        return [f"{_names('F', m)} = {call}"], lambda i, j: f"F{i}[{j}]"
+    if src == "c" and m == 2:
+        return [f"{_names('F', m)} = probs(counts)"], lambda i, j: f"F{i}[{j}]"
     lines = []
     for a, d in enumerate(degrees):
         if src == "c":
@@ -248,35 +241,32 @@ def _probs_lines(m: int, shape: tuple, src: str) -> list:
 
 @functools.cache
 def _compile(m: int, shape: tuple):
-    """factory(lam, xs, cn, probs_at, probs, T, **constants) -> (rhs, step,
-    cum_rates, probs_at, probs) as straight-line code for m actions.  shape
-    is (kind, degrees): kind "replicator" or "arctan" on rewards whose
-    Horner forms take degrees steps per action, and (None, None) for the
-    fallback, which reads F from the probs_at and probs it is given.  The
-    generated probs_at, and at m >= 3 probs, replace the given ones.  T is the
+    """factory(lam, xs, cn, probs, T, **constants) -> (rhs, step, cum_rates,
+    probs_at, probs) as straight-line code for m actions.  shape is
+    (kind, degrees): kind "replicator" or "arctan" on rewards whose Horner
+    forms take degrees steps per action.  At m = 2 the count paths read
+    the given probs; at m >= 3 the generated probs replaces it.  T is the
     per-count table of the count paths at m >= 3, G for the replicator rule
     and R for the arctan rule.  Every statement is flat, so no expression
     nests deeper as m or the degree grows."""
     kind, degrees = shape
-    body = []
+    body = [f"{_names('A', m)} = A"]
+    body += [f"{_names(f'C{a}_', d)}, = C[{a}]" for a, d in enumerate(degrees) if d]
+    body += ["if T is not None:", f"    {_names('G' if kind == 'replicator' else 'R', m)} = T"]
     functions = {
         "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, shape, "x", "k"), f"return [{_names('k', m)}]"],
         "step(x, h, k1)": _step_lines(m, shape),
         "cum_rates(counts)": _rates_lines(m, shape),
+        "probs_at(x)": _probs_lines(m, shape, "x"),
     }
-    if kind is not None:
-        body.append(f"{_names('A', m)} = A")
-        body += [f"{_names(f'C{a}_', d)}, = C[{a}]" for a, d in enumerate(degrees) if d]
-        body += ["if T is not None:", f"    {_names('G' if kind == 'replicator' else 'R', m)} = T"]
-        functions["probs_at(x)"] = _probs_lines(m, shape, "x")
-        if m > 2:
-            functions["probs(counts)"] = _probs_lines(m, shape, "c")
+    if m > 2:
+        functions["probs(counts)"] = _probs_lines(m, shape, "c")
     if kind == "arctan":
         body += [f"{', '.join(f'K{i}_{j}' for i, j in _pairs(m))} = K", "atan = math.atan", "pi = math.pi"]
     for signature, lines in functions.items():
         body += [f"def {signature}:", *("    " + line for line in lines)]
     body.append("return rhs, step, cum_rates, probs_at, probs")
-    head = "def factory(lam, xs, cn, probs_at, probs, T=None, A=None, C=None, K=None, eps=None, slope=None, lo=None,"
+    head = "def factory(lam, xs, cn, probs, T=None, A=None, C=None, K=None, eps=None, slope=None, lo=None,"
     head += " cap=None, clamped=None):"
     source = "\n".join([head, *("    " + line for line in body)])
     namespace: dict = {"math": math}
@@ -298,8 +288,9 @@ class _Law:
       (row-major, off-diagonal).
 
     All of them are the straight-line code that _compile generates for m
-    and the law's shape, except the fallback's probs_at and probs and the
-    pair tables at m = 2.
+    and the law's shape, except the pair tables at m = 2.  A game without
+    congestion rewards, or a rule other than the arctan and the replicator
+    rule, raises ValueError.
     """
 
     def __init__(self, game: Game, rule: ImitationRule, lam: float = 1.0, n: int | None = None):
@@ -307,36 +298,33 @@ class _Law:
         self.m = m
         self._game = game
         self._rule = rule
-        kind, degrees, consts = None, None, {}
-        if isinstance(game.rewards, _PolyRewards):
-            if isinstance(rule, ReplicatorRule):
-                kind, consts = "replicator", _replicator_consts(rule)
-            elif isinstance(rule, ArctanRule):
-                K = rule._k_for(m)
-                kind, consts = "arctan", dict(K=[float(K[i, j]) for i, j in _pairs(m)])
-        if kind is not None:
-            A, C = zip(*(_horner(c) for c in game.rewards.coeffs))
-            consts.update(A=A, C=C)
-            degrees = tuple(map(len, C))
+        if not (isinstance(game.rewards, _PolyRewards) and isinstance(rule, (ReplicatorRule, ArctanRule))):
+            raise ValueError(
+                "the compiled law requires a congestion game (built by make_congestion_game or "
+                "example4_game) under the arctan or the replicator rule"
+            )
+        if isinstance(rule, ReplicatorRule):
+            kind, consts = "replicator", _replicator_consts(rule)
+        else:
+            K = rule._k_for(m)
+            kind, consts = "arctan", dict(K=[float(K[i, j]) for i, j in _pairs(m)])
+        A, C = zip(*(_horner(c) for c in game.rewards.coeffs))
+        consts.update(A=A, C=C)
         probs = xs = cn = None
         if n is not None:
             self.pairs = _pairs(m)
             probs, consts["T"] = self._count_probs(n, kind)
             xs = (np.arange(n + 1) / n).tolist()
             cn = n * lam
-        factory = _compile(m, (kind, degrees))
-        self.rhs, self.step, cum_rates, self.probs_at, probs = factory(lam, xs, cn, self._fallback, probs, **consts)
+        factory = _compile(m, (kind, tuple(map(len, C))))
+        self.rhs, self.step, cum_rates, self.probs_at, probs = factory(lam, xs, cn, probs, **consts)
         if n is not None:
             self.cum_rates, self.probs = cum_rates, probs
 
-    def _fallback(self, x: list) -> list:
-        return check_probs(self._rule.prob_matrix(self._game.rewards_at(np.asarray(x)))).tolist()
-
-    def _count_probs(self, n: int, kind: str | None):
-        """(probs, T): probs reads the pair tables at m = 2 and the
-        fallback at m >= 3; at m >= 3 the generated probs replaces it and
-        reads T, the per-count table G[a][c] = f_ia of the replicator rule
-        or R[a][c] = r_a(c / n) of the arctan rule."""
+    def _count_probs(self, n: int, kind: str):
+        """(probs, T): at m = 2 probs reads the pair tables; at m >= 3 the
+        generated probs reads T, the per-count table G[a][c] = f_ia of the
+        replicator rule or R[a][c] = r_a(c / n) of the arctan rule."""
         m = self.m
         if m == 2:
             f01, f10 = pair_tables(self._game, self._rule, n)
@@ -345,13 +333,6 @@ class _Law:
 
             def probs(counts: list) -> list:
                 return tables[counts[0]]
-
-            return probs, None
-        if kind is None:
-            fallback = self._fallback
-
-            def probs(counts: list) -> list:
-                return fallback(np.asarray(counts) / n)
 
             return probs, None
         # separable rewards: row a holds r_a(c / n) for c = 0..n

@@ -14,9 +14,11 @@ Every loop takes its copy probabilities from the compiled law (_law); the
 m >= 3 complete loop bisects the law's generated cumulative rates
 (cum_rates), and the m = 2 loop walks rate tables built from the law's
 pair tables (_walk_tables).  Every loop builds its law or its tables once
-for the runs of one spec (_shared_law, _shared_walk).  This module holds
-the loops and the reference rate matrix (_rate_matrix) that
-transition_rates and potential_drift_rates return and the tests check the
+for the runs of one spec (_shared_law, _shared_walk).  The m >= 3
+complete loop and the network loop reject, through _Law, a game or rule
+that has no compiled law; the m = 2 complete loop accepts any pair whose
+pair tables build.  This module holds the loops and the rate matrix
+(_rate_matrix) that potential_drift_rates splits and the tests check the
 compiled law against.  Every loop records its path through one _Recorder,
 which holds at most _CHUNK rows in Python lists; the m = 2 loop hands it
 numpy slices instead.
@@ -46,7 +48,6 @@ __all__ = [
     "Trajectory",
     "DriftRates",
     "RunSpec",
-    "transition_rates",
     "simulate_complete",
     "simulate_network",
     "potential_drift_rates",
@@ -144,14 +145,6 @@ def derive_seed(*parts) -> int:
     text = ":".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def transition_rates(game: Game, rule: ImitationRule, state: PopulationType, lam: float = 1.0) -> np.ndarray:
-    """Jump-rate matrix: entry (i, j) is the rate of one player moving from
-    action i to action j, n * lambda * x_i * x_j * f_ij(x)."""
-    if state.m != game.m:
-        raise ValueError(f"state has {state.m} actions, game has {game.m}")
-    return _rate_matrix(game, rule, state.fractions, state.n, lam)[0]
 
 
 def _rate_matrix(game: Game, rule: ImitationRule, x: np.ndarray, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:

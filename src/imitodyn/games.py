@@ -4,12 +4,14 @@ A population game assigns each action a reward that depends only on the
 current action-frequency vector (the "type" of the population).  A game is
 a potential game when reward differences are gradient differences of a
 scalar potential; congestion games built from per-action polynomials are
-the canonical constructive family.
+the canonical constructive family.  Every game a config builds is one: its
+potential is the antiderivative of its rewards, so the two agree by
+construction (the tests sample that, conftest.check_potential_consistency).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,17 +20,11 @@ __all__ = [
     "Game",
     "PopulationType",
     "Configuration",
-    "ConsistencyReport",
-    "support",
-    "is_interior",
     "make_congestion_game",
     "example4_game",
-    "check_potential_consistency",
     "reward_bounds",
     "rewards_grid",
     "as_simplex_point",
-    "uniform_simplex_sample",
-    "simplex_grid",
 ]
 
 SIMPLEX_TOL = 1e-9
@@ -45,49 +41,6 @@ def as_simplex_point(x: Sequence[float], tol: float = SIMPLEX_TOL) -> np.ndarray
     if abs(s - 1.0) > tol:
         raise ValueError(f"simplex point sums to {s!r}, expected 1 within {tol}")
     return v
-
-
-def uniform_simplex_sample(rng: np.random.Generator, m: int, size: int | None = None) -> np.ndarray:
-    """Uniform (flat Dirichlet) samples from the m-action simplex."""
-    return rng.dirichlet(np.ones(m), size=size)
-
-
-def simplex_grid(m: int, resolution: int) -> np.ndarray:
-    """All points of the simplex grid with denominator `resolution`, shape (N, m)."""
-    if m < 1 or resolution < 1:
-        raise ValueError("need m >= 1 and resolution >= 1")
-    if m == 1:
-        return np.array([[1.0]])
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), resolution, m)
-    return np.array(out, dtype=float) / resolution
-
-
-def support(x) -> set[int]:
-    """Labels of actions present in x (strictly positive entries).
-
-    Accepts a PopulationType (exact, via integer counts) or a frequency vector.
-    """
-    if isinstance(x, PopulationType):
-        return set(np.flatnonzero(x.counts).tolist())
-    return set(np.flatnonzero(np.asarray(x, dtype=float) > 0.0).tolist())
-
-
-def is_interior(x, eps: float) -> bool:
-    """True iff every action present in x has frequency strictly above eps."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    v = x.fractions if isinstance(x, PopulationType) else np.asarray(x, dtype=float)
-    nz = v[v > 0.0]
-    return bool(nz.size > 0 and np.all(nz > eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,56 +220,6 @@ def example4_game() -> Game:
     return make_congestion_game([[12.0, -28.0, 80.0, -64.0], [9.0]], name="example4")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    passed: bool
-    max_violation: float
-    num_samples: int
-    tol: float
-
-
-def _fd_gradient(potential: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (potential(xp) - potential(xm)) / (2.0 * h)
-    return g
-
-
-def check_potential_consistency(
-    game: Game,
-    num_samples: int = 200,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> ConsistencyReport:
-    """Check r_j - r_i = dPhi/dx_j - dPhi/dx_i on sampled simplex points.
-
-    Gradients come from central finite differences (h = 1e-6) on the stored
-    potential; points closer than 1e-5 to the boundary are pulled inward by
-    that margin before differencing.
-    """
-    if game.potential is None:
-        raise ValueError("game has no potential to check")
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    margin = 1e-5
-    worst = 0.0
-    for _ in range(num_samples):
-        x = uniform_simplex_sample(rng, game.m)
-        if np.min(x) < margin:
-            x = (x + margin) / (1.0 + game.m * margin)
-        r = game.rewards_at(x)
-        g = _fd_gradient(game.potential, x)
-        dr = r[None, :] - r[:, None]
-        dg = g[None, :] - g[:, None]
-        worst = max(worst, float(np.max(np.abs(dr - dg))))
-    return ConsistencyReport(passed=worst <= tol, max_violation=worst, num_samples=num_samples, tol=tol)
-
-
 def rewards_grid(game: Game, X: np.ndarray) -> np.ndarray:
     """Rewards over a batch of states, X of shape (m, K) -> (m, K).
 
@@ -339,23 +242,20 @@ def rewards_grid(game: Game, X: np.ndarray) -> np.ndarray:
 
 
 def reward_bounds(game: Game) -> tuple[float, float]:
-    """Conservative reward range over a simplex grid (resolution 256 for two
-    actions, 64 for more, whose grid grows combinatorially), widened by one
-    percent.
+    """Conservative reward range of a congestion game over a simplex grid
+    (resolution 256 for two actions, 64 for more), widened by one percent.
 
     The widening keeps affine reward-to-probability maps strictly inside
     (0, 1) when rewards attain the raw extremes.  Polynomial rewards are
     separable: r_a depends on x_a alone, which takes every value k / res on
-    the grid, so each action is evaluated on those res + 1 values instead,
-    with the same extremes bit for bit.
+    the grid, so each action is evaluated on those res + 1 values, with the
+    extremes of the whole grid bit for bit.  Any other game raises
+    ValueError.
     """
-    m = game.m
-    res = 256 if m == 2 else 64
-    if isinstance(game.rewards, _PolyRewards):
-        X = np.tile(np.arange(res + 1) / res, (m, 1))
-    else:
-        X = simplex_grid(m, res).T
-    R = rewards_grid(game, X)
+    if not isinstance(game.rewards, _PolyRewards):
+        raise ValueError("reward bounds require a congestion game (built by make_congestion_game or example4_game)")
+    res = 256 if game.m == 2 else 64
+    R = rewards_grid(game, np.tile(np.arange(res + 1) / res, (game.m, 1)))
     lo = float(np.min(R))
     hi = float(np.max(R))
     span = hi - lo

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._law import potential_pair
+from ._law import compiled_potential
 from .engine import Trajectory, potential_drift_rates
 from .games import Game
 from .rules import ImitationRule
@@ -110,7 +110,7 @@ def find_critical_points_multi(game: Game, search: dict | None = None) -> list[C
     the faces: on the face with support S, r_a(x_a) = mu for every a in S
     (Sandholm 2010, ch. 5).  Every vertex is one.
 
-    The game must be a congestion game (one that potential_pair compiles,
+    The game must be a congestion game (one that compiled_potential compiles,
     which includes every game a config builds).  It is solved exactly, from
     its polynomial coefficients as fractions, with no random numbers.
       - On each edge (a, b) the rest points are the roots in (0, 1) of
@@ -142,13 +142,13 @@ def find_critical_points_multi(game: Game, search: dict | None = None) -> list[C
     actions solved), "points" and "continuum_faces".  Any other game raises
     ValueError.
     """
-    compiled = potential_pair(game)
-    if compiled is None:
+    phi = compiled_potential(game)
+    if phi is None:
         raise ValueError(
             "landscape analysis requires a congestion game with a polynomial potential "
             "(built by make_congestion_game or example4_game)"
         )
-    points, continuum = _exact_points(game, compiled[0])
+    points, continuum = _exact_points(game, phi)
     faces = 2**game.m - 1 - game.m
     logger.debug(
         "find_critical_points_multi: exact search, %d faces, %d points, %d continuum faces",

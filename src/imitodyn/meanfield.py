@@ -5,8 +5,10 @@ x' = lambda * diag(x) (F(x)^T - F(x)) x, which preserves the simplex and
 increases the potential along trajectories of potential games.  Fixed-step
 RK4 keeps results reproducible across runs and platforms.  integrate and
 find_limit step on Python floats, at every m, with the compiled law's
-(_law) generated straight-line rhs and step.  mean_field_rhs is the
-reference right-hand side.
+(_law) generated straight-line rhs and step, so they take a congestion
+game under the arctan or the replicator rule and raise ValueError for any
+other pair.  mean_field_rhs is the numpy right-hand side, for any game and
+rule, that the tests compare the generated one against.
 """
 
 from __future__ import annotations

@@ -4,29 +4,24 @@ A rule maps the current reward vector to probabilities f_ij in (0, 1) that
 a player using action i copies an observed player using action j.  Rules
 must favor the better action: sign(f_ij - f_ji) = sign(r_j - r_i).
 Self-pairs are fixed at f_ii = 1 as a totality convention; engines never
-consult them.
+consult them.  The two rules here, arctan with K > 0 and the replicator
+wherever it does not clamp, meet that sign condition by construction; the
+tests sample it (conftest.verify_sign_condition).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .games import Game, uniform_simplex_sample
 
 __all__ = [
     "ImitationRule",
     "ArctanRule",
     "ReplicatorRule",
-    "CustomRule",
     "arctan_rule",
     "replicator_rule",
-    "copy_prob",
-    "verify_sign_condition",
-    "SignConditionReport",
 ]
 
 logger = logging.getLogger(__name__)
@@ -39,15 +34,6 @@ class ImitationRule:
         """F with F[i, j] = f_ij(r).  rewards may be (m,) or (m, K) for a
         batch of states; the result is (m, m) or (m, m, K)."""
         raise NotImplementedError
-
-    def copy_prob(self, i: int, j: int, rewards: np.ndarray) -> float:
-        r = np.asarray(rewards, dtype=float)
-        m = r.shape[0]
-        if not (0 <= i < m and 0 <= j < m):
-            raise IndexError(f"action labels ({i}, {j}) out of range for m = {m}")
-        if i == j:
-            return 1.0
-        return float(self.prob_matrix(r)[i, j])
 
 
 def _set_diagonal(F: np.ndarray) -> np.ndarray:
@@ -130,36 +116,6 @@ class ReplicatorRule(ImitationRule):
         return _set_diagonal(F)
 
 
-@dataclass(frozen=True, eq=False)
-class CustomRule(ImitationRule):
-    """User-supplied f(i, j, rewards).  Assumed Lipschitz in the rewards;
-    outputs are range-checked at call time, the sign condition is verified
-    only by verify_sign_condition."""
-
-    fn: Callable[[int, int, np.ndarray], float]
-
-    def prob_matrix(self, rewards: np.ndarray) -> np.ndarray:
-        r = np.asarray(rewards, dtype=float)
-        if r.ndim == 1:
-            m = r.shape[0]
-            F = np.empty((m, m))
-            for i in range(m):
-                for j in range(m):
-                    if i == j:
-                        F[i, j] = 1.0
-                        continue
-                    p = float(self.fn(i, j, r))
-                    if not (0.0 < p < 1.0):
-                        raise ValueError(f"custom rule returned f_{i}{j} = {p}, outside (0, 1)")
-                    F[i, j] = p
-            return F
-        m, K = r.shape
-        F = np.empty((m, m, K))
-        for k in range(K):
-            F[:, :, k] = self.prob_matrix(r[:, k])
-        return F
-
-
 def arctan_rule(K) -> ArctanRule:
     """Arctan rule with scalar or per-pair positive sensitivity K."""
     return ArctanRule(np.asarray(K, dtype=float))
@@ -167,47 +123,3 @@ def arctan_rule(K) -> ArctanRule:
 
 def replicator_rule(r_lo: float, r_hi: float, eps_margin: float = 1e-6) -> ReplicatorRule:
     return ReplicatorRule(float(r_lo), float(r_hi), float(eps_margin))
-
-
-def copy_prob(rule: ImitationRule, i: int, j: int, rewards: np.ndarray) -> float:
-    """Probability that an i-player copies an observed j-player at rewards r."""
-    return rule.copy_prob(i, j, rewards)
-
-
-@dataclass(frozen=True)
-class SignConditionReport:
-    violations: int
-    num_samples: int
-    worst: tuple | None  # (x, i, j, f_ij, f_ji, r_i, r_j) of the worst violation
-
-
-def verify_sign_condition(rule: ImitationRule, game: Game, num_samples: int = 1000, seed: int = 0) -> SignConditionReport:
-    """Sample simplex points and check sign(f_ij - f_ji) = sign(r_j - r_i).
-
-    Reward ties require |f_ij - f_ji| <= 1e-12.  Returns the violation
-    count and the worst offending tuple, if any.
-    """
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = None
-    worst_mag = -1.0
-    for _ in range(num_samples):
-        x = uniform_simplex_sample(rng, game.m)
-        r = game.rewards_at(x)
-        F = rule.prob_matrix(r)
-        for i in range(game.m):
-            for j in range(i + 1, game.m):
-                d_f = float(F[i, j] - F[j, i])
-                d_r = float(r[j] - r[i])
-                if d_r == 0.0:
-                    bad = abs(d_f) > 1e-12
-                    mag = abs(d_f)
-                else:
-                    bad = (d_f == 0.0) or (d_f > 0) != (d_r > 0)
-                    mag = abs(d_f - d_r)
-                if bad:
-                    violations += 1
-                    if mag > worst_mag:
-                        worst_mag = mag
-                        worst = (x.copy(), i, j, float(F[i, j]), float(F[j, i]), float(r[i]), float(r[j]))
-    return SignConditionReport(violations=violations, num_samples=num_samples, worst=worst)

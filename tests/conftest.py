@@ -1,5 +1,13 @@
 """Shared fixtures and exact oracles for the test suite.
 
+transition_rates is the reference jump-rate matrix, engine._rate_matrix at
+a population type, that the compiled law and the exact oracles are checked
+against.  check_potential_consistency (with _fd_gradient) samples the
+simplex for r_j - r_i = dPhi/dx_j - dPhi/dx_i, and verify_sign_condition
+samples it for sign(f_ij - f_ji) = sign(r_j - r_i); every game a config
+builds and both config rules meet them by construction, so the program
+never runs these checks.
+
 The birth-death helpers below compute absorption statistics of the 2-action
 complete-graph chain independently of the engine, straight from the rate
 definition, so empirical results can be checked against exact numbers.
@@ -32,6 +40,8 @@ import itertools
 import math
 import random
 import warnings
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -50,11 +60,9 @@ from imitodyn import (
     ess_set,
     example4_game,
     potential_drift_rates,
-    transition_rates,
 )
 from imitodyn._law import pair_tables
-from imitodyn.engine import _CHUNK, _Recorder
-from imitodyn.games import _fd_gradient, uniform_simplex_sample
+from imitodyn.engine import _CHUNK, _rate_matrix, _Recorder
 from imitodyn.landscape import _DRIFT_MARGIN, _DRIFT_SAMPLES
 
 _TANGENT_ZERO = 1e-9  # |g| below this times the game's largest edge |g| flags a tangential zero
@@ -62,6 +70,108 @@ _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
 _SLOPE_STEP = 1e-6  # half-width of the difference that locates an even-order zero
 _STEP_TOL = 1e-5  # least-squares step tolerance; points classify on a sphere of 10x this
 _MERGE_TOL = 1e-3  # multi-start candidates this close collapse to one point
+
+
+def transition_rates(game: Game, rule: ImitationRule, state: PopulationType, lam: float = 1.0) -> np.ndarray:
+    """Jump-rate matrix: entry (i, j) is the rate of one player moving from
+    action i to action j, n * lambda * x_i * x_j * f_ij(x)."""
+    if state.m != game.m:
+        raise ValueError(f"state has {state.m} actions, game has {game.m}")
+    return _rate_matrix(game, rule, state.fractions, state.n, lam)[0]
+
+
+def uniform_simplex_sample(rng: np.random.Generator, m: int, size: int | None = None) -> np.ndarray:
+    """Uniform (flat Dirichlet) samples from the m-action simplex."""
+    return rng.dirichlet(np.ones(m), size=size)
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    passed: bool
+    max_violation: float
+    num_samples: int
+    tol: float
+
+
+def _fd_gradient(potential: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    g = np.empty(x.size)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (potential(xp) - potential(xm)) / (2.0 * h)
+    return g
+
+
+def check_potential_consistency(
+    game: Game,
+    num_samples: int = 200,
+    tol: float = 1e-6,
+    seed: int = 0,
+) -> ConsistencyReport:
+    """Check r_j - r_i = dPhi/dx_j - dPhi/dx_i on sampled simplex points.
+
+    Gradients come from central finite differences (h = 1e-6) on the stored
+    potential; points closer than 1e-5 to the boundary are pulled inward by
+    that margin before differencing.
+    """
+    if game.potential is None:
+        raise ValueError("game has no potential to check")
+    if num_samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    margin = 1e-5
+    worst = 0.0
+    for _ in range(num_samples):
+        x = uniform_simplex_sample(rng, game.m)
+        if np.min(x) < margin:
+            x = (x + margin) / (1.0 + game.m * margin)
+        r = game.rewards_at(x)
+        g = _fd_gradient(game.potential, x)
+        dr = r[None, :] - r[:, None]
+        dg = g[None, :] - g[:, None]
+        worst = max(worst, float(np.max(np.abs(dr - dg))))
+    return ConsistencyReport(passed=worst <= tol, max_violation=worst, num_samples=num_samples, tol=tol)
+
+
+@dataclass(frozen=True)
+class SignConditionReport:
+    violations: int
+    num_samples: int
+    worst: tuple | None  # (x, i, j, f_ij, f_ji, r_i, r_j) of the worst violation
+
+
+def verify_sign_condition(rule: ImitationRule, game: Game, num_samples: int = 1000, seed: int = 0) -> SignConditionReport:
+    """Sample simplex points and check sign(f_ij - f_ji) = sign(r_j - r_i).
+
+    Reward ties require |f_ij - f_ji| <= 1e-12.  Returns the violation
+    count and the worst offending tuple, if any.
+    """
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst = None
+    worst_mag = -1.0
+    for _ in range(num_samples):
+        x = uniform_simplex_sample(rng, game.m)
+        r = game.rewards_at(x)
+        F = rule.prob_matrix(r)
+        for i in range(game.m):
+            for j in range(i + 1, game.m):
+                d_f = float(F[i, j] - F[j, i])
+                d_r = float(r[j] - r[i])
+                if d_r == 0.0:
+                    bad = abs(d_f) > 1e-12
+                    mag = abs(d_f)
+                else:
+                    bad = (d_f == 0.0) or (d_f > 0) != (d_r > 0)
+                    mag = abs(d_f - d_r)
+                if bad:
+                    violations += 1
+                    if mag > worst_mag:
+                        worst_mag = mag
+                        worst = (x.copy(), i, j, float(F[i, j]), float(F[j, i]), float(r[i]), float(r[j]))
+    return SignConditionReport(violations=violations, num_samples=num_samples, worst=worst)
 
 
 @pytest.fixture(scope="session")
@@ -283,7 +393,7 @@ def _gradient(game: Game, x: np.ndarray) -> np.ndarray:
 
 def reference_pair(game: Game):
     """(phi, grad) on lists of floats through game.potential and _gradient,
-    for games that potential_pair does not compile."""
+    for games that compiled_potential does not compile."""
 
     def phi(x: list) -> float:
         return float(game.potential(np.array(x)))

@@ -32,8 +32,8 @@ from imitodyn import (
     run_one,
     square_lattice,
     time_near_set,
-    transition_rates,
 )
+from conftest import transition_rates
 
 GAME = example4_game()
 RULE = arctan_rule(1.0)

@@ -30,7 +30,6 @@ from imitodyn import (
     simulate_complete,
     simulate_network,
     square_lattice,
-    transition_rates,
 )
 from imitodyn._law import _Law
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     exact_hit_probability,
     exact_mean_absorption_time,
     loop_complete_2action,
+    transition_rates,
 )
 
 
@@ -88,14 +88,15 @@ class TestTransitionRates:
                 transition_rates(game, rule, pt)
             with pytest.raises(ValueError, match="rate conservation"):
                 potential_drift_rates(game, rule, pt)
-            with pytest.raises(ValueError, match="rate conservation"):
-                simulate_complete(game, rule, pt, cfg)
-            # every engine rejects the rule: the m = 2 table loop, and the
-            # network loop for m = 2 and m = 3
+            # the m = 2 table loop checks the rule's pair tables
             with pytest.raises(ValueError, match="rate conservation"):
                 simulate_complete(game2, rule, PopulationType(np.array([10, 10])), cfg)
+            # the m = 3 loop and the network loop for m = 2 and m = 3 build
+            # a compiled law, which exists for the config rules alone
+            with pytest.raises(ValueError, match="compiled law requires"):
+                simulate_complete(game, rule, pt, cfg)
             for g, y0 in ((game2, [0, 1] * 10), (game, [0, 1, 2] * 10)):
-                with pytest.raises(ValueError, match="rate conservation"):
+                with pytest.raises(ValueError, match="compiled law requires"):
                     simulate_network(complete(len(y0)), g, rule, Configuration(np.array(y0), m=g.m), cfg)
 
 

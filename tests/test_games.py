@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import (
+    Game,
     PopulationType,
     Configuration,
-    check_potential_consistency,
     example4_game,
-    is_interior,
     make_congestion_game,
     reward_bounds,
-    support,
 )
-from imitodyn.games import as_simplex_point, rewards_grid, simplex_grid, uniform_simplex_sample
+from imitodyn.games import as_simplex_point, rewards_grid
+from conftest import check_potential_consistency, uniform_simplex_sample
 
 
 def simplex_points(m: int):
@@ -63,6 +62,9 @@ class TestReferenceGame:
         lo, hi = reward_bounds(game4)
         assert lo == pytest.approx(-0.12, abs=1e-12)
         assert hi == pytest.approx(12.12, abs=1e-12)
+        # the scan is separable, so rewards behind a plain callable are rejected
+        with pytest.raises(ValueError, match="congestion game"):
+            reward_bounds(Game(m=2, rewards=lambda x: game4.rewards(x)))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_reward_bounds_match_per_point_loop(self, game4, m):
@@ -90,9 +92,28 @@ class TestReferenceGame:
         assert reward_bounds(game) == (lo - pad, hi + pad)
 
 
+def simplex_grid(m: int, resolution: int) -> np.ndarray:
+    """All points of the simplex grid with denominator `resolution`, shape (N, m)."""
+    if m < 1 or resolution < 1:
+        raise ValueError("need m >= 1 and resolution >= 1")
+    if m == 1:
+        return np.array([[1.0]])
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for k in range(remaining + 1):
+            rec(prefix + (k,), remaining - k, slots - 1)
+
+    rec((), resolution, m)
+    return np.array(out, dtype=float) / resolution
+
+
 @functools.cache
 def _reward_grid(m: int) -> np.ndarray:
-    """The simplex grid that reward_bounds scans for games that are not separable."""
+    """The whole simplex grid that reward_bounds' separable scan stands for."""
     return simplex_grid(m, 256 if m == 2 else 64).T
 
 
@@ -173,19 +194,6 @@ class TestConfiguration:
 
 
 class TestSimplexHelpers:
-    def test_support(self):
-        assert support(np.array([1.0, 0.0])) == {0}
-        assert support(np.array([0.3, 0.7])) == {0, 1}
-        assert support(PopulationType(np.array([0, 5, 5]))) == {1, 2}
-
-    def test_is_interior(self):
-        # interior of the support: only nonzero entries must clear eps
-        assert is_interior(np.array([0.5, 0.5]), eps=0.1)
-        assert not is_interior(np.array([0.001, 0.999]), eps=0.01)
-        assert is_interior(np.array([0.0, 1.0]), eps=0.1)
-        with pytest.raises(ValueError):
-            is_interior(np.array([0.5, 0.5]), eps=0.0)
-
     def test_as_simplex_point_rejects_bad_input(self):
         with pytest.raises(ValueError):
             as_simplex_point([0.6, 0.6])

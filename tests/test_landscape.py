@@ -26,7 +26,7 @@ from imitodyn import (
     metastability_report,
     time_near_set,
 )
-from imitodyn._law import potential_pair
+from imitodyn._law import compiled_potential
 
 from conftest import numeric_critical_points
 
@@ -229,7 +229,7 @@ class TestCompiledPotentialPath:
     def test_multi_finder_matches_reference_path(self, polys):
         game = make_congestion_game(polys)
         reference = _reference_game(game)
-        assert potential_pair(game) is not None and potential_pair(reference) is None
+        assert compiled_potential(game) is not None and compiled_potential(reference) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = find_critical_points_multi(game)

@@ -1,15 +1,16 @@
 """The compiled scalar law against the reference definitions.
 
-engine.transition_rates and meanfield.mean_field_rhs are the reference
+conftest.transition_rates and meanfield.mean_field_rhs are the reference
 laws; every engine loop and the flow run on imitodyn._law instead.
-The two must agree to 1e-12 on every kind of game and rule, including the
-per-state fallback that a lambda-rewards game takes.  The law's generated
-rhs, step and cum_rates must equal the loops they replaced (conftest's
-loop_rhs, loop_step and loop_rates) bit for bit.  The generated arctan
-probabilities must equal rule.prob_matrix to 1e-15, and no game and rule
-that a config can build may reach the fallback.  The compiled potential
-and gradient that the landscape finders use must equal game.potential and
-game.potential_gradient bit for bit.
+The two must agree to 1e-12 on congestion games under both config rules.
+The law's generated rhs, step and cum_rates must equal the loops they
+replaced (conftest's loop_rhs, loop_step and loop_rates) bit for bit.  The
+generated arctan probabilities must equal rule.prob_matrix to 1e-15.
+Every game and rule that a config can build has a compiled law; any other
+pair raises ValueError wherever a law is built, and only the m = 2
+complete loop, which reads the pair tables alone, runs it.  The compiled
+potential that the landscape finders use must equal game.potential bit for
+bit.
 """
 
 import functools
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from imitodyn import (
     Configuration,
     Game,
+    ImitationRule,
     PopulationType,
     SimConfig,
     arctan_rule,
@@ -39,19 +41,17 @@ from imitodyn import (
     reward_bounds,
     simulate_complete,
     simulate_network,
-    transition_rates,
 )
-from imitodyn._law import _compile, _Law, potential_pair
-from imitodyn.games import _PolyRewards
+from imitodyn._law import _compile, _Law, compiled_potential
 from imitodyn.rules import ArctanRule
-from conftest import loop_rates, loop_rhs, loop_step, reference_pair
+from conftest import loop_rates, loop_rhs, loop_step, reference_pair, transition_rates
 
 POLYS = ([1.0, -2.0, 0.5], [0.3, 1.0], [2.0, -1.0, -1.0], [0.5], [1.5, 0.0, -2.0, 0.5], [-0.5, 3.0])
 RULES = ("arctan", "arctan_pairs", "replicator", "replicator_clamped")
 
 
 @functools.cache
-def _case(m: int, rule_name: str, lambda_rewards: bool) -> tuple[Game, object]:
+def _case(m: int, rule_name: str) -> tuple[Game, object]:
     game = make_congestion_game(POLYS[:m])
     lo, hi = reward_bounds(game)
     span = hi - lo
@@ -62,9 +62,6 @@ def _case(m: int, rule_name: str, lambda_rewards: bool) -> tuple[Game, object]:
         # clamps part of the reward range
         "replicator_clamped": lambda: replicator_rule(lo + 0.3 * span, hi - 0.3 * span, 0.01),
     }[rule_name]()
-    if lambda_rewards:  # not a _PolyRewards, so the law falls back per state
-        poly = game
-        game = Game(m=m, rewards=lambda x: poly.rewards(x))
     return game, rule
 
 
@@ -79,7 +76,7 @@ def _example4_case(rule_name: str) -> tuple[Game, object]:
     return game, rule
 
 
-law_cases = st.tuples(st.integers(2, 6), st.sampled_from(RULES), st.booleans())
+law_cases = st.tuples(st.integers(2, 6), st.sampled_from(RULES))
 games_and_rules = st.one_of(
     law_cases.map(lambda case: _case(*case)),
     st.sampled_from(["arctan", "arctan2x2", "replicator"]).map(_example4_case),
@@ -116,8 +113,8 @@ def test_probs_and_rates_match_reference(game_and_rule, n, data, lam):
         F_ref = rule.prob_matrix(r)
         np.testing.assert_allclose(np.array(F)[off], F_ref[off], rtol=0.0, atol=1e-15 if K is not None else 1e-12)
         # the generated arctan law computes one formula per ordered pair; the
-        # fallback and the m = 2 pair tables read numpy's bits instead
-        if K is not None and isinstance(game.rewards, _PolyRewards) and (m > 2 or y is x):
+        # m = 2 pair tables read numpy's bits instead
+        if K is not None and (m > 2 or y is x):
             r = r.tolist()
             ref = [0.5 + math.atan(float(K[i, j]) * (r[j] - r[i])) / math.pi for i, j in law.pairs]
             assert _hex(F[i][j] for i, j in law.pairs) == _hex(ref)
@@ -142,7 +139,7 @@ def test_rhs_matches_mean_field_rhs(case, weights, lam):
     np.testing.assert_allclose(law.rhs(x.tolist()), ref, rtol=0.0, atol=1e-12)
 
 
-@given(st.tuples(st.integers(2, 6), st.sampled_from(RULES), st.booleans()), st.data(), st.floats(0.1, 5.0))
+@given(law_cases, st.data(), st.floats(0.1, 5.0))
 @settings(max_examples=300, deadline=None)
 def test_generated_law_equals_the_loops(case, data, lam):
     game, rule = _case(*case)
@@ -167,9 +164,8 @@ def test_generated_law_equals_the_loops(case, data, lam):
 
 
 @pytest.mark.parametrize("rule_name", RULES)
-@pytest.mark.parametrize("lambda_rewards", [False, True])
-def test_generated_step_clips_like_the_loop(rule_name, lambda_rewards):
-    game, rule = _case(4, rule_name, lambda_rewards)
+def test_generated_step_clips_like_the_loop(rule_name):
+    game, rule = _case(4, rule_name)
     law = _Law(game, rule, 5.0)
     rhs = loop_rhs(law, 5.0)
     # -0.0 stays -0.0 through the stages; the guard writes 0.0
@@ -208,15 +204,11 @@ def test_twelve_action_law_builds_fast_and_once_per_shape():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("rule_name", ["arctan", "arctan_pairs", "replicator"])
-def test_config_pairs_never_fall_back(monkeypatch, m, rule_name):
+def test_config_pairs_never_fall_back(m, rule_name):
     # every game a config builds is a congestion game, and every rule it
-    # names is the arctan or the replicator rule
-    game, rule = _case(m, rule_name, False)
-
-    def fallback(self, x):
-        raise AssertionError("the law fell back to rule.prob_matrix")
-
-    monkeypatch.setattr(_Law, "_fallback", fallback)
+    # names is the arctan or the replicator rule: each pair has a compiled
+    # law, so no path rejects it
+    game, rule = _case(m, rule_name)
     x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
     integrate(game, rule, x0, T=2.0, dt=0.05)
     find_limit(game, rule, x0, max_T=5.0)
@@ -224,6 +216,41 @@ def test_config_pairs_never_fall_back(monkeypatch, m, rule_name):
     simulate_complete(game, rule, PopulationType.from_fractions(60, x0), cfg)
     y0 = Configuration(np.arange(60) % m, m=m)
     simulate_network(complete(60), game, rule, y0, cfg)
+
+
+class _NumpyArctan(ImitationRule):
+    """The arctan rule with K = 1, as a rule the law has no shape for."""
+
+    def prob_matrix(self, rewards):
+        return arctan_rule(1.0).prob_matrix(rewards)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_pairs_without_a_generated_law_raise(m):
+    poly = example4_game() if m == 2 else _case(3, "arctan")[0]
+    wrapped = Game(m=m, rewards=lambda x: poly.rewards(x), potential=poly.potential)
+    x0 = np.full(m, 1.0 / m)
+    cfg = SimConfig(horizon=2.0, seed=0)
+    y0 = Configuration(np.arange(60) % m, m=m)
+    for game, rule in ((wrapped, arctan_rule(1.0)), (poly, _NumpyArctan())):
+        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
+            integrate(game, rule, x0, T=2.0, dt=0.05)
+        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
+            find_limit(game, rule, x0, max_T=5.0)
+        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
+            simulate_network(complete(60), game, rule, y0, cfg)
+        if m == 3:
+            with pytest.raises(ValueError, match="compiled law requires a congestion game"):
+                simulate_complete(game, rule, PopulationType(np.array([20, 20, 20])), cfg)
+        else:
+            # the m = 2 complete loop reads the pair tables alone, which
+            # serve any pair: it runs the same path bit for bit
+            x0_type = PopulationType(np.array([15, 45]))
+            ref = simulate_complete(poly, arctan_rule(1.0), x0_type, cfg)
+            traj = simulate_complete(game, rule, x0_type, cfg)
+            assert traj.times.tobytes() == ref.times.tobytes()
+            assert traj.counts.tobytes() == ref.counts.tobytes()
+            assert traj.event_count == ref.event_count > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -251,7 +278,7 @@ def test_nan_arctan_probabilities_raise():
 
 @pytest.mark.parametrize("rule_name, logged", [("replicator", False), ("replicator_clamped", True)])
 def test_replicator_clamping_is_logged(caplog, rule_name, logged):
-    game, rule = _case(3, rule_name, False)
+    game, rule = _case(3, rule_name)
     with caplog.at_level(logging.DEBUG, logger="imitodyn.rules"):
         law = _Law(game, rule, 1.0, 50)
         law.rhs([0.2, 0.3, 0.5])
@@ -273,28 +300,27 @@ def test_compiled_potential_equals_reference(m, data, plain):
     # up to 1e-12 off the simplex, as the finders' trial points may be
     off = np.array(data.draw(st.lists(st.floats(-1e-12, 1e-12), min_size=m, max_size=m)))
     x = w / w.sum() + off
-    if plain:  # plain callables: no compiled pair, the reference path
+    if plain:  # plain callables: no compiled potential, the reference path
         game = Game(
             m=m,
             rewards=poly.rewards,
             potential=lambda x: poly.potential(x),
             potential_gradient=lambda x: poly.potential_gradient(x),
         )
-        assert potential_pair(game) is None
-        phi, grad = reference_pair(game)
+        assert compiled_potential(game) is None
+        phi = reference_pair(game)[0]
     else:
         game = poly
-        phi, grad = potential_pair(game)
+        phi = compiled_potential(game)
     # float.hex also tells -0.0 from 0.0
     assert phi(x.tolist()).hex() == float(game.potential(x)).hex()
-    assert [v.hex() for v in grad(x.tolist())] == [float(v).hex() for v in game.potential_gradient(x)]
 
 
 def test_compiled_potential_keeps_numpys_signed_zeros():
-    # action 0's gradient is the zero polynomial -0.0, padded to degree 1:
-    # numpy's Horner ends on 0.0 * x + -0.0 == 0.0, not on -0.0
+    # action 0's reward is the zero polynomial -0.0, so its potential
+    # (0.0, -0.0, 0.0) is all zero and its Horner form is kept whole; phi
+    # must still end on numpy's bits
     game = make_congestion_game([[-0.0], [1.0, -1.0]])
-    phi, grad = potential_pair(game)
+    phi = compiled_potential(game)
     x = np.array([0.25, 0.75])
-    assert [v.hex() for v in grad(x.tolist())] == [float(v).hex() for v in game.potential_gradient(x)]
     assert phi(x.tolist()).hex() == float(game.potential(x)).hex()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import (
-    Game,
     OdeTrajectory,
     Trajectory,
     arctan_rule,
@@ -155,14 +154,15 @@ class TestFindLimit:
         assert res.rhs_norm > 0.0
 
     @pytest.mark.parametrize("rule_name", ["arctan", "arctan2x2", "replicator"])
-    def test_scalar_path_matches_vector_path(self, game4, rule_name):
+    def test_scalar_path_matches_vector_path(self, monkeypatch, game4, rule_name):
         rule = _two_action_rule(game4, rule_name)
-        # same rewards behind a lambda, so the flow takes the per-state fallback
-        wrapped = Game(m=2, rewards=lambda x: game4.rewards(x), potential=game4.potential)
         for x1 in (0.05, 0.3, 0.6, 0.95):
             x0 = np.array([x1, 1.0 - x1])
             fast = find_limit(game4, rule, x0, max_T=2.0)
-            ref = find_limit(wrapped, rule, x0, max_T=2.0)
+            # the same RK4 on the numpy right-hand side mean_field_rhs
+            with monkeypatch.context() as patch:
+                patch.setattr(meanfield, "_Law", _NumpyLaw)
+                ref = find_limit(game4, rule, x0, max_T=2.0)
             assert fast.t == pytest.approx(ref.t, abs=1e-12)
             assert np.max(np.abs(fast.x - ref.x)) <= 1e-12
 
@@ -186,6 +186,15 @@ class _LoopLaw:
         self.step = loop_step(self.rhs)
 
 
+class _NumpyLaw:
+    """The loop RK4 step on the reference right-hand side mean_field_rhs,
+    rule.prob_matrix(game.rewards_at(x)) in numpy."""
+
+    def __init__(self, game, rule, lam):
+        self.rhs = lambda x: mean_field_rhs(game, rule, np.array(x), lam).tolist()
+        self.step = loop_step(self.rhs)
+
+
 class TestGeneratedFlow:
     """integrate and find_limit on the law's generated step equal the loop
     RK4, array for array."""
@@ -193,17 +202,13 @@ class TestGeneratedFlow:
     POLYS = ([1.0, -1.0], [0.5, 2.0, -3.0], [2.0, -1.5], [1.0, 0.0, -1.0, 0.25], [0.8, -0.5])
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    @pytest.mark.parametrize("rule_name", ["replicator", "arctan_pairs", "fallback"])
+    @pytest.mark.parametrize("rule_name", ["replicator", "arctan_pairs"])
     def test_integrate_and_find_limit_equal_loop_rk4(self, monkeypatch, m, rule_name):
         game = make_congestion_game(self.POLYS[:m])
         rule = {
             "replicator": lambda: replicator_rule(*reward_bounds(game), 0.01),
             "arctan_pairs": lambda: arctan_rule(0.5 + (np.arange(m * m) % 3).reshape(m, m)),
-            "fallback": lambda: arctan_rule(1.0),
         }[rule_name]()
-        if rule_name == "fallback":  # the same rewards behind a lambda
-            poly = game
-            game = Game(m=m, rewards=lambda x: poly.rewards(x))
         x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
         runs = []
         for law in (_Law, _LoopLaw):

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from imitodyn import (
     ArctanRule,
-    CustomRule,
+    ImitationRule,
     ReplicatorRule,
     arctan_rule,
-    copy_prob,
     example4_game,
     make_congestion_game,
     replicator_rule,
-    verify_sign_condition,
 )
+from conftest import verify_sign_condition
 
 finite_rewards = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False), min_size=2, max_size=4
@@ -27,13 +26,6 @@ class TestArctanRule:
         assert F[1, 0] == 0.75
         assert F[0, 1] == 0.25
         assert F[0, 0] == 1.0 and F[1, 1] == 1.0
-
-    def test_copy_prob_accessor(self):
-        rule = arctan_rule(1.0)
-        assert copy_prob(rule, 1, 0, np.array([10.0, 9.0])) == 0.75
-        assert copy_prob(rule, 0, 0, np.array([10.0, 9.0])) == 1.0
-        with pytest.raises(IndexError):
-            copy_prob(rule, 0, 2, np.array([10.0, 9.0]))
 
     def test_matrix_gains(self):
         K = np.array([[1.0, 2.0], [0.5, 1.0]])
@@ -107,21 +99,6 @@ class TestReplicatorRule:
         assert np.all(F[off] >= eps - 1e-15) and np.all(F[off] <= 1.0 - eps + 1e-15)
 
 
-class TestCustomRule:
-    def test_wraps_callable(self):
-        rule = CustomRule(fn=lambda i, j, r: 0.5)
-        F = rule.prob_matrix(np.array([1.0, 2.0]))
-        assert F[0, 1] == 0.5 and F[1, 0] == 0.5 and F[0, 0] == 1.0
-
-    def test_rejects_out_of_range_output(self):
-        rule = CustomRule(fn=lambda i, j, r: 1.5)
-        with pytest.raises(ValueError):
-            rule.prob_matrix(np.array([1.0, 2.0]))
-        rule0 = CustomRule(fn=lambda i, j, r: 0.0)
-        with pytest.raises(ValueError):
-            rule0.prob_matrix(np.array([1.0, 2.0]))
-
-
 class TestSignCondition:
     def test_arctan_satisfies(self, game4):
         rep = verify_sign_condition(arctan_rule(1.0), game4, num_samples=300, seed=0)
@@ -136,8 +113,12 @@ class TestSignCondition:
 
     def test_contrarian_rule_caught(self, game4):
         # copying the worse action more often must be flagged
-        contrarian = CustomRule(fn=lambda i, j, r: 0.5 - 0.1 * np.tanh(r[j] - r[i]))
-        rep = verify_sign_condition(contrarian, game4, num_samples=100, seed=0)
+        class Contrarian(ImitationRule):
+            def prob_matrix(self, rewards):
+                r = np.asarray(rewards, dtype=float)
+                return 0.5 - 0.1 * np.tanh(r[None, :] - r[:, None])
+
+        rep = verify_sign_condition(Contrarian(), game4, num_samples=100, seed=0)
         assert rep.violations > 0
         assert rep.worst is not None
 

@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts at tiny sizes."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -27,3 +28,23 @@ def load_script(name):
 def test_script_runs(tmp_path, name, args, output):
     assert load_script(name).main(args + ["--out", str(tmp_path)]) == 0
     assert (tmp_path / output).stat().st_size > 0
+
+
+def test_reach_lists_functions_no_subcommand_enters(tmp_path, capsys):
+    config = {
+        "game": {"type": "builtin", "name": "example4"},
+        "rule": {"type": "arctan", "K": 1.0},
+        "sim": {"n": 40, "horizon": 2.0},
+        "init": {"fractions": [0.3, 0.7]},
+        "ensemble": {"runs": 1},
+        "analysis": {"n_sweep": [40]},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(config))
+    assert load_script("reach").main([str(path), "--out", str(tmp_path / "out")]) == 0
+    listed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
+    # error paths a valid config never takes, and the tracer's names
+    assert {"config._fail", "engine._worker", "meanfield.mean_field_rhs"} <= set(listed)
+    assert "engine.simulate_complete" not in listed and "landscape.metastability_report" not in listed
+    assert listed[-1].isdigit()  # the closing count line
+    assert (tmp_path / "out" / "tiny" / "compare" / "compare.json").stat().st_size > 0
