@@ -7,7 +7,8 @@ the pair is compiled once:
 
 - at m = 2, pair_tables gives f_01 and f_10 at every count k = 0..n of
   action 0 from one batched rule.prob_matrix call on the states
-  (k/n, 1 - k/n), for any game and rule; the count paths read them;
+  (k/n, 1 - k/n); the complete loop walks the jump-rate tables built from
+  them (walk), the network loop reads their per-count rows (probs);
 - congestion rewards (_PolyRewards) are separable, r_a depends on x_a
   alone, so the flow evaluates each by an inline Horner, and at m >= 3 and
   population n the count paths read the per-count tables R[a][c] = r_a(c/n);
@@ -17,24 +18,23 @@ the pair is compiled once:
   f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi per ordered pair, K scalar or
   per pair.
 
-_Law raises ValueError for any other game or rule, so the flow, the
-m >= 3 complete loop and the network loop reject such a pair before they
-draw.  The m = 2 complete loop builds no _Law: it reads pair_tables alone,
-which serve any game whose rewards broadcast over a batch of states.
+_Law raises ValueError for any other game or rule, so every engine loop
+and the flow reject such a pair before they draw.
 
 _Law's rhs (the flow's right-hand side), step (one RK4 step with the
-clip-and-renormalise guard), cum_rates (the running sums of the jump rates
-that the m >= 3 complete engine bisects), probs_at and probs are
-straight-line Python that _compile generates and execs once per m and law
-shape: one flat statement per Horner coefficient, copy probability and
-(i, j) term, with names built from indices and every coefficient passed in
-through a factory.  One emitter (_f_lines) writes the copy probabilities
-for all of them, so they read the same F.  Each statement does the float
-operations of the loop it replaced, in the same order, so results are the
-same bits; the tests keep those loops as the reference, and compare them
-with the reference rate matrix and meanfield.mean_field_rhs, which
-evaluate rule.prob_matrix(game.rewards_at(x)); under the arctan rule
-math.atan may differ from numpy's arctan in the last bit.
+clip-and-renormalise guard), probs_at and, at m >= 3, cum_rates (the
+running sums of the jump rates that the complete engine bisects) and probs
+are straight-line Python that _compile generates and execs once per m and
+law shape: one flat statement per Horner coefficient, copy probability
+and (i, j) term, with names built from indices and every coefficient
+passed in through a factory.  One emitter (_f_lines) writes the copy
+probabilities for all of them, so they read the same F.  Each statement
+does the float operations of the loop it replaced, in the same order, so
+results are the same bits; the tests keep those loops as the reference,
+and compare them with the reference rate matrix and
+meanfield.mean_field_rhs, which evaluate rule.prob_matrix(game.rewards_at(x));
+under the arctan rule math.atan may differ from numpy's arctan in the last
+bit.
 
 compiled_potential compiles a congestion game's potential (_PolyPotential)
 into a closure phi(x) on a list of floats: Horner per action and numpy's
@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .games import Game, _PolyPotential, _PolyRewards, rewards_grid
+from .games import Game, _PolyPotential, _PolyRewards
 from .rules import ArctanRule, ImitationRule, ReplicatorRule, logger
 
 
@@ -77,8 +77,8 @@ def pair_tables(game: Game, rule: ImitationRule, n: int) -> tuple[np.ndarray, np
     X = np.empty((2, n + 1))
     np.divide(np.arange(n + 1, dtype=float), n, out=X[0])
     np.subtract(1.0, X[0], out=X[1])
-    F = check_probs(rule.prob_matrix(rewards_grid(game, X)))
-    return F[0, 1], F[1, 0]
+    F = check_probs(rule.prob_matrix(game.rewards(X)))
+    return F[0, 1].copy(), F[1, 0].copy()  # a law keeps these, not all of F
 
 
 def _replicator_consts(rule: ReplicatorRule) -> dict:
@@ -149,11 +149,8 @@ def _pairs(m: int) -> list:
 def _f_lines(m: int, shape: tuple, src: str) -> tuple[list, object]:
     """(statements, f): the statements set the copy probabilities at the
     frequencies {src}0..{src}{m-1}, or at the counts c0..c{m-1} when src is
-    "c", and f(i, j) is the expression that reads f_ij after them.  The
-    counts at m = 2 read F from probs, the pair tables."""
+    "c", and f(i, j) is the expression that reads f_ij after them."""
     kind, degrees = shape
-    if src == "c" and m == 2:
-        return [f"{_names('F', m)} = probs(counts)"], lambda i, j: f"F{i}[{j}]"
     lines = []
     for a, d in enumerate(degrees):
         if src == "c":
@@ -241,32 +238,31 @@ def _probs_lines(m: int, shape: tuple, src: str) -> list:
 
 @functools.cache
 def _compile(m: int, shape: tuple):
-    """factory(lam, xs, cn, probs, T, **constants) -> (rhs, step, cum_rates,
-    probs_at, probs) as straight-line code for m actions.  shape is
-    (kind, degrees): kind "replicator" or "arctan" on rewards whose Horner
-    forms take degrees steps per action.  At m = 2 the count paths read
-    the given probs; at m >= 3 the generated probs replaces it.  T is the
-    per-count table of the count paths at m >= 3, G for the replicator rule
-    and R for the arctan rule.  Every statement is flat, so no expression
-    nests deeper as m or the degree grows."""
+    """factory(lam, xs, cn, T, **constants) -> (rhs, step, probs_at), and at
+    m >= 3 also (cum_rates, probs), as straight-line code for m actions.
+    shape is (kind, degrees): kind "replicator" or "arctan" on rewards whose
+    Horner forms take degrees steps per action.  The count paths read xs,
+    the frequencies c / n, cn = n lam and T, the per-count table, G for the
+    replicator rule and R for the arctan rule.  Every statement is flat, so
+    no expression nests deeper as m or the degree grows."""
     kind, degrees = shape
     body = [f"{_names('A', m)} = A"]
     body += [f"{_names(f'C{a}_', d)}, = C[{a}]" for a, d in enumerate(degrees) if d]
-    body += ["if T is not None:", f"    {_names('G' if kind == 'replicator' else 'R', m)} = T"]
     functions = {
         "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, shape, "x", "k"), f"return [{_names('k', m)}]"],
         "step(x, h, k1)": _step_lines(m, shape),
-        "cum_rates(counts)": _rates_lines(m, shape),
         "probs_at(x)": _probs_lines(m, shape, "x"),
     }
     if m > 2:
+        body += ["if T is not None:", f"    {_names('G' if kind == 'replicator' else 'R', m)} = T"]
+        functions["cum_rates(counts)"] = _rates_lines(m, shape)
         functions["probs(counts)"] = _probs_lines(m, shape, "c")
     if kind == "arctan":
         body += [f"{', '.join(f'K{i}_{j}' for i, j in _pairs(m))} = K", "atan = math.atan", "pi = math.pi"]
     for signature, lines in functions.items():
         body += [f"def {signature}:", *("    " + line for line in lines)]
-    body.append("return rhs, step, cum_rates, probs_at, probs")
-    head = "def factory(lam, xs, cn, probs, T=None, A=None, C=None, K=None, eps=None, slope=None, lo=None,"
+    body.append(f"return {', '.join(signature.split('(')[0] for signature in functions)}")
+    head = "def factory(lam, xs=None, cn=None, T=None, A=None, C=None, K=None, eps=None, slope=None, lo=None,"
     head += " cap=None, clamped=None):"
     source = "\n".join([head, *("    " + line for line in body)])
     namespace: dict = {"math": math}
@@ -282,15 +278,16 @@ class _Law:
     - step(x, h, k1): one RK4 step of size h from x given k1 = rhs(x), then
       the guard: (x with negatives clipped to 0 and renormalised, violation
       size, whether it clipped);
-    - with n given, probs(counts), F at counts / n (at m = 2 at
-      (k/n, 1 - k/n), from pair_tables), and cum_rates(counts), the running
-      sums of the jump rates n lam x_i x_j f_ij over the (i, j) in `pairs`
-      (row-major, off-diagonal).
+    - with n given, probs(counts), F at counts / n, and `pairs`, the
+      off-diagonal (i, j) row-major; at m >= 3 also cum_rates(counts), the
+      running sums of the jump rates n lam x_i x_j f_ij over `pairs`, and
+      at m = 2 walk, the complete loop's jump-rate tables.
 
     All of them are the straight-line code that _compile generates for m
-    and the law's shape, except the pair tables at m = 2.  A game without
-    congestion rewards, or a rule other than the arctan and the replicator
-    rule, raises ValueError.
+    and the law's shape, except at m = 2 probs and walk, which read the
+    pair tables and are built when a loop first asks for them.  A game
+    without congestion rewards, or a rule other than the arctan and the
+    replicator rule, raises ValueError.
     """
 
     def __init__(self, game: Game, rule: ImitationRule, lam: float = 1.0, n: int | None = None):
@@ -298,6 +295,8 @@ class _Law:
         self.m = m
         self._game = game
         self._rule = rule
+        self._lam = lam
+        self._n = n
         if not (isinstance(game.rewards, _PolyRewards) and isinstance(rule, (ReplicatorRule, ArctanRule))):
             raise ValueError(
                 "the compiled law requires a congestion game (built by make_congestion_game or "
@@ -310,33 +309,52 @@ class _Law:
             kind, consts = "arctan", dict(K=[float(K[i, j]) for i, j in _pairs(m)])
         A, C = zip(*(_horner(c) for c in game.rewards.coeffs))
         consts.update(A=A, C=C)
-        probs = xs = cn = None
         if n is not None:
             self.pairs = _pairs(m)
-            probs, consts["T"] = self._count_probs(n, kind)
-            xs = (np.arange(n + 1) / n).tolist()
-            cn = n * lam
+            if m > 2:
+                consts.update(T=self._count_table(n, kind), xs=(np.arange(n + 1) / n).tolist(), cn=n * lam)
         factory = _compile(m, (kind, tuple(map(len, C))))
-        self.rhs, self.step, cum_rates, self.probs_at, probs = factory(lam, xs, cn, probs, **consts)
-        if n is not None:
-            self.cum_rates, self.probs = cum_rates, probs
+        self.rhs, self.step, self.probs_at, *counts = factory(lam, **consts)
+        if n is not None and m > 2:
+            self.cum_rates, self.probs = counts
 
-    def _count_probs(self, n: int, kind: str):
-        """(probs, T): at m = 2 probs reads the pair tables; at m >= 3 the
-        generated probs reads T, the per-count table G[a][c] = f_ia of the
-        replicator rule or R[a][c] = r_a(c / n) of the arctan rule."""
+    @functools.cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return pair_tables(self._game, self._rule, self._n)
+
+    @functools.cached_property
+    def walk(self) -> tuple[list, list, np.ndarray]:
+        """m = 2: (pup, tot, -tot), indexed by the count k of action 0: the
+        chance that a jump goes up, k -> k + 1, and the total jump rate
+        lam k (n - k) / n (f01 + f10), as lists and negated as an array."""
+        f01, f10 = self._pair
+        n = self._n
+        ks = np.arange(n + 1, dtype=float)
+        base = self._lam * ks * (n - ks) / n
+        up = base * f10  # a 1-player copies action 0: k -> k + 1
+        tot = up + base * f01
+        pup = np.divide(up, tot, out=np.zeros(n + 1), where=tot > 0.0)
+        return pup.tolist(), tot.tolist(), -tot
+
+    @functools.cached_property
+    def probs(self):
+        """m = 2: probs(counts), the pair tables' row at counts[0]; at
+        m >= 3 __init__ sets the generated probs in its place."""
+        f01, f10 = self._pair
+        # the diagonal is never read
+        rows = [[[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist())]
+
+        def probs(counts: list) -> list:
+            return rows[counts[0]]
+
+        return probs
+
+    def _count_table(self, n: int, kind: str) -> list:
+        """T at m >= 3: the per-count table G[a][c] = f_ia of the replicator
+        rule or R[a][c] = r_a(c / n) of the arctan rule."""
         m = self.m
-        if m == 2:
-            f01, f10 = pair_tables(self._game, self._rule, n)
-            # the diagonal is never read
-            tables = [[[0.0, a], [b, 0.0]] for a, b in zip(f01.tolist(), f10.tolist())]
-
-            def probs(counts: list) -> list:
-                return tables[counts[0]]
-
-            return probs, None
         # separable rewards: row a holds r_a(c / n) for c = 0..n
-        R = rewards_grid(self._game, np.tile(np.arange(n + 1) / n, (m, 1)))
+        R = self._game.rewards(np.tile(np.arange(n + 1) / n, (m, 1)))
         if kind == "arctan":
             # f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi lies in [0, 1] unless
             # r_j - r_i is NaN: at a NaN reward, or where two actions' rewards
@@ -344,7 +362,7 @@ class _Law:
             first = [[int(row.argmax()) if row.any() else n + 1 for row in R == s] for s in (np.inf, -np.inf)]
             if np.isnan(R).any() or any(sum(sorted(c)[:2]) <= n for c in first):
                 raise ValueError("rate conservation violated: copy probability nan outside [0, 1]")
-            return None, R.tolist()
+            return R.tolist()
         G = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
         check_probs(np.broadcast_to(G[None], (m, m, n + 1)))
-        return None, G.tolist()
+        return G.tolist()

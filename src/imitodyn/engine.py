@@ -10,14 +10,12 @@ pass.  The network loop draws numpy blocks from PCG64(seed), ziggurat
 exponentials included, and handles each block's activations in one Python
 pass.  Every run is reproducible bit for bit.
 
-Every loop takes its copy probabilities from the compiled law (_law); the
-m >= 3 complete loop bisects the law's generated cumulative rates
-(cum_rates), and the m = 2 loop walks rate tables built from the law's
-pair tables (_walk_tables).  Every loop builds its law or its tables once
-for the runs of one spec (_shared_law, _shared_walk).  The m >= 3
-complete loop and the network loop reject, through _Law, a game or rule
-that has no compiled law; the m = 2 complete loop accepts any pair whose
-pair tables build.  This module holds the loops and the rate matrix
+Every loop takes its copy probabilities from the compiled law (_law) of
+its (game, rule) pair, which rejects any pair it has no law for before a
+loop draws: the m >= 3 complete loop bisects the law's generated
+cumulative rates (cum_rates), the m = 2 loop walks its rate tables (walk)
+and the network loop reads its probs.  The runs of one spec share one law
+(_shared_law).  This module holds the loops and the rate matrix
 (_rate_matrix) that potential_drift_rates splits and the tests check the
 compiled law against.  Every loop records its path through one _Recorder,
 which holds at most _CHUNK rows in Python lists; the m = 2 loop hands it
@@ -38,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._law import _Law, check_probs, pair_tables
+from ._law import _Law, check_probs
 from .games import Configuration, Game, PopulationType
 from .rules import ImitationRule
 from .topology import Graph
@@ -73,8 +71,6 @@ logger = logging.getLogger(__name__)
 _NO_ROWS = (np.empty(0), np.empty(0, dtype=np.int64))  # a full buffer of size 0
 # (game, rule, lam, n, law) of the last law a loop built; see _shared_law
 _LAW_MEMO: list = [None]
-# (game, rule, lam, n, tables) of the last m = 2 walk tables; see _shared_walk
-_WALK_MEMO: list = [None]
 
 
 @dataclass(frozen=True)
@@ -360,7 +356,7 @@ def _simulate_complete_2action(
     game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig, meta: dict
 ) -> Trajectory:
     n = x0.n
-    pup, tot, neg_tot = _shared_walk(game, rule, cfg.lam, n)
+    pup, tot, neg_tot = _shared_law(game, rule, cfg.lam, n).walk
 
     rng = random.Random(cfg.seed)
     log = math.log
@@ -420,39 +416,14 @@ def _shared_law(game: Game, rule: ImitationRule, lam: float, n: int) -> _Law:
     spec share it.  A call matches the kept law when game and rule are the
     same objects and lam and n are equal, so a law is only ever reused for
     the objects it was built from; it holds them alive until the next spec.
-    The replicator's clamp debug line, written while a law is built, comes
-    once per spec."""
-    return _kept(_LAW_MEMO, _Law, game, rule, lam, n)
-
-
-def _shared_walk(game: Game, rule: ImitationRule, lam: float, n: int) -> tuple[list, list, np.ndarray]:
-    """_walk_tables(game, rule, lam, n), kept for the next call as
-    _shared_law keeps its law."""
-    return _kept(_WALK_MEMO, _walk_tables, game, rule, lam, n)
-
-
-def _kept(memo: list, build: Callable, game: Game, rule: ImitationRule, lam: float, n: int):
-    """build(game, rule, lam, n), or the value memo holds for the same
-    game and rule objects and equal lam and n."""
-    kept = memo[0]
+    The replicator's clamp debug line, written while a law is built or
+    its m = 2 pair tables, comes once per spec."""
+    kept = _LAW_MEMO[0]
     if kept is not None and kept[0] is game and kept[1] is rule and kept[2] == lam and kept[3] == n:
         return kept[4]
-    value = build(game, rule, lam, n)
-    memo[0] = (game, rule, lam, n, value)
-    return value
-
-
-def _walk_tables(game: Game, rule: ImitationRule, lam: float, n: int) -> tuple[list, list, np.ndarray]:
-    """(pup, tot, -tot) of the m = 2 walk, indexed by the count k of action
-    0: the chance that a jump goes up, k -> k + 1, and the total jump rate
-    lam k (n - k) / n (f01 + f10), as lists and negated as an array."""
-    f01, f10 = pair_tables(game, rule, n)
-    ks = np.arange(n + 1, dtype=float)
-    base = lam * ks * (n - ks) / n
-    up = base * f10  # a 1-player copies action 0: k -> k + 1
-    tot = up + base * f01
-    pup = np.divide(up, tot, out=np.zeros(n + 1), where=tot > 0.0)
-    return pup.tolist(), tot.tolist(), -tot
+    law = _Law(game, rule, lam, n)
+    _LAW_MEMO[0] = (game, rule, lam, n, law)
+    return law
 
 
 def _simulate_complete_generic(

@@ -23,7 +23,6 @@ __all__ = [
     "make_congestion_game",
     "example4_game",
     "reward_bounds",
-    "rewards_grid",
     "as_simplex_point",
 ]
 
@@ -220,27 +219,6 @@ def example4_game() -> Game:
     return make_congestion_game([[12.0, -28.0, 80.0, -64.0], [9.0]], name="example4")
 
 
-def rewards_grid(game: Game, X: np.ndarray) -> np.ndarray:
-    """Rewards over a batch of states, X of shape (m, K) -> (m, K).
-
-    Tries one vectorized call (polynomial-backed games broadcast for free)
-    and falls back to a per-column loop for scalar-only reward callables.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != game.m:
-        raise ValueError(f"expected state batch of shape ({game.m}, K), got {X.shape}")
-    try:
-        R = np.asarray(game.rewards(X), dtype=float)
-        if R.shape == X.shape and np.all(np.isfinite(R)):
-            return R
-    except Exception:
-        pass
-    R = np.empty_like(X)
-    for k in range(X.shape[1]):
-        R[:, k] = game.rewards_at(X[:, k])
-    return R
-
-
 def reward_bounds(game: Game) -> tuple[float, float]:
     """Conservative reward range of a congestion game over a simplex grid
     (resolution 256 for two actions, 64 for more), widened by one percent.
@@ -255,7 +233,7 @@ def reward_bounds(game: Game) -> tuple[float, float]:
     if not isinstance(game.rewards, _PolyRewards):
         raise ValueError("reward bounds require a congestion game (built by make_congestion_game or example4_game)")
     res = 256 if game.m == 2 else 64
-    R = rewards_grid(game, np.tile(np.arange(res + 1) / res, (game.m, 1)))
+    R = game.rewards(np.tile(np.arange(res + 1) / res, (game.m, 1)))
     lo = float(np.min(R))
     hi = float(np.max(R))
     span = hi - lo

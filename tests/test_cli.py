@@ -384,17 +384,28 @@ class TestLandscape:
 
 class TestMetastability:
     def test_two_action_run_loads_no_scipy(self, tmp_path):
-        cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
-        for command in ("landscape", "metastability"):
+        # src/ needs numpy alone: every subcommand, on a two-action and on a
+        # three-action config, loads no scipy module
+        three = sim_cfg(tmp_path, out="out3")
+        three.update(
+            game={"type": "congestion", "polynomials": [[1.0, -1.0]] * 3},
+            rule={"type": "replicator", "eps_margin": 0.01},
+            init={"fractions": [0.6, 0.3, 0.1]},
+        )
+        commands = ("simulate", "ode", "landscape", "metastability", "compare")
+        for data in (sim_cfg(tmp_path), three):
+            cfg = write_cfg(tmp_path, data)
+            steps = [[command, "--config", cfg, "--runs", "1"] for command in commands]
             code = (
                 "import sys; from imitodyn.cli import main; "
-                f"assert main([{command!r}, '--config', {cfg!r}]) == 0; "
+                f"assert all(main(argv) == 0 for argv in {steps!r}); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
             )
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]"
-            assert (tmp_path / "out" / f"{command}.json").exists()
+            written = set(os.listdir(data["output"]["dir"]))
+            assert {"summary.json", "ode.csv", "landscape.json", "metastability.json", "compare.json"} <= written
 
     def test_shipped_landscape_steps_load_no_scipy(self, tmp_path):
         # scipy is a test dependency only: importing the package loads none of

@@ -88,13 +88,11 @@ class TestTransitionRates:
                 transition_rates(game, rule, pt)
             with pytest.raises(ValueError, match="rate conservation"):
                 potential_drift_rates(game, rule, pt)
-            # the m = 2 table loop checks the rule's pair tables
-            with pytest.raises(ValueError, match="rate conservation"):
-                simulate_complete(game2, rule, PopulationType(np.array([10, 10])), cfg)
-            # the m = 3 loop and the network loop for m = 2 and m = 3 build
-            # a compiled law, which exists for the config rules alone
-            with pytest.raises(ValueError, match="compiled law requires"):
-                simulate_complete(game, rule, pt, cfg)
+            # every loop builds a compiled law, which exists for the config
+            # rules alone
+            for g, x0 in ((game2, PopulationType(np.array([10, 10]))), (game, pt)):
+                with pytest.raises(ValueError, match="compiled law requires"):
+                    simulate_complete(g, rule, x0, cfg)
             for g, y0 in ((game2, [0, 1] * 10), (game, [0, 1, 2] * 10)):
                 with pytest.raises(ValueError, match="compiled law requires"):
                     simulate_network(complete(len(y0)), g, rule, Configuration(np.array(y0), m=g.m), cfg)
@@ -394,20 +392,6 @@ class TestAgainstBirthDeathOracle:
         assert abs(hits / runs - p_exact) < 4 * sigma
 
 
-class _TieStallRule(ImitationRule):
-    """The arctan rule (K = 1), except that no one copies an action whose
-    reward ties with their own.  On example4 the rewards tie at x_0 = 1/4
-    and 3/4, so for n divisible by 4 nothing leaves those interior states."""
-
-    def prob_matrix(self, rewards):
-        r = np.asarray(rewards, dtype=float)
-        F = arctan_rule(1.0).prob_matrix(r)
-        m = r.shape[0]
-        off = ~np.eye(m, dtype=bool).reshape((m, m) + (1,) * (r.ndim - 1))
-        F[(r[None, :, ...] == r[:, None, ...]) & off] = 0.0
-        return F
-
-
 class TestCompleteDrawStream:
     """The m = 2 complete engine draws each block's uniforms with one
     getrandbits call and walks the block in one Python pass.  Its paths must
@@ -434,7 +418,9 @@ class TestCompleteDrawStream:
             ("arctan5", game4, arctan_rule(5.0)),
             ("replicator", game4, replicator_rule(*reward_bounds(game4))),
             ("g2", g2, arctan_rule(1.0)),
-            ("stall", game4, _TieStallRule()),
+            # r_0 = r_1 = r_lo = 9 at x_0 = 1/4 and 3/4, so both copy
+            # probabilities are 0 there: for n divisible by 4 nothing leaves
+            ("stall", game4, replicator_rule(9.0, 12.0, 0.0)),
         ]
 
     @pytest.mark.parametrize(
@@ -987,7 +973,8 @@ class TestSimConfig:
             SimConfig(horizon=1.0, seed=0, lam=-1.0)
 
 
-def test_runs_of_one_spec_share_one_law(monkeypatch, caplog):
+@pytest.mark.parametrize("m", [2, 3])
+def test_runs_of_one_spec_share_one_law(monkeypatch, caplog, m):
     built = []
 
     class CountingLaw(_Law):
@@ -997,13 +984,14 @@ def test_runs_of_one_spec_share_one_law(monkeypatch, caplog):
 
     monkeypatch.setattr(engine_mod, "_Law", CountingLaw)
     monkeypatch.setattr(engine_mod, "_LAW_MEMO", [None])
-    game = make_congestion_game([[1.0, -1.0]] * 3)
+    game = make_congestion_game([[1.0, -1.0]] * m)
     lo, hi = reward_bounds(game)
     rule = replicator_rule(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), 0.01)  # clamps part of the range
     sim = SimConfig(horizon=2.0)
+    fractions = (0.6, 0.3, 0.1) if m == 3 else (0.6, 0.4)
     specs = [
-        RunSpec(game, rule, sim, x0=PopulationType.from_fractions(30, [0.6, 0.3, 0.1])),
-        RunSpec(game, rule, sim, graph=complete(30), init_fractions=(0.6, 0.3, 0.1)),
+        RunSpec(game, rule, sim, x0=PopulationType.from_fractions(30, fractions)),
+        RunSpec(game, rule, sim, graph=complete(30), init_fractions=fractions),
     ]
     with caplog.at_level(logging.DEBUG, logger="imitodyn"):
         shared = [run_one(spec, seed) for spec in specs for seed in (1, 2, 3)]
@@ -1020,39 +1008,10 @@ def test_runs_of_one_spec_share_one_law(monkeypatch, caplog):
         assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
         assert a.event_count == b.event_count > 0
     # another lam, n or rule object builds its own law
-    x0 = PopulationType.from_fractions(30, [0.6, 0.3, 0.1])
+    x0 = PopulationType.from_fractions(30, fractions)
     twin = replicator_rule(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), 0.01)
     run_one(RunSpec(game, rule, SimConfig(horizon=2.0, lam=2.0), x0=x0), 1)
-    run_one(RunSpec(game, rule, sim, x0=PopulationType.from_fractions(31, [0.6, 0.3, 0.1])), 1)
+    run_one(RunSpec(game, rule, sim, x0=PopulationType.from_fractions(31, fractions)), 1)
     run_one(RunSpec(game, twin, sim, x0=x0), 1)
     run_one(RunSpec(game, twin, sim, x0=x0), 2)
     assert len(built) == 10
-
-
-def test_m2_runs_of_one_spec_share_one_walk(monkeypatch):
-    built = []
-    walk_tables = engine_mod._walk_tables
-
-    def counting_tables(*args):
-        built.append(args)
-        return walk_tables(*args)
-
-    game = make_congestion_game([[1.0, -1.0]] * 2)
-    lo, hi = reward_bounds(game)
-    rule = replicator_rule(lo, hi, 0.01)
-    x0 = PopulationType.from_fractions(40, [0.6, 0.4])
-    spec = RunSpec(game, rule, SimConfig(horizon=5.0), x0=x0)
-    fresh = []
-    for seed in (1, 2, 3):
-        monkeypatch.setattr(engine_mod, "_WALK_MEMO", [None])
-        fresh.append(run_one(spec, seed))
-    monkeypatch.setattr(engine_mod, "_WALK_MEMO", [None])
-    monkeypatch.setattr(engine_mod, "_walk_tables", counting_tables)
-    shared = [run_one(spec, seed) for seed in (1, 2, 3)]
-    assert len(built) == 1
-    for a, b in zip(shared, fresh):
-        assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
-        assert a.event_count == b.event_count > 0
-    # another lam builds its own tables
-    run_one(RunSpec(game, rule, SimConfig(horizon=5.0, lam=2.0), x0=x0), 1)
-    assert len(built) == 2

@@ -13,7 +13,7 @@ from imitodyn import (
     make_congestion_game,
     reward_bounds,
 )
-from imitodyn.games import as_simplex_point, rewards_grid
+from imitodyn.games import as_simplex_point
 from conftest import check_potential_consistency, uniform_simplex_sample
 
 
@@ -85,7 +85,7 @@ class TestReferenceGame:
         coefficient = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
         polys = data.draw(st.lists(st.lists(coefficient, min_size=1, max_size=5), min_size=m, max_size=m))
         game = make_congestion_game(polys)
-        R = rewards_grid(game, _reward_grid(m))
+        R = game.rewards(_reward_grid(m))
         lo, hi = float(np.min(R)), float(np.max(R))
         span = hi - lo
         pad = 0.01 * span if span > 0.0 else 0.01 * abs(hi) + 1e-9
