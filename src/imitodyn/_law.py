@@ -9,39 +9,32 @@ the pair is compiled once:
   action 0 from one batched rule.prob_matrix call on the states
   (k/n, 1 - k/n); the complete loop walks the jump-rate tables built from
   them (walk), the network loop reads their per-count rows (probs);
-- congestion rewards (_PolyRewards) are separable, r_a depends on x_a
-  alone, so the flow evaluates each by an inline Horner, and at m >= 3 and
-  population n the count paths read the per-count tables R[a][c] = r_a(c/n);
-- on those rewards both rules a config can name are one law shape each:
-  the replicator rule clamps g_a = f_ia (with its debug log; the count
-  paths read the table G[a][c] instead), and the arctan rule computes one
+- a game is its reward polynomials (games.Game.coeffs), and they are
+  separable, r_a depends on x_a alone, so the flow evaluates each by an
+  inline Horner, and at m >= 3 and population n the count paths read the
+  per-count tables R[a][c] = r_a(c/n);
+- both rules a config can name are one law shape each: the replicator
+  rule clamps g_a = f_ia (with its debug log; the count paths read the
+  table G[a][c] instead), and the arctan rule computes one
   f_ij = 0.5 + atan(K_ij (r_j - r_i)) / pi per ordered pair, K scalar or
   per pair.
 
-_Law raises ValueError for any other game or rule, so every engine loop
-and the flow reject such a pair before they draw.
+_Law raises ValueError for any other rule, so every engine loop and the
+flow reject such a pair before they draw.
 
 _Law's rhs (the flow's right-hand side), step (one RK4 step with the
-clip-and-renormalise guard), probs_at and, at m >= 3, cum_rates (the
-running sums of the jump rates that the complete engine bisects) and probs
-are straight-line Python that _compile generates and execs once per m and
-law shape: one flat statement per Horner coefficient, copy probability
-and (i, j) term, with names built from indices and every coefficient
-passed in through a factory.  One emitter (_f_lines) writes the copy
-probabilities for all of them, so they read the same F.  Each statement
-does the float operations of the loop it replaced, in the same order, so
-results are the same bits; the tests keep those loops as the reference,
-and compare them with the reference rate matrix and
-meanfield.mean_field_rhs, which evaluate rule.prob_matrix(game.rewards_at(x));
-under the arctan rule math.atan may differ from numpy's arctan in the last
-bit.
-
-compiled_potential compiles a congestion game's potential (_PolyPotential)
-into a closure phi(x) on a list of floats: Horner per action and numpy's
-summation order, so it equals game.potential bit for bit.  The landscape
-finder solves the games that have a compiled potential exactly, from their
-coefficients, and takes each point's potential from phi; it rejects any
-other game.
+clip-and-renormalise guard) and, at m >= 3, cum_rates (the running sums of
+the jump rates that the complete engine bisects) and probs are
+straight-line Python that _compile generates and execs once per m and law
+shape: one flat statement per Horner coefficient, copy probability and
+(i, j) term, with names built from indices and every coefficient passed in
+through a factory.  One emitter (_f_lines) writes the copy probabilities
+for all of them, so they read the same F.  Each statement does the float
+operations of the loop it replaced, in the same order, so results are the
+same bits; the tests keep those loops as the reference, and compare them
+with the reference rate matrix and meanfield.mean_field_rhs, which
+evaluate rule.prob_matrix(game.rewards_at(x)); under the arctan rule
+math.atan may differ from numpy's arctan in the last bit.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import math
 
 import numpy as np
 
-from .games import Game, _PolyPotential, _PolyRewards
+from .games import Game
 from .rules import ArctanRule, ImitationRule, ReplicatorRule, logger
 
 
@@ -101,40 +94,6 @@ def _horner(coeffs: tuple) -> tuple[float, tuple]:
     c = list(coeffs)
     top = max((k for k, v in enumerate(c) if v != 0.0), default=len(c) - 1)
     return c[top], tuple(reversed(c[:top]))
-
-
-def _horner_all(H: list, x: list) -> list:
-    """[p_a(x_a)] for the _horner forms H = [p_0, ..., p_{m-1}]."""
-    out = []
-    for (r, cs), v in zip(H, x):
-        for c in cs:
-            r = r * v + c
-        out.append(r)
-    return out
-
-
-def np_sum(values: list) -> float:
-    """sum(values) in numpy's order: left to right from 0.0 below 8 terms;
-    numpy sums 8 or more pairwise, so longer lists go through numpy."""
-    if len(values) >= 8:
-        return float(np.sum(values))
-    s = 0.0
-    for v in values:
-        s += v
-    return s
-
-
-def compiled_potential(game: Game):
-    """phi, the potential of a congestion game as a closure on a list of m
-    floats, equal bit for bit to game.potential; None for any other game."""
-    if not (isinstance(game.potential, _PolyPotential) and isinstance(game.potential_gradient, _PolyRewards)):
-        return None
-    P = [_horner(c) for c in game.potential.coeffs]
-
-    def phi(x: list) -> float:
-        return np_sum(_horner_all(P, x))
-
-    return phi
 
 
 def _names(prefix: str, count: int) -> str:
@@ -225,21 +184,21 @@ def _rates_lines(m: int, shape: tuple) -> list:
     return lines
 
 
-def _probs_lines(m: int, shape: tuple, src: str) -> list:
-    """Statements that return F as a list of rows; the diagonal is never
-    read."""
-    lines, f = _f_lines(m, shape, src)
+def _probs_lines(m: int, shape: tuple) -> list:
+    """Body of probs(counts): F at counts / n as a list of rows; the
+    diagonal is never read."""
+    lines, f = _f_lines(m, shape, "c")
     if shape[0] == "replicator":  # f_ij = g_j in every row i: one row serves
         F = f"[[{_names('g', m)}]] * {m}"
     else:
         F = "[" + ", ".join("[" + ", ".join(f(i, j) if i != j else "1.0" for j in range(m)) + "]" for i in range(m)) + "]"
-    return [f"{_names(src, m)} = {'counts' if src == 'c' else src}", *lines, f"return {F}"]
+    return [f"{_names('c', m)} = counts", *lines, f"return {F}"]
 
 
 @functools.cache
 def _compile(m: int, shape: tuple):
-    """factory(lam, xs, cn, T, **constants) -> (rhs, step, probs_at), and at
-    m >= 3 also (cum_rates, probs), as straight-line code for m actions.
+    """factory(lam, xs, cn, T, **constants) -> (rhs, step), and at m >= 3
+    also (cum_rates, probs), as straight-line code for m actions.
     shape is (kind, degrees): kind "replicator" or "arctan" on rewards whose
     Horner forms take degrees steps per action.  The count paths read xs,
     the frequencies c / n, cn = n lam and T, the per-count table, G for the
@@ -251,12 +210,11 @@ def _compile(m: int, shape: tuple):
     functions = {
         "rhs(x)": [f"{_names('x', m)} = x", *_rhs_lines(m, shape, "x", "k"), f"return [{_names('k', m)}]"],
         "step(x, h, k1)": _step_lines(m, shape),
-        "probs_at(x)": _probs_lines(m, shape, "x"),
     }
     if m > 2:
         body += ["if T is not None:", f"    {_names('G' if kind == 'replicator' else 'R', m)} = T"]
         functions["cum_rates(counts)"] = _rates_lines(m, shape)
-        functions["probs(counts)"] = _probs_lines(m, shape, "c")
+        functions["probs(counts)"] = _probs_lines(m, shape)
     if kind == "arctan":
         body += [f"{', '.join(f'K{i}_{j}' for i, j in _pairs(m))} = K", "atan = math.atan", "pi = math.pi"]
     for signature, lines in functions.items():
@@ -273,7 +231,6 @@ def _compile(m: int, shape: tuple):
 class _Law:
     """The law of (game, rule) at rate lam, on Python floats.
 
-    - probs_at(x): F[i][j] = f_ij at a frequency list x (diagonal unread);
     - rhs(x): the mean-field right-hand side lam x_i sum_j (f_ji - f_ij) x_j;
     - step(x, h, k1): one RK4 step of size h from x given k1 = rhs(x), then
       the guard: (x with negatives clipped to 0 and renormalised, violation
@@ -285,9 +242,8 @@ class _Law:
 
     All of them are the straight-line code that _compile generates for m
     and the law's shape, except at m = 2 probs and walk, which read the
-    pair tables and are built when a loop first asks for them.  A game
-    without congestion rewards, or a rule other than the arctan and the
-    replicator rule, raises ValueError.
+    pair tables and are built when a loop first asks for them.  A rule
+    other than the arctan and the replicator rule raises ValueError.
     """
 
     def __init__(self, game: Game, rule: ImitationRule, lam: float = 1.0, n: int | None = None):
@@ -297,24 +253,21 @@ class _Law:
         self._rule = rule
         self._lam = lam
         self._n = n
-        if not (isinstance(game.rewards, _PolyRewards) and isinstance(rule, (ReplicatorRule, ArctanRule))):
-            raise ValueError(
-                "the compiled law requires a congestion game (built by make_congestion_game or "
-                "example4_game) under the arctan or the replicator rule"
-            )
+        if not isinstance(rule, (ReplicatorRule, ArctanRule)):
+            raise ValueError("the compiled law requires the arctan or the replicator rule")
         if isinstance(rule, ReplicatorRule):
             kind, consts = "replicator", _replicator_consts(rule)
         else:
             K = rule._k_for(m)
             kind, consts = "arctan", dict(K=[float(K[i, j]) for i, j in _pairs(m)])
-        A, C = zip(*(_horner(c) for c in game.rewards.coeffs))
+        A, C = zip(*(_horner(c) for c in game.coeffs))
         consts.update(A=A, C=C)
         if n is not None:
             self.pairs = _pairs(m)
             if m > 2:
                 consts.update(T=self._count_table(n, kind), xs=(np.arange(n + 1) / n).tolist(), cn=n * lam)
         factory = _compile(m, (kind, tuple(map(len, C))))
-        self.rhs, self.step, self.probs_at, *counts = factory(lam, **consts)
+        self.rhs, self.step, *counts = factory(lam, **consts)
         if n is not None and m > 2:
             self.cum_rates, self.probs = counts
 

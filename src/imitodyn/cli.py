@@ -15,8 +15,8 @@ simulate and ode report the seconds spent in the engine (or the flow and
 its limit) and in writing CSVs, with events (or RK4 steps) per second and
 the rows and bytes written; metastability and compare report the seconds
 spent in the engine, with events and events per second, and in analysing
-the paths, and compare also the seconds and RK4 steps of its flow.  Every
-game a config builds is a congestion game, whose landscape is solved
+the paths, and compare also the seconds and RK4 steps of its flow.  A game
+is its reward polynomials, from whose coefficients the landscape is solved
 exactly, with no random numbers; --seed seeds the ensembles only.  The
 unused alias find_critical_points_2action and the unused run_one import
 stay because perfbench/tracer.py patches them by name, as it patches
@@ -87,8 +87,6 @@ def _run_ensemble(cfg: ExperimentConfig, n: int) -> list[Trajectory]:
 
 
 def _critical_points(cfg: ExperimentConfig):
-    if cfg.game.potential is None:
-        raise ConfigError("$.game: landscape analysis requires a potential")
     search: dict = {}
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")

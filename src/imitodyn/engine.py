@@ -584,10 +584,9 @@ def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType
 
     Moving a player from i to j changes the potential in the direction of
     r_j - r_i, so q_plus collects strictly improving jumps and q_minus
-    strictly worsening ones.  Requires a potential game.
+    strictly worsening ones.  Every game is a congestion game, a potential
+    game, so these are the jumps that raise and lower its potential.
     """
-    if game.potential is None:
-        raise ValueError("potential_drift_rates requires a game with a potential")
     if state.m != game.m:
         raise ValueError(f"state has {state.m} actions, game has {game.m}")
     rates, r = _rate_matrix(game, rule, state.fractions, state.n, lam)

@@ -1,18 +1,21 @@
-"""Population games with action-frequency rewards and optional potentials.
+"""Congestion games, the population games imitodyn runs, and population states.
 
 A population game assigns each action a reward that depends only on the
-current action-frequency vector (the "type" of the population).  A game is
-a potential game when reward differences are gradient differences of a
-scalar potential; congestion games built from per-action polynomials are
-the canonical constructive family.  Every game a config builds is one: its
-potential is the antiderivative of its rewards, so the two agree by
-construction (the tests sample that, conftest.check_potential_consistency).
+current action-frequency vector (the "type" of the population).  A
+congestion game is a potential game given by per-action polynomials:
+action a earns r_a(x_a), and the potential Phi(x) = sum_a Psi_a(x_a) sums
+their zero-constant antiderivatives, so reward differences are gradient
+differences of Phi by construction (the tests sample that,
+conftest.check_potential_consistency).  A game is its polynomials: Game
+holds their coefficients, and its rewards, its potential, the compiled law
+of every pair, the landscape and the reward bounds are all computed from
+them.  Every game a config builds is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,68 +126,57 @@ class Configuration:
         return PopulationType(np.bincount(self.actions, minlength=self.m), self.n)
 
 
-@dataclass(frozen=True)
-class _PolyRewards:
-    """Per-action polynomial rewards r_i(x_i); broadcasts over trailing axes."""
-
-    coeffs: tuple[tuple[float, ...], ...]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        C = np.array(self.coeffs)  # (m, deg+1), ascending
-        r = np.empty(x.shape)
-        r[...] = C[:, -1].reshape((-1,) + (1,) * (x.ndim - 1))
-        for j in range(C.shape[1] - 2, -1, -1):
-            r *= x
-            r += C[:, j].reshape((-1,) + (1,) * (x.ndim - 1))
-        return r
-
-
-@dataclass(frozen=True)
-class _PolyPotential:
-    """Separable potential Phi(x) = sum_i Psi_i(x_i) from ascending coefficients."""
-
-    coeffs: tuple[tuple[float, ...], ...]
-
-    def __call__(self, x: np.ndarray) -> float | np.ndarray:
-        total = _PolyRewards(self.coeffs)(x).sum(axis=0)
-        return float(total) if total.ndim == 0 else total
+def _polyval(coeffs: tuple, x) -> np.ndarray:
+    """p_a(x_a) for the ascending coefficient rows coeffs[a], by Horner;
+    broadcasts over the trailing axes of x."""
+    x = np.asarray(x, dtype=float)
+    C = np.array(coeffs)  # (m, deg+1), ascending
+    r = np.empty(x.shape)
+    r[...] = C[:, -1].reshape((-1,) + (1,) * (x.ndim - 1))
+    for j in range(C.shape[1] - 2, -1, -1):
+        r *= x
+        r += C[:, j].reshape((-1,) + (1,) * (x.ndim - 1))
+    return r
 
 
 @dataclass(frozen=True, eq=False)
 class Game:
-    """A population game: m actions and a reward map on the simplex.
-
-    rewards(x) takes a frequency vector (m,) and returns the reward vector
-    (m,).  Potential and its gradient are optional; when the potential is
-    given it must be evaluable in a small neighborhood of the simplex so
-    finite differences are well defined.
+    """A congestion game: action a earns r_a(x_a), the polynomial in its own
+    frequency whose ascending coefficients are coeffs[a], zero-padded to one
+    length.  Its potential is Phi(x) = sum_a Psi_a(x_a), Psi_a the
+    zero-constant antiderivative of r_a, so dPhi/dx_a = r_a.
     """
 
-    m: int
-    rewards: Callable[[np.ndarray], np.ndarray]
-    potential: Callable[[np.ndarray], float] | None = None
-    potential_gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "custom"
+    coeffs: tuple[tuple[float, ...], ...]
+    name: str = "congestion"
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need at least 2 actions, got m = {self.m}")
+    @property
+    def m(self) -> int:
+        return len(self.coeffs)
+
+    def rewards(self, X) -> np.ndarray:
+        """[r_a(X[a])]: X is (m,) or (m, ...) for a batch of states."""
+        return _polyval(self.coeffs, X)
 
     def rewards_at(self, x) -> np.ndarray:
+        """The reward vector (m,) at a frequency vector or PopulationType."""
         v = x.fractions if isinstance(x, PopulationType) else np.asarray(x, dtype=float)
-        r = np.asarray(self.rewards(v), dtype=float)
-        if r.shape != (self.m,):
-            raise ValueError(f"rewards returned shape {r.shape}, expected ({self.m},)")
-        return r
+        if v.shape != (self.m,):
+            raise ValueError(f"state has shape {v.shape}, expected ({self.m},)")
+        return _polyval(self.coeffs, v)
+
+    def potential(self, x) -> float | np.ndarray:
+        """Phi(x), a float for x of shape (m,), an array for a batch."""
+        anti = tuple((0.0,) + tuple(c / (k + 1) for k, c in enumerate(p)) for p in self.coeffs)
+        total = _polyval(anti, x).sum(axis=0)
+        return float(total) if total.ndim == 0 else total
 
 
 def make_congestion_game(polynomials: Sequence[Sequence[float]], name: str = "congestion") -> Game:
     """Build a congestion game from per-action reward polynomials.
 
-    polynomials[i] lists ascending coefficients of r_i as a function of x_i.
-    The potential is the sum of the zero-constant antiderivatives, which by
-    construction matches the reward differences coordinate-wise.
+    polynomials[i] lists ascending coefficients of r_i as a function of x_i;
+    they are zero-padded to one length.
     """
     polys = [tuple(float(c) for c in p) for p in polynomials]
     if len(polys) < 2:
@@ -192,17 +184,7 @@ def make_congestion_game(polynomials: Sequence[Sequence[float]], name: str = "co
     if any(len(p) == 0 for p in polys):
         raise ValueError("each polynomial needs at least one coefficient")
     deg = max(len(p) for p in polys)
-    padded = tuple(p + (0.0,) * (deg - len(p)) for p in polys)
-    anti = tuple(
-        (0.0,) + tuple(c / (k + 1) for k, c in enumerate(p)) for p in padded
-    )
-    return Game(
-        m=len(polys),
-        rewards=_PolyRewards(padded),
-        potential=_PolyPotential(anti),
-        potential_gradient=_PolyRewards(padded),
-        name=name,
-    )
+    return Game(tuple(p + (0.0,) * (deg - len(p)) for p in polys), name)
 
 
 def example4_game() -> Game:
@@ -227,11 +209,8 @@ def reward_bounds(game: Game) -> tuple[float, float]:
     (0, 1) when rewards attain the raw extremes.  Polynomial rewards are
     separable: r_a depends on x_a alone, which takes every value k / res on
     the grid, so each action is evaluated on those res + 1 values, with the
-    extremes of the whole grid bit for bit.  Any other game raises
-    ValueError.
+    extremes of the whole grid bit for bit.
     """
-    if not isinstance(game.rewards, _PolyRewards):
-        raise ValueError("reward bounds require a congestion game (built by make_congestion_game or example4_game)")
     res = 256 if game.m == 2 else 64
     R = game.rewards(np.tile(np.arange(res + 1) / res, (game.m, 1)))
     lo = float(np.min(R))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._law import compiled_potential
 from .engine import Trajectory, potential_drift_rates
 from .games import Game
 from .rules import ImitationRule
@@ -85,17 +84,17 @@ def _warn_continuum(face: tuple) -> None:
     )
 
 
-def _exact_points(game: Game, phi) -> tuple[list[CriticalPoint], list[list[int]]]:
+def _exact_points(game: Game) -> tuple[list[CriticalPoint], list[list[int]]]:
     """Every face rest point of a congestion game, found and classified
     exactly by _exact.rest_points; and the faces that hold a continuum."""
     from ._exact import rest_points  # fractions loads only when an exact search runs
 
-    found, continuum = rest_points(game.potential_gradient.coeffs)
+    found, continuum = rest_points(game.coeffs)
     for face in continuum:
         _warn_continuum(tuple(face))
     points = [
         CriticalPoint(
-            x=np.array(x), phi=phi(x), kind=kind, is_ne=ne,
+            x=np.array(x), phi=game.potential(x), kind=kind, is_ne=ne,
             is_ess=(kind == "local_max" and ne), on_boundary=on_boundary,
         )
         for x, kind, ne, on_boundary in found
@@ -110,9 +109,8 @@ def find_critical_points_multi(game: Game, search: dict | None = None) -> list[C
     the faces: on the face with support S, r_a(x_a) = mu for every a in S
     (Sandholm 2010, ch. 5).  Every vertex is one.
 
-    The game must be a congestion game (one that compiled_potential compiles,
-    which includes every game a config builds).  It is solved exactly, from
-    its polynomial coefficients as fractions, with no random numbers.
+    A game is its reward polynomials, and it is solved exactly from their
+    coefficients as fractions, with no random numbers.
       - On each edge (a, b) the rest points are the roots in (0, 1) of
         g(t) = r_a(t) - r_b(1 - t), found by _exact.unit_roots: exact for
         the root of a linear factor or one that bisection hits, otherwise
@@ -139,16 +137,10 @@ def find_critical_points_multi(game: Game, search: dict | None = None) -> list[C
     An edge or face that holds a continuum of rest points adds no point
     and raises a LandscapeWarning.  When `search` is a dict it receives the
     search facts: "method" ("exact"), "faces" (the faces of two or more
-    actions solved), "points" and "continuum_faces".  Any other game raises
-    ValueError.
+    actions solved), "points" and "continuum_faces".  Each point's phi is
+    game.potential at it.
     """
-    phi = compiled_potential(game)
-    if phi is None:
-        raise ValueError(
-            "landscape analysis requires a congestion game with a polynomial potential "
-            "(built by make_congestion_game or example4_game)"
-        )
-    points, continuum = _exact_points(game, phi)
+    points, continuum = _exact_points(game)
     faces = 2**game.m - 1 - game.m
     logger.debug(
         "find_critical_points_multi: exact search, %d faces, %d points, %d continuum faces",

@@ -31,7 +31,6 @@ class Graph:
 
     n: int
     neighbors: tuple[np.ndarray, ...] | None
-    self_loops: bool
     kind: str
 
     def __post_init__(self) -> None:
@@ -62,7 +61,7 @@ class Graph:
 
 def complete(n: int) -> Graph:
     """Complete graph with self-loops, represented implicitly."""
-    return Graph(n=n, neighbors=None, self_loops=True, kind="complete")
+    return Graph(n=n, neighbors=None, kind="complete")
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -94,7 +93,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         heads = np.concatenate([heads, [w for _, w in extra]])
     src = np.concatenate([tails, heads])
     dst = np.concatenate([heads, tails])
-    return Graph(n=n, neighbors=_rows(dst[np.lexsort((dst, src))], deg), self_loops=False, kind="er")
+    return Graph(n=n, neighbors=_rows(dst[np.lexsort((dst, src))], deg), kind="er")
 
 
 def square_lattice(side: int, periodic: bool = True) -> Graph:
@@ -115,7 +114,7 @@ def square_lattice(side: int, periodic: bool = True) -> Graph:
     inside = (rr >= 0) & (rr < side) & (cc >= 0) & (cc < side)
     ids = np.where(inside, rr * side + cc, n)  # n sorts after every node
     ids.sort(axis=1)
-    return Graph(n=n, neighbors=_rows(ids[ids < n], inside.sum(axis=1)), self_loops=False, kind="lattice")
+    return Graph(n=n, neighbors=_rows(ids[ids < n], inside.sum(axis=1)), kind="lattice")
 
 
 def _rows(flat: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -164,4 +163,4 @@ def from_edge_list(path: str | Path) -> Graph:
     if isolated:
         raise ValueError(f"{path}: isolated node id(s) {isolated}; every id in 0..{n - 1} needs an edge")
     nb = tuple(np.asarray(sorted(a), dtype=np.int64) for a in adj)
-    return Graph(n=n, neighbors=nb, self_loops=False, kind="file")
+    return Graph(n=n, neighbors=nb, kind="file")

@@ -30,8 +30,8 @@ moved to per-state tables; they are those metrics' bit-for-bit reference.
 
 numeric_critical_points is the numeric landscape search (edge scans,
 least-squares face solves and sphere classification) that the exact search
-replaced, kept as its cross-check reference; it runs on any game with a
-potential, through game.potential and its gradient (reference_pair).
+replaced, kept as its cross-check reference; it reads the game only
+through game.potential and its gradient, the rewards (reference_pair).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from imitodyn import (
 from imitodyn._law import pair_tables
 from imitodyn.engine import _CHUNK, _rate_matrix, _Recorder
 from imitodyn.landscape import _DRIFT_MARGIN, _DRIFT_SAMPLES
+from imitodyn.rules import ArctanRule
 
 _TANGENT_ZERO = 1e-9  # |g| below this times the game's largest edge |g| flags a tangential zero
 _REFINE_TOL = 1e-9  # 2-action roots are bisected to this width
@@ -116,8 +117,6 @@ def check_potential_consistency(
     potential; points closer than 1e-5 to the boundary are pulled inward by
     that margin before differencing.
     """
-    if game.potential is None:
-        raise ValueError("game has no potential to check")
     if num_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -234,13 +233,27 @@ def exact_absorbed_probability_by(up: np.ndarray, dn: np.ndarray, k0: int, T: fl
     return float(P[k0, 0] + P[k0, n])
 
 
-def loop_rhs(law, lam: float):
-    """The flow's right-hand side as a loop over law.probs_at's lists."""
-    probs_at = law.probs_at
-    others = [[j for j in range(law.m) if j != i] for i in range(law.m)]
+def loop_rhs(game: Game, rule: ImitationRule, lam: float):
+    """The flow's right-hand side as a loop over F's rows, with F from
+    game.rewards_at and the rule's formula on Python floats: one math.atan
+    per ordered pair for the arctan rule, as the law computes it, and
+    rule._mapped for the replicator rule."""
+    m = game.m
+    others = [[j for j in range(m) if j != i] for i in range(m)]
+    if isinstance(rule, ArctanRule):
+        K = rule._k_for(m).tolist()
+
+        def F_at(x: list) -> list:
+            r = game.rewards_at(x).tolist()
+            return [[0.5 + math.atan(K[i][j] * (r[j] - r[i])) / math.pi for j in range(m)] for i in range(m)]
+
+    else:
+
+        def F_at(x: list) -> list:
+            return [rule._mapped(game.rewards_at(x)).tolist()] * m
 
     def rhs(x: list) -> list:
-        F = probs_at(x)
+        F = F_at(x)
         out = []
         for i, js in enumerate(others):
             Fi = F[i]
@@ -385,21 +398,15 @@ def loop_write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray, 
             fh.writelines([f"{t!r},{tail}" for t, tail in zip(times[lo:hi].tolist(), tails(states[lo:hi]))])
 
 
-def _gradient(game: Game, x: np.ndarray) -> np.ndarray:
-    if game.potential_gradient is not None:
-        return np.asarray(game.potential_gradient(x), dtype=float)
-    return _fd_gradient(game.potential, x)
-
-
 def reference_pair(game: Game):
-    """(phi, grad) on lists of floats through game.potential and _gradient,
-    for games that compiled_potential does not compile."""
+    """(phi, grad) on lists of floats: game.potential and its gradient,
+    which is the reward vector, game.rewards_at."""
 
     def phi(x: list) -> float:
         return float(game.potential(np.array(x)))
 
     def grad(x: list) -> list:
-        return _gradient(game, np.array(x)).tolist()
+        return game.rewards_at(np.array(x)).tolist()
 
     return phi, grad
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,9 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from imitodyn import ConfigError
-from imitodyn.cli import cmd_landscape, main
-from imitodyn.config import load_config
+from imitodyn.cli import main
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -367,19 +366,21 @@ class TestLandscape:
         new = (tmp_path / "new" / "landscape.json").read_bytes()
         assert (tmp_path / "old" / "landscape.json").read_bytes() == new
 
-    def test_game_without_potential_is_a_config_error(self, tmp_path):
-        # not reachable from a config file (built games always carry
-        # potentials), so drive the command directly
-        from dataclasses import replace
+    LANDSCAPE_SHA256 = {
+        "two_phase": "de1090f5ee42720cb10fb8d037f0735b35215ee3c881ca6f4f0f65771a449bcb",
+        "congestion3": "8339c0bd430534d9a098809e46ac5c867b8f1360863a6239e960d2671e6b879e",
+        "lattice": "de1090f5ee42720cb10fb8d037f0735b35215ee3c881ca6f4f0f65771a449bcb",
+    }
 
-        from imitodyn.games import Game
-
-        cfg = load_config(write_cfg(tmp_path, sim_cfg(tmp_path)))
-        bare = Game(m=2, rewards=cfg.game.rewards, name="bare")
-        cfg = replace(cfg, game=bare)
-        with pytest.raises(ConfigError, match="potential"):
-            cmd_landscape(cfg)
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("name", list(LANDSCAPE_SHA256))
+    def test_shipped_landscapes_are_pinned(self, tmp_path, name):
+        # the exact search draws no random numbers, so each shipped config's
+        # landscape.json is pinned byte for byte, the last bits of every
+        # point's phi included (two_phase and lattice share example4)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
+        assert main(["landscape", "--config", config, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "landscape.json").read_bytes()).hexdigest()
+        assert digest == self.LANDSCAPE_SHA256[name]
 
 
 class TestMetastability:

@@ -105,14 +105,6 @@ class TestDriftRates:
         assert dr.q_plus == pytest.approx(18.75, rel=1e-12)
         assert dr.q_minus == pytest.approx(6.25, rel=1e-12)
 
-    def test_requires_potential(self, arctan1):
-        from imitodyn import Game
-
-        g = Game(m=2, rewards=lambda x: np.array([x[0], x[1]]))
-        pt = PopulationType(np.array([3, 3]))
-        with pytest.raises(ValueError):
-            potential_drift_rates(g, arctan1, pt, lam=1.0)
-
 
 class TestCompleteEngine:
     def test_deterministic_given_seed(self, game4, arctan1):
@@ -537,7 +529,7 @@ class TestNetworkAgainstNodeGenerator:
     def test_matches_node_generator(self, game4, arctan1, name):
         adj, start = self.GRAPHS[name]
         _, _, hit, tau, first, rate = self._exact(game4, arctan1, adj, start, 2)
-        graph = Graph(n=self.N, neighbors=tuple(np.array(a) for a in adj), self_loops=False, kind=name)
+        graph = Graph(n=self.N, neighbors=tuple(np.array(a) for a in adj), kind=name)
         runs = 3000
         trajs = self._runs(graph, game4, arctan1, Configuration(np.array(start), m=2), runs, name)
         absorbed_0 = sum(t.absorbing_action == 0 for t in trajs)
@@ -551,7 +543,7 @@ class TestNetworkAgainstNodeGenerator:
 
     def test_three_actions_on_a_star(self):
         Q, s0, hit, tau, first, rate = self._exact(self.GAME3, self.RULE3, self.STAR5, self.START5, 3)
-        graph = Graph(n=5, neighbors=tuple(np.array(a) for a in self.STAR5), self_loops=False, kind="star")
+        graph = Graph(n=5, neighbors=tuple(np.array(a) for a in self.STAR5), kind="star")
         runs = 2000
         trajs = self._runs(graph, self.GAME3, self.RULE3, Configuration(np.array(self.START5), m=3), runs, "star3")
 
@@ -670,7 +662,7 @@ class TestNetworkDrawStream:
         ranked = make_congestion_game([[1.0], [0.5], [0.0]])  # action 0 takes over
         rep_ranked = replicator_rule(*reward_bounds(ranked), eps_margin=0.01)
         star_adj = TestNetworkAgainstNodeGenerator.GRAPHS["star"][0]
-        star = Graph(n=6, neighbors=tuple(np.array(a) for a in star_adj), self_loops=False, kind="star")
+        star = Graph(n=6, neighbors=tuple(np.array(a) for a in star_adj), kind="star")
         for name, graph in (("complete", complete(37)), ("lattice", square_lattice(5, periodic=True))):
             lone = np.ones(graph.n, dtype=np.int64)
             lone[0] = 0  # one node of action 0 drifts out more often than not

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imitodyn import (
-    Game,
     PopulationType,
     Configuration,
     example4_game,
@@ -42,15 +41,16 @@ class TestReferenceGame:
         assert game4.potential(np.array([1.0, 0.0])) == pytest.approx(8.666666666666666, rel=1e-13)
 
     def test_gradient_matches_reward_difference(self, game4):
-        # the defining property: dPhi/dx_0 - dPhi/dx_1 = r_0 - r_1
+        # the defining property: dPhi/dx_0 - dPhi/dx_1 = r_0 - r_1, where the
+        # gradient of a congestion game's potential is its reward vector and
+        # Phi on the simplex is -16 x^4 + 80/3 x^3 - 14 x^2 + 3 x + 9
         for x1 in (0.1, 0.25, 0.5, 0.75, 0.9):
-            x = np.array([x1, 1.0 - x1])
-            grad = game4.potential_gradient(x)
-            r = game4.rewards_at(x)
-            assert grad[0] - grad[1] == pytest.approx(r[0] - r[1], rel=1e-12, abs=1e-12)
+            grad = game4.rewards_at(np.array([x1, 1.0 - x1]))
+            slope = -64.0 * x1**3 + 80.0 * x1**2 - 28.0 * x1 + 3.0
+            assert grad[0] - grad[1] == pytest.approx(slope, rel=1e-12, abs=1e-12)
 
     def test_gradient_zero_at_quarter_exactly(self, game4):
-        grad = game4.potential_gradient(np.array([0.25, 0.75]))
+        grad = game4.rewards_at(np.array([0.25, 0.75]))
         assert grad[0] - grad[1] == 0.0
 
     def test_consistency_check_passes(self, game4):
@@ -62,9 +62,6 @@ class TestReferenceGame:
         lo, hi = reward_bounds(game4)
         assert lo == pytest.approx(-0.12, abs=1e-12)
         assert hi == pytest.approx(12.12, abs=1e-12)
-        # the scan is separable, so rewards behind a plain callable are rejected
-        with pytest.raises(ValueError, match="congestion game"):
-            reward_bounds(Game(m=2, rewards=lambda x: game4.rewards(x)))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_reward_bounds_match_per_point_loop(self, game4, m):
@@ -122,12 +119,6 @@ class TestCongestionBuilder:
         g = make_congestion_game([[1.0, 2.0], [3.0]])
         # integral of 1+2x is x+x^2, of 3 is 3x
         assert g.potential(np.array([0.5, 0.5])) == pytest.approx(2.25, rel=1e-14)
-
-    def test_gradient_is_rewards(self):
-        g = make_congestion_game([[1.0, 2.0, -0.5], [3.0], [0.0, 1.0]])
-        for _ in range(5):
-            x = np.array([0.2, 0.3, 0.5])
-            assert np.array_equal(g.potential_gradient(x), g.rewards_at(x))
 
     def test_consistency_random_polynomials(self):
         rng = np.random.default_rng(3)
@@ -220,6 +211,7 @@ class TestSimplexHelpers:
 @settings(max_examples=50, deadline=None)
 def test_reference_game_potential_consistency_property(x):
     g = example4_game()
-    grad = g.potential_gradient(x)
-    r = g.rewards_at(x)
-    assert grad[0] - grad[1] == pytest.approx(r[0] - r[1], rel=1e-10, abs=1e-10)
+    grad = g.rewards_at(x)
+    # d/dx_0 of the potential on the simplex, -16 x^4 + 80/3 x^3 - 14 x^2 + 3 x + 9
+    slope = -64.0 * x[0] ** 3 + 80.0 * x[0] ** 2 - 28.0 * x[0] + 3.0
+    assert grad[0] - grad[1] == pytest.approx(slope, rel=1e-10, abs=1e-10)

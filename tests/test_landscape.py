@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from imitodyn import (
     CriticalPoint,
-    Game,
     LandscapeWarning,
     PopulationType,
     RunSpec,
@@ -26,7 +25,6 @@ from imitodyn import (
     metastability_report,
     time_near_set,
 )
-from imitodyn._law import compiled_potential
 
 from conftest import numeric_critical_points
 
@@ -44,18 +42,6 @@ def _traj_from_counts(times, counts, n):
         absorbing_action=None,
         event_count=len(times) - 1,
         meta={},
-    )
-
-
-def _reference_game(game: Game) -> Game:
-    """The same potential and gradient as plain callables, which the
-    numeric reference evaluates through game.potential rather than
-    compiled."""
-    return Game(
-        m=game.m,
-        rewards=game.rewards,
-        potential=lambda x: game.potential(x),
-        potential_gradient=lambda x: game.potential_gradient(x),
     )
 
 
@@ -131,13 +117,6 @@ class TestMultiStartFinder:
         vertex_kinds = [p.kind for p in pts if np.max(p.x) > 1.0 - 1e-9]
         assert len(vertex_kinds) == 3
         assert all(k == "local_max" for k in vertex_kinds)
-
-    def test_requires_potential(self, game4):
-        # a potential given as plain callables has no coefficients to solve
-        bare = Game(m=game4.m, rewards=game4.rewards, name="bare")
-        for game in (bare, _reference_game(game4)):
-            with pytest.raises(ValueError, match="potential.*make_congestion_game"):
-                find_critical_points_multi(game)
 
     def test_face_equilibrium_is_the_ess(self):
         # action 2 always earns -1, so the only ESS lies on the edge of actions 0 and 1
@@ -219,7 +198,7 @@ def _assert_reference_points_found(exact, reference, tol=1e-6):
 
 class TestCompiledPotentialPath:
     """The exact search of a congestion game against the numeric search,
-    which runs on the same game without its polynomial coefficients."""
+    which reads the game only through its potential and its rewards."""
 
     @pytest.mark.parametrize(
         "polys",
@@ -228,18 +207,16 @@ class TestCompiledPotentialPath:
     )
     def test_multi_finder_matches_reference_path(self, polys):
         game = make_congestion_game(polys)
-        reference = _reference_game(game)
-        assert compiled_potential(game) is not None and compiled_potential(reference) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = find_critical_points_multi(game)
-            want, _, _ = numeric_critical_points(reference, starts=8, seed=3)
+            want, _, _ = numeric_critical_points(game, starts=8, seed=3)
         assert len(got) == len(want) == 7
         _assert_reference_points_found(got, want)
 
     def test_scanner_matches_reference_path(self, game4):
         got = find_critical_points_multi(game4)
-        want, _, _ = numeric_critical_points(_reference_game(game4))
+        want, _, _ = numeric_critical_points(game4)
         assert len(got) == len(want)
         _assert_reference_points_found(got, want)
 
@@ -353,7 +330,7 @@ def test_numeric_reference_finds_no_other_point(polys):
     game, exact = _exact_search(polys)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference, flooded, _ = numeric_critical_points(_reference_game(game), starts=4, seed=0)
+        reference, flooded, _ = numeric_critical_points(game, starts=4, seed=0)
     # rewards within 1e-9 of each other along a whole edge flood the scan
     assume(not flooded)
     for p in reference:

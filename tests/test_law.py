@@ -7,9 +7,7 @@ The law's generated rhs, step and (at m >= 3) cum_rates must equal the
 loops they replaced (conftest's loop_rhs, loop_step and loop_rates) bit for
 bit.  The generated arctan probabilities must equal rule.prob_matrix to
 1e-15.  Every game and rule that a config can build has a compiled law;
-every loop and the flow raise ValueError for any other pair.  The compiled
-potential that the landscape finders use must equal game.potential bit for
-bit.
+every loop and the flow raise ValueError for any other rule.
 """
 
 import functools
@@ -41,9 +39,9 @@ from imitodyn import (
     simulate_complete,
     simulate_network,
 )
-from imitodyn._law import _compile, _Law, compiled_potential
+from imitodyn._law import _compile, _Law
 from imitodyn.rules import ArctanRule
-from conftest import loop_rates, loop_rhs, loop_step, reference_pair, transition_rates
+from conftest import loop_rates, loop_rhs, loop_step, transition_rates
 
 POLYS = ([1.0, -2.0, 0.5], [0.3, 1.0], [2.0, -1.0, -1.0], [0.5], [1.5, 0.0, -2.0, 0.5], [-0.5, 3.0])
 RULES = ("arctan", "arctan_pairs", "replicator", "replicator_clamped")
@@ -103,20 +101,19 @@ def test_probs_and_rates_match_reference(game_and_rule, n, data, lam):
     law = _Law(game, rule, lam, n)
     off = ~np.eye(m, dtype=bool)
 
-    x = np.array(_simplex_list(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))))
     K = rule._k_for(m) if isinstance(rule, ArctanRule) else None
-    for F, y in ((law.probs(counts.tolist()), counts / n), (law.probs_at(x.tolist()), x)):
-        r = game.rewards_at(y)
-        # absolute, not relative: math.atan and np.arctan may differ in the
-        # last bit, which moves f_ij by about 2e-16 however small f_ij is
-        F_ref = rule.prob_matrix(r)
-        np.testing.assert_allclose(np.array(F)[off], F_ref[off], rtol=0.0, atol=1e-15 if K is not None else 1e-12)
-        # the generated arctan law computes one formula per ordered pair; the
-        # m = 2 pair tables read numpy's bits instead
-        if K is not None and (m > 2 or y is x):
-            r = r.tolist()
-            ref = [0.5 + math.atan(float(K[i, j]) * (r[j] - r[i])) / math.pi for i, j in law.pairs]
-            assert _hex(F[i][j] for i, j in law.pairs) == _hex(ref)
+    F = law.probs(counts.tolist())
+    r = game.rewards_at(counts / n)
+    # absolute, not relative: math.atan and np.arctan may differ in the
+    # last bit, which moves f_ij by about 2e-16 however small f_ij is
+    F_ref = rule.prob_matrix(r)
+    np.testing.assert_allclose(np.array(F)[off], F_ref[off], rtol=0.0, atol=1e-15 if K is not None else 1e-12)
+    # the generated arctan law computes one formula per ordered pair; the
+    # m = 2 pair tables read numpy's bits instead
+    if K is not None and m > 2:
+        r = r.tolist()
+        ref = [0.5 + math.atan(float(K[i, j]) * (r[j] - r[i])) / math.pi for i, j in law.pairs]
+        assert _hex(F[i][j] for i, j in law.pairs) == _hex(ref)
 
     L_ref = transition_rates(game, rule, PopulationType(counts, n), lam=lam)
     assert law.pairs == [tuple(p) for p in np.argwhere(off).tolist()]  # row-major
@@ -153,7 +150,7 @@ def test_generated_law_equals_the_loops(case, data, lam):
     # vertices and faces too: weights may be 0 or -0.0
     weight = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0))
     x = _simplex_list(data.draw(st.lists(weight, min_size=m, max_size=m)))
-    rhs = loop_rhs(law, lam)
+    rhs = loop_rhs(game, rule, lam)
     k1 = law.rhs(x)
     assert _hex(k1) == _hex(rhs(x))
     # steps up to h = 5 overshoot the simplex, so the guard clips
@@ -167,7 +164,7 @@ def test_generated_law_equals_the_loops(case, data, lam):
 def test_generated_step_clips_like_the_loop(rule_name):
     game, rule = _case(4, rule_name)
     law = _Law(game, rule, 5.0)
-    rhs = loop_rhs(law, 5.0)
+    rhs = loop_rhs(game, rule, 5.0)
     # -0.0 stays -0.0 through the stages; the guard writes 0.0
     x = [0.997, 0.001, 0.002, -0.0]
     k1 = law.rhs(x)
@@ -197,7 +194,7 @@ def test_twelve_action_law_builds_fast_and_once_per_shape():
         assert _hex(law.cum_rates(counts)) == _hex(accumulate(loop_rates(law, 1000, 1.0)(counts)))
         x = [c / 1000 for c in counts]
         k1 = law.rhs(x)
-        assert _hex(law.step(x, 0.05, k1)[0]) == _hex(loop_step(loop_rhs(law, 1.0))(x, 0.05, k1)[0])
+        assert _hex(law.step(x, 0.05, k1)[0]) == _hex(loop_step(loop_rhs(game, rule, 1.0))(x, 0.05, k1)[0])
         _Law(other, other_rule, 2.0, 500)
         assert _compile.cache_info().misses == 1
 
@@ -227,20 +224,19 @@ class _NumpyArctan(ImitationRule):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_pairs_without_a_generated_law_raise(m):
-    poly = example4_game() if m == 2 else _case(3, "arctan")[0]
-    wrapped = Game(m=m, rewards=lambda x: poly.rewards(x), potential=poly.potential)
+    game = example4_game() if m == 2 else _case(3, "arctan")[0]
+    rule = _NumpyArctan()
     x0 = np.full(m, 1.0 / m)
     cfg = SimConfig(horizon=2.0, seed=0)
     y0 = Configuration(np.arange(60) % m, m=m)
-    for game, rule in ((wrapped, arctan_rule(1.0)), (poly, _NumpyArctan())):
-        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
-            integrate(game, rule, x0, T=2.0, dt=0.05)
-        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
-            find_limit(game, rule, x0, max_T=5.0)
-        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
-            simulate_network(complete(60), game, rule, y0, cfg)
-        with pytest.raises(ValueError, match="compiled law requires a congestion game"):
-            simulate_complete(game, rule, PopulationType(np.full(m, 20)), cfg)
+    with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
+        integrate(game, rule, x0, T=2.0, dt=0.05)
+    with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
+        find_limit(game, rule, x0, max_T=5.0)
+    with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
+        simulate_network(complete(60), game, rule, y0, cfg)
+    with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
+        simulate_complete(game, rule, PopulationType(np.full(m, 20)), cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -273,44 +269,3 @@ def test_replicator_clamping_is_logged(caplog, rule_name, logged):
         law = _Law(game, rule, 1.0, 50)
         law.rhs([0.2, 0.3, 0.5])
     assert ("replicator rule clamped rewards" in caplog.text) == logged
-
-
-coefficient = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
-
-
-@given(st.integers(2, 9), st.data(), st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_compiled_potential_equals_reference(m, data, plain):
-    # mixed degrees, so the shorter polynomials are zero-padded
-    polys = data.draw(st.lists(st.lists(coefficient, min_size=1, max_size=5), min_size=m, max_size=m))
-    poly = make_congestion_game(polys)
-    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
-    if w.sum() == 0.0:
-        w[0] = 1.0
-    # up to 1e-12 off the simplex, as the finders' trial points may be
-    off = np.array(data.draw(st.lists(st.floats(-1e-12, 1e-12), min_size=m, max_size=m)))
-    x = w / w.sum() + off
-    if plain:  # plain callables: no compiled potential, the reference path
-        game = Game(
-            m=m,
-            rewards=poly.rewards,
-            potential=lambda x: poly.potential(x),
-            potential_gradient=lambda x: poly.potential_gradient(x),
-        )
-        assert compiled_potential(game) is None
-        phi = reference_pair(game)[0]
-    else:
-        game = poly
-        phi = compiled_potential(game)
-    # float.hex also tells -0.0 from 0.0
-    assert phi(x.tolist()).hex() == float(game.potential(x)).hex()
-
-
-def test_compiled_potential_keeps_numpys_signed_zeros():
-    # action 0's reward is the zero polynomial -0.0, so its potential
-    # (0.0, -0.0, 0.0) is all zero and its Horner form is kept whole; phi
-    # must still end on numpy's bits
-    game = make_congestion_game([[-0.0], [1.0, -1.0]])
-    phi = compiled_potential(game)
-    x = np.array([0.25, 0.75])
-    assert phi(x.tolist()).hex() == float(game.potential(x)).hex()

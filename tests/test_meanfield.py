@@ -182,7 +182,7 @@ class _LoopLaw:
     replaced."""
 
     def __init__(self, game, rule, lam):
-        self.rhs = loop_rhs(_Law(game, rule, lam), lam)
+        self.rhs = loop_rhs(game, rule, lam)
         self.step = loop_step(self.rhs)
 
 

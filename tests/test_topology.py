@@ -93,7 +93,6 @@ class TestComplete:
         g = complete(5)
         assert g.is_complete
         assert g.n == 5
-        assert g.self_loops
         assert g.degree(2) == 5
         assert g.neighbor_list(3).tolist() == [0, 1, 2, 3, 4]
 
