@@ -24,7 +24,7 @@ flow reject such a pair before they draw.
 
 _Law's rhs (the flow's right-hand side), step (one RK4 step with the
 clip-and-renormalise guard) and, at m >= 3, cum_rates (the running sums of
-the jump rates that the complete engine bisects) and probs are
+the jump rates that jump_path bisects for the complete engine) and probs are
 straight-line Python that _compile generates and execs once per m and law
 shape: one flat statement per Horner coefficient, copy probability and
 (i, j) term, with names built from indices and every coefficient passed in
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -238,7 +239,8 @@ class _Law:
     - with n given, probs(counts), F at counts / n, and `pairs`, the
       off-diagonal (i, j) row-major; at m >= 3 also cum_rates(counts), the
       running sums of the jump rates n lam x_i x_j f_ij over `pairs`, and
-      at m = 2 walk, the complete loop's jump-rate tables.
+      jump_path, which walks the complete loop's jumps over them, and at
+      m = 2 walk, the complete loop's jump-rate tables.
 
     All of them are the straight-line code that _compile generates for m
     and the law's shape, except at m = 2 probs and walk, which read the
@@ -270,6 +272,9 @@ class _Law:
         self.rhs, self.step, *counts = factory(lam, **consts)
         if n is not None and m > 2:
             self.cum_rates, self.probs = counts
+            i, j = np.array(self.pairs).T
+            eye = np.eye(m, dtype=np.int64)
+            self._moves = eye[j] - eye[i]  # row p adds e_j - e_i, for pairs[p] = (i, j)
 
     @functools.cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +293,33 @@ class _Law:
         tot = up + base * f01
         pup = np.divide(up, tot, out=np.zeros(n + 1), where=tot > 0.0)
         return pup.tolist(), tot.tolist(), -tot
+
+    def jump_path(self, counts: list, directions: list) -> tuple[np.ndarray, np.ndarray, float]:
+        """m >= 3: the jump chain from `counts`, one jump per direction
+        uniform d, to the pair at which the cumulative rates first exceed d
+        times their total, stopping at a state that nothing leaves.  Returns
+        (path, -rates, rate): the counts before the first jump and after
+        each as rows, the negated total rate before each jump and the total
+        rate out of the last state, which `counts` is left at."""
+        cum_rates, pairs = self.cum_rates, self.pairs
+        start = counts.copy()
+        cum = cum_rates(counts)
+        total = cum[-1]
+        moved, neg = [], []
+        for d in directions:
+            # total is the last cumulative rate, so d * total < total picks
+            # a pair whose rate is positive
+            p = bisect_right(cum, d * total)
+            moved.append(p)
+            neg.append(-total)
+            i, j = pairs[p]
+            counts[i] -= 1
+            counts[j] += 1
+            cum = cum_rates(counts)
+            total = cum[-1]
+            if total <= 0.0:
+                break  # absorbed, or a state that nothing leaves
+        return np.cumsum(np.vstack([start, self._moves[moved]]), axis=0), np.array(neg), total
 
     @functools.cached_property
     def probs(self):

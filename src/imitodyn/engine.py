@@ -3,23 +3,24 @@
 Two engines share one law on the complete graph: simulate_complete runs the
 population-type jump chain (rates n lambda x_i x_j f_ij), simulate_network
 runs per-node activation, contact, and copy on an arbitrary graph.  The
-complete-graph loops draw from random.Random(seed), one inverse-CDF
-exponential waiting time and one uniform per jump; the m = 2 loop reads
-that stream in numpy blocks (_uniforms) and walks each block in one Python
-pass.  The network loop draws numpy blocks from PCG64(seed), ziggurat
-exponentials included, and handles each block's activations in one Python
-pass.  Every run is reproducible bit for bit.
+complete-graph loop draws from random.Random(seed), one inverse-CDF
+exponential waiting time and one uniform per jump, at every m: it reads that
+stream in numpy blocks (_uniforms), walks each block's states in one Python
+pass and closes the block's times, horizon and recording with numpy.  The
+network loop draws numpy blocks from PCG64(seed), ziggurat exponentials
+included, and handles each block's activations in one Python pass.  Every
+run is reproducible bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law) of
 its (game, rule) pair, which rejects any pair it has no law for before a
-loop draws: the m >= 3 complete loop bisects the law's generated
-cumulative rates (cum_rates), the m = 2 loop walks its rate tables (walk)
-and the network loop reads its probs.  The runs of one spec share one law
+loop draws: at m = 2 the complete loop walks the law's rate tables (walk),
+at m >= 3 the law walks its generated cumulative rates (jump_path), and the
+network loop reads its probs.  The runs of one spec share one law
 (_shared_law).  This module holds the loops and the rate matrix
 (_rate_matrix) that potential_drift_rates splits and the tests check the
-compiled law against.  Every loop records its path through one _Recorder,
-which holds at most _CHUNK rows in Python lists; the m = 2 loop hands it
-numpy slices instead.
+compiled law against.  Every loop records its path through one _Recorder:
+the complete loop hands it each block's jumps as numpy arrays, the network
+loop appends rows to Python lists of at most _CHUNK rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import os
 import pickle
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -57,10 +57,11 @@ __all__ = [
 
 # Beyond this many recorded jumps a run switches to stride recording.
 EVENT_RECORD_CAP = 10_000_000
-# Rows a loop keeps in Python lists before moving them into numpy blocks.
+# Rows a recorder keeps in Python lists or one buffer before moving them
+# into numpy blocks.
 _CHUNK = 16_384
 # The network loop draws for 32, 64, ... activations at a time, up to this
-# many, and the m = 2 complete loop for at most this many jumps: larger
+# many, and the complete loop for at most this many jumps: larger
 # blocks raised peak memory and ran no faster.  The network loop's block
 # sizes are part of its random stream, so this does not follow _CHUNK,
 # which tests lower to exercise the recorder alone.
@@ -168,7 +169,10 @@ def _meta(engine: str, game: Game, rule: ImitationRule, cfg: SimConfig, n: int, 
 class _Recorder:
     """The recorded rows of one path, in bounded memory.
 
-    A loop appends to `times` and `rows` through bound `append` methods and
+    The complete loop hands over each draw block's jumps as numpy arrays
+    through `jumps`, which applies the every-jump -> stride cap rule and
+    copies the rows into numpy buffers of at most _CHUNK rows.  The network
+    loop appends to `times` and `rows` through bound `append` methods and
     calls `check(events, t)` once its event count reaches the threshold that
     `check` last returned (`start` before the first call).  `check` moves a
     full chunk of _CHUNK rows into numpy blocks, clearing the lists in place
@@ -176,10 +180,7 @@ class _Recorder:
     an every-jump path to stride recording: from then on it returns 0, so
     the loop calls it at every recorded row.  The network loop writes its
     stride rows through `stride_rows`, which does the same for a run of
-    rows.  The m = 2 complete loop hands over each draw block's jumps as
-    numpy arrays through `jumps`, which applies the same rules and copies
-    the rows into numpy buffers of at most _CHUNK rows.  Each row is a
-    count vector, or the count of action 0 when m = 2.
+    rows.  Each row is a count vector, or the count of action 0 when m = 2.
     """
 
     def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
@@ -202,8 +203,8 @@ class _Recorder:
         return min(self._cap, room) if self.every_jump else 0
 
     def jumps(self, times: np.ndarray, rows: np.ndarray, events: int) -> None:
-        """Record jumps events + 1, events + 2, ... at `times`, to the m = 2
-        `rows`, as appending each and calling check would: every jump up to
+        """Record jumps events + 1, events + 2, ... at `times`, to `rows`, as
+        appending each and calling check would: every jump up to
         event EVENT_RECORD_CAP, then the first jump at or after the last
         recorded one's time plus the stride."""
         if not times.size:
@@ -236,7 +237,7 @@ class _Recorder:
             if self._fill == tb.size:
                 self._flush()
                 self._buf_rows = min(self._chunk, 2 * self._buf_rows)
-                tb, rb = self._buf = np.empty(self._buf_rows), np.empty(self._buf_rows, dtype=np.int64)
+                tb, rb = self._buf = np.empty(self._buf_rows), np.empty((self._buf_rows, *rows.shape[1:]), np.int64)
             take = min(times.size - done, tb.size - self._fill)
             end = self._fill + take
             tb[self._fill : end] = times[done : done + take]
@@ -335,58 +336,63 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
     the horizon so the trajectory covers [0, horizon].
 
     Each jump takes two values of random.Random(cfg.seed).random(): its
-    waiting time -log(1 - u) / rate, then its direction.  At m = 2 the
-    values come in blocks, 2 * size of them from one getrandbits call; a
-    Python pass walks the count over the block's directions, and the block's
-    times are math.log mapped over 1 - u, divided by the rates and summed
-    from the carried time by one np.add.accumulate, equal bit for bit to
-    one jump at a time.  The block sizes do not change the stream.
+    waiting time -log(1 - u) / rate, then its direction.  The values come in
+    blocks, 2 * size of them from one getrandbits call.  A Python pass walks
+    the state over the block's directions: at m = 2 the count of action 0
+    through the law's rate tables (walk), at m >= 3 the count vector through
+    its cumulative rates (jump_path).  The block's times are math.log mapped
+    over 1 - u, divided by the negated rates and summed from the carried
+    time by one np.add.accumulate, equal bit for bit to one jump at a time.
+    The jumps before the horizon go to the recorder in one call, and a block
+    either is used up or ends the run, so the block sizes do not change the
+    stream.
     """
     if x0.m != game.m:
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
-    meta = _meta("complete", game, rule, cfg, x0.n, f"complete(n={x0.n})")
-    if x0.is_pure():
-        return _Recorder(x0.counts, cfg).close(x0.counts, x0.n, 0.0, 0, meta)
-    if game.m == 2:
-        return _simulate_complete_2action(game, rule, x0, cfg, meta)
-    return _simulate_complete_generic(game, rule, x0, cfg, meta)
-
-
-def _simulate_complete_2action(
-    game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig, meta: dict
-) -> Trajectory:
     n = x0.n
-    pup, tot, neg_tot = _shared_law(game, rule, cfg.lam, n).walk
+    meta = _meta("complete", game, rule, cfg, n, f"complete(n={n})")
+    if x0.is_pure():
+        return _Recorder(x0.counts, cfg).close(x0.counts, n, 0.0, 0, meta)
+    law = _shared_law(game, rule, cfg.lam, n)
+    if game.m == 2:
+        pup, tot, neg_tot = law.walk
+        k = int(x0.counts[0])
+        path, rate = np.array([k]), tot[k]
+    else:
+        counts = x0.counts.tolist()
+        path, rate = x0.counts[None], law.cum_rates(counts)[-1]
 
     rng = random.Random(cfg.seed)
     log = math.log
     horizon = cfg.horizon
     t = 0.0
-    k = int(x0.counts[0])
-    rec = _Recorder(k, cfg)
-    events = 0
-    absorbed_at: float | None = None
+    rec = _Recorder(path[0], cfg)
+    events = jumps = stop = 0
 
-    while tot[k] > 0.0:
+    while rate > 0.0:
         # Four fifths of the jumps expected before the horizon at this
         # state's rate, plus a margin: walking past the horizon costs more
         # than one more block.
-        left = (horizon - t) * tot[k]
+        left = (horizon - t) * rate
         size = int(min(_DRAW_CAP, 0.8 * left + math.sqrt(left) + 8.0))
         draws = _uniforms(rng, 2 * size)  # (time, direction) for each jump
         np.subtract(1.0, draws[0::2], out=draws[0::2])
         u = draws.tolist()
-        path = [k]
-        step = path.append
-        for d in u[1::2]:
-            k = k + 1 if d < pup[k] else k - 1
-            step(k)
-            if tot[k] <= 0.0:
-                break  # absorbed, or a state that nothing leaves
-        path = np.fromiter(path, np.int64, len(path))
-        jumps = path.size - 1
+        if game.m == 2:
+            path = [k]
+            step = path.append
+            for d in u[1::2]:
+                k = k + 1 if d < pup[k] else k - 1
+                step(k)
+                if tot[k] <= 0.0:
+                    break  # absorbed, or a state that nothing leaves
+            path = np.fromiter(path, np.int64, len(path))
+            neg_rates, rate = neg_tot[path[:-1]], tot[k]
+        else:
+            path, neg_rates, rate = law.jump_path(counts, u[1::2])
+        jumps = path.shape[0] - 1
         times = np.fromiter(map(log, u[0 : 2 * jumps : 2]), float, jumps)
-        times /= neg_tot[path[:-1]]
+        times /= neg_rates
         times[0] += t
         np.add.accumulate(times, out=times)
         # the jumps before the horizon
@@ -394,13 +400,13 @@ def _simulate_complete_2action(
         rec.jumps(times[:stop], path[1 : stop + 1], events)
         events += stop
         if stop < jumps:
-            k = int(path[stop])
             break
         t = float(times[-1])
-        if k == 0 or k == n:
-            absorbed_at = t
 
-    return rec.close(k, n, absorbed_at, events, meta)
+    final = path[stop]
+    # nothing leaves the last state of an uncut block: absorbed at a vertex, or stalled
+    absorbed = stop == jumps and (final in (0, n) if game.m == 2 else final.max() == n)
+    return rec.close(final, n, t if absorbed else None, events, meta)
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
@@ -424,57 +430,6 @@ def _shared_law(game: Game, rule: ImitationRule, lam: float, n: int) -> _Law:
     law = _Law(game, rule, lam, n)
     _LAW_MEMO[0] = (game, rule, lam, n, law)
     return law
-
-
-def _simulate_complete_generic(
-    game: Game, rule: ImitationRule, x0: PopulationType, cfg: SimConfig, meta: dict
-) -> Trajectory:
-    n = x0.n
-    law = _shared_law(game, rule, cfg.lam, n)
-    cum_rates = law.cum_rates
-    pairs = law.pairs
-    rng = random.Random(cfg.seed)
-    rr = rng.random
-    log = math.log
-    horizon = cfg.horizon
-    stride = cfg.record_stride
-    counts = x0.counts.tolist()
-    t = 0.0
-    rec = _Recorder(counts.copy(), cfg)
-    append_t, append_c, check = rec.times.append, rec.rows.append, rec.check
-    next_check = rec.start
-    events = 0
-    absorbed_at: float | None = None
-    next_rec = 0.0
-
-    while True:
-        cum = cum_rates(counts)
-        total = cum[-1]
-        if total <= 0.0:
-            break
-        t_next = t - log(1.0 - rr()) / total
-        if t_next >= horizon:
-            t = horizon
-            break
-        t = t_next
-        # total is the last cumulative rate, so rr() * total < total picks a
-        # pair whose rate is positive
-        i, j = pairs[bisect_right(cum, rr() * total)]
-        counts[i] -= 1
-        counts[j] += 1
-        events += 1
-        if t >= next_rec:
-            append_t(t)
-            append_c(counts.copy())
-            if events >= next_check:
-                next_check = check(events, t)
-                if not rec.every_jump:
-                    next_rec = t + stride
-        if counts[j] == n:
-            absorbed_at = t
-            break
-
-    return rec.close(counts, n, absorbed_at, events, meta)
 
 
 def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configuration, cfg: SimConfig) -> Trajectory:

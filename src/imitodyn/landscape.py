@@ -182,8 +182,9 @@ class _Path:
     are computed once per state, the distances once per (center, norm).
 
     The states are the path's distinct count rows, found by sorting one
-    integer key per row (the first m - 1 counts in base n + 1) or, when
-    the key does not fit in int64, the rows themselves."""
+    integer key per row (the first m - 1 counts in base n + 1) and decoding
+    the distinct keys, or, when the key does not fit in int64, by sorting
+    the rows themselves."""
 
     def __init__(self, traj: Trajectory) -> None:
         self.times = traj.times
@@ -193,8 +194,12 @@ class _Path:
             key = counts[:, 0]
             for a in range(1, m - 1):
                 key = key * (n + 1) + counts[:, a]
-            _, first, self.index = np.unique(key, return_index=True, return_inverse=True)
-            states = counts[first]
+            key, self.index = np.unique(key, return_inverse=True)
+            states = np.empty((key.size, m), dtype=np.int64)
+            for a in range(m - 2, 0, -1):
+                key, states[:, a] = np.divmod(key, n + 1)
+            states[:, 0] = key
+            states[:, -1] = n - states[:, :-1].sum(axis=1)
         else:
             states, index = np.unique(counts, axis=0, return_inverse=True)
             self.index = index.reshape(-1)
@@ -255,17 +260,22 @@ def exit_time(
     never enters, or never exits before the record ends (censored)."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    path = _path(traj)
-    d = path.distances(np.asarray(center, dtype=float), norm)
+    return _dwell(_path(traj), np.asarray(center, dtype=float), delta, norm)[1]
+
+
+def _dwell(path: _Path, center: np.ndarray, delta: float, norm: str) -> tuple[bool, float | None]:
+    """(entered, dwell): whether the path enters the delta/2-ball, and
+    exit_time's dwell."""
+    d = path.distances(center, norm)
     inside = (d < 0.5 * delta)[path.index]
     start = int(inside.argmax())
     if not inside[start]:
-        return None
+        return False, None
     outside = (d >= delta)[path.index[start:]]
     stop = int(outside.argmax())
     if not outside[stop]:
-        return None
-    return float(path.times[start + stop] - path.times[start])
+        return True, None
+    return True, float(path.times[start + stop] - path.times[start])
 
 
 def metastability_report(
@@ -291,6 +301,8 @@ def metastability_report(
     ess_points = [cp for cp in critical_points if cp.is_ess]
     ess_targets = [cp.x for cp in ess_points]
     interior_points = [cp for cp in critical_points if not cp.on_boundary]
+    # (point, critical point, delta) of each dwell, in each run's exit_times order
+    exit_cases = [(idx, cp, dlt) for idx, cp in enumerate(interior_points) for dlt in deltas]
     fixed_centers = [cp.x for cp in critical_points]
     m = game.m
     for i in range(m):
@@ -320,22 +332,11 @@ def metastability_report(
             for g in gammas
         }
         exits = []
-        for idx, cp in enumerate(interior_points):
-            for dlt in deltas:
-                dwell = exit_time(path, cp.x, dlt, norm=exit_norm)
-                # a path that never left entered iff it visits a state
-                # within delta/2
-                near = path.distances(cp.x, exit_norm) < 0.5 * dlt
-                entered = dwell is not None or bool(near[path.index].any())
-                exits.append(
-                    {
-                        "point": idx,
-                        "center": [float(v) for v in cp.x],
-                        "delta": dlt,
-                        "entered": entered,
-                        "dwell": dwell,
-                    }
-                )
+        for idx, cp, dlt in exit_cases:
+            entered, dwell = _dwell(path, cp.x, dlt, exit_norm)
+            exits.append(
+                {"point": idx, "center": [float(v) for v in cp.x], "delta": dlt, "entered": entered, "dwell": dwell}
+            )
         entry["exit_times"] = exits
 
         # drift checks on every stride-th row whose state lies farther than
@@ -384,25 +385,22 @@ def metastability_report(
         "observed_min_drift_ratio": min_ratio,
     }
     exit_agg = []
-    for idx, cp in enumerate(interior_points):
-        for dlt in deltas:
-            rows = [
-                next(v for v in e["exit_times"] if v["point"] == idx and v["delta"] == dlt) for e in per_run
-            ]
-            # a censored dwell lasts past the record: +inf in the median
-            dwells = [np.inf if v["dwell"] is None else v["dwell"] for v in rows if v["entered"]]
-            censored = dwells.count(np.inf)
-            exit_agg.append(
-                {
-                    "point": idx,
-                    "center": [float(v) for v in cp.x],
-                    "kind": cp.kind,
-                    "delta": dlt,
-                    "median_dwell": _median(dwells) if 2 * censored < len(dwells) else None,
-                    "censored_fraction": (censored / len(per_run)) if per_run else None,
-                    "never_entered_fraction": ((len(per_run) - len(dwells)) / len(per_run)) if per_run else None,
-                }
-            )
+    for q, (idx, cp, dlt) in enumerate(exit_cases):
+        rows = [e["exit_times"][q] for e in per_run]
+        # a censored dwell lasts past the record: +inf in the median
+        dwells = [np.inf if v["dwell"] is None else v["dwell"] for v in rows if v["entered"]]
+        censored = dwells.count(np.inf)
+        exit_agg.append(
+            {
+                "point": idx,
+                "center": [float(v) for v in cp.x],
+                "kind": cp.kind,
+                "delta": dlt,
+                "median_dwell": _median(dwells) if 2 * censored < len(dwells) else None,
+                "censored_fraction": (censored / len(per_run)) if per_run else None,
+                "never_entered_fraction": ((len(per_run) - len(dwells)) / len(per_run)) if per_run else None,
+            }
+        )
     aggregates["exit_times"] = exit_agg
 
     caught: list[str] = []

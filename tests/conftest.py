@@ -15,9 +15,10 @@ definition, so empirical results can be checked against exact numbers.
 loop_rhs, loop_rates and loop_step are the loops that the law's generated
 straight-line code replaced, kept as its bit-for-bit reference.
 
-loop_complete_2action is the m = 2 complete-graph engine as a scalar loop,
-two random() calls and one log per jump, which the block-drawn engine
-replaced; it is that engine's bit-for-bit reference.
+loop_complete_2action and loop_complete_generic are the complete-graph
+engine as scalar loops at m = 2 and at m >= 3, two random() calls and one
+log per jump, which the one block-drawn loop replaced; they are its
+bit-for-bit references.
 
 loop_write_trajectory_csv is the trajectory CSV writer that joined one
 repr string per cell, which the block writer (output._reprs and its byte
@@ -40,6 +41,7 @@ import itertools
 import math
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,7 +63,7 @@ from imitodyn import (
     example4_game,
     potential_drift_rates,
 )
-from imitodyn._law import pair_tables
+from imitodyn._law import _Law, pair_tables
 from imitodyn.engine import _CHUNK, _rate_matrix, _Recorder
 from imitodyn.landscape import _DRIFT_MARGIN, _DRIFT_SAMPLES
 from imitodyn.rules import ArctanRule
@@ -357,6 +359,58 @@ def loop_complete_2action(game, rule, x0, cfg, meta):
             break
 
     return rec.close(k, n, absorbed_at, events, meta)
+
+
+def loop_complete_generic(game, rule, x0, cfg, meta):
+    """The complete-graph jump chain at m >= 3, one jump per iteration: the
+    cumulative rates of the law's cum_rates, bisected at random() times
+    their total."""
+    n = x0.n
+    law = _Law(game, rule, cfg.lam, n)
+    cum_rates = law.cum_rates
+    pairs = law.pairs
+    rng = random.Random(cfg.seed)
+    rr = rng.random
+    log = math.log
+    horizon = cfg.horizon
+    stride = cfg.record_stride
+    counts = x0.counts.tolist()
+    t = 0.0
+    rec = _Recorder(counts.copy(), cfg)
+    append_t, append_c, check = rec.times.append, rec.rows.append, rec.check
+    next_check = rec.start
+    events = 0
+    absorbed_at: float | None = None
+    next_rec = 0.0
+
+    while True:
+        cum = cum_rates(counts)
+        total = cum[-1]
+        if total <= 0.0:
+            break
+        t_next = t - log(1.0 - rr()) / total
+        if t_next >= horizon:
+            t = horizon
+            break
+        t = t_next
+        # total is the last cumulative rate, so rr() * total < total picks a
+        # pair whose rate is positive
+        i, j = pairs[bisect_right(cum, rr() * total)]
+        counts[i] -= 1
+        counts[j] += 1
+        events += 1
+        if t >= next_rec:
+            append_t(t)
+            append_c(counts.copy())
+            if events >= next_check:
+                next_check = check(events, t)
+                if not rec.every_jump:
+                    next_rec = t + stride
+        if counts[j] == n:
+            absorbed_at = t
+            break
+
+    return rec.close(counts, n, absorbed_at, events, meta)
 
 
 def loop_write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray, n: int | None = None) -> None:

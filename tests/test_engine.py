@@ -38,6 +38,7 @@ from conftest import (
     exact_hit_probability,
     exact_mean_absorption_time,
     loop_complete_2action,
+    loop_complete_generic,
     transition_rates,
 )
 
@@ -453,6 +454,71 @@ class TestCompleteDrawStream:
         assert ("stride" in ends) == switches
 
 
+class TestCompleteDrawStreamManyActions:
+    """At m >= 3 the complete engine walks the same draw blocks, one
+    bisection of the law's cumulative rates per jump (_Law.jump_path).  Its
+    paths must equal, bit for bit, those of the scalar loop that calls
+    random() twice per jump (loop_complete_generic), whatever the block
+    sizes."""
+
+    SEEDS = (0, 7, 2**32 - 1, 2**63 + 5)
+
+    @staticmethod
+    def _specs():
+        g3 = make_congestion_game([[1.0, -1.0], [0.5, -2.0, 1.0], [0.25, -0.5]])
+        g4 = make_congestion_game([[1.0, -1.0], [0.5, -2.0, 1.0], [0.25, -0.5], [0.75, -1.5, 0.5]])
+        # per-pair sensitivities with K_ij != K_ji, so the pair order counts
+        K = [[1.0 + i + 0.5 * j for j in range(4)] for i in range(4)]
+        # r_0 = r_1 = r_2 = r_lo = 9 at x_0 = 3/4, so every copy probability
+        # is 0 there; from x_0 = 1/2 only copies of action 0 happen (r_0 > 9
+        # below 3/4), so a run stalls at x_0 = 3/4 unless the horizon comes
+        stall = make_congestion_game([[12.0, -28.0, 80.0, -64.0], [9.0], [9.0]])
+        return [
+            ("replicator3", g3, replicator_rule(*reward_bounds(g3), 0.01), [0.5, 0.3, 0.2]),
+            ("arctan3", g3, arctan_rule(np.array(K)[:3, :3]), [0.5, 0.3, 0.2]),
+            ("replicator4", g4, replicator_rule(*reward_bounds(g4), 0.01), [0.4, 0.3, 0.2, 0.1]),
+            ("arctan4", g4, arctan_rule(K), [0.4, 0.3, 0.2, 0.1]),
+            ("stall", stall, replicator_rule(9.0, 12.0, 0.0), [0.5, 0.25, 0.25]),
+        ]
+
+    @pytest.mark.parametrize(
+        "cap, draw_cap, switches",
+        [(engine_mod.EVENT_RECORD_CAP, None, False), (40, None, True), (engine_mod.EVENT_RECORD_CAP, 37, False)],
+    )
+    def test_paths_equal_scalar_reference(self, monkeypatch, cap, draw_cap, switches):
+        monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", cap)
+        if draw_cap is not None:
+            monkeypatch.setattr(engine_mod, "_DRAW_CAP", draw_cap)
+        # (n, horizon): small n absorb within the horizon, large n end at it
+        sizes = [(4, 50.0), (8, 50.0), (40, 30.0), (400, 4.3)]
+        ends = set()
+        for (name, game, rule, x), (n, horizon), seed, stop in itertools.product(
+            self._specs(), sizes, self.SEEDS, [True, False]
+        ):
+            x0 = PopulationType.from_fractions(n, x)
+            cfg = SimConfig(horizon=horizon, seed=seed, record_stride=0.1, stop_on_absorption=stop)
+            got = simulate_complete(game, rule, x0, cfg)
+            meta = engine_mod._meta("complete", game, rule, cfg, n, f"complete(n={n})")
+            want = loop_complete_generic(game, rule, x0, cfg, meta)
+            case = (name, n, seed, stop)
+            assert np.array_equal(got.times, want.times), case
+            assert np.array_equal(got.counts, want.counts), case
+            assert (got.event_count, got.absorbed_at, got.absorbing_action) == (
+                want.event_count, want.absorbed_at, want.absorbing_action
+            ), case
+            assert got.meta == want.meta, case
+            if got.absorbed_at is not None:
+                ends.add("absorbed")
+            elif name == "stall" and got.counts[-1, 0] == 3 * n // 4:
+                ends.add("stalled")
+            else:
+                ends.add("horizon")
+            if "stride_from" in got.meta:
+                ends.add("stride")
+        assert ends >= {"absorbed", "stalled", "horizon"}
+        assert ("stride" in ends) == switches
+
+
 class TestNetworkAgainstNodeGenerator:
     """The per-node engine on non-regular graphs against the exact
     node-level chain.  Node u activates at rate lambda, contacts a uniform v
@@ -827,17 +893,20 @@ class TestRecorder:
     def test_chunking_leaves_every_path_unchanged(self, game4, arctan1, monkeypatch, cap):
         monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", cap)
         whole = self._runs(game4, arctan1)
-        longest = []
+        listed, put = [], []
 
         class Spy(engine_mod._Recorder):
             def _flush(self):
-                longest.append(len(self.times))  # rows leave the lists only here
+                # rows leave the lists and _put's buffers only here
+                listed.append(len(self.times))
+                put.append(self._fill)
                 super()._flush()
 
         monkeypatch.setattr(engine_mod, "_Recorder", Spy)
         monkeypatch.setattr(engine_mod, "_CHUNK", 7)
         chunked = self._runs(game4, arctan1)
-        assert max(longest) <= 7
+        assert max(listed) <= 7 and max(put) <= 7
+        assert put.count(7) > 3  # the complete runs fill _put's buffers
         for a, b in zip(whole, chunked):
             assert len(a.times) > 3 * 7
             assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
