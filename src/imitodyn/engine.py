@@ -18,9 +18,9 @@ at m >= 3 the law walks its generated cumulative rates (jump_path), and the
 network loop reads its probs.  The runs of one spec share one law
 (_shared_law).  This module holds the loops and the rate matrix
 (_rate_matrix) that potential_drift_rates splits and the tests check the
-compiled law against.  Every loop records its path through one _Recorder:
-the complete loop hands it each block's jumps as numpy arrays, the network
-loop appends rows to Python lists of at most _CHUNK rows.
+compiled law against.  Every loop records its path through one _Recorder,
+and hands it each draw block's rows as numpy arrays: the complete loop its
+jumps, the network loop its grid and flip rows.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ __all__ = [
 
 # Beyond this many recorded jumps a run switches to stride recording.
 EVENT_RECORD_CAP = 10_000_000
-# Rows a recorder keeps in Python lists or one buffer before moving them
-# into numpy blocks.
+# Rows in one recorder buffer, and at most in one hand-over of the network
+# loop.
 _CHUNK = 16_384
 # The network loop draws for 32, 64, ... activations at a time, up to this
 # many, and the complete loop for at most this many jumps: larger
@@ -169,52 +169,47 @@ def _meta(engine: str, game: Game, rule: ImitationRule, cfg: SimConfig, n: int, 
 class _Recorder:
     """The recorded rows of one path, in bounded memory.
 
-    The complete loop hands over each draw block's jumps as numpy arrays
-    through `jumps`, which applies the every-jump -> stride cap rule and
-    copies the rows into numpy buffers of at most _CHUNK rows.  The network
-    loop appends to `times` and `rows` through bound `append` methods and
-    calls `check(events, t)` once its event count reaches the threshold that
-    `check` last returned (`start` before the first call).  `check` moves a
-    full chunk of _CHUNK rows into numpy blocks, clearing the lists in place
-    so the bound methods stay valid, and at event EVENT_RECORD_CAP switches
-    an every-jump path to stride recording: from then on it returns 0, so
-    the loop calls it at every recorded row.  The network loop writes its
-    stride rows through `stride_rows`, which does the same for a run of
-    rows.  Each row is a count vector, or the count of action 0 when m = 2.
+    Rows reach the recorder as numpy arrays through `_put`, which copies them
+    into numpy buffers of at most _CHUNK rows.  The complete loop hands over
+    each draw block's jumps through `jumps`, which applies the every-jump ->
+    stride cap rule on top of `_put`.  The network loop hands `_put` each
+    draw block's grid and flip rows, at most _CHUNK of them at a time, and
+    calls `switch` at its EVENT_RECORD_CAP-th flip.  Each row is a count
+    vector, or the count of action 0 when m = 2 on the complete graph.
     """
 
     def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
-        self.times = [0.0]
-        self.rows = [row0]
         self.cfg = cfg
         self.every_jump = every_jump
         self.stride_from: float | None = None
-        self._cap = EVENT_RECORD_CAP  # read per run: tests lower it
+        self.cap = EVENT_RECORD_CAP  # read per run: tests lower it
         self._chunk = _CHUNK
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._buf = _NO_ROWS  # rows from `jumps`
+        self._buf = _NO_ROWS
         self._fill = 0
         self._buf_rows = 128
         self._next_rec = 0.0
-        self.start = self._next_check(0)
+        self._put(np.zeros(1), np.array([row0], dtype=np.int64))
 
-    def _next_check(self, events: int) -> int:
-        room = events + self._chunk - len(self.times)
-        return min(self._cap, room) if self.every_jump else 0
+    def switch(self, events: int, t: float) -> None:
+        """Stop recording every jump after event `events`, at time t: the one
+        switch of the cap rule, for both loops."""
+        self.every_jump = False
+        self.stride_from = t
+        logger.info("seed %d: recorded every jump up to event %d, stride recording from t=%r", self.cfg.seed, events, t)
 
     def jumps(self, times: np.ndarray, rows: np.ndarray, events: int) -> None:
-        """Record jumps events + 1, events + 2, ... at `times`, to `rows`, as
-        appending each and calling check would: every jump up to
-        event EVENT_RECORD_CAP, then the first jump at or after the last
-        recorded one's time plus the stride."""
+        """Record jumps events + 1, events + 2, ... at `times`, to `rows`:
+        every jump up to event EVENT_RECORD_CAP, then the first jump at or
+        after the last recorded one's time plus the stride."""
         if not times.size:
             return
         if self.every_jump:
-            keep = min(times.size, max(self._cap - events, 1))
+            keep = min(times.size, max(self.cap - events, 1))
             self._put(times[:keep], rows[:keep])
-            if events + keep < self._cap:
+            if events + keep < self.cap:
                 return
-            self.check(events + keep, float(times[keep - 1]))
+            self.switch(events + keep, float(times[keep - 1]))
             self._next_rec = float(times[keep - 1]) + self.cfg.record_stride
             times, rows = times[keep:], rows[keep:]
         picked = []
@@ -226,11 +221,9 @@ class _Recorder:
         self._put(times[picked], rows[picked])
 
     def _put(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Copy numpy rows, after the listed ones, into buffers of 256, 512,
-        ... rows, up to _CHUNK; each full buffer becomes one block.  Short
-        runs allocate little, and no draw block's arrays outlive it."""
-        if self.times:
-            self._flush()
+        """Copy numpy rows into buffers of 256, 512, ... rows, up to _CHUNK;
+        each full buffer becomes one block.  Short runs allocate little, and
+        no draw block's arrays outlive it."""
         done = 0
         while done < times.size:
             tb, rb = self._buf
@@ -251,42 +244,6 @@ class _Recorder:
             self._blocks.append((tb[: self._fill], rb[: self._fill]))
             self._buf = _NO_ROWS
             self._fill = 0
-        if self.times:
-            self._blocks.append((np.array(self.times), np.array(self.rows, dtype=np.int64)))
-            self.times.clear()
-            self.rows.clear()
-
-    def check(self, events: int, t: float) -> int:
-        if len(self.times) >= self._chunk:
-            self._flush()
-        if self.every_jump and events >= self._cap:
-            self.every_jump = False
-            self.stride_from = t
-            logger.info(
-                "seed %d: recorded every jump up to event %d, stride recording from t=%r", self.cfg.seed, events, t
-            )
-        return self._next_check(events)
-
-    def stride_rows(self, s: float, until: float, row: list, events: int) -> tuple[float, int]:
-        """Append a copy of `row` at each stride time s, s + stride, ... up to
-        `until` and before the horizon, as if check(events, time) followed
-        each; return the next stride time and check's threshold.  Only the
-        first row can switch to stride recording, as `events` is fixed, so
-        the rows after it need only the chunk test."""
-        stride, horizon, chunk = self.cfg.record_stride, self.cfg.horizon, self._chunk
-        times, rows = self.times, self.rows
-        if s <= until and s < horizon:
-            times.append(s)
-            rows.append(row.copy())
-            self.check(events, s)
-            s += stride
-            while s <= until and s < horizon:
-                times.append(s)
-                rows.append(row.copy())
-                if len(times) >= chunk:
-                    self._flush()
-                s += stride
-        return s, self._next_check(events)
 
     def close(self, final, n: int, absorbed_at: float | None, events: int, meta: dict) -> Trajectory:
         """The Trajectory of a path whose current state is `final`.
@@ -295,18 +252,18 @@ class _Recorder:
         or one that continues after absorption, ends with a row at the
         horizon.
         """
-        self._flush()
-        last_times, last_rows = self._blocks[-1]
-        t_end = last_times[-1]
-        if absorbed_at is not None and (t_end != absorbed_at or (last_rows[-1] != final).any()):
-            self.times.append(absorbed_at)
-            self.rows.append(final)
+        tb, rb = self._buf  # _put leaves the last row in the buffer
+        t_end, last = tb[self._fill - 1], rb[self._fill - 1]
+        times = []
+        if absorbed_at is not None and (t_end != absorbed_at or (last != final).any()):
+            times.append(absorbed_at)
             t_end = absorbed_at
         if (absorbed_at is None or not self.cfg.stop_on_absorption) and t_end < self.cfg.horizon:
-            self.times.append(self.cfg.horizon)
-            self.rows.append(final)
+            times.append(self.cfg.horizon)
+        if times:
+            self._put(np.array(times), np.array([final] * len(times), dtype=np.int64))
         self._flush()
-        times = np.concatenate([b[0] for b in self._blocks]) if len(self._blocks) > 1 else self._blocks[0][0]
+        times = np.concatenate([b[0] for b in self._blocks])
         rows = [b[1] for b in self._blocks]
         self._blocks.clear()
         if rows[0].ndim == 1:
@@ -314,7 +271,7 @@ class _Recorder:
             np.concatenate(rows, out=counts[:, 0])
             np.subtract(n, counts[:, 0], out=counts[:, 1])
         else:
-            counts = np.concatenate(rows) if len(rows) > 1 else rows[0]
+            counts = np.concatenate(rows)
         if self.stride_from is not None:
             meta["stride_from"] = self.stride_from
         return Trajectory(
@@ -451,9 +408,11 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     so the block sizes are part of the stream.  The clock is one sequential
     sum carried from block to block, equal bit for bit to t += e / (n *
     lambda) per activation.  Python then visits each activation of the
-    block once and acts only on copies.  A stride row at s holds the state
-    left by the activations before s; it is written before the first copy
-    at or after s or at the end of the run.
+    block once and acts only on copies.  A grid row at s = stride, 2 stride,
+    ... holds the state left by the activations before s: the first copy at
+    or after s adds it before its own row, and the end of the run adds the
+    rest.  A block's rows go to the recorder as arrays at its end, or once
+    _CHUNK of them have gathered.
     """
     if y0.n != graph.n:
         raise ValueError(f"configuration has {y0.n} nodes, graph has {graph.n}")
@@ -479,10 +438,19 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     total_rate = n * cfg.lam
 
     t = 0.0
-    rec = _Recorder(counts.copy(), cfg, every_jump=record_jumps)
-    append_t, append_c, check, stride_rows = rec.times.append, rec.rows.append, rec.check, rec.stride_rows
-    next_check = rec.start
-    next_rec = cfg.record_stride
+    rec = _Recorder(counts, cfg, every_jump=record_jumps)
+    cap, chunk, stride = rec.cap, _CHUNK, cfg.record_stride
+    next_rec = stride
+    ts: list[float] = []  # grid and flip rows not yet handed to rec
+    rows: list[list[int]] = []
+    append_t, append_r = ts.append, rows.append
+
+    def give() -> None:
+        if ts:
+            rec._put(np.array(ts), np.array(rows, dtype=np.int64))
+            ts.clear()
+            rows.clear()
+
     events = 0
     flips = 0
     absorbed_at: float | None = None
@@ -508,8 +476,14 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
             j = y[b]
             if i != j and c < F[i][j]:
                 s = clock[k]
-                if next_rec <= s:  # stride rows fill chunks too
-                    next_rec, next_check = stride_rows(next_rec, s, counts, flips)
+                if next_rec <= s:  # grid rows up to s hold the state this flip leaves
+                    row = counts.copy()
+                    while next_rec <= s:
+                        append_t(next_rec)
+                        append_r(row)
+                        next_rec += stride
+                        if len(ts) >= chunk:
+                            give()
                 y[a] = j
                 counts[i] -= 1
                 counts[j] += 1
@@ -517,19 +491,28 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
                 F = law(counts)
                 if record_jumps:
                     append_t(s)
-                    append_c(counts.copy())
-                    if flips >= next_check:
-                        next_check = check(flips, s)
-                        record_jumps = rec.every_jump
+                    append_r(counts.copy())
+                    if len(ts) >= chunk:
+                        give()
+                    if flips >= cap:
+                        rec.switch(flips, s)
+                        record_jumps = False
                 if counts[j] == n:
                     absorbed_at = s
                     stop = k + 1
                     break
+        give()
         events += stop
         size = min(2 * size, _DRAW_CAP)
 
     if absorbed_at is None:
-        stride_rows(next_rec, horizon, counts, flips)
+        while next_rec < horizon:
+            append_t(next_rec)
+            append_r(counts)
+            next_rec += stride
+            if len(ts) >= chunk:
+                give()
+        give()
     meta["flip_count"] = flips
     return rec.close(counts, n, absorbed_at, events, meta)
 

@@ -63,6 +63,7 @@ from imitodyn import (
     example4_game,
     potential_drift_rates,
 )
+import imitodyn.engine as engine_mod
 from imitodyn._law import _Law, pair_tables
 from imitodyn.engine import _CHUNK, _rate_matrix, _Recorder
 from imitodyn.landscape import _DRIFT_MARGIN, _DRIFT_SAMPLES
@@ -330,8 +331,8 @@ def loop_complete_2action(game, rule, x0, cfg, meta):
     t = 0.0
     k = int(x0.counts[0])
     rec = _Recorder(k, cfg)
-    append_t, append_k, check = rec.times.append, rec.rows.append, rec.check
-    next_check = rec.start
+    cap = engine_mod.EVENT_RECORD_CAP
+    ts, path = [], []
     events = 0
     absorbed_at: float | None = None
     next_rec = 0.0
@@ -347,17 +348,18 @@ def loop_complete_2action(game, rule, x0, cfg, meta):
         t = t_next
         k = k + 1 if rr() < pup[k] else k - 1
         events += 1
-        if t >= next_rec:
-            append_t(t)
-            append_k(k)
-            if events >= next_check:
-                next_check = check(events, t)
-                if not rec.every_jump:
-                    next_rec = t + stride
+        if t >= next_rec:  # every jump up to the cap, then the first one a stride after the last row
+            ts.append(t)
+            path.append(k)
+            if events == cap:
+                rec.stride_from = t
+            if events >= cap:
+                next_rec = t + stride
         if k == 0 or k == n:
             absorbed_at = t
             break
 
+    rec._put(np.array(ts), np.array(path, dtype=np.int64))
     return rec.close(k, n, absorbed_at, events, meta)
 
 
@@ -376,9 +378,9 @@ def loop_complete_generic(game, rule, x0, cfg, meta):
     stride = cfg.record_stride
     counts = x0.counts.tolist()
     t = 0.0
-    rec = _Recorder(counts.copy(), cfg)
-    append_t, append_c, check = rec.times.append, rec.rows.append, rec.check
-    next_check = rec.start
+    rec = _Recorder(counts, cfg)
+    cap = engine_mod.EVENT_RECORD_CAP
+    ts, rows = [], []
     events = 0
     absorbed_at: float | None = None
     next_rec = 0.0
@@ -399,17 +401,18 @@ def loop_complete_generic(game, rule, x0, cfg, meta):
         counts[i] -= 1
         counts[j] += 1
         events += 1
-        if t >= next_rec:
-            append_t(t)
-            append_c(counts.copy())
-            if events >= next_check:
-                next_check = check(events, t)
-                if not rec.every_jump:
-                    next_rec = t + stride
+        if t >= next_rec:  # every jump up to the cap, then the first one a stride after the last row
+            ts.append(t)
+            rows.append(counts.copy())
+            if events == cap:
+                rec.stride_from = t
+            if events >= cap:
+                next_rec = t + stride
         if counts[j] == n:
             absorbed_at = t
             break
 
+    rec._put(np.array(ts), np.array(rows, dtype=np.int64).reshape(-1, len(counts)))
     return rec.close(counts, n, absorbed_at, events, meta)
 
 

@@ -673,17 +673,17 @@ def _reference_network(graph, game, rule, y0, cfg):
     y = y0.actions.astype(np.int64).tolist()
     stride, record_jumps = cfg.record_stride, cfg.record_jumps
     t = 0.0
-    rec = engine_mod._Recorder(counts.copy(), cfg, every_jump=record_jumps)
-    next_check = rec.start
+    rec = engine_mod._Recorder(counts, cfg, every_jump=record_jumps)
+    cap = engine_mod.EVENT_RECORD_CAP
+    ts, rows = [], []
     next_rec = stride
     events = flips = 0
     absorbed_at = None
     for e, u, v, c in _network_draws(graph, cfg.seed):
         t_next = t + e / (n * cfg.lam)
         while next_rec <= t_next and next_rec < cfg.horizon:
-            rec.times.append(next_rec)
-            rec.rows.append(counts.copy())
-            next_check = rec.check(flips, next_rec)
+            ts.append(next_rec)
+            rows.append(counts.copy())
             next_rec += stride
         if t_next >= cfg.horizon:
             break
@@ -698,16 +698,17 @@ def _reference_network(graph, game, rule, y0, cfg):
             counts[j] += 1
             flips += 1
             F = law(counts)
-            if record_jumps:
-                rec.times.append(t)
-                rec.rows.append(counts.copy())
-                if flips >= next_check:
-                    next_check = rec.check(flips, t)
-                    record_jumps = rec.every_jump
+            if record_jumps:  # every flip up to the cap
+                ts.append(t)
+                rows.append(counts.copy())
+                if flips == cap:
+                    rec.stride_from = t
+                    record_jumps = False
             if counts[j] == n:
                 absorbed_at = t
                 break
     meta["flip_count"] = flips
+    rec._put(np.array(ts), np.array(rows, dtype=np.int64).reshape(-1, len(counts)))
     return rec.close(counts, n, absorbed_at, events, meta)
 
 
@@ -768,6 +769,38 @@ class TestNetworkDrawStream:
         assert all(e == {"horizon", "absorbed"} for e in ends.values()), ends
         assert (switched > 0) == (record_jumps and low_cap)
 
+    @pytest.mark.parametrize("record_jumps", [False, True])
+    def test_grid_row_at_a_flip_time_holds_the_state_before_it(self, game4, arctan1, monkeypatch, record_jumps):
+        class Clockwork:
+            """Unit exponentials, so with n * lambda = 2 every activation falls
+            on the 0.5 grid, and node 0 copying nodes 2 and 1 in turn."""
+
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_exponential(self, size):
+                return np.ones(size)
+
+            def integers(self, low, high, size):
+                return np.array([np.zeros(size[1], np.int64), np.tile([2, 1], size[1] // 2)])
+
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "Generator", Clockwork)
+        graph = complete(4)
+        y0 = Configuration(np.array([0, 0, 1, 1]), 2)
+        cfg = SimConfig(lam=0.5, horizon=10.0, record_stride=0.5, record_jumps=record_jumps)
+        got = simulate_network(graph, game4, arctan1, y0, cfg)
+        want = _reference_network(graph, game4, arctan1, y0, cfg)
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.counts, want.counts)
+        assert got.meta == want.meta and got.meta["flip_count"] == 19  # one flip at each of 0.5, 1.0, ..., 9.5
+        times, first = np.unique(got.times, return_index=True)
+        assert times.tolist() == np.arange(0.0, 10.5, 0.5).tolist()
+        # the grid row at 0.5 k holds the state before flip k: action 0 counts 2 after an even number of flips
+        assert got.counts[first, 0].tolist() == [2] + [2, 1] * 10
+        assert len(got.times) == (21 + 19 if record_jumps else 21)
+
 
 class TestNetworkEngine:
     def test_stride_recording(self, game4, arctan1):
@@ -775,10 +808,10 @@ class TestNetworkEngine:
         y0 = Configuration(np.array([0] * 50 + [1] * 50), m=2)
         cfg = SimConfig(horizon=5.0, seed=4, record_stride=0.5)
         traj = simulate_network(g, game4, arctan1, y0, cfg)
-        if traj.absorbed_at is None:
-            expected = np.arange(0.0, 5.0, 0.5)
-            assert np.allclose(traj.times[: len(expected)], expected)
-            assert traj.times[-1] == 5.0
+        assert traj.absorbed_at is None
+        expected = np.arange(0.0, 5.0, 0.5)
+        assert np.allclose(traj.times[: len(expected)], expected)
+        assert traj.times[-1] == 5.0
 
     def test_deterministic_given_seed(self, game4, arctan1):
         g = square_lattice(6, periodic=True)
@@ -892,20 +925,41 @@ class TestRecorder:
     @pytest.mark.parametrize("cap", [40, engine_mod.EVENT_RECORD_CAP])
     def test_chunking_leaves_every_path_unchanged(self, game4, arctan1, monkeypatch, cap):
         monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", cap)
-        whole = self._runs(game4, arctan1)
-        listed, put = [], []
+        lattice = square_lattice(10, periodic=True)
+        y0 = Configuration(np.array([0, 1] * 50), 2)
+        # about 25 time units between activations: thousands of grid rows per flip
+        gap = SimConfig(lam=4e-4, horizon=600.0, seed=5, record_stride=0.01)
+
+        def runs():
+            return self._runs(game4, arctan1) + [simulate_network(lattice, game4, arctan1, y0, gap)]
+
+        whole = runs()
+        handed, put = [], []
 
         class Spy(engine_mod._Recorder):
+            in_jumps = False
+
+            def jumps(self, times, rows, events):
+                # the complete loop's draw blocks, which _DRAW_CAP bounds
+                self.in_jumps = True
+                super().jumps(times, rows, events)
+                self.in_jumps = False
+
+            def _put(self, times, rows):
+                if not self.in_jumps:
+                    handed.append(times.size)
+                super()._put(times, rows)
+
             def _flush(self):
-                # rows leave the lists and _put's buffers only here
-                listed.append(len(self.times))
+                # rows leave _put's buffers only here
                 put.append(self._fill)
                 super()._flush()
 
         monkeypatch.setattr(engine_mod, "_Recorder", Spy)
         monkeypatch.setattr(engine_mod, "_CHUNK", 7)
-        chunked = self._runs(game4, arctan1)
-        assert max(listed) <= 7 and max(put) <= 7
+        chunked = runs()
+        assert max(handed) <= 7 and handed.count(7) > 3  # the network loop hands over full chunks
+        assert max(put) <= 7
         assert put.count(7) > 3  # the complete runs fill _put's buffers
         for a, b in zip(whole, chunked):
             assert len(a.times) > 3 * 7
@@ -913,6 +967,7 @@ class TestRecorder:
             assert (a.event_count, a.absorbed_at, a.absorbing_action, a.meta) == (
                 b.event_count, b.absorbed_at, b.absorbing_action, b.meta
             )
+        assert np.diff(whole[-1].times).max() < 0.02  # the gap run is one row a stride
 
     def test_stride_switch_is_reported(self, game4, arctan1, monkeypatch):
         monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", 40)
@@ -925,25 +980,42 @@ class TestRecorder:
         assert network.meta["stride_from"] == jump_times[-1]
         assert "stride_from" not in strided.meta  # stride sampling from the start
 
-    @pytest.mark.parametrize("m, bound", [(2, 55.0), (3, 122.0)])
-    def test_peak_memory_per_recorded_row(self, game4, arctan1, monkeypatch, m, bound):
-        # Half of what the Python-list recording peaked at (110 and 244 B/row).
-        monkeypatch.setattr(engine_mod, "_CHUNK", 1024)
-        if m == 2:
-            args = (game4, arctan1, PopulationType.from_fractions(2000, [0.5, 0.5]), SimConfig(horizon=60.0, seed=1))
+    @pytest.mark.parametrize(
+        "engine, m, bound", [("complete", 2, 55.0), ("complete", 3, 122.0), ("network", 2, 95.0), ("network", 3, 99.0)]
+    )
+    def test_peak_memory_per_recorded_row(self, game4, arctan1, monkeypatch, engine, m, bound):
+        # Half of what the Python-list recording peaked at: 110 and 244 B/row
+        # on the complete graph, 191.5 and 199.4 on the stride-recorded
+        # networks.  The network loop kept up to _CHUNK rows in those lists,
+        # so its cases keep the default _CHUNK and record fewer rows than it.
+        g3 = make_congestion_game([[1.0, -1.0]] * 3)
+        rep3 = replicator_rule(*reward_bounds(g3), 0.01)
+        if engine == "complete":
+            monkeypatch.setattr(engine_mod, "_CHUNK", 1024)
+            if m == 2:
+                args = (game4, arctan1, PopulationType.from_fractions(2000, [0.5, 0.5]), SimConfig(horizon=60.0, seed=1))
+            else:
+                args = (g3, rep3, PopulationType.from_fractions(900, [0.6, 0.3, 0.1]), SimConfig(horizon=25.0, seed=1))
+            simulate = simulate_complete
         else:
-            g3 = make_congestion_game([[1.0, -1.0]] * 3)
-            rule = replicator_rule(*reward_bounds(g3), 0.01)
-            args = (g3, rule, PopulationType.from_fractions(900, [0.6, 0.3, 0.1]), SimConfig(horizon=25.0, seed=1))
+            if m == 2:
+                args = (square_lattice(20, periodic=True), game4, arctan1, Configuration(np.array([0, 1] * 200), 2))
+            else:
+                args = (erdos_renyi(300, 0.03, seed=1), g3, rep3, Configuration(np.arange(300) % 3, 3))
+            simulate_network(*args, SimConfig(horizon=1.0, seed=1))  # warm the law's caches
+            args += (SimConfig(horizon=60.0, seed=1, record_stride=0.005),)
+            simulate = simulate_network
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            traj = simulate_complete(*args)
+            traj = simulate(*args)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         rows = len(traj.times)
         assert rows > 8 * 1024
+        if engine == "network":
+            assert rows < engine_mod._CHUNK and traj.absorbed_at is None
         assert peak / rows <= bound
 
 
