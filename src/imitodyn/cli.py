@@ -15,11 +15,15 @@ simulate and ode report the seconds spent in the engine (or the flow and
 its limit) and in writing CSVs, with events (or RK4 steps) per second and
 the rows and bytes written; metastability and compare report the seconds
 spent in the engine, with events and events per second, and in analysing
-the paths, and compare also the seconds and RK4 steps of its flow.  A game
-is its reward polynomials, from whose coefficients the landscape is solved
-exactly, with no random numbers; --seed seeds the ensembles only.  The
-unused alias find_critical_points_2action and the unused run_one import
-stay because perfbench/tracer.py patches them by name, as it patches
+the paths, and compare also the seconds and RK4 steps of its flow.  The
+three ensemble subcommands share one sweep (_sweep): simulate at sim.n,
+metastability and compare over analysis.n_sweep take their runs from it,
+and it builds each size's RunSpec, calls ensemble and adds up the engine's
+seconds and events.  A game is its reward polynomials, from whose
+coefficients the landscape is solved exactly, with no random numbers;
+--seed seeds the ensembles only.  The unused alias
+find_critical_points_2action and the unused run_one import stay because
+perfbench/tracer.py patches them by name, as it patches ensemble,
 integrate, kurtz_deviation and metastability_report here, which the
 subcommands call through this module.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
@@ -44,7 +48,7 @@ import numpy as np
 
 from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
 # run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
-from .engine import RunSpec, SimConfig, Trajectory, _thread_cap, ensemble, run_one  # noqa: F401
+from .engine import RunSpec, SimConfig, _thread_cap, ensemble, run_one  # noqa: F401
 from .games import PopulationType
 from .landscape import _median, critical_point_to_dict, find_critical_points_multi, metastability_report
 from .meanfield import find_limit, integrate, kurtz_deviation
@@ -60,30 +64,26 @@ logger = logging.getLogger(__name__)
 __all__ = ["main", "cmd_simulate", "cmd_ode", "cmd_landscape", "cmd_metastability", "cmd_compare"]
 
 
-def _sim_config(cfg: ExperimentConfig) -> SimConfig:
-    return SimConfig(
-        lam=cfg.lam,
-        horizon=cfg.horizon,
-        seed=0,
-        record_stride=cfg.record_stride,
-        stop_on_absorption=cfg.stop_on_absorption,
+def _sweep(cfg: ExperimentConfig, sizes: tuple[int, ...], spent: list):
+    """(n, runs) of cfg's ensemble at each population size n in `sizes`, in
+    order: every subcommand that simulates takes its runs from here.  Adds
+    each ensemble's engine seconds to spent[0] and its events to spent[1]."""
+    sim = SimConfig(
+        lam=cfg.lam, horizon=cfg.horizon, record_stride=cfg.record_stride, stop_on_absorption=cfg.stop_on_absorption
     )
-
-
-def _run_ensemble(cfg: ExperimentConfig, n: int) -> list[Trajectory]:
-    sim = _sim_config(cfg)
-    if cfg.is_complete_topology:
-        x0 = PopulationType.from_fractions(n, cfg.init_fractions)
-        spec = RunSpec(game=cfg.game, rule=cfg.rule, cfg=sim, x0=x0)
-    else:
-        spec = RunSpec(
-            game=cfg.game,
-            rule=cfg.rule,
-            cfg=sim,
-            graph=functools.partial(cfg.build_graph, n),
-            init_fractions=tuple(float(v) for v in cfg.init_fractions),
-        )
-    return ensemble(spec, num_runs=cfg.runs, base_seed=cfg.base_seed)
+    for n in sizes:
+        start = time.perf_counter()
+        if cfg.is_complete_topology:
+            start_state = dict(x0=PopulationType.from_fractions(n, cfg.init_fractions))
+        else:
+            start_state = dict(
+                graph=functools.partial(cfg.build_graph, n),
+                init_fractions=tuple(float(v) for v in cfg.init_fractions),
+            )
+        runs = ensemble(RunSpec(cfg.game, cfg.rule, sim, **start_state), num_runs=cfg.runs, base_seed=cfg.base_seed)
+        spent[0] += time.perf_counter() - start
+        spent[1] += sum(t.event_count for t in runs)
+        yield n, runs
 
 
 def _critical_points(cfg: ExperimentConfig):
@@ -95,19 +95,18 @@ def _critical_points(cfg: ExperimentConfig):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    start = time.perf_counter()
-    trajs = _run_ensemble(cfg, cfg.n)
+    spent = [0.0, 0]
+    [(_, trajs)] = _sweep(cfg, (cfg.n,), spent)
     ensure_dir(cfg.out_dir)
     width = max(3, len(str(cfg.runs - 1)))
-    simulated = time.perf_counter()
+    start = time.perf_counter()
     paths = [os.path.join(cfg.out_dir, f"run_{i:0{width}d}.csv") for i in range(len(trajs))]
     for path, traj in zip(paths, trajs):
         write_trajectory_csv(path, traj.times, traj.counts, n=traj.n)
-    written = time.perf_counter()
-    events = sum(t.event_count for t in trajs)
+    engine_s, events = spent
     logger.info(
         "simulate: engine %.3f s, %d events (%.0f events/s); csv %.3f s, %d rows, %d bytes",
-        simulated - start, events, events / max(simulated - start, 1e-9), written - simulated,
+        engine_s, events, events / max(engine_s, 1e-9), time.perf_counter() - start,
         sum(len(t.times) for t in trajs), sum(map(os.path.getsize, paths)),
     )
     write_json(
@@ -160,9 +159,11 @@ def cmd_landscape(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _log_stages(command: str, engine_s: float, events: int, analysis_s: float, more: str = "") -> None:
-    """The info line of a subcommand that simulates ensembles and analyses
-    their paths."""
+def _log_stages(command: str, spent: list, start: float, more: str = "") -> None:
+    """The info line of a subcommand that analysed the paths of a sweep it
+    began at `start`: its analysis took the time the engine did not."""
+    engine_s, events = spent
+    analysis_s = time.perf_counter() - start - engine_s
     logger.info(
         "%s: engine %.3f s, %d events (%.0f events/s); analysis %.3f s%s",
         command, engine_s, events, events / max(engine_s, 1e-9), analysis_s, more,
@@ -176,20 +177,13 @@ def cmd_metastability(cfg: ExperimentConfig) -> int:
             "condition (every action initially present)"
         )
     points, _, caught = _critical_points(cfg)
-    reports = {}
-    engine_s = analysis_s = 0.0
-    events = 0
-    for n in cfg.n_sweep:
-        start = time.perf_counter()
-        trajs = _run_ensemble(cfg, n)
-        simulated = time.perf_counter()
-        reports[str(n)] = metastability_report(
-            trajs, points, cfg.game, cfg.rule, gammas=cfg.gammas, deltas=cfg.deltas
-        )
-        engine_s += simulated - start
-        analysis_s += time.perf_counter() - simulated
-        events += sum(t.event_count for t in trajs)
-    _log_stages("metastability", engine_s, events, analysis_s)
+    spent = [0.0, 0]
+    start = time.perf_counter()
+    reports = {
+        str(n): metastability_report(trajs, points, cfg.game, cfg.rule, gammas=cfg.gammas, deltas=cfg.deltas)
+        for n, trajs in _sweep(cfg, cfg.n_sweep, spent)
+    }
+    _log_stages("metastability", spent, start)
     ensure_dir(cfg.out_dir)
     write_json(
         os.path.join(cfg.out_dir, "metastability.json"),
@@ -203,17 +197,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     x0 = np.asarray(cfg.init_fractions, dtype=float)
     ode = integrate(cfg.game, cfg.rule, x0, T=cfg.horizon, dt=cfg.ode_dt, lam=cfg.lam)
     flow_s = time.perf_counter() - start
-    engine_s = analysis_s = 0.0
-    events = 0
+    spent = [0.0, 0]
+    start = time.perf_counter()
     per_n = []
-    for n in cfg.n_sweep:
-        start = time.perf_counter()
-        trajs = _run_ensemble(cfg, n)
-        simulated = time.perf_counter()
+    for n, trajs in _sweep(cfg, cfg.n_sweep, spent):
         devs = [kurtz_deviation(t, ode, T=cfg.horizon) for t in trajs]
-        engine_s += simulated - start
-        analysis_s += time.perf_counter() - simulated
-        events += sum(t.event_count for t in trajs)
         per_n.append(
             {
                 "n": n,
@@ -223,7 +211,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             }
         )
     steps = len(ode.times) - 1
-    _log_stages("compare", engine_s, events, analysis_s, f"; flow {flow_s:.3f} s, {steps} RK4 steps")
+    _log_stages("compare", spent, start, f"; flow {flow_s:.3f} s, {steps} RK4 steps")
     ensure_dir(cfg.out_dir)
     report = {"flow": "fully_mixed", "ode_points": len(ode.times), "per_n": per_n}
     write_json(os.path.join(cfg.out_dir, "compare.json"), report)

@@ -13,18 +13,22 @@ run is reproducible bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law) of
 its (game, rule) pair, which rejects any pair it has no law for before a
-loop draws: at m = 2 the complete loop walks the law's rate tables (walk),
-at m >= 3 the law walks its generated cumulative rates (jump_path), and the
-network loop reads its probs.  The runs of one spec share one law
-(_shared_law).  This module holds the loops and the rate matrix
-(_rate_matrix) that potential_drift_rates splits and the tests check the
-compiled law against.  Every loop records its path through one _Recorder,
-and hands it each draw block's rows as numpy arrays: the complete loop its
-jumps, the network loop its grid and flip rows.
+loop draws, a pure start included: at m = 2 the complete loop walks the
+law's rate tables (walk), at m >= 3 the law walks its generated cumulative
+rates (jump_path), and the network loop reads its probs.  A pure start
+takes no special exit: the complete loop stops at its rate 0 and closes the
+path as absorbed at t = 0, and the network loop starts absorbed.  The runs
+of one spec share one law through a one-entry cache (_shared_law).  This
+module holds the loops and the rate matrix (_rate_matrix) that
+potential_drift_rates splits and the tests check the compiled law against.
+Every loop records its path through one _Recorder, and hands it each draw
+block's rows as numpy arrays: the complete loop its jumps, the network loop
+its grid and flip rows.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -70,8 +74,6 @@ _DRAW_CAP = 2_048
 logger = logging.getLogger(__name__)
 
 _NO_ROWS = (np.empty(0), np.empty(0, dtype=np.int64))  # a full buffer of size 0
-# (game, rule, lam, n, law) of the last law a loop built; see _shared_law
-_LAW_MEMO: list = [None]
 
 
 @dataclass(frozen=True)
@@ -308,8 +310,6 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
     n = x0.n
     meta = _meta("complete", game, rule, cfg, n, f"complete(n={n})")
-    if x0.is_pure():
-        return _Recorder(x0.counts, cfg).close(x0.counts, n, 0.0, 0, meta)
     law = _shared_law(game, rule, cfg.lam, n)
     if game.m == 2:
         pup, tot, neg_tot = law.walk
@@ -374,19 +374,14 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
+@functools.lru_cache(maxsize=1)
 def _shared_law(game: Game, rule: ImitationRule, lam: float, n: int) -> _Law:
-    """_Law(game, rule, lam, n), kept for the next call: the runs of one
-    spec share it.  A call matches the kept law when game and rule are the
-    same objects and lam and n are equal, so a law is only ever reused for
-    the objects it was built from; it holds them alive until the next spec.
-    The replicator's clamp debug line, written while a law is built or
-    its m = 2 pair tables, comes once per spec."""
-    kept = _LAW_MEMO[0]
-    if kept is not None and kept[0] is game and kept[1] is rule and kept[2] == lam and kept[3] == n:
-        return kept[4]
-    law = _Law(game, rule, lam, n)
-    _LAW_MEMO[0] = (game, rule, lam, n, law)
-    return law
+    """_Law(game, rule, lam, n), cached for the next call: the runs of one
+    spec share it.  Games and rules hash by identity, so a law is only ever
+    reused for the objects it was built from; the cache holds them alive
+    until the next spec.  The replicator's clamp debug line, written while a
+    law is built or its m = 2 pair tables, comes once per spec."""
+    return _Law(game, rule, lam, n)
 
 
 def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configuration, cfg: SimConfig) -> Trajectory:
@@ -422,9 +417,6 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     m = game.m
     meta = _meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
     counts = np.bincount(y0.actions, minlength=m).tolist()
-    if max(counts) == n:
-        return _Recorder(counts, cfg).close(counts, n, 0.0, 0, meta)
-
     law = _shared_law(game, rule, cfg.lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
@@ -453,7 +445,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
 
     events = 0
     flips = 0
-    absorbed_at: float | None = None
+    absorbed_at: float | None = 0.0 if max(counts) == n else None  # a consensus start is absorbed
     size = 32
 
     while absorbed_at is None and t < horizon:

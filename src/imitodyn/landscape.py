@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -279,7 +280,7 @@ def _dwell(path: _Path, center: np.ndarray, delta: float, norm: str) -> tuple[bo
 
 
 def metastability_report(
-    trajectories: list[Trajectory],
+    trajectories: Iterable[Trajectory],
     critical_points: list[CriticalPoint],
     game: Game,
     rule: ImitationRule,
@@ -297,6 +298,8 @@ def metastability_report(
     of runs that never entered, the fraction that entered but never left
     (censored), and median_dwell over the runs that entered, a censored
     dwell counting as +inf, None when half or more of them are censored.
+    Each run's drift rates are taken at that run's lambda, and the runs are
+    read once, so any iterable of them will do.
     """
     ess_points = [cp for cp in critical_points if cp.is_ess]
     ess_targets = [cp.x for cp in ess_points]
@@ -315,10 +318,10 @@ def metastability_report(
     per_run = []
     violations_total = 0
     min_ratio: float | None = None
-    lam = float(trajectories[0].meta.get("lambda", 1.0)) if trajectories else 1.0
 
-    drift: dict = {}  # (n, counts) -> (q_plus, q_minus): each state's rates once per report
+    drift: dict = {}  # (n, lam, counts) -> (q_plus, q_minus): each state's rates once per report
     for traj in trajectories:
+        lam = float(traj.meta.get("lambda", 1.0))
         path = _Path(traj)
         entry: dict = {
             "seed": traj.meta.get("seed"),
@@ -350,7 +353,7 @@ def metastability_report(
         viol = 0
         run_min: float | None = None
         for row in rows:
-            key = (traj.n, traj.counts[row].tobytes())
+            key = (traj.n, lam, traj.counts[row].tobytes())
             q = drift.get(key)
             if q is None:
                 dr = potential_drift_rates(game, rule, traj.state(row), lam)

@@ -39,20 +39,20 @@ def read_all_bytes(directory):
     return out
 
 
-def assert_threads_do_not_change_output(tmp_path, data_a, data_b):
+def assert_threads_do_not_change_output(tmp_path, data_a, data_b, command="simulate"):
     cfg_a = write_cfg(tmp_path, data_a, name="a.json")
     cfg_b = write_cfg(tmp_path, data_b, name="b.json")
     env = dict(os.environ)
     env["IMITODYN_THREADS"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-m", "imitodyn", "simulate", "--config", cfg_a],
+        [sys.executable, "-m", "imitodyn", command, "--config", cfg_a],
         capture_output=True,
         env=env,
     )
     assert proc.returncode == 0
     env["IMITODYN_THREADS"] = "3"
     proc = subprocess.run(
-        [sys.executable, "-m", "imitodyn", "simulate", "--config", cfg_b],
+        [sys.executable, "-m", "imitodyn", command, "--config", cfg_b],
         capture_output=True,
         env=env,
     )
@@ -61,7 +61,7 @@ def assert_threads_do_not_change_output(tmp_path, data_a, data_b):
     b = read_all_bytes(data_b["output"]["dir"])
     assert sorted(a) == sorted(b)
     for name in a:
-        if name != "summary.json":
+        if name != "summary.json":  # summary echoes the output dir
             assert a[name] == b[name], name
 
 
@@ -633,6 +633,53 @@ class TestErrorPaths:
         assert "disk full" in capsys.readouterr().err
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# m = 3 on an ER graph of mean degree 10, the one shape no shipped config has
+ER_M3 = {
+    "game": {"type": "congestion", "polynomials": [[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]},
+    "rule": {"type": "replicator", "eps_margin": 0.01},
+    "topology": {"type": "er", "p": 0.011123470522803115},
+    "sim": {"n": 900, "lambda": 1.0, "horizon": 60.0, "record_stride": 0.2},
+    "init": {"fractions": [0.6, 0.3, 0.1]},
+    "ensemble": {"runs": 4, "base_seed": 0},
+    "output": {"dir": "results/er_m3"},
+}
+
+
+class TestArtifacts:
+    # sha256 over the sorted file names and bytes of each output directory;
+    # summary.json echoes the config as read, so --out leaves it unchanged
+    SHA256 = {
+        ("two_phase", "simulate"): "c2b64ee1fcce72c37e82852efeab0833db7c8fd394498a1f888296bef3185797",
+        ("two_phase", "ode"): "9b90781280b296a5f9274e88ef6ea48779ff0941bc1061a538c412eef9da344a",
+        ("two_phase", "metastability"): "8ac61e3e5454463aface3e1fac09e7cb4ad0e0a4afccb1510cefdca06ea77077",
+        ("two_phase", "compare"): "9a1cbd70ed5eba78317a7dc3fd6d18ef5543a7990c53eda103f1c32738f3ff96",
+        ("congestion3", "simulate"): "81e21f347ddcc9bc2f2cadedc9653b0a1c043b7edd78b0d97e67c6b5b29051cc",
+        ("congestion3", "ode"): "8adeb7782ede2cca58d296a6e8982c15e8e1a7fe25c739c9c1a1f547fa82c21c",
+        ("congestion3", "metastability"): "e71b33343c0ba4214bd1083e7734c60ac2e118ffcd8c1b730acbd2f1e49fc2dd",
+        ("congestion3", "compare"): "bf4bbd025daedbbc2822167ee59cdeb30e25fa817cd685922b2a72acf1e859e9",
+        ("lattice", "simulate"): "e7ea5dc03565a66d68cdf7f550847561336b49b4811a22899e1426bf06e54ae1",
+        ("lattice", "ode"): "94ccfa1218a5762b50bdc8a7d0db110eb5937a7689f866a62ae3c0a3f6aa7075",
+        ("lattice", "metastability"): "61ad4c22dbd29beef4296a5c2eb8bad08b38bc3ab745120522e2e2192e353ee6",
+        ("lattice", "compare"): "180f24190c764d2b6b645b9659134252f13418678d1f0828d71c39ac9cb42b20",
+        ("er_m3", "simulate"): "b0d15b94945c3192b16e1e5e1b294b5383f8b36b5a59207e3db519e2bc3c74b8",
+    }
+
+    @pytest.mark.parametrize("name, command", list(SHA256), ids=[f"{n}-{c}" for n, c in SHA256])
+    def test_artifacts_are_pinned(self, tmp_path, name, command):
+        if name == "er_m3":
+            config = write_cfg(tmp_path, ER_M3, name="er_m3.json")
+        else:
+            config = os.path.join(CONFIGS, f"{name}.json")
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for file, data in read_all_bytes(out).items():
+            digest.update(file.encode() + b"\0" + data)
+        assert digest.hexdigest() == self.SHA256[name, command]
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
@@ -666,4 +713,14 @@ class TestEntryPoints:
             data[out] = sim_cfg(tmp_path, out=out, n=30)
             data[out]["topology"] = {"type": "er", "p": 0.3}
         assert_threads_do_not_change_output(tmp_path, data["a"], data["b"])
+
+    @pytest.mark.parametrize("topology", [{"type": "complete"}, {"type": "er", "p": 0.3}], ids=["complete", "er"])
+    @pytest.mark.parametrize("command", ["metastability", "compare"])
+    def test_threads_env_var_does_not_change_sweep_output(self, tmp_path, command, topology):
+        data = {}
+        for out in ("a", "b"):
+            data[out] = sim_cfg(tmp_path, out=out, n=30)
+            data[out]["topology"] = topology
+            data[out]["analysis"] = {"n_sweep": [20, 30]}
+        assert_threads_do_not_change_output(tmp_path, data["a"], data["b"], command)
 

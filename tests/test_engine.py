@@ -142,6 +142,7 @@ class TestCompleteEngine:
                 assert traj.event_count == 0
                 assert traj.times[-1] == (0.0 if stop else 10.0)
                 assert np.all(traj.counts == [0, 30])
+            assert traj.meta["flip_count"] == 0  # the network run, as every network run reports
 
     def test_horizon_reached_unabsorbed(self, game4, arctan1):
         x0 = PopulationType.from_fractions(400, [0.5, 0.5])
@@ -1116,7 +1117,7 @@ def test_runs_of_one_spec_share_one_law(monkeypatch, caplog, m):
             super().__init__(*args)
 
     monkeypatch.setattr(engine_mod, "_Law", CountingLaw)
-    monkeypatch.setattr(engine_mod, "_LAW_MEMO", [None])
+    engine_mod._shared_law.cache_clear()
     game = make_congestion_game([[1.0, -1.0]] * m)
     lo, hi = reward_bounds(game)
     rule = replicator_rule(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), 0.01)  # clamps part of the range
@@ -1134,7 +1135,7 @@ def test_runs_of_one_spec_share_one_law(monkeypatch, caplog, m):
     fresh = []
     for spec in specs:
         for seed in (1, 2, 3):
-            monkeypatch.setattr(engine_mod, "_LAW_MEMO", [None])
+            engine_mod._shared_law.cache_clear()
             fresh.append(run_one(spec, seed))
     assert len(built) == 7
     for a, b in zip(shared, fresh):

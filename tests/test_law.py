@@ -237,6 +237,11 @@ def test_pairs_without_a_generated_law_raise(m):
         simulate_network(complete(60), game, rule, y0, cfg)
     with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
         simulate_complete(game, rule, PopulationType(np.full(m, 20)), cfg)
+    # a pure start is rejected as well, though nothing would jump
+    with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
+        simulate_network(complete(60), game, rule, Configuration(np.zeros(60, dtype=np.int64), m=m), cfg)
+    with pytest.raises(ValueError, match="compiled law requires the arctan or the replicator rule"):
+        simulate_complete(game, rule, PopulationType(np.eye(m, dtype=np.int64)[0] * 60), cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

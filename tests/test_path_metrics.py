@@ -234,6 +234,14 @@ def test_metastability_report_on_engine_paths():
     assert json.dumps(metastability_report(*args)) == json.dumps(reference_metastability_report(*args))
 
 
+def test_metastability_report_reads_any_iterable_once():
+    game, rule, points = landscape(2)
+    spec = RunSpec(game=game, rule=rule, cfg=SimConfig(horizon=60.0), x0=PopulationType.from_fractions(200, [0.2, 0.8]))
+    runs = ensemble(spec, num_runs=4, base_seed=9)
+    args = (points, game, rule, (0.05,), (0.1,))
+    assert json.dumps(metastability_report(iter(runs), *args)) == json.dumps(metastability_report(runs, *args))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.floats(min_value=0.0), st.just(float("inf"))), min_size=1, max_size=30))
 @example([1.0, float("inf")])
