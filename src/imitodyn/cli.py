@@ -18,12 +18,18 @@ spent in the engine, with events and events per second, and in analysing
 the paths, and compare also the seconds and RK4 steps of its flow.  The
 three ensemble subcommands share one sweep (_sweep): simulate at sim.n,
 metastability and compare over analysis.n_sweep take their runs from it,
-and it builds each size's RunSpec, calls ensemble and adds up the engine's
-seconds and events.  A game is its reward polynomials, from whose
+and it builds each size's RunSpec and streams its runs from engine._runs,
+adding up the engine's seconds and events as each run arrives.  Each
+subcommand holds one run at a time, so its memory does not grow with the
+number of runs: simulate writes each run's CSV and keeps its summary
+record, metastability keeps each run's report entry, and compare each
+run's deviation.  simulate creates the output directory when the first run
+arrives, so a first run that fails leaves no directory, and a later run
+that fails leaves the CSVs of the runs before it and no summary.json.  A game is its reward polynomials, from whose
 coefficients the landscape is solved exactly, with no random numbers;
 --seed seeds the ensembles only.  The unused alias
-find_critical_points_2action and the unused run_one import stay because
-perfbench/tracer.py patches them by name, as it patches ensemble,
+find_critical_points_2action and the unused ensemble and run_one imports
+stay because perfbench/tracer.py patches them by name, as it patches
 integrate, kurtz_deviation and metastability_report here, which the
 subcommands call through this module.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
@@ -47,8 +53,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
-# run_one is unused here, but perfbench/tracer.py wraps cli.run_one by name.
-from .engine import RunSpec, SimConfig, _thread_cap, ensemble, run_one  # noqa: F401
+# ensemble and run_one are unused here, but perfbench/tracer.py wraps
+# cli.ensemble and cli.run_one by name.
+from .engine import RunSpec, SimConfig, _runs, _thread_cap, ensemble, run_one  # noqa: F401
 from .games import PopulationType
 from .landscape import _median, critical_point_to_dict, find_critical_points_multi, metastability_report
 from .meanfield import find_limit, integrate, kurtz_deviation
@@ -66,13 +73,13 @@ __all__ = ["main", "cmd_simulate", "cmd_ode", "cmd_landscape", "cmd_metastabilit
 
 def _sweep(cfg: ExperimentConfig, sizes: tuple[int, ...], spent: list):
     """(n, runs) of cfg's ensemble at each population size n in `sizes`, in
-    order: every subcommand that simulates takes its runs from here.  Adds
-    each ensemble's engine seconds to spent[0] and its events to spent[1]."""
+    order: every subcommand that simulates takes its runs from here.  runs
+    makes each run when it is asked for the next one, and adds its engine
+    seconds to spent[0] and its events to spent[1] as it arrives."""
     sim = SimConfig(
         lam=cfg.lam, horizon=cfg.horizon, record_stride=cfg.record_stride, stop_on_absorption=cfg.stop_on_absorption
     )
     for n in sizes:
-        start = time.perf_counter()
         if cfg.is_complete_topology:
             start_state = dict(x0=PopulationType.from_fractions(n, cfg.init_fractions))
         else:
@@ -80,10 +87,20 @@ def _sweep(cfg: ExperimentConfig, sizes: tuple[int, ...], spent: list):
                 graph=functools.partial(cfg.build_graph, n),
                 init_fractions=tuple(float(v) for v in cfg.init_fractions),
             )
-        runs = ensemble(RunSpec(cfg.game, cfg.rule, sim, **start_state), num_runs=cfg.runs, base_seed=cfg.base_seed)
+        yield n, _spend(_runs(RunSpec(cfg.game, cfg.rule, sim, **start_state), cfg.runs, cfg.base_seed), spent)
+
+
+def _spend(runs, spent: list):
+    """runs, timed: holds no run while the next one is made."""
+    while True:
+        start = time.perf_counter()
+        traj = next(runs, None)
         spent[0] += time.perf_counter() - start
-        spent[1] += sum(t.event_count for t in runs)
-        yield n, runs
+        if traj is None:
+            return
+        spent[1] += traj.event_count
+        yield traj
+        del traj
 
 
 def _critical_points(cfg: ExperimentConfig):
@@ -97,22 +114,24 @@ def _critical_points(cfg: ExperimentConfig):
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     spent = [0.0, 0]
     [(_, trajs)] = _sweep(cfg, (cfg.n,), spent)
-    ensure_dir(cfg.out_dir)
     width = max(3, len(str(cfg.runs - 1)))
+    summaries, rows, size = [], 0, 0
     start = time.perf_counter()
-    paths = [os.path.join(cfg.out_dir, f"run_{i:0{width}d}.csv") for i in range(len(trajs))]
-    for path, traj in zip(paths, trajs):
+    for traj in trajs:  # each run is written and dropped as it arrives
+        if not summaries:
+            ensure_dir(cfg.out_dir)
+        path = os.path.join(cfg.out_dir, f"run_{len(summaries):0{width}d}.csv")
         write_trajectory_csv(path, traj.times, traj.counts, n=traj.n)
+        size += os.path.getsize(path)
+        rows += len(traj.times)
+        summaries.append(run_summary(traj))
+        del traj
     engine_s, events = spent
     logger.info(
         "simulate: engine %.3f s, %d events (%.0f events/s); csv %.3f s, %d rows, %d bytes",
-        engine_s, events, events / max(engine_s, 1e-9), time.perf_counter() - start,
-        sum(len(t.times) for t in trajs), sum(map(os.path.getsize, paths)),
+        engine_s, events, events / max(engine_s, 1e-9), time.perf_counter() - start - engine_s, rows, size,
     )
-    write_json(
-        os.path.join(cfg.out_dir, "summary.json"),
-        {"config": cfg.raw, "runs": [run_summary(t) for t in trajs]},
-    )
+    write_json(os.path.join(cfg.out_dir, "summary.json"), {"config": cfg.raw, "runs": summaries})
     return 0
 
 
@@ -201,7 +220,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     per_n = []
     for n, trajs in _sweep(cfg, cfg.n_sweep, spent):
-        devs = [kurtz_deviation(t, ode, T=cfg.horizon) for t in trajs]
+        devs = list(map(lambda t: kurtz_deviation(t, ode, T=cfg.horizon), trajs))
         per_n.append(
             {
                 "n": n,

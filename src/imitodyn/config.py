@@ -27,10 +27,13 @@ with a "seed" every run shares one fixed graph.
 
 Every JSON number goes through one reader, _value, which rejects booleans,
 Infinity, NaN and integers too large for a float, and checks these bounds:
-population sizes (sim.n, analysis.n_sweep) 2 .. 2**53; ensemble.runs
-1 .. MAX_RUNS = 10**6; seeds (ensemble.base_seed, topology.seed, --seed)
-0 .. 2**64 - 1; and at most 10**7 RK4 steps of analysis.ode_dt up to
-max(sim.horizon, analysis.ode_horizon).  Validation failures raise
+population sizes (sim.n, analysis.n_sweep) 2 .. 2**53, and no larger than
+the law tables of one run fit in _LAW_BUDGET = 1 GiB (n <= 7,158,278 at
+m = 2 on the complete graph, n <= 3,067,833 and a lattice side <= 1,751 at
+m = 2 on a network, n <= 4,473,924 at m = 3); ensemble.runs 1 .. MAX_RUNS =
+10**6; seeds (ensemble.base_seed, topology.seed, --seed) 0 .. 2**64 - 1; and
+at most 10**7 RK4 steps of analysis.ode_dt up to max(sim.horizon,
+analysis.ode_horizon).  Validation failures raise
 ConfigError with a JSON-path anchor; the CLI maps them to exit code 2.
 Keys a section does not list are ignored, so a config that still sets the
 retired analysis.grid or analysis.starts loads unchanged.
@@ -55,13 +58,38 @@ _SIMPLEX_SLACK = 1e-6  # initial fractions may be off the simplex by this much
 # Largest population size: every count converts to float64 exactly, so each
 # x = c / n is the correctly rounded quotient.
 _MAX_N = 2**53
-# Largest ensemble: the run driver lists every run's seed before the first run.
+# Largest ensemble: runs stream one at a time, but each subcommand keeps a
+# summary record (or a deviation) per run.
 MAX_RUNS = 10**6
+# Most bytes the law of one run's population size may take while it is
+# built (_law: per-count tables, so O(n)).  _law_bytes is that peak per
+# count, from the growth of ru_maxrss while a law was built at n = 10**5 to
+# 4 * 10**5, rounded up: 146-150 B for the m = 2 walk of the complete loop,
+# 347-350 B for the m = 2 probs rows of the network loop, and at m >= 3 at
+# most 8 m (m + 2) + 120 B, measured at m = 3..16 under both rules: the
+# replicator rule's check of its m (m - 1) copy probabilities per count
+# grows with m^2.
+_LAW_BUDGET = 2**30
 # Seeds are 64-bit.
 _MAX_SEED = 2**64 - 1
 # Most RK4 steps in a flow to max(sim.horizon, analysis.ode_horizon): the
 # flow keeps every step, (m + 1) floats a step.
 _MAX_FLOW_STEPS = 10**7
+
+
+def _law_bytes(m: int, complete: bool) -> int:
+    if m == 2:
+        return 150 if complete else 350
+    return 8 * m * (m + 2) + 120
+
+
+def _law_n(v: int, at: str, per_count: int) -> int:
+    """v, a population size whose law fits _LAW_BUDGET at per_count bytes
+    per count."""
+    if v * per_count > _LAW_BUDGET:
+        size, cap = v * per_count >> 20, _LAW_BUDGET // per_count
+        _fail(at, f"law tables of about {size} MiB exceed the {_LAW_BUDGET >> 20} MiB budget (n <= {cap})")
+    return v
 
 
 class ConfigError(ValueError):
@@ -193,7 +221,7 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
     _fail("$.rule.type", f"must be 'arctan' or 'replicator', got {kind!r}")
 
 
-def _check_topology(spec: dict, n: int) -> dict:
+def _check_topology(spec: dict, n: int, per_count: int) -> dict:
     kind = spec.get("type", "complete")
     if kind == "complete":
         return {"type": "complete"}
@@ -204,7 +232,7 @@ def _check_topology(spec: dict, n: int) -> dict:
             out["seed"] = _number(spec, "seed", "$.topology", integer=True, lo=0, hi=_MAX_SEED)
         return out
     if kind == "lattice":
-        side = _number(spec, "side", "$.topology", integer=True, lo=2, hi=math.isqrt(_MAX_N))
+        side = _number(spec, "side", "$.topology", integer=True, lo=2, hi=math.isqrt(_LAW_BUDGET // per_count))
         if side * side != n:
             _fail("$.topology.side", f"side^2 = {side * side} disagrees with sim.n = {n}")
         return {"type": "lattice", "side": side, "periodic": _bool(spec, "periodic", "$.topology", True)}
@@ -288,8 +316,10 @@ def load_config(path: str) -> ExperimentConfig:
     game = _build_game(_section(raw, "game", required=True))
     rule = _build_rule(_section(raw, "rule", required=True), game)
 
+    topo = _section(raw, "topology", required=False) or {"type": "complete"}
+    per_count = _law_bytes(game.m, topo.get("type", "complete") == "complete")
     sim = _section(raw, "sim", required=True)
-    n = _number(sim, "n", "$.sim", integer=True, lo=2, hi=_MAX_N)
+    n = _law_n(_number(sim, "n", "$.sim", integer=True, lo=2, hi=_MAX_N), "$.sim.n", per_count)
     lam = _number(sim, "lambda", "$.sim", default=1.0, positive=True)
     horizon = _number(sim, "horizon", "$.sim", positive=True)
     record_stride = _number(sim, "record_stride", "$.sim", default=0.1, positive=True)
@@ -305,7 +335,7 @@ def load_config(path: str) -> ExperimentConfig:
     arr = np.maximum(arr, 0.0)
     arr = arr / arr.sum()
 
-    topology = _check_topology(_section(raw, "topology", required=False) or {"type": "complete"}, n)
+    topology = _check_topology(topo, n, per_count)
 
     ens = _section(raw, "ensemble", required=False)
     runs = _number(ens, "runs", "$.ensemble", default=4, integer=True, lo=1, hi=MAX_RUNS)
@@ -320,7 +350,8 @@ def load_config(path: str) -> ExperimentConfig:
     if flow_t / ode_dt > _MAX_FLOW_STEPS:
         _fail("$.analysis.ode_dt", f"a flow to t = {flow_t} takes more than {_MAX_FLOW_STEPS} steps")
     limit_tol = _number(ana, "limit_tol", "$.analysis", default=1e-8, positive=True)
-    n_sweep = tuple(_number_list(ana, "n_sweep", "$.analysis", default=[n], integer=True, lo=2, hi=_MAX_N))
+    n_sweep = _number_list(ana, "n_sweep", "$.analysis", default=[n], integer=True, lo=2, hi=_MAX_N)
+    n_sweep = tuple(_law_n(v, f"$.analysis.n_sweep[{i}]", per_count) for i, v in enumerate(n_sweep))
     if topology["type"] in ("lattice", "file") and any(v != n for v in n_sweep):
         _fail("$.analysis.n_sweep", f"a {topology['type']} topology fixes n = {n}")
 

@@ -24,6 +24,13 @@ potential_drift_rates splits and the tests check the compiled law against.
 Every loop records its path through one _Recorder, and hands it each draw
 block's rows as numpy arrays: the complete loop its jumps, the network loop
 its grid and flip rows.
+
+An ensemble is a stream (_runs): it makes its runs in run order, one at a
+time or a few per worker in flight, and keeps none it has handed on, so a
+consumer that drops each run holds one run's path at a time.  ensemble
+lists it.  The CLI consumes the stream: simulate writes each run's CSV as it
+arrives, so a run that fails leaves the CSVs of the runs before it and no
+summary.json.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import os
 import pickle
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -567,10 +574,6 @@ def run_one(spec: RunSpec, seed: int) -> Trajectory:
     return simulate_network(graph, spec.game, spec.rule, y0, cfg)
 
 
-def _worker(args: tuple[RunSpec, int]) -> Trajectory:
-    return run_one(*args)
-
-
 def _thread_cap() -> int:
     """IMITODYN_THREADS as a positive worker count (default 1)."""
     raw = os.environ.get("IMITODYN_THREADS", "1")
@@ -583,18 +586,28 @@ def _thread_cap() -> int:
     return cap
 
 
-def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajectory]:
-    """Independent runs with per-run seeds hash(base_seed, run_index).
+# Runs a pool keeps in flight per worker: enough to keep every worker busy,
+# few enough that the finished runs waiting for their turn stay few.
+_IN_FLIGHT = 2
 
-    Results are ordered by run index and do not depend on the worker count;
-    IMITODYN_THREADS caps the pool (default: run sequentially).
+
+def _runs(run_spec: RunSpec, num_runs: int, base_seed: int) -> Iterator[Trajectory]:
+    """The runs of `ensemble`, yielded one at a time in run order.
+
+    Sequentially each run is made when the caller asks for it.  A pool
+    keeps at most _IN_FLIGHT runs per worker submitted and yields them in
+    run order, so neither the results nor their order depend on the worker
+    count.  The generator keeps no run it has yielded, and closing it early
+    cancels the runs not yet started and shuts the pool down.
     """
     if num_runs < 1:
         raise ValueError("need at least one run")
-    seeds = [derive_seed(base_seed, i) for i in range(num_runs)]
+    seeds = (derive_seed(base_seed, i) for i in range(num_runs))
     workers = min(_thread_cap(), num_runs)
     if workers == 1:
-        return [run_one(run_spec, s) for s in seeds]
+        for s in seeds:
+            yield run_one(run_spec, s)
+        return
     try:
         pickle.dumps(run_spec)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -604,5 +617,23 @@ def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajector
     # imported here: the pool's modules cost about 20 ms of every import
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, [(run_spec, s) for s in seeds]))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    pending = []  # submitted runs, in run order
+    try:
+        for s in seeds:
+            pending.append(pool.submit(run_one, run_spec, s))
+            if len(pending) == _IN_FLIGHT * workers:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajectory]:
+    """Independent runs with per-run seeds hash(base_seed, run_index).
+
+    Results are ordered by run index and do not depend on the worker count;
+    IMITODYN_THREADS caps the pool (default: run sequentially).
+    """
+    return list(_runs(run_spec, num_runs, base_seed))

@@ -74,9 +74,6 @@ class PopulationType:
     def fractions(self) -> np.ndarray:
         return self.counts / self.n
 
-    def is_pure(self) -> bool:
-        return bool(np.max(self.counts) == self.n)
-
     @staticmethod
     def from_fractions(n: int, fractions: Sequence[float]) -> "PopulationType":
         """Nearest grid state to a target frequency vector.

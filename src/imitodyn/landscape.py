@@ -370,6 +370,7 @@ def metastability_report(
         if run_min is not None:
             min_ratio = run_min if min_ratio is None else min(min_ratio, run_min)
         per_run.append(entry)
+        del traj, path  # a stream's next run is made without this one
 
     absorbed = [e["absorbed_at"] for e in per_run if e["absorbed_at"] is not None]
     aggregates: dict = {

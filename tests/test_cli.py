@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+import imitodyn.engine as engine_mod
 from imitodyn.cli import main
 
 
@@ -39,7 +41,7 @@ def read_all_bytes(directory):
     return out
 
 
-def assert_threads_do_not_change_output(tmp_path, data_a, data_b, command="simulate"):
+def assert_threads_do_not_change_output(tmp_path, data_a, data_b, command="simulate", threads="3"):
     cfg_a = write_cfg(tmp_path, data_a, name="a.json")
     cfg_b = write_cfg(tmp_path, data_b, name="b.json")
     env = dict(os.environ)
@@ -50,7 +52,7 @@ def assert_threads_do_not_change_output(tmp_path, data_a, data_b, command="simul
         env=env,
     )
     assert proc.returncode == 0
-    env["IMITODYN_THREADS"] = "3"
+    env["IMITODYN_THREADS"] = threads
     proc = subprocess.run(
         [sys.executable, "-m", "imitodyn", command, "--config", cfg_b],
         capture_output=True,
@@ -522,6 +524,12 @@ class TestErrorPaths:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    def test_oversized_population_exits_2(self, tmp_path, capsys):
+        data = sim_cfg(tmp_path, n=10**9)
+        assert main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+        assert "config error: $.sim.n: law tables of about " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -645,6 +653,94 @@ ER_M3 = {
     "ensemble": {"runs": 4, "base_seed": 0},
     "output": {"dir": "results/er_m3"},
 }
+
+
+class TestStreaming:
+    """Each sweep subcommand holds one run at a time."""
+
+    SWEEP = ("simulate", "metastability", "compare")
+
+    @pytest.mark.parametrize("command", SWEEP)
+    def test_no_earlier_run_is_alive_when_the_next_starts(self, tmp_path, monkeypatch, command):
+        made, alive = [], []  # earlier runs still alive at each run's start; a weakref per run
+        real = engine_mod.run_one
+
+        def spy(spec, seed):
+            made.append(sum(ref() is not None for ref in alive))
+            traj = real(spec, seed)
+            alive.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(engine_mod, "run_one", spy)
+        monkeypatch.setenv("IMITODYN_THREADS", "1")
+        data = sim_cfg(tmp_path, n=30)
+        data["ensemble"]["runs"] = 4
+        data["analysis"] = {"n_sweep": [20, 30]}
+        assert main([command, "--config", write_cfg(tmp_path, data)]) == 0
+        assert made == [0] * (4 if command == "simulate" else 8)
+
+    def test_failed_run_leaves_earlier_csvs_and_no_summary(self, tmp_path, monkeypatch, capsys):
+        real = engine_mod.run_one
+        made = []
+
+        def fail_third(spec, seed):
+            made.append(seed)
+            if len(made) == 3:
+                raise RuntimeError("run 2 failed")
+            return real(spec, seed)
+
+        monkeypatch.setattr(engine_mod, "run_one", fail_third)
+        monkeypatch.setenv("IMITODYN_THREADS", "1")
+        data = sim_cfg(tmp_path)
+        data["ensemble"]["runs"] = 5
+        assert main(["simulate", "--config", write_cfg(tmp_path, data)]) == 1
+        assert "run 2 failed" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "out")) == ["run_000.csv", "run_001.csv"]
+
+    def test_peak_memory_does_not_grow_with_runs(self, tmp_path):
+        # two_phase with a quarter of its horizon and one sweep size: at
+        # 48 runs the whole ensemble held at once would peak about 20 MB
+        # above 4 runs; held one run at a time it stays within the bound
+        bound_mb = 5.0
+        data = {
+            "game": {"type": "builtin", "name": "example4"},
+            "rule": {"type": "arctan", "K": 1.0},
+            "sim": {"n": 2500, "horizon": 50.0, "record_stride": 0.1},
+            "init": {"fractions": [0.001, 0.999]},
+            "analysis": {"n_sweep": [2500]},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        cfg = write_cfg(tmp_path, data)
+        # a child's ru_maxrss starts at the peak of the process that exec'd
+        # it, so each subcommand is started by a small launcher, which
+        # prints the subcommand's own ru_maxrss from wait4
+        code = (
+            "import os, sys; exe = sys.executable; "
+            "pid = os.posix_spawn(exe, [exe, '-m', 'imitodyn', *sys.argv[1:]], os.environ); "
+            "_, status, usage = os.wait4(pid, 0); print(usage.ru_maxrss); sys.exit(os.waitstatus_to_exitcode(status))"
+        )
+        env = dict(os.environ, IMITODYN_THREADS="1")
+        for command in self.SWEEP:
+            peak_kb = []
+            for runs in (4, 48):
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, command, "--config", cfg, "--runs", str(runs)],
+                    capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+                peak_kb.append(int(proc.stdout.split()[-1]))
+            assert (peak_kb[1] - peak_kb[0]) / 1024 < bound_mb, (command, peak_kb)
+
+    @pytest.mark.parametrize("command", SWEEP)
+    def test_pool_past_its_in_flight_bound_does_not_change_output(self, tmp_path, command):
+        # 9 runs on 2 workers: more runs than the pool keeps in flight
+        data = {}
+        for out in ("a", "b"):
+            data[out] = sim_cfg(tmp_path, out=out, n=30)
+            data[out]["ensemble"]["runs"] = 9
+            data[out]["analysis"] = {"n_sweep": [20, 30]}
+        assert 9 > engine_mod._IN_FLIGHT * 2
+        assert_threads_do_not_change_output(tmp_path, data["a"], data["b"], command, threads="2")
 
 
 class TestArtifacts:

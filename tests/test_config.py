@@ -1,12 +1,15 @@
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imitodyn import ArctanRule, ConfigError, ReplicatorRule, load_config
-from imitodyn.config import _MAX_FLOW_STEPS, MAX_RUNS
+from imitodyn import ArctanRule, ConfigError, ReplicatorRule, example4_game, load_config, make_congestion_game
+from imitodyn._law import _Law
+from imitodyn.config import _LAW_BUDGET, _MAX_FLOW_STEPS, MAX_RUNS, _law_bytes
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -468,6 +471,79 @@ class TestAllocationBounds:
         expect_error(write_cfg, data, r"\$\.analysis\.ode_dt: a flow to t = 5\.0 takes more than 10000000 steps")
         data["analysis"] = {"ode_horizon": 1e6}
         expect_error(write_cfg, data, r"\$\.analysis\.ode_dt: a flow to t = 1000000\.0 takes more than")
+
+
+M3_GAME = {"type": "congestion", "polynomials": [[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]}
+# (update to base_config, m, whether the topology is complete)
+LAW_SHAPES = {
+    "m2-complete": ({}, 2, True),
+    "m2-network": ({"topology": {"type": "er", "p": 0.5}}, 2, False),
+    "m3": ({"game": M3_GAME, "init": {"fractions": [0.4, 0.3, 0.3]}}, 3, True),
+}
+
+
+class TestLawBudget:
+    """Population sizes whose law tables would not fit the budget are
+    rejected at load time, before anything is built."""
+
+    @pytest.mark.parametrize("shape", LAW_SHAPES)
+    @pytest.mark.parametrize("field", ["$.sim.n", "$.analysis.n_sweep[1]"])
+    def test_oversized_n_rejected_without_a_table(self, write_cfg, shape, field):
+        update, m, complete = LAW_SHAPES[shape]
+        cap = _LAW_BUDGET // _law_bytes(m, complete)
+        data = base_config()
+        data.update(update)
+
+        def with_n(n):
+            if field == "$.sim.n":
+                data["sim"]["n"] = n
+            else:
+                data["analysis"] = {"n_sweep": [100, n]}
+            return write_cfg(data)
+
+        assert max(load_config(with_n(cap)).n_sweep) in (100, cap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=re.escape(field) + r": law tables of about \d+ MiB exceed"):
+                load_config(with_n(cap + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 < cap  # a law at n = cap + 1 takes about 2**30 bytes
+
+    def test_lattice_side(self, write_cfg):
+        side = math.isqrt(_LAW_BUDGET // _law_bytes(2, False))
+        data = base_config()
+        data["sim"]["n"] = side * side
+        data["topology"] = {"type": "lattice", "side": side}
+        assert load_config(write_cfg(data)).topology["side"] == side
+        data["topology"]["side"] = side + 1
+        with pytest.raises(ConfigError, match=rf"\$\.topology\.side: must be <= {side}, got {side + 1}"):
+            load_config(write_cfg(data))
+        data["sim"]["n"] = (side + 1) ** 2
+        with pytest.raises(ConfigError, match=r"\$\.sim\.n: law tables"):
+            load_config(write_cfg(data))
+
+    @pytest.mark.parametrize(
+        "m, complete, rule",
+        [(2, True, "arctan"), (2, False, "replicator"), (3, True, "arctan"), (3, True, "replicator"),
+         (8, True, "replicator"), (12, True, "replicator")],
+    )
+    def test_per_count_bytes_bound_the_traced_peak(self, m, complete, rule):
+        # the budget's figures come from ru_maxrss, which also counts the
+        # allocator's slack; the traced peak of a law build stays below them
+        n = 20_000
+        game = example4_game() if m == 2 else make_congestion_game([[0.0, -1.0, 0.5]] * m)
+        rule = ArctanRule(K=1.0) if rule == "arctan" else ReplicatorRule(r_lo=-2.0, r_hi=2.0, eps_margin=1e-6)
+        tracemalloc.start()
+        try:
+            law = _Law(game, rule, 1.0, n)
+            if m == 2:
+                law.walk if complete else law.probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < _law_bytes(m, complete)
 
 
 SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted((REPO / "perfbench" / "inputs").glob("*.json"))

@@ -156,7 +156,7 @@ class TestCompleteEngine:
         traj = simulate_complete(game4, arctan1, x0, cfg)
         assert traj.absorbed_at is not None
         assert traj.times[-1] == 500.0
-        assert traj.final_type().is_pure()
+        assert traj.final_type().counts.max() == traj.n
 
     def test_record_cap_switches_to_stride(self, game4, arctan1, monkeypatch):
         monkeypatch.setattr(engine_mod, "EVENT_RECORD_CAP", 40)
@@ -177,7 +177,7 @@ class TestCompleteEngine:
             assert traj.absorbed_at is not None
             assert len(traj.times) < traj.event_count + 1
             assert traj.times[-1] == traj.absorbed_at
-            assert traj.final_type().is_pure()
+            assert traj.final_type().counts.max() == traj.n
             assert traj.absorbing_action == int(np.argmax(traj.counts[-1]))
 
     def test_three_action_generic_path(self):
@@ -1045,6 +1045,19 @@ class TestEnsemble:
         for a, b in zip(seq, par):
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.counts, b.counts)
+
+    def test_closing_the_stream_stops_the_pool(self, game4, arctan1, monkeypatch):
+        import multiprocessing
+
+        x0 = PopulationType.from_fractions(40, [0.5, 0.5])
+        spec = RunSpec(game=game4, rule=arctan1, cfg=SimConfig(horizon=3.0, seed=0), x0=x0)
+        monkeypatch.setenv("IMITODYN_THREADS", "2")
+        runs = engine_mod._runs(spec, 9, 3)
+        first = next(runs)
+        assert multiprocessing.active_children()  # the pool's workers
+        runs.close()
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(first.counts, run_one(spec, derive_seed(3, 0)).counts)
 
     def test_unpicklable_spec_rejected_by_pool(self, game4, arctan1, monkeypatch):
         spec = RunSpec(

@@ -157,9 +157,10 @@ class TestPopulationType:
 
     def test_fractions_and_purity(self):
         pt = PopulationType(np.array([0, 7]))
-        assert pt.is_pure()
+        assert pt.counts.max() == pt.n
         assert pt.fractions.tolist() == [0.0, 1.0]
-        assert not PopulationType(np.array([1, 6])).is_pure()
+        mixed = PopulationType(np.array([1, 6]))
+        assert mixed.counts.max() != mixed.n
 
     @given(st.integers(2, 6), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)

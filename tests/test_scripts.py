@@ -44,7 +44,7 @@ def test_reach_lists_functions_no_subcommand_enters(tmp_path, capsys):
     assert load_script("reach").main([str(path), "--out", str(tmp_path / "out")]) == 0
     listed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
     # error paths a valid config never takes, and the tracer's names
-    assert {"config._fail", "engine._worker", "meanfield.mean_field_rhs"} <= set(listed)
+    assert {"config._fail", "engine.ensemble", "meanfield.mean_field_rhs"} <= set(listed)
     assert "engine.simulate_complete" not in listed and "landscape.metastability_report" not in listed
     assert listed[-1].isdigit()  # the closing count line
     assert (tmp_path / "out" / "tiny" / "compare" / "compare.json").stat().st_size > 0
