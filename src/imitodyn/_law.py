@@ -7,8 +7,8 @@ the pair is compiled once:
 
 - at m = 2, pair_tables gives f_01 and f_10 at every count k = 0..n of
   action 0 from one batched rule.prob_matrix call on the states
-  (k/n, 1 - k/n); the complete loop walks the jump-rate tables built from
-  them (walk), the network loop reads their per-count rows (probs);
+  (k/n, 1 - k/n); jump_path walks the jump-rate tables built from them
+  (walk), the network loop reads their per-count rows (probs);
 - a game is its reward polynomials (games.Game.coeffs), and they are
   separable, r_a depends on x_a alone, so the flow evaluates each by an
   inline Horner, and at m >= 3 and population n the count paths read the
@@ -236,15 +236,15 @@ class _Law:
     - step(x, h, k1): one RK4 step of size h from x given k1 = rhs(x), then
       the guard: (x with negatives clipped to 0 and renormalised, violation
       size, whether it clipped);
-    - with n given, probs(counts), F at counts / n, and `pairs`, the
-      off-diagonal (i, j) row-major; at m >= 3 also cum_rates(counts), the
-      running sums of the jump rates n lam x_i x_j f_ij over `pairs`, and
-      jump_path, which walks the complete loop's jumps over them, and at
-      m = 2 walk, the complete loop's jump-rate tables.
+    - with n given, probs(counts), F at counts / n, `pairs`, the
+      off-diagonal (i, j) row-major, and jump_path, the complete loop's
+      jumps: at m = 2 over walk, the jump-rate tables, at m >= 3 over
+      cum_rates(counts), the running sums of the jump rates
+      n lam x_i x_j f_ij over `pairs`.
 
-    All of them are the straight-line code that _compile generates for m
-    and the law's shape, except at m = 2 probs and walk, which read the
-    pair tables and are built when a loop first asks for them.  A rule
+    All but jump_path are the straight-line code that _compile generates
+    for m and the law's shape, except at m = 2 probs and walk, which read
+    the pair tables and are built when a loop first asks for them.  A rule
     other than the arctan and the replicator rule raises ValueError.
     """
 
@@ -273,8 +273,8 @@ class _Law:
         if n is not None and m > 2:
             self.cum_rates, self.probs = counts
             i, j = np.array(self.pairs).T
-            eye = np.eye(m, dtype=np.int64)
-            self._moves = eye[j] - eye[i]  # row p adds e_j - e_i, for pairs[p] = (i, j)
+            eye = np.eye(m, dtype=np.int64)[:, :-1]
+            self._moves = eye[j] - eye[i]  # row p adds e_j - e_i to the first m - 1 counts, pairs[p] = (i, j)
 
     @functools.cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -295,14 +295,28 @@ class _Law:
         return pup.tolist(), tot.tolist(), -tot
 
     def jump_path(self, counts: list, directions: list) -> tuple[np.ndarray, np.ndarray, float]:
-        """m >= 3: the jump chain from `counts`, one jump per direction
-        uniform d, to the pair at which the cumulative rates first exceed d
-        times their total, stopping at a state that nothing leaves.  Returns
-        (path, -rates, rate): the counts before the first jump and after
-        each as rows, the negated total rate before each jump and the total
-        rate out of the last state, which `counts` is left at."""
+        """The complete loop's jump chain from `counts`, one jump per
+        direction uniform d, stopping at a state that nothing leaves: at
+        m = 2 up when d < pup (walk), at m >= 3 to the pair at which the
+        cumulative rates first exceed d times their total.  Returns (path,
+        -rates, rate): the first m - 1 counts before the first jump and
+        after each as rows, the negated total rate before each jump and the
+        total rate out of the last state, which `counts` is left at."""
+        if self.m == 2:
+            pup, tot, neg_tot = self.walk
+            k = counts[0]
+            path = [k]
+            step = path.append
+            for d in directions:
+                k = k + 1 if d < pup[k] else k - 1
+                step(k)
+                if tot[k] <= 0.0:
+                    break  # absorbed, or a state that nothing leaves
+            counts[:] = k, self._n - k
+            path = np.fromiter(path, np.int64, len(path))
+            return path[:, None], neg_tot[path[:-1]], tot[k]
         cum_rates, pairs = self.cum_rates, self.pairs
-        start = counts.copy()
+        start = counts[:-1]
         cum = cum_rates(counts)
         total = cum[-1]
         moved, neg = [], []

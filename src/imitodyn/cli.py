@@ -25,13 +25,14 @@ number of runs: simulate writes each run's CSV and keeps its summary
 record, metastability keeps each run's report entry, and compare each
 run's deviation.  simulate creates the output directory when the first run
 arrives, so a first run that fails leaves no directory, and a later run
-that fails leaves the CSVs of the runs before it and no summary.json.  A game is its reward polynomials, from whose
-coefficients the landscape is solved exactly, with no random numbers;
---seed seeds the ensembles only.  The unused alias
-find_critical_points_2action and the unused ensemble and run_one imports
-stay because perfbench/tracer.py patches them by name, as it patches
-integrate, kurtz_deviation and metastability_report here, which the
-subcommands call through this module.
+that fails leaves the CSVs of the runs before it and no summary.json.
+
+A game is its reward polynomials, from whose coefficients the landscape is
+solved exactly, with no random numbers; --seed seeds the ensembles only.
+The unused alias find_critical_points_2action and the unused ensemble and
+run_one imports stay because perfbench/tracer.py patches them by name, as
+it patches integrate, kurtz_deviation and metastability_report here, which
+the subcommands call through this module.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps

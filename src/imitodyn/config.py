@@ -27,7 +27,8 @@ with a "seed" every run shares one fixed graph.
 
 Every JSON number goes through one reader, _value, which rejects booleans,
 Infinity, NaN and integers too large for a float, and checks these bounds:
-population sizes (sim.n, analysis.n_sweep) 2 .. 2**53, and no larger than
+population sizes (sim.n, analysis.n_sweep) 2 .. 2**53, no smaller than the
+number of positive initial fractions (each gets a player), and no larger than
 the law tables of one run fit in _LAW_BUDGET = 1 GiB (n <= 7,158,278 at
 m = 2 on the complete graph, n <= 3,067,833 and a lattice side <= 1,751 at
 m = 2 on a network, n <= 4,473,924 at m = 3); ensemble.runs 1 .. MAX_RUNS =
@@ -352,6 +353,10 @@ def load_config(path: str) -> ExperimentConfig:
     limit_tol = _number(ana, "limit_tol", "$.analysis", default=1e-8, positive=True)
     n_sweep = _number_list(ana, "n_sweep", "$.analysis", default=[n], integer=True, lo=2, hi=_MAX_N)
     n_sweep = tuple(_law_n(v, f"$.analysis.n_sweep[{i}]", per_count) for i, v in enumerate(n_sweep))
+    support = int(np.count_nonzero(arr))
+    for at, v in (("$.sim.n", n), *((f"$.analysis.n_sweep[{i}]", v) for i, v in enumerate(n_sweep))):
+        if v < support:
+            _fail(at, f"must be >= {support}, one player per positive initial fraction, got {v}")
     if topology["type"] in ("lattice", "file") and any(v != n for v in n_sweep):
         _fail("$.analysis.n_sweep", f"a {topology['type']} topology fixes n = {n}")
 

@@ -2,28 +2,26 @@
 
 Two engines share one law on the complete graph: simulate_complete runs the
 population-type jump chain (rates n lambda x_i x_j f_ij), simulate_network
-runs per-node activation, contact, and copy on an arbitrary graph.  The
-complete-graph loop draws from random.Random(seed), one inverse-CDF
-exponential waiting time and one uniform per jump, at every m: it reads that
-stream in numpy blocks (_uniforms), walks each block's states in one Python
-pass and closes the block's times, horizon and recording with numpy.  The
-network loop draws numpy blocks from PCG64(seed), ziggurat exponentials
-included, and handles each block's activations in one Python pass.  Every
-run is reproducible bit for bit.
+runs per-node activation, contact, and copy on an arbitrary graph.  Both
+loops have one shape at every m: draw a block, walk its events in one
+Python pass, turn its waiting times into times with one clock (_clock) and
+hand its rows to one recorder (_Recorder).  The complete loop draws from
+random.Random(seed), one inverse-CDF exponential waiting time and one
+uniform per jump, in numpy blocks (_uniforms); the network loop draws
+numpy blocks from PCG64(seed), ziggurat exponentials included.  Every run
+is reproducible bit for bit.
 
 Every loop takes its copy probabilities from the compiled law (_law) of
 its (game, rule) pair, which rejects any pair it has no law for before a
-loop draws, a pure start included: at m = 2 the complete loop walks the
-law's rate tables (walk), at m >= 3 the law walks its generated cumulative
-rates (jump_path), and the network loop reads its probs.  A pure start
+loop draws, a pure start included: the complete loop walks the law's jump
+chain (jump_path) and the network loop reads its probs.  A pure start
 takes no special exit: the complete loop stops at its rate 0 and closes the
 path as absorbed at t = 0, and the network loop starts absorbed.  The runs
 of one spec share one law through a one-entry cache (_shared_law).  This
 module holds the loops and the rate matrix (_rate_matrix) that
 potential_drift_rates splits and the tests check the compiled law against.
-Every loop records its path through one _Recorder, and hands it each draw
-block's rows as numpy arrays: the complete loop its jumps, the network loop
-its grid and flip rows.
+A recorded row is the first m - 1 counts of a state: the complete loop
+hands the recorder its jumps, the network loop its grid and flip rows.
 
 An ensemble is a stream (_runs): it makes its runs in run order, one at a
 time or a few per worker in flight, and keeps none it has handed on, so a
@@ -183,8 +181,8 @@ class _Recorder:
     each draw block's jumps through `jumps`, which applies the every-jump ->
     stride cap rule on top of `_put`.  The network loop hands `_put` each
     draw block's grid and flip rows, at most _CHUNK of them at a time, and
-    calls `switch` at its EVENT_RECORD_CAP-th flip.  Each row is a count
-    vector, or the count of action 0 when m = 2 on the complete graph.
+    calls `switch` at its EVENT_RECORD_CAP-th flip.  Each row holds the
+    first m - 1 counts of a state; `close` adds the last, n less the others.
     """
 
     def __init__(self, row0, cfg: SimConfig, every_jump: bool = True) -> None:
@@ -255,7 +253,8 @@ class _Recorder:
             self._fill = 0
 
     def close(self, final, n: int, absorbed_at: float | None, events: int, meta: dict) -> Trajectory:
-        """The Trajectory of a path whose current state is `final`.
+        """The Trajectory of a path whose current state's first m - 1
+        counts are `final`.
 
         An absorbed path ends with a row at absorbed_at; an unabsorbed one,
         or one that continues after absorption, ends with a row at the
@@ -274,13 +273,12 @@ class _Recorder:
         self._flush()
         times = np.concatenate([b[0] for b in self._blocks])
         rows = [b[1] for b in self._blocks]
-        self._blocks.clear()
-        if rows[0].ndim == 1:
-            counts = np.empty((times.size, 2), dtype=np.int64)
-            np.concatenate(rows, out=counts[:, 0])
-            np.subtract(n, counts[:, 0], out=counts[:, 1])
-        else:
-            counts = np.concatenate(rows)
+        self._blocks.clear()  # frees the time blocks before counts is made
+        counts = np.empty((times.size, rb.shape[1] + 1), dtype=np.int64)
+        np.concatenate(rows, out=counts[:, :-1])
+        last = counts[:, -1]  # n less the other counts, summed in place
+        np.add.reduce(counts[:, :-1], axis=1, out=last)
+        np.subtract(n, last, out=last)
         if self.stride_from is not None:
             meta["stride_from"] = self.stride_from
         return Trajectory(
@@ -303,31 +301,21 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
 
     Each jump takes two values of random.Random(cfg.seed).random(): its
     waiting time -log(1 - u) / rate, then its direction.  The values come in
-    blocks, 2 * size of them from one getrandbits call.  A Python pass walks
-    the state over the block's directions: at m = 2 the count of action 0
-    through the law's rate tables (walk), at m >= 3 the count vector through
-    its cumulative rates (jump_path).  The block's times are math.log mapped
-    over 1 - u, divided by the negated rates and summed from the carried
-    time by one np.add.accumulate, equal bit for bit to one jump at a time.
-    The jumps before the horizon go to the recorder in one call, and a block
-    either is used up or ends the run, so the block sizes do not change the
-    stream.
+    blocks, 2 * size of them from one getrandbits call.  The law walks the
+    state over the block's directions (jump_path), and _clock turns math.log
+    mapped over 1 - u into the jump times.  The jumps before the horizon go
+    to the recorder in one call, and a block either is used up or ends the
+    run, so the block sizes do not change the stream.
     """
     if x0.m != game.m:
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
     n = x0.n
     meta = _meta("complete", game, rule, cfg, n, f"complete(n={n})")
     law = _shared_law(game, rule, cfg.lam, n)
-    if game.m == 2:
-        pup, tot, neg_tot = law.walk
-        k = int(x0.counts[0])
-        path, rate = np.array([k]), tot[k]
-    else:
-        counts = x0.counts.tolist()
-        path, rate = x0.counts[None], law.cum_rates(counts)[-1]
+    counts = x0.counts.tolist()
+    path, _, rate = law.jump_path(counts, [])
 
     rng = random.Random(cfg.seed)
-    log = math.log
     horizon = cfg.horizon
     t = 0.0
     rec = _Recorder(path[0], cfg)
@@ -342,35 +330,30 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
         draws = _uniforms(rng, 2 * size)  # (time, direction) for each jump
         np.subtract(1.0, draws[0::2], out=draws[0::2])
         u = draws.tolist()
-        if game.m == 2:
-            path = [k]
-            step = path.append
-            for d in u[1::2]:
-                k = k + 1 if d < pup[k] else k - 1
-                step(k)
-                if tot[k] <= 0.0:
-                    break  # absorbed, or a state that nothing leaves
-            path = np.fromiter(path, np.int64, len(path))
-            neg_rates, rate = neg_tot[path[:-1]], tot[k]
-        else:
-            path, neg_rates, rate = law.jump_path(counts, u[1::2])
+        path, neg_rates, rate = law.jump_path(counts, u[1::2])
         jumps = path.shape[0] - 1
-        times = np.fromiter(map(log, u[0 : 2 * jumps : 2]), float, jumps)
-        times /= neg_rates
-        times[0] += t
-        np.add.accumulate(times, out=times)
-        # the jumps before the horizon
-        stop = jumps if times[-1] < horizon else int(np.searchsorted(times, horizon))
+        times = np.fromiter(map(math.log, u[0 : 2 * jumps : 2]), float, jumps)
+        stop = _clock(times, neg_rates, t, horizon)
         rec.jumps(times[:stop], path[1 : stop + 1], events)
         events += stop
         if stop < jumps:
             break
         t = float(times[-1])
 
-    final = path[stop]
     # nothing leaves the last state of an uncut block: absorbed at a vertex, or stalled
-    absorbed = stop == jumps and (final in (0, n) if game.m == 2 else final.max() == n)
-    return rec.close(final, n, t if absorbed else None, events, meta)
+    absorbed = stop == jumps and max(counts) == n
+    return rec.close(path[stop], n, t if absorbed else None, events, meta)
+
+
+def _clock(times: np.ndarray, rates, t: float, horizon: float) -> int:
+    """Turn one draw block's waiting times into event times in place, each
+    divided by its rate and summed from t by one np.add.accumulate, equal
+    bit for bit to one event at a time; return how many lie before the
+    horizon."""
+    times /= rates
+    times[0] += t
+    np.add.accumulate(times, out=times)
+    return times.size if times[-1] < horizon else int(np.searchsorted(times, horizon))
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
@@ -407,23 +390,22 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     graph, otherwise as integers(0, n, size) and then the uniform neighbour
     flat[off[u] + integers(0, deg[u])]; and its copy uniforms, random().
     numpy's bounded integers depend on how the draws are split into calls,
-    so the block sizes are part of the stream.  The clock is one sequential
-    sum carried from block to block, equal bit for bit to t += e / (n *
-    lambda) per activation.  Python then visits each activation of the
-    block once and acts only on copies.  A grid row at s = stride, 2 stride,
-    ... holds the state left by the activations before s: the first copy at
-    or after s adds it before its own row, and the end of the run adds the
-    rest.  A block's rows go to the recorder as arrays at its end, or once
-    _CHUNK of them have gathered.
+    so the block sizes are part of the stream.  The clock (_clock) is one
+    sequential sum carried from block to block, equal bit for bit to
+    t += e / (n * lambda) per activation.  Python then visits each
+    activation of the block once and acts only on copies.  A grid row at
+    s = stride, 2 stride, ... holds the state left by the activations
+    before s: the first copy at or after s adds it before its own row, and
+    the end of the run adds the rest.  A block's rows go to the recorder as
+    arrays at its end, or once _CHUNK of them have gathered.
     """
     if y0.n != graph.n:
         raise ValueError(f"configuration has {y0.n} nodes, graph has {graph.n}")
     if y0.m != game.m:
         raise ValueError(f"configuration has {y0.m} actions, game has {game.m}")
     n = graph.n
-    m = game.m
     meta = _meta("network", game, rule, cfg, n, f"{graph.kind}(n={n})")
-    counts = np.bincount(y0.actions, minlength=m).tolist()
+    counts = np.bincount(y0.actions, minlength=game.m).tolist()
     law = _shared_law(game, rule, cfg.lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
@@ -437,7 +419,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     total_rate = n * cfg.lam
 
     t = 0.0
-    rec = _Recorder(counts, cfg, every_jump=record_jumps)
+    rec = _Recorder(counts[:-1], cfg, every_jump=record_jumps)
     cap, chunk, stride = rec.cap, _CHUNK, cfg.record_stride
     next_rec = stride
     ts: list[float] = []  # grid and flip rows not yet handed to rec
@@ -464,11 +446,8 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
             v = flat[off[u] + rng.integers(0, deg[u])].tolist()
             u = u.tolist()
         copy = rng.random(size).tolist()
-        times /= total_rate
-        times[0] += t
-        np.add.accumulate(times, out=times)
+        stop = _clock(times, total_rate, t, horizon)
         t = float(times[-1])
-        stop = size if t < horizon else int(np.searchsorted(times, horizon))  # activations before the horizon
         clock = memoryview(times)  # reads Python floats
         for k, a, b, c in zip(range(stop), u, v, copy):
             i = y[a]
@@ -476,7 +455,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
             if i != j and c < F[i][j]:
                 s = clock[k]
                 if next_rec <= s:  # grid rows up to s hold the state this flip leaves
-                    row = counts.copy()
+                    row = counts[:-1]
                     while next_rec <= s:
                         append_t(next_rec)
                         append_r(row)
@@ -490,7 +469,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
                 F = law(counts)
                 if record_jumps:
                     append_t(s)
-                    append_r(counts.copy())
+                    append_r(counts[:-1])
                     if len(ts) >= chunk:
                         give()
                     if flips >= cap:
@@ -505,15 +484,16 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
         size = min(2 * size, _DRAW_CAP)
 
     if absorbed_at is None:
+        row = counts[:-1]
         while next_rec < horizon:
             append_t(next_rec)
-            append_r(counts)
+            append_r(row)
             next_rec += stride
             if len(ts) >= chunk:
                 give()
         give()
     meta["flip_count"] = flips
-    return rec.close(counts, n, absorbed_at, events, meta)
+    return rec.close(counts[:-1], n, absorbed_at, events, meta)
 
 
 def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType, lam: float = 1.0) -> DriftRates:

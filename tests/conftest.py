@@ -330,7 +330,7 @@ def loop_complete_2action(game, rule, x0, cfg, meta):
     stride = cfg.record_stride
     t = 0.0
     k = int(x0.counts[0])
-    rec = _Recorder(k, cfg)
+    rec = _Recorder([k], cfg)
     cap = engine_mod.EVENT_RECORD_CAP
     ts, path = [], []
     events = 0
@@ -359,8 +359,8 @@ def loop_complete_2action(game, rule, x0, cfg, meta):
             absorbed_at = t
             break
 
-    rec._put(np.array(ts), np.array(path, dtype=np.int64))
-    return rec.close(k, n, absorbed_at, events, meta)
+    rec._put(np.array(ts), np.array(path, dtype=np.int64)[:, None])
+    return rec.close([k], n, absorbed_at, events, meta)
 
 
 def loop_complete_generic(game, rule, x0, cfg, meta):
@@ -378,7 +378,7 @@ def loop_complete_generic(game, rule, x0, cfg, meta):
     stride = cfg.record_stride
     counts = x0.counts.tolist()
     t = 0.0
-    rec = _Recorder(counts, cfg)
+    rec = _Recorder(counts[:-1], cfg)
     cap = engine_mod.EVENT_RECORD_CAP
     ts, rows = [], []
     events = 0
@@ -412,8 +412,8 @@ def loop_complete_generic(game, rule, x0, cfg, meta):
             absorbed_at = t
             break
 
-    rec._put(np.array(ts), np.array(rows, dtype=np.int64).reshape(-1, len(counts)))
-    return rec.close(counts, n, absorbed_at, events, meta)
+    rec._put(np.array(ts), np.array(rows, dtype=np.int64).reshape(-1, len(counts))[:, :-1])
+    return rec.close(counts[:-1], n, absorbed_at, events, meta)
 
 
 def loop_write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray, n: int | None = None) -> None:

@@ -524,6 +524,28 @@ class TestErrorPaths:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, sweep, anchor",
+        [
+            ("simulate", None, "$.sim.n"),
+            ("metastability", None, "$.sim.n"),
+            ("metastability", [10, 2], "$.analysis.n_sweep[1]"),
+            ("compare", [2, 10], "$.analysis.n_sweep[0]"),
+            ("ode", None, "$.sim.n"),
+            ("landscape", None, "$.sim.n"),
+        ],
+    )
+    def test_population_below_initial_support_exits_2(self, tmp_path, capsys, command, sweep, anchor):
+        data = sim_cfg(tmp_path, n=2 if sweep is None else 10)
+        data["game"] = {"type": "congestion", "polynomials": [[1.0, -1.0]] * 3}
+        data["init"] = {"fractions": [0.6, 0.3, 0.1]}
+        if sweep is not None:
+            data["analysis"] = {"n_sweep": sweep}
+        assert main([command, "--config", write_cfg(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {anchor}: must be >= 3, one player per positive initial fraction, got 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_population_exits_2(self, tmp_path, capsys):
         data = sim_cfg(tmp_path, n=10**9)
         assert main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2

@@ -285,6 +285,25 @@ class TestInitErrors:
         data["init"] = {"fractions": [-0.2, 1.2]}
         expect_error(write_cfg, data, r"\$\.init\.fractions: not a point on the simplex")
 
+    @pytest.mark.parametrize(
+        "n, sweep, anchor",
+        [(2, None, r"\$\.sim\.n"), (10, [10, 2], r"\$\.analysis\.n_sweep\[1\]")],
+        ids=["sim.n", "n_sweep"],
+    )
+    def test_population_below_initial_support(self, write_cfg, n, sweep, anchor):
+        # PopulationType.from_fractions gives each positive fraction a player
+        data = base_config()
+        data["game"] = {"type": "congestion", "polynomials": [[1.0, -1.0]] * 3}
+        data["sim"]["n"] = n
+        data["init"] = {"fractions": [0.6, 0.3, 0.1]}
+        if sweep is not None:
+            data["analysis"] = {"n_sweep": sweep}
+        expect_error(write_cfg, data, anchor + r": must be >= 3, one player per positive initial fraction, got 2$")
+        # a fraction the slack clips to 0 needs no player
+        data["init"] = {"fractions": [0.7, 0.3 + 5e-7, -5e-7]}
+        cfg = load_config(write_cfg(data))
+        assert cfg.init_fractions[2] == 0.0 and 2 in cfg.n_sweep
+
 
 class TestTopologyErrors:
     def test_unknown_type(self, write_cfg):

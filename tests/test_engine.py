@@ -674,7 +674,7 @@ def _reference_network(graph, game, rule, y0, cfg):
     y = y0.actions.astype(np.int64).tolist()
     stride, record_jumps = cfg.record_stride, cfg.record_jumps
     t = 0.0
-    rec = engine_mod._Recorder(counts, cfg, every_jump=record_jumps)
+    rec = engine_mod._Recorder(counts[:-1], cfg, every_jump=record_jumps)
     cap = engine_mod.EVENT_RECORD_CAP
     ts, rows = [], []
     next_rec = stride
@@ -709,8 +709,8 @@ def _reference_network(graph, game, rule, y0, cfg):
                 absorbed_at = t
                 break
     meta["flip_count"] = flips
-    rec._put(np.array(ts), np.array(rows, dtype=np.int64).reshape(-1, len(counts)))
-    return rec.close(counts, n, absorbed_at, events, meta)
+    rec._put(np.array(ts), np.array(rows, dtype=np.int64).reshape(-1, len(counts))[:, :-1])
+    return rec.close(counts[:-1], n, absorbed_at, events, meta)
 
 
 class TestNetworkDrawStream:
@@ -982,13 +982,17 @@ class TestRecorder:
         assert "stride_from" not in strided.meta  # stride sampling from the start
 
     @pytest.mark.parametrize(
-        "engine, m, bound", [("complete", 2, 55.0), ("complete", 3, 122.0), ("network", 2, 95.0), ("network", 3, 99.0)]
+        "engine, m, bound", [("complete", 2, 55.0), ("complete", 3, 65.0), ("network", 2, 62.0), ("network", 3, 79.0)]
     )
     def test_peak_memory_per_recorded_row(self, game4, arctan1, monkeypatch, engine, m, bound):
-        # Half of what the Python-list recording peaked at: 110 and 244 B/row
-        # on the complete graph, 191.5 and 199.4 on the stride-recorded
-        # networks.  The network loop kept up to _CHUNK rows in those lists,
-        # so its cases keep the default _CHUNK and record fewer rows than it.
+        # The Python-list recording peaked at 110 and 244 B/row on the
+        # complete graph, 191.5 and 199.4 on the stride-recorded networks.
+        # Rows of m counts peaked at 34.5, 70.8, 67.4 and 84.3; rows of the
+        # first m - 1 counts at 33.5, 59.9, 56.6 and 73.6.  The network loop
+        # gathers up to _CHUNK rows in lists, so its cases keep the default
+        # _CHUNK and record fewer rows than it.  Each case first warms the
+        # law's caches, so that the generated code and the law's tables,
+        # built once per process or spec, are not counted per row.
         g3 = make_congestion_game([[1.0, -1.0]] * 3)
         rep3 = replicator_rule(*reward_bounds(g3), 0.01)
         if engine == "complete":
@@ -997,13 +1001,14 @@ class TestRecorder:
                 args = (game4, arctan1, PopulationType.from_fractions(2000, [0.5, 0.5]), SimConfig(horizon=60.0, seed=1))
             else:
                 args = (g3, rep3, PopulationType.from_fractions(900, [0.6, 0.3, 0.1]), SimConfig(horizon=25.0, seed=1))
+            simulate_complete(*args[:3], SimConfig(horizon=1.0, seed=1))
             simulate = simulate_complete
         else:
             if m == 2:
                 args = (square_lattice(20, periodic=True), game4, arctan1, Configuration(np.array([0, 1] * 200), 2))
             else:
                 args = (erdos_renyi(300, 0.03, seed=1), g3, rep3, Configuration(np.arange(300) % 3, 3))
-            simulate_network(*args, SimConfig(horizon=1.0, seed=1))  # warm the law's caches
+            simulate_network(*args, SimConfig(horizon=1.0, seed=1))
             args += (SimConfig(horizon=60.0, seed=1, record_stride=0.005),)
             simulate = simulate_network
         tracemalloc.start()

@@ -215,6 +215,40 @@ def test_config_pairs_never_fall_back(m, rule_name):
     simulate_network(complete(60), game, rule, y0, cfg)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("rule_name", ["arctan", "replicator"])
+def test_jump_path_serves_every_m(m, rule_name):
+    # jump_path(counts, []) is the start row and the rate out of it; a block
+    # leaves counts at the full state of its last row, and each jump's
+    # negated rate is the rate out of the row before it
+    game, rule = _case(m, rule_name)
+    n, lam = 60, 1.3
+    law = _Law(game, rule, lam, n)
+    rng = np.random.default_rng(m)
+
+    def rate_at(row):
+        return law.jump_path([*row, n - sum(row)], [])[2]
+
+    for _ in range(30):
+        counts = np.diff([0, *sorted(rng.integers(0, n + 1, m - 1)), n]).tolist()
+        start = counts.copy()
+        path, neg, rate = law.jump_path(counts, [])
+        assert path.tolist() == [start[:-1]] and neg.size == 0 and counts == start
+        if m == 2:
+            assert rate == law.walk[1][start[0]]
+        else:
+            ref = transition_rates(game, rule, PopulationType(np.array(start), n), lam=lam).sum()
+            assert rate == pytest.approx(ref, rel=1e-12, abs=0.0)
+        if rate > 0.0:
+            path, neg, last = law.jump_path(counts, rng.random(40).tolist())
+            assert path.shape == (neg.size + 1, m - 1) and path[0].tolist() == start[:-1]
+            assert counts[:-1] == path[-1].tolist() and sum(counts) == n and min(counts) >= 0
+            assert last == rate_at(path[-1].tolist())
+            assert neg.tolist() == [-rate_at(row) for row in path[:-1].tolist()]
+    for a in range(m):
+        assert law.jump_path([n if b == a else 0 for b in range(m)], [])[2] == 0.0
+
+
 class _NumpyArctan(ImitationRule):
     """The arctan rule with K = 1, as a rule the law has no shape for."""
 
