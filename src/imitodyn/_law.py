@@ -362,6 +362,7 @@ class _Law:
             if np.isnan(R).any() or any(sum(sorted(c)[:2]) <= n for c in first):
                 raise ValueError("rate conservation violated: copy probability nan outside [0, 1]")
             return R.tolist()
-        G = self._rule._mapped(R)  # g(r) entrywise; logs once if it clamps
-        check_probs(np.broadcast_to(G[None], (m, m, n + 1)))
+        G = self._rule._mapped(R)  # g(r) entrywise, clipped into [eps, 1 - eps]; logs once if it clamps
+        if np.isnan(G).any():  # so only a NaN reward puts an f_ij outside [0, 1]
+            raise ValueError("rate conservation violated: copy probability nan outside [0, 1]")
         return G.tolist()

@@ -36,7 +36,8 @@ the subcommands call through this module.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 Config problems are detected before any output file is created.  Every
 artifact is byte-reproducible from (config, seed).  IMITODYN_THREADS caps
-the worker count for every ensemble, on any topology; a value that is not a
+the worker count for every ensemble, on any topology, and so do the CPUs
+available: a pool never has more workers than CPUs.  A value that is not a
 positive integer exits 2.
 """
 

@@ -32,9 +32,10 @@ number of positive initial fractions (each gets a player), and no larger than
 the law tables of one run fit in _LAW_BUDGET = 1 GiB (n <= 7,158,278 at
 m = 2 on the complete graph, n <= 3,067,833 and a lattice side <= 1,751 at
 m = 2 on a network, n <= 4,473,924 at m = 3); ensemble.runs 1 .. MAX_RUNS =
-10**6; seeds (ensemble.base_seed, topology.seed, --seed) 0 .. 2**64 - 1; and
+10**6; seeds (ensemble.base_seed, topology.seed, --seed) 0 .. 2**64 - 1;
 at most 10**7 RK4 steps of analysis.ode_dt up to max(sim.horizon,
-analysis.ode_horizon).  Validation failures raise
+analysis.ode_horizon); and at most 10**7 stride rows, sim.horizon /
+sim.record_stride.  Validation failures raise
 ConfigError with a JSON-path anchor; the CLI maps them to exit code 2.
 Keys a section does not list are ignored, so a config that still sets the
 retired analysis.grid or analysis.starts loads unchanged.
@@ -67,14 +68,16 @@ MAX_RUNS = 10**6
 # count, from the growth of ru_maxrss while a law was built at n = 10**5 to
 # 4 * 10**5, rounded up: 146-150 B for the m = 2 walk of the complete loop,
 # 347-350 B for the m = 2 probs rows of the network loop, and at m >= 3 at
-# most 8 m (m + 2) + 120 B, measured at m = 3..16 under both rules: the
-# replicator rule's check of its m (m - 1) copy probabilities per count
-# grows with m^2.
+# most 8 m (m + 2) + 120 B, an upper bound under both rules at m = 3..16
+# (the replicator law's traced peak is 144 / 384 / 768 B at m = 3 / 8 / 16,
+# n = 20,000).
 _LAW_BUDGET = 2**30
 # Seeds are 64-bit.
 _MAX_SEED = 2**64 - 1
-# Most RK4 steps in a flow to max(sim.horizon, analysis.ode_horizon): the
-# flow keeps every step, (m + 1) floats a step.
+# Most RK4 steps in a flow to max(sim.horizon, analysis.ode_horizon), and
+# most sim.record_stride rows up to sim.horizon: the flow keeps every step,
+# (m + 1) floats a step, and a network run, or a complete one past
+# EVENT_RECORD_CAP jumps, keeps every stride row.
 _MAX_FLOW_STEPS = 10**7
 
 
@@ -324,6 +327,8 @@ def load_config(path: str) -> ExperimentConfig:
     lam = _number(sim, "lambda", "$.sim", default=1.0, positive=True)
     horizon = _number(sim, "horizon", "$.sim", positive=True)
     record_stride = _number(sim, "record_stride", "$.sim", default=0.1, positive=True)
+    if horizon / record_stride > _MAX_FLOW_STEPS:
+        _fail("$.sim.record_stride", f"a run to t = {horizon} keeps more than {_MAX_FLOW_STEPS} stride rows")
     stop_on_absorption = _bool(sim, "stop_on_absorption", "$.sim", True)
 
     init = _section(raw, "init", required=True)

@@ -385,12 +385,10 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
 
     Each run draws from np.random.Generator(PCG64(cfg.seed)) in blocks of
     32, 64, ... activations, doubling up to _DRAW_CAP.  A block draws, in
-    this order: its standard exponentials; its active nodes u and contacts
-    v, as rows 0 and 1 of one integers(0, n, (2, size)) on the complete
-    graph, otherwise as integers(0, n, size) and then the uniform neighbour
-    flat[off[u] + integers(0, deg[u])]; and its copy uniforms, random().
-    numpy's bounded integers depend on how the draws are split into calls,
-    so the block sizes are part of the stream.  The clock (_clock) is one
+    this order: its standard exponentials; its active nodes and their
+    contacts (Graph._contacts); and its copy uniforms, random().  numpy's
+    bounded integers depend on how the draws are split into calls, so the
+    block sizes are part of the stream.  The clock (_clock) is one
     sequential sum carried from block to block, equal bit for bit to
     t += e / (n * lambda) per activation.  Python then visits each
     activation of the block once and acts only on copies.  A grid row at
@@ -409,10 +407,6 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     law = _shared_law(game, rule, cfg.lam, n).probs
     F = law(counts)
     y = y0.actions.astype(np.int64).tolist()
-    if not graph.is_complete:
-        deg = np.array([nb.size for nb in graph.neighbors])
-        off = np.cumsum(deg) - deg
-        flat = np.concatenate(graph.neighbors)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = cfg.horizon
     record_jumps = cfg.record_jumps
@@ -439,12 +433,7 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
 
     while absorbed_at is None and t < horizon:
         times = rng.standard_exponential(size)
-        if graph.is_complete:
-            u, v = rng.integers(0, n, (2, size)).tolist()
-        else:
-            u = rng.integers(0, n, size)
-            v = flat[off[u] + rng.integers(0, deg[u])].tolist()
-            u = u.tolist()
+        u, v = graph._contacts(rng, size)
         copy = rng.random(size).tolist()
         stop = _clock(times, total_rate, t, horizon)
         t = float(times[-1])
@@ -566,6 +555,14 @@ def _thread_cap() -> int:
     return cap
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 # Runs a pool keeps in flight per worker: enough to keep every worker busy,
 # few enough that the finished runs waiting for their turn stay few.
 _IN_FLIGHT = 2
@@ -575,15 +572,17 @@ def _runs(run_spec: RunSpec, num_runs: int, base_seed: int) -> Iterator[Trajecto
     """The runs of `ensemble`, yielded one at a time in run order.
 
     Sequentially each run is made when the caller asks for it.  A pool
-    keeps at most _IN_FLIGHT runs per worker submitted and yields them in
-    run order, so neither the results nor their order depend on the worker
+    has min(IMITODYN_THREADS, CPUs available, num_runs) workers, keeps at
+    most _IN_FLIGHT runs per worker submitted and yields them in run
+    order, so neither the results nor their order depend on the worker
     count.  The generator keeps no run it has yielded, and closing it early
     cancels the runs not yet started and shuts the pool down.
     """
     if num_runs < 1:
         raise ValueError("need at least one run")
     seeds = (derive_seed(base_seed, i) for i in range(num_runs))
-    workers = min(_thread_cap(), num_runs)
+    # the fork start method launches every worker at the first submit
+    workers = min(_thread_cap(), _cpus(), num_runs)
     if workers == 1:
         for s in seeds:
             yield run_one(run_spec, s)
@@ -614,6 +613,7 @@ def ensemble(run_spec: RunSpec, num_runs: int, base_seed: int) -> list[Trajector
     """Independent runs with per-run seeds hash(base_seed, run_index).
 
     Results are ordered by run index and do not depend on the worker count;
-    IMITODYN_THREADS caps the pool (default: run sequentially).
+    IMITODYN_THREADS caps the pool (default: run sequentially), as do
+    the CPUs available.
     """
     return list(_runs(run_spec, num_runs, base_seed))

@@ -3,7 +3,7 @@
 The complete graph keeps self-loops and an implicit O(1) representation
 (contacting yourself is a harmless no-op and keeps contact probabilities
 exactly proportional to action frequencies).  All other topologies are
-simple undirected graphs stored as per-node sorted adjacency arrays.
+simple undirected graphs stored as compressed sparse rows (see Graph).
 """
 
 from __future__ import annotations
@@ -23,45 +23,61 @@ logger = logging.getLogger(__name__)
 class Graph:
     """Undirected interaction graph on nodes 0..n-1.
 
-    neighbors is None for the implicit complete graph; otherwise a tuple of
-    sorted integer arrays, one per node, each nonempty.  Periodic lattices
-    of side 2 keep duplicate entries so that torus contact multiplicities
-    stay uniform.
+    flat and off are None for the implicit complete graph; otherwise node
+    v's sorted, nonempty int64 neighbour row is flat[off[v]:off[v + 1]].
+    Periodic lattices of side 2 keep duplicate entries so that torus
+    contact multiplicities stay uniform.
     """
 
     n: int
-    neighbors: tuple[np.ndarray, ...] | None
+    flat: np.ndarray | None
+    off: np.ndarray | None
     kind: str
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got n = {self.n}")
-        if self.neighbors is not None:
-            if len(self.neighbors) != self.n:
-                raise ValueError("adjacency length does not match n")
-            for u, nb in enumerate(self.neighbors):
-                if nb.size == 0:
-                    raise ValueError(f"node {u} has no neighbors")
+        if self.flat is not None:
+            if self.off.shape != (self.n + 1,) or self.off[0] != 0 or self.off[-1] != self.flat.size:
+                raise ValueError("adjacency offsets do not match n and the neighbour array")
+            empty = np.flatnonzero(np.diff(self.off) == 0)
+            if empty.size:
+                raise ValueError(f"node {empty[0]} has no neighbors")
 
     @property
     def is_complete(self) -> bool:
-        return self.neighbors is None
+        return self.flat is None
+
+    @property
+    def neighbors(self) -> tuple[np.ndarray, ...] | None:
+        """Every node's neighbour row as a view of flat (None if complete)."""
+        return None if self.flat is None else tuple(np.split(self.flat, self.off[1:-1]))
 
     def neighbor_list(self, v: int) -> np.ndarray:
         """Neighbors of v (materialized on demand for the complete graph)."""
         if not (0 <= v < self.n):
             raise IndexError(f"node {v} out of range")
-        if self.neighbors is None:
+        if self.flat is None:
             return np.arange(self.n, dtype=np.int64)
-        return self.neighbors[v]
+        return self.flat[self.off[v] : self.off[v + 1]]
 
     def degree(self, v: int) -> int:
         return int(self.neighbor_list(v).size)
 
+    def _contacts(self, rng: np.random.Generator, size: int) -> tuple[list[int], list[int]]:
+        """`size` active nodes u and their contacts v, as lists: rows 0 and 1
+        of one integers(0, n, (2, size)) on the complete graph, otherwise u =
+        integers(0, n, size) and then flat[off[u] + integers(0, deg[u])]."""
+        if self.flat is None:
+            return tuple(rng.integers(0, self.n, (2, size)).tolist())
+        u = rng.integers(0, self.n, size)
+        lo = self.off[u]
+        return u.tolist(), self.flat[lo + rng.integers(0, self.off[u + 1] - lo)].tolist()
+
 
 def complete(n: int) -> Graph:
     """Complete graph with self-loops, represented implicitly."""
-    return Graph(n=n, neighbors=None, kind="complete")
+    return Graph(n=n, flat=None, off=None, kind="complete")
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -93,7 +109,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         heads = np.concatenate([heads, [w for _, w in extra]])
     src = np.concatenate([tails, heads])
     dst = np.concatenate([heads, tails])
-    return Graph(n=n, neighbors=_rows(dst[np.lexsort((dst, src))], deg), kind="er")
+    return Graph(n=n, flat=dst[np.lexsort((dst, src))], off=_offsets(deg), kind="er")
 
 
 def square_lattice(side: int, periodic: bool = True) -> Graph:
@@ -114,14 +130,12 @@ def square_lattice(side: int, periodic: bool = True) -> Graph:
     inside = (rr >= 0) & (rr < side) & (cc >= 0) & (cc < side)
     ids = np.where(inside, rr * side + cc, n)  # n sorts after every node
     ids.sort(axis=1)
-    return Graph(n=n, neighbors=_rows(ids[ids < n], inside.sum(axis=1)), kind="lattice")
+    return Graph(n=n, flat=ids[ids < n], off=_offsets(inside.sum(axis=1)), kind="lattice")
 
 
-def _rows(flat: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split the concatenated sorted adjacency rows by node degree, as
-    views of `flat`."""
-    ends = np.cumsum(deg).tolist()
-    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
+def _offsets(deg: np.ndarray) -> np.ndarray:
+    """The row offsets of nodes of degrees `deg`: 0, then their running sum."""
+    return np.concatenate(([0], np.cumsum(deg)))
 
 
 def from_edge_list(path: str | Path) -> Graph:
@@ -152,15 +166,11 @@ def from_edge_list(path: str | Path) -> Graph:
             edges.append((u, v))
     if not edges:
         raise ValueError(f"{path}: no edges")
-    n = max(max(u, v) for u, v in edges) + 1
-    if n < 2:
-        raise ValueError(f"{path}: need at least 2 nodes")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    isolated = [u for u in range(n) if not adj[u]]
+    e = np.array(edges, dtype=np.int64)
+    pairs = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0)  # (u, v) rows in order, duplicates dropped
+    n = int(pairs[-1, 0]) + 1
+    deg = np.bincount(pairs[:, 0], minlength=n)
+    isolated = np.flatnonzero(deg == 0).tolist()
     if isolated:
         raise ValueError(f"{path}: isolated node id(s) {isolated}; every id in 0..{n - 1} needs an edge")
-    nb = tuple(np.asarray(sorted(a), dtype=np.int64) for a in adj)
-    return Graph(n=n, neighbors=nb, kind="file")
+    return Graph(n=n, flat=pairs[:, 1].copy(), off=_offsets(deg), kind="file")

@@ -596,15 +596,21 @@ class TestErrorPaths:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, analysis, anchor",
+        "command, section, update, anchor",
         [
-            ("ode", {"ode_dt": 1e-300}, "$.analysis.ode_dt: a flow to t = 4.0 takes more than 10000000 steps"),
+            ("ode", "analysis", {"ode_dt": 1e-300}, "$.analysis.ode_dt: a flow to t = 4.0 takes more than 10000000 steps"),
+            (
+                "simulate",
+                "sim",
+                {"horizon": 1e6, "record_stride": 1e-4},
+                "$.sim.record_stride: a run to t = 1000000.0 keeps more than 10000000 stride rows",
+            ),
         ],
-        ids=["flow-steps"],
+        ids=["flow-steps", "stride-rows"],
     )
-    def test_allocation_bounds_exit_2_without_output(self, tmp_path, capsys, command, analysis, anchor):
+    def test_allocation_bounds_exit_2_without_output(self, tmp_path, capsys, command, section, update, anchor):
         data = sim_cfg(tmp_path)
-        data["analysis"] = analysis
+        data.setdefault(section, {}).update(update)
         assert main([command, "--config", write_cfg(tmp_path, data)]) == 2
         assert f"config error: {anchor}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

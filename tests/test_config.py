@@ -491,6 +491,13 @@ class TestAllocationBounds:
         data["analysis"] = {"ode_horizon": 1e6}
         expect_error(write_cfg, data, r"\$\.analysis\.ode_dt: a flow to t = 1000000\.0 takes more than")
 
+    def test_stride_rows(self, write_cfg):
+        data = base_config()
+        data["sim"]["record_stride"] = 5.0 / _MAX_FLOW_STEPS
+        assert load_config(write_cfg(data)).record_stride == 5e-7
+        data["sim"]["record_stride"] = math.nextafter(5e-7, 0.0)
+        expect_error(write_cfg, data, r"\$\.sim\.record_stride: a run to t = 5\.0 keeps more than 10000000 stride rows")
+
 
 M3_GAME = {"type": "congestion", "polynomials": [[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]}
 # (update to base_config, m, whether the topology is complete)

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import os
 import random
 import tracemalloc
 
@@ -520,6 +521,12 @@ class TestCompleteDrawStreamManyActions:
         assert ("stride" in ends) == switches
 
 
+def _csr_graph(adj, kind):
+    """The Graph on which node v's sorted neighbours are adj[v]."""
+    off = np.cumsum([0] + [len(a) for a in adj])
+    return Graph(n=len(adj), flat=np.concatenate(adj).astype(np.int64), off=off, kind=kind)
+
+
 class TestNetworkAgainstNodeGenerator:
     """The per-node engine on non-regular graphs against the exact
     node-level chain.  Node u activates at rate lambda, contacts a uniform v
@@ -596,7 +603,7 @@ class TestNetworkAgainstNodeGenerator:
     def test_matches_node_generator(self, game4, arctan1, name):
         adj, start = self.GRAPHS[name]
         _, _, hit, tau, first, rate = self._exact(game4, arctan1, adj, start, 2)
-        graph = Graph(n=self.N, neighbors=tuple(np.array(a) for a in adj), kind=name)
+        graph = _csr_graph(adj, name)
         runs = 3000
         trajs = self._runs(graph, game4, arctan1, Configuration(np.array(start), m=2), runs, name)
         absorbed_0 = sum(t.absorbing_action == 0 for t in trajs)
@@ -610,7 +617,7 @@ class TestNetworkAgainstNodeGenerator:
 
     def test_three_actions_on_a_star(self):
         Q, s0, hit, tau, first, rate = self._exact(self.GAME3, self.RULE3, self.STAR5, self.START5, 3)
-        graph = Graph(n=5, neighbors=tuple(np.array(a) for a in self.STAR5), kind="star")
+        graph = _csr_graph(self.STAR5, "star")
         runs = 2000
         trajs = self._runs(graph, self.GAME3, self.RULE3, Configuration(np.array(self.START5), m=3), runs, "star3")
 
@@ -730,7 +737,7 @@ class TestNetworkDrawStream:
         ranked = make_congestion_game([[1.0], [0.5], [0.0]])  # action 0 takes over
         rep_ranked = replicator_rule(*reward_bounds(ranked), eps_margin=0.01)
         star_adj = TestNetworkAgainstNodeGenerator.GRAPHS["star"][0]
-        star = Graph(n=6, neighbors=tuple(np.array(a) for a in star_adj), kind="star")
+        star = _csr_graph(star_adj, "star")
         for name, graph in (("complete", complete(37)), ("lattice", square_lattice(5, periodic=True))):
             lone = np.ones(graph.n, dtype=np.int64)
             lone[0] = 0  # one node of action 0 drifts out more often than not
@@ -1046,6 +1053,7 @@ class TestEnsemble:
         spec = RunSpec(game=game4, rule=arctan1, cfg=SimConfig(horizon=3.0, seed=0), x0=x0)
         seq = ensemble(spec, num_runs=6, base_seed=3)
         monkeypatch.setenv("IMITODYN_THREADS", "2")
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)  # a pool on a 1-CPU host too
         par = ensemble(spec, num_runs=6, base_seed=3)
         for a, b in zip(seq, par):
             assert np.array_equal(a.times, b.times)
@@ -1057,12 +1065,43 @@ class TestEnsemble:
         x0 = PopulationType.from_fractions(40, [0.5, 0.5])
         spec = RunSpec(game=game4, rule=arctan1, cfg=SimConfig(horizon=3.0, seed=0), x0=x0)
         monkeypatch.setenv("IMITODYN_THREADS", "2")
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)  # a pool on a 1-CPU host too
         runs = engine_mod._runs(spec, 9, 3)
         first = next(runs)
         assert multiprocessing.active_children()  # the pool's workers
         runs.close()
         assert multiprocessing.active_children() == []
         assert np.array_equal(first.counts, run_one(spec, derive_seed(3, 0)).counts)
+
+    def test_workers_capped_at_cpus(self, game4, arctan1, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class InlinePool:  # runs each task at submit and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        x0 = PopulationType.from_fractions(40, [0.5, 0.5])
+        spec = RunSpec(game=game4, rule=arctan1, cfg=SimConfig(horizon=3.0, seed=0), x0=x0)
+        seq = ensemble(spec, num_runs=7, base_seed=4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("IMITODYN_THREADS", "5000")
+        ensemble(spec, num_runs=7, base_seed=4)  # a pool of min(CPUs, 7) workers; none on 1 CPU
+        assert len(asked) <= 1 and all(1 < w <= min(os.cpu_count(), 7) for w in asked)
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 3)
+        par = ensemble(spec, num_runs=7, base_seed=4)
+        assert asked[-1] == 3
+        for a, b in zip(seq, par, strict=True):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.counts, b.counts)
 
     def test_unpicklable_spec_rejected_by_pool(self, game4, arctan1, monkeypatch):
         spec = RunSpec(
@@ -1074,6 +1113,7 @@ class TestEnsemble:
         )
         assert len(ensemble(spec, num_runs=2, base_seed=0)) == 2
         monkeypatch.setenv("IMITODYN_THREADS", "2")
+        monkeypatch.setattr(engine_mod, "_cpus", lambda: 2)  # a pool on a 1-CPU host too
         with pytest.raises(ValueError, match="IMITODYN_THREADS=1"):
             ensemble(spec, num_runs=2, base_seed=0)
 

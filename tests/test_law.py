@@ -14,6 +14,7 @@ import functools
 import logging
 import math
 import time
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -299,6 +300,30 @@ def test_nan_arctan_probabilities_raise():
     simulate_complete(game, rule, PopulationType(np.array([10, 10, 40])), cfg)
     simulate_network(complete(60), game, rule, Configuration(np.arange(60) % 3, m=3), cfg)
     integrate(game, rule, x0, T=1.0, dt=0.05)
+
+
+def test_nan_replicator_table_raises(monkeypatch):
+    # g clips into [eps, 1 - eps], so only a NaN reward reaches the check
+    game, rule = _case(3, "replicator")
+    monkeypatch.setattr(type(rule), "_mapped", lambda self, r: np.where(r > r.min(), 0.5, np.nan))
+    with pytest.raises(ValueError, match=r"rate conservation violated: copy probability nan outside \[0, 1\]"):
+        _Law(game, rule, 1.0, 50)
+
+
+def test_replicator_table_check_holds_no_copies():
+    # bound set before measuring: the table as floats (8 m B per count) and
+    # as Python lists (about 32 m B), with slack; a check of every
+    # off-diagonal f_ij would gather m (m - 1) more floats per count
+    m, n = 16, 20_000
+    game = make_congestion_game([[0.0, -1.0, 0.5]] * m)
+    rule = replicator_rule(-2.0, 2.0, 1e-6)
+    tracemalloc.start()
+    try:
+        _Law(game, rule, 1.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 1024
 
 
 @pytest.mark.parametrize("rule_name, logged", [("replicator", False), ("replicator_clamped", True)])

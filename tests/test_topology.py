@@ -1,13 +1,13 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imitodyn import complete, erdos_renyi, from_edge_list, square_lattice
-from imitodyn.topology import _rows
+from imitodyn import Graph, complete, erdos_renyi, from_edge_list, square_lattice
 
 
 def _reference_erdos_renyi(n, p, seed):
@@ -70,22 +70,53 @@ class TestBuildersMatchReference:
 
 def test_rows_equal_np_split(tmp_path):
     edges = tmp_path / "g.txt"
-    edges.write_text("0 1\n1 2\n2 0\n2 3\n4 3\n5 0\n")
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n4 3\n5 0\n3 2\n")
     for graph in (
         square_lattice(7),
+        square_lattice(2),
         square_lattice(5, periodic=False),
         erdos_renyi(60, 0.1, seed=3),
         erdos_renyi(30, 0.0, seed=1),
         from_edge_list(edges),
     ):
-        flat = np.concatenate(graph.neighbors)
-        deg = np.array([a.size for a in graph.neighbors])
-        got = _rows(flat, deg)
-        want = np.split(flat, np.cumsum(deg)[:-1])
+        flat, off = graph.flat, graph.off
+        assert flat.dtype == off.dtype == np.int64 and off.shape == (graph.n + 1,)
+        got = graph.neighbors
+        want = np.split(flat, off[1:-1])
         assert len(got) == len(want) == graph.n
-        for a, b in zip(got, want):
+        for v, (a, b) in enumerate(zip(got, want)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
             assert a.base is flat  # views, as np.split gives
+            assert np.array_equal(graph.neighbor_list(v), a)
+            assert (np.diff(a) >= 0).all()  # sorted rows
+    assert from_edge_list(edges).neighbors[3].tolist() == [2, 4]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "er"])
+def test_held_memory_per_node(kind):
+    # bounds set before measuring: 8 B per neighbour entry and per offset,
+    # with slack; a tuple of per-node row views holds about 120 B more
+    build = (lambda: square_lattice(100)) if kind == "lattice" else (lambda: erdos_renyi(2000, 0.005, seed=0))
+    build()  # the imports of a first call are not held by the graph
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    mean_degree = graph.flat.size / graph.n
+    assert held / graph.n <= (48 if kind == "lattice" else 8 * mean_degree + 16)
+
+
+def test_graph_rejects_bad_offsets():
+    flat = np.array([1, 0, 2, 1])  # the path 0 - 1 - 2
+    Graph(n=3, flat=flat, off=np.array([0, 1, 3, 4]), kind="t")
+    for off in ([0, 1, 3], [1, 1, 3, 4], [0, 1, 3, 5]):
+        with pytest.raises(ValueError, match="offsets"):
+            Graph(n=3, flat=flat, off=np.array(off), kind="t")
+    with pytest.raises(ValueError, match="node 1 has no neighbors"):
+        Graph(n=3, flat=flat, off=np.array([0, 2, 2, 4]), kind="t")
 
 
 class TestComplete:
