@@ -294,14 +294,16 @@ class _Law:
         pup = np.divide(up, tot, out=np.zeros(n + 1), where=tot > 0.0)
         return pup.tolist(), tot.tolist(), -tot
 
-    def jump_path(self, counts: list, directions: list) -> tuple[np.ndarray, np.ndarray, float]:
+    def jump_path(self, counts: list, directions) -> tuple[np.ndarray, np.ndarray, float]:
         """The complete loop's jump chain from `counts`, one jump per
-        direction uniform d, stopping at a state that nothing leaves: at
-        m = 2 up when d < pup (walk), at m >= 3 to the pair at which the
-        cumulative rates first exceed d times their total.  Returns (path,
-        -rates, rate): the first m - 1 counts before the first jump and
-        after each as rows, the negated total rate before each jump and the
-        total rate out of the last state, which `counts` is left at."""
+        direction uniform d of `directions`, any iterable of floats (the
+        complete loop passes a memoryview), stopping at a state that
+        nothing leaves: at m = 2 up when d < pup (walk), at m >= 3 to the
+        pair at which the cumulative rates first exceed d times their total.
+        Returns (path, -rates, rate): the first m - 1 counts before the
+        first jump and after each as rows, the negated total rate before
+        each jump and the total rate out of the last state, which `counts`
+        is left at."""
         if self.m == 2:
             pup, tot, neg_tot = self.walk
             k = counts[0]

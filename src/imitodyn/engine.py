@@ -301,11 +301,12 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
 
     Each jump takes two values of random.Random(cfg.seed).random(): its
     waiting time -log(1 - u) / rate, then its direction.  The values come in
-    blocks, 2 * size of them from one getrandbits call.  The law walks the
-    state over the block's directions (jump_path), and _clock turns math.log
-    mapped over 1 - u into the jump times.  The jumps before the horizon go
-    to the recorder in one call, and a block either is used up or ends the
-    run, so the block sizes do not change the stream.
+    blocks, 2 * size of them from one getrandbits call, viewed as (size, 2)
+    rows and read in place: the law walks the state over a memoryview of
+    the directions column (jump_path), and _clock turns math.log mapped
+    over 1 - u, for the jumps taken, into the jump times.  The jumps before
+    the horizon go to the recorder in one call, and a block either is used
+    up or ends the run, so the block sizes do not change the stream.
     """
     if x0.m != game.m:
         raise ValueError(f"initial state has {x0.m} actions, game has {game.m}")
@@ -327,12 +328,10 @@ def simulate_complete(game: Game, rule: ImitationRule, x0: PopulationType, cfg: 
         # than one more block.
         left = (horizon - t) * rate
         size = int(min(_DRAW_CAP, 0.8 * left + math.sqrt(left) + 8.0))
-        draws = _uniforms(rng, 2 * size)  # (time, direction) for each jump
-        np.subtract(1.0, draws[0::2], out=draws[0::2])
-        u = draws.tolist()
-        path, neg_rates, rate = law.jump_path(counts, u[1::2])
+        draws = _uniforms(rng, 2 * size).reshape(size, 2)  # (time, direction) for each jump
+        path, neg_rates, rate = law.jump_path(counts, memoryview(draws[:, 1]))
         jumps = path.shape[0] - 1
-        times = np.fromiter(map(math.log, u[0 : 2 * jumps : 2]), float, jumps)
+        times = np.fromiter(map(math.log, memoryview(1.0 - draws[:jumps, 0])), float, jumps)
         stop = _clock(times, neg_rates, t, horizon)
         rec.jumps(times[:stop], path[1 : stop + 1], events)
         events += stop
@@ -391,7 +390,9 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     block sizes are part of the stream.  The clock (_clock) is one
     sequential sum carried from block to block, equal bit for bit to
     t += e / (n * lambda) per activation.  Python then visits each
-    activation of the block once and acts only on copies.  A grid row at
+    activation of the block once, reading the block's arrays in place
+    through memoryviews, and acts only on copies; it reads an activation's
+    copy uniform only when y[u] != y[v].  A grid row at
     s = stride, 2 stride, ... holds the state left by the activations
     before s: the first copy at or after s adds it before its own row, and
     the end of the run adds the rest.  A block's rows go to the recorder as
@@ -434,14 +435,14 @@ def simulate_network(graph: Graph, game: Game, rule: ImitationRule, y0: Configur
     while absorbed_at is None and t < horizon:
         times = rng.standard_exponential(size)
         u, v = graph._contacts(rng, size)
-        copy = rng.random(size).tolist()
+        copy = memoryview(rng.random(size))  # read only where y[u] != y[v]
         stop = _clock(times, total_rate, t, horizon)
         t = float(times[-1])
         clock = memoryview(times)  # reads Python floats
-        for k, a, b, c in zip(range(stop), u, v, copy):
+        for k, a, b in zip(range(stop), u, v):
             i = y[a]
             j = y[b]
-            if i != j and c < F[i][j]:
+            if i != j and copy[k] < F[i][j]:
                 s = clock[k]
                 if next_rec <= s:  # grid rows up to s hold the state this flip leaves
                     row = counts[:-1]

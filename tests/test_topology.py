@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imitodyn.topology as topology_mod
 from imitodyn import Graph, complete, erdos_renyi, from_edge_list, square_lattice
 
 
@@ -61,11 +62,52 @@ class TestBuildersMatchReference:
     def test_square_lattice(self, side, periodic):
         _same_rows(square_lattice(side, periodic), _reference_square_lattice(side, periodic))
 
-    def test_erdos_renyi(self, caplog):
+    def test_erdos_renyi(self, caplog, monkeypatch):
         caplog.set_level(logging.INFO, logger="imitodyn.topology")
         for n, p, seed in itertools.product([2, 3, 5, 12, 40, 150], [0.0, 0.01, 0.05, 0.2, 1.0], range(6)):
             _same_rows(erdos_renyi(n, p, seed=seed), _reference_erdos_renyi(n, p, seed))
         assert len(caplog.records) > 100  # the grid re-wires isolated nodes
+        # Lowered slabs: rows of up to 149 pairs span many slabs, and slabs
+        # end inside rows; p = 0 re-wires every node, p = 1 keeps every pair.
+        for slab in (1, 7, 64):
+            monkeypatch.setattr(topology_mod, "_SLAB", slab)
+            for n, p, seed in itertools.product([2, 3, 12, 150], [0.0, 0.05, 1.0], range(3)):
+                _same_rows(erdos_renyi(n, p, seed=seed), _reference_erdos_renyi(n, p, seed))
+        assert erdos_renyi(150, 1.0, seed=0).flat.size == 150 * 149
+
+
+@pytest.mark.parametrize("kind", ["complete", "lattice", "er"])
+def test_contacts_are_int64_buffers_of_the_list_draw(kind):
+    graph = {"complete": complete(9), "lattice": square_lattice(5), "er": erdos_renyi(40, 0.1, seed=2)}[kind]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for size in (1, 32, 2048):
+        got = graph._contacts(rng, size)
+        # the same draws as lists, from the twin generator
+        if graph.is_complete:
+            want = tuple(ref.integers(0, graph.n, (2, size)).tolist())
+        else:
+            u = ref.integers(0, graph.n, size)
+            lo = graph.off[u]
+            want = u.tolist(), graph.flat[lo + ref.integers(0, graph.off[u + 1] - lo)].tolist()
+        for buf, values in zip(got, want):
+            assert isinstance(buf, memoryview)
+            assert np.asarray(buf).dtype == np.int64
+            assert buf.tolist() == values
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_erdos_renyi_peak_memory():
+    # bound set before measuring: one slab's uniforms and mask (about 290 kB)
+    # and the edge arrays stay under 1 MB beside the graph's own arrays; one
+    # call per 2**20 pairs would hold 8 MB of uniforms at once
+    erdos_renyi(3000, 0.002, seed=0)  # the imports of a first call are not traced
+    tracemalloc.start()
+    try:
+        graph = erdos_renyi(3000, 0.002, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - graph.flat.nbytes - graph.off.nbytes < 1_000_000
 
 
 def test_rows_equal_np_split(tmp_path):
