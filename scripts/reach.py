@@ -24,10 +24,12 @@ import os
 import sys
 import tempfile
 
-import imitodyn
-from imitodyn import cli
-
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "src"))  # the checkout's package, installed or not
+
+import imitodyn  # noqa: E402
+from imitodyn import cli  # noqa: E402
+
 INPUTS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))) + [
     os.path.join(ROOT, "perfbench", "inputs", "er_m3.json")
 ]

@@ -22,8 +22,9 @@ Schema (defaults in parentheses):
     }
 
 Replicator bounds default to reward_bounds over the game.  An "er" topology
-without a "seed" draws a fresh graph per run (seeded from the run seed);
-with a "seed" every run shares one fixed graph.
+with a "seed" is built once per population size and shared by its runs;
+without one, each run builds its own from the run seed.  A "file" edge list
+is read once, at load, and its node count checked against sim.n.
 
 Every JSON number goes through one reader, _value, which rejects booleans,
 Infinity, NaN and integers too large for a float, and checks these bounds:
@@ -43,8 +44,10 @@ retired analysis.grid or analysis.starts loads unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +55,8 @@ import numpy as np
 from .engine import derive_seed
 from .games import Game, example4_game, make_congestion_game, reward_bounds
 from .rules import ArctanRule, ImitationRule, ReplicatorRule
-from .topology import Graph, complete, erdos_renyi, from_edge_list, square_lattice
+# complete is unused here, but perfbench/tracer.py wraps it by name.
+from .topology import Graph, complete, erdos_renyi, from_edge_list, square_lattice  # noqa: F401
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -60,8 +64,8 @@ _SIMPLEX_SLACK = 1e-6  # initial fractions may be off the simplex by this much
 # Largest population size: every count converts to float64 exactly, so each
 # x = c / n is the correctly rounded quotient.
 _MAX_N = 2**53
-# Largest ensemble: runs stream one at a time, but each subcommand keeps a
-# summary record (or a deviation) per run.
+# Largest ensemble.  Runs stream one at a time, but a subcommand keeps up to
+# 6.3 KB a run (see cli), so this bounds the runs, not the memory.
 MAX_RUNS = 10**6
 # Most bytes the law of one run's population size may take while it is
 # built (_law: per-count tables, so O(n)).  _law_bytes is that peak per
@@ -225,26 +229,43 @@ def _build_rule(spec: dict, game: Game) -> ImitationRule:
     _fail("$.rule.type", f"must be 'arctan' or 'replicator', got {kind!r}")
 
 
-def _check_topology(spec: dict, n: int, per_count: int) -> dict:
+def _er_graph(n: int, p: float, run_seed: int) -> Graph:
+    """The Erdos-Renyi graph of one run when the topology has no seed."""
+    return erdos_renyi(n, p, seed=derive_seed(run_seed, "graph"))
+
+
+def _topology(spec: dict, n: int, sizes: tuple[int, ...], per_count: int) -> tuple[dict, Callable]:
+    """The checked topology and the size -> RunSpec.graph function that
+    ExperimentConfig.graph calls: the one dispatch over topology kinds.
+    Only an edge list is read here; the other kinds build when called."""
     kind = spec.get("type", "complete")
+    if kind in ("lattice", "file") and any(v != n for v in sizes):
+        _fail("$.analysis.n_sweep", f"a {kind} topology fixes n = {n}")
     if kind == "complete":
-        return {"type": "complete"}
+        return {"type": "complete"}, lambda size: None
     if kind == "er":
         p = _number(spec, "p", "$.topology", lo=0.0, hi=1.0)
-        out = {"type": "er", "p": p}
-        if "seed" in spec:
-            out["seed"] = _number(spec, "seed", "$.topology", integer=True, lo=0, hi=_MAX_SEED)
-        return out
+        if "seed" not in spec:
+            return {"type": "er", "p": p}, lambda size: functools.partial(_er_graph, size, p)
+        seed = _number(spec, "seed", "$.topology", integer=True, lo=0, hi=_MAX_SEED)
+        return {"type": "er", "p": p, "seed": seed}, lambda size: erdos_renyi(size, p, seed=seed)
     if kind == "lattice":
         side = _number(spec, "side", "$.topology", integer=True, lo=2, hi=math.isqrt(_LAW_BUDGET // per_count))
         if side * side != n:
             _fail("$.topology.side", f"side^2 = {side * side} disagrees with sim.n = {n}")
-        return {"type": "lattice", "side": side, "periodic": _bool(spec, "periodic", "$.topology", True)}
+        periodic = _bool(spec, "periodic", "$.topology", True)
+        return {"type": "lattice", "side": side, "periodic": periodic}, lambda size: square_lattice(side, periodic)
     if kind == "file":
         path = spec.get("path")
         if not isinstance(path, str) or not path:
             _fail("$.topology.path", "must be a file path string")
-        return {"type": "file", "path": path}
+        try:
+            graph = from_edge_list(path)
+        except (OSError, ValueError) as exc:
+            _fail("$.topology.path", str(exc))
+        if graph.n != n:
+            _fail("$.topology.path", f"edge list has {graph.n} nodes, sim.n = {n}")
+        return {"type": "file", "path": path}, lambda size: graph
     _fail("$.topology.type", f"must be one of complete|er|lattice|file, got {kind!r}")
 
 
@@ -255,6 +276,7 @@ class ExperimentConfig:
     game: Game
     rule: ImitationRule
     topology: dict
+    _graph: Callable = field(repr=False, compare=False)
     n: int
     lam: float
     horizon: float
@@ -272,33 +294,12 @@ class ExperimentConfig:
     out_dir: str
     raw: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def is_complete_topology(self) -> bool:
-        return self.topology["type"] == "complete"
-
-    def build_graph(self, n: int, run_seed: int) -> Graph:
-        """Materialize the topology for one run of size n."""
-        t = self.topology
-        if t["type"] == "complete":
-            return complete(n)
-        if t["type"] == "er":
-            seed = t.get("seed")
-            if seed is None:
-                seed = derive_seed(run_seed, "graph")
-            return erdos_renyi(n, t["p"], seed=int(seed))
-        if t["type"] == "lattice":
-            if t["side"] * t["side"] != n:
-                raise ConfigError(f"$.topology.side: side^2 != n = {n}")
-            return square_lattice(t["side"], periodic=t["periodic"])
-        try:
-            graph = from_edge_list(t["path"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"$.topology.path: {exc}") from None
-        if graph.n != n:
-            raise ConfigError(
-                f"$.topology.path: edge list has {graph.n} nodes, sim.n = {n}"
-            )
-        return graph
+    def graph(self, n: int) -> Graph | Callable[[int], Graph] | None:
+        """RunSpec.graph for the runs of size n: None on the complete graph,
+        a picklable run_seed -> Graph for an Erdos-Renyi graph without a
+        seed, else one Graph that those runs share: the edge list read at
+        load, or a lattice or seeded graph that this call builds."""
+        return self._graph(n)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -341,8 +342,6 @@ def load_config(path: str) -> ExperimentConfig:
     arr = np.maximum(arr, 0.0)
     arr = arr / arr.sum()
 
-    topology = _check_topology(topo, n, per_count)
-
     ens = _section(raw, "ensemble", required=False)
     runs = _number(ens, "runs", "$.ensemble", default=4, integer=True, lo=1, hi=MAX_RUNS)
     base_seed = _number(ens, "base_seed", "$.ensemble", default=0, integer=True, lo=0, hi=_MAX_SEED)
@@ -362,8 +361,7 @@ def load_config(path: str) -> ExperimentConfig:
     for at, v in (("$.sim.n", n), *((f"$.analysis.n_sweep[{i}]", v) for i, v in enumerate(n_sweep))):
         if v < support:
             _fail(at, f"must be >= {support}, one player per positive initial fraction, got {v}")
-    if topology["type"] in ("lattice", "file") and any(v != n for v in n_sweep):
-        _fail("$.analysis.n_sweep", f"a {topology['type']} topology fixes n = {n}")
+    topology, graph = _topology(topo, n, n_sweep, per_count)
 
     out = _section(raw, "output", required=False)
     out_dir = out.get("dir", "out")
@@ -374,6 +372,7 @@ def load_config(path: str) -> ExperimentConfig:
         game=game,
         rule=rule,
         topology=topology,
+        _graph=graph,
         n=n,
         lam=lam,
         horizon=horizon,

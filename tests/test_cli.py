@@ -6,10 +6,12 @@ import subprocess
 import sys
 import time
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import imitodyn.config as config_mod
 import imitodyn.engine as engine_mod
 from imitodyn.cli import main
 
@@ -31,6 +33,12 @@ def sim_cfg(tmp_path, out="out", **sim_overrides):
         "ensemble": {"runs": 3, "base_seed": 11},
         "output": {"dir": str(tmp_path / out)},
     }
+
+
+def edge_list(n):
+    """A ring of n nodes with a chord from every third node, as 'u v' lines."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + n // 2) % n) for i in range(0, n, 3)]
+    return "".join(f"{u} {v}\n" for u, v in pairs)
 
 
 def read_all_bytes(directory):
@@ -645,17 +653,21 @@ class TestErrorPaths:
             main(["simulate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("lines", [None, "0 1\n1 2\nx y\n"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "lines", [None, "0 1\n1 2\nx y\n", "0 1\n1 2\n2 3\n"], ids=["missing", "malformed", "nodes"]
+    )
     def test_bad_edge_file_exits_2_without_output(self, tmp_path, capsys, lines):
+        # the edge list is read at load, so every subcommand stops before any output
         edges = tmp_path / "edges.txt"
         if lines is not None:
             edges.write_text(lines)
         data = sim_cfg(tmp_path, n=3)
         data["topology"] = {"type": "file", "path": str(edges)}
         cfg = write_cfg(tmp_path, data)
-        assert main(["simulate", "--config", cfg]) == 2
-        assert "config error: $.topology.path: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for command in ("simulate", "ode", "landscape", "metastability", "compare"):
+            assert main([command, "--config", cfg]) == 2
+            assert "config error: $.topology.path: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, sim_cfg(tmp_path))
@@ -680,6 +692,30 @@ ER_M3 = {
     "init": {"fractions": [0.6, 0.3, 0.1]},
     "ensemble": {"runs": 4, "base_seed": 0},
     "output": {"dir": "results/er_m3"},
+}
+
+# a seeded ER graph, which every run of a size shares, over two sizes
+ER_SEEDED = {
+    "game": {"type": "builtin", "name": "example4"},
+    "rule": {"type": "arctan", "K": 1.0},
+    "topology": {"type": "er", "p": 0.3, "seed": 7},
+    "sim": {"n": 30, "horizon": 4.0, "record_stride": 0.5},
+    "init": {"fractions": [0.5, 0.5]},
+    "ensemble": {"runs": 3, "base_seed": 11},
+    "analysis": {"n_sweep": [20, 30]},
+    "output": {"dir": "results/er_seeded"},
+}
+
+# an edge list at a relative path, so that summary.json's config echo does
+# not depend on where the test runs; edge_list(16) writes the file
+EDGES = {
+    "game": {"type": "congestion", "polynomials": [[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]},
+    "rule": {"type": "replicator", "eps_margin": 0.01},
+    "topology": {"type": "file", "path": "edges.txt"},
+    "sim": {"n": 16, "horizon": 4.0, "record_stride": 0.5},
+    "init": {"fractions": [0.5, 0.3, 0.2]},
+    "ensemble": {"runs": 3, "base_seed": 5},
+    "output": {"dir": "results/edges"},
 }
 
 
@@ -771,6 +807,49 @@ class TestStreaming:
         assert_threads_do_not_change_output(tmp_path, data["a"], data["b"], command, threads="2")
 
 
+class TestGraphBuilds:
+    """A topology is resolved once: each graph is built once per population
+    size and shared by its runs, except an Erdos-Renyi graph without a seed,
+    which each run builds; an edge list is read once, at load."""
+
+    BUILDERS = ("complete", "erdos_renyi", "square_lattice", "from_edge_list")
+
+    @pytest.mark.parametrize(
+        "topology, sizes, builds",
+        [
+            ({"type": "er", "p": 0.3, "seed": 7}, [20, 30], {"erdos_renyi": 2}),
+            ({"type": "er", "p": 0.3}, [20, 30], {"erdos_renyi": 6}),
+            ({"type": "lattice", "side": 5}, [25], {"square_lattice": 1}),
+            ({"type": "file", "path": "edges.txt"}, [25], {"from_edge_list": 1}),
+        ],
+        ids=["er_seeded", "er", "lattice", "file"],
+    )
+    def test_metastability_builds_each_graph_once_per_size(self, tmp_path, monkeypatch, topology, sizes, builds):
+        calls = Counter()
+        for name in self.BUILDERS:
+            def counted(*args, _real=getattr(config_mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(config_mod, name, counted)
+        monkeypatch.setenv("IMITODYN_THREADS", "1")  # every run in this process
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.txt").write_text(edge_list(25))
+        data = sim_cfg(tmp_path, n=sizes[-1])
+        data["ensemble"]["runs"] = 3
+        data["topology"] = topology
+        data["analysis"] = {"n_sweep": sizes}
+        cfg = write_cfg(tmp_path, data)
+        read = Counter({"from_edge_list": 1} if topology["type"] == "file" else {})  # at each load
+        for command in ("ode", "landscape"):
+            calls.clear()
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            assert calls == read, command
+        calls.clear()
+        assert main(["metastability", "--config", cfg]) == 0
+        assert calls == Counter(builds)
+
+
 class TestArtifacts:
     # sha256 over the sorted file names and bytes of each output directory;
     # summary.json echoes the config as read, so --out leaves it unchanged
@@ -788,12 +867,25 @@ class TestArtifacts:
         ("lattice", "metastability"): "61ad4c22dbd29beef4296a5c2eb8bad08b38bc3ab745120522e2e2192e353ee6",
         ("lattice", "compare"): "180f24190c764d2b6b645b9659134252f13418678d1f0828d71c39ac9cb42b20",
         ("er_m3", "simulate"): "b0d15b94945c3192b16e1e5e1b294b5383f8b36b5a59207e3db519e2bc3c74b8",
+        ("er_seeded", "simulate"): "ed006ab8135f30319c67a010041e415cddf829867ebcd30bc2b77799c0bf1552",
+        ("er_seeded", "ode"): "d94d0d784c93cba31cacd6c6910ed3b9798180470da070fec1bb54d4f5f75d54",
+        ("er_seeded", "landscape"): "cbd977d46d42e103ec673cc8cf1ded80ccf4b6d297bba2a2537e7bf1035d56a8",
+        ("er_seeded", "metastability"): "d6b386d63ffab70fe1b7e383a6940a1f91b1e01317275339eb757353d1c92373",
+        ("er_seeded", "compare"): "899619c966f56316bf39b05d82174ae4ede6cbd3c0707b6e73fd5d210680b563",
+        ("edges", "simulate"): "24a29bc57eb275290881b4adbed1b033253a66f33f598a979427897dea281ab9",
+        ("edges", "ode"): "6f1808c30bf04845f4fa00f0f0eb8544e663ca3d8eebe16002f9d25a392104e5",
+        ("edges", "landscape"): "bbe96ff0b57957bbb817acc55b78fb763f6e9bebb2764dd73728cd5893fc7e60",
+        ("edges", "metastability"): "eef404daa53537ee545ca9332d05b4253184534b9c3695b29aad475458558d43",
+        ("edges", "compare"): "3760a4fc4e0cff0b9811fe192f58ca3999b923199334955a1ecbaf6259c99abc",
     }
+    INLINE = {"er_m3": ER_M3, "er_seeded": ER_SEEDED, "edges": EDGES}
 
     @pytest.mark.parametrize("name, command", list(SHA256), ids=[f"{n}-{c}" for n, c in SHA256])
-    def test_artifacts_are_pinned(self, tmp_path, name, command):
-        if name == "er_m3":
-            config = write_cfg(tmp_path, ER_M3, name="er_m3.json")
+    def test_artifacts_are_pinned(self, tmp_path, monkeypatch, name, command):
+        if name in self.INLINE:
+            monkeypatch.chdir(tmp_path)  # EDGES names its edge list relative to here
+            (tmp_path / "edges.txt").write_text(edge_list(16))
+            config = write_cfg(tmp_path, self.INLINE[name], name=f"{name}.json")
         else:
             config = os.path.join(CONFIGS, f"{name}.json")
         out = tmp_path / "out"
@@ -838,13 +930,28 @@ class TestEntryPoints:
             data[out]["topology"] = {"type": "er", "p": 0.3}
         assert_threads_do_not_change_output(tmp_path, data["a"], data["b"])
 
-    @pytest.mark.parametrize("topology", [{"type": "complete"}, {"type": "er", "p": 0.3}], ids=["complete", "er"])
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"type": "complete"},
+            {"type": "er", "p": 0.3},
+            {"type": "er", "p": 0.3, "seed": 7},
+            {"type": "file", "path": "edges.txt"},
+        ],
+        ids=["complete", "er", "er_seeded", "file"],
+    )
     @pytest.mark.parametrize("command", ["metastability", "compare"])
     def test_threads_env_var_does_not_change_sweep_output(self, tmp_path, command, topology):
+        # a shared Graph, seeded or read from a file, crosses the worker pool
         data = {}
         for out in ("a", "b"):
             data[out] = sim_cfg(tmp_path, out=out, n=30)
-            data[out]["topology"] = topology
+            data[out]["topology"] = dict(topology)
             data[out]["analysis"] = {"n_sweep": [20, 30]}
+        if topology["type"] == "file":
+            (tmp_path / "edges.txt").write_text(edge_list(30))
+            for out in data.values():
+                out["topology"]["path"] = str(tmp_path / "edges.txt")
+                out["analysis"]["n_sweep"] = [30]  # an edge list fixes n
         assert_threads_do_not_change_output(tmp_path, data["a"], data["b"], command)
 

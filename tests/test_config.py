@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imitodyn import ArctanRule, ConfigError, ReplicatorRule, example4_game, load_config, make_congestion_game
+from imitodyn import (
+    ArctanRule, ConfigError, Graph, ReplicatorRule, erdos_renyi, example4_game, load_config, make_congestion_game
+)
 from imitodyn._law import _Law
 from imitodyn.config import _LAW_BUDGET, _MAX_FLOW_STEPS, MAX_RUNS, _law_bytes
 
@@ -45,7 +48,7 @@ class TestValidConfigs:
         assert cfg.game.m == 2
         assert isinstance(cfg.rule, ArctanRule)
         assert cfg.topology == {"type": "complete"}
-        assert cfg.is_complete_topology
+        assert cfg.graph(100) is None
         assert cfg.n == 100 and cfg.lam == 1.0 and cfg.horizon == 5.0
         assert cfg.record_stride == 0.1 and cfg.stop_on_absorption is True
         assert cfg.runs == 4 and cfg.base_seed == 0
@@ -84,7 +87,7 @@ class TestValidConfigs:
         assert cfg.game.m == 2 and cfg.game.name == "config"
         assert isinstance(cfg.rule, ReplicatorRule)
         assert cfg.topology == {"type": "er", "p": 0.2, "seed": 9}
-        assert not cfg.is_complete_topology
+        assert isinstance(cfg.graph(64), Graph)
         assert cfg.lam == 2.0 and cfg.stop_on_absorption is False
         assert cfg.runs == 7 and cfg.base_seed == 42
         assert cfg.gammas == (0.02, 0.05) and cfg.deltas == (0.05,)
@@ -120,7 +123,7 @@ class TestValidConfigs:
         data["sim"]["n"] = 25
         data["topology"] = {"type": "lattice", "side": 5, "periodic": False}
         cfg = load_config(write_cfg(data))
-        graph = cfg.build_graph(25, run_seed=1)
+        graph = cfg.graph(25)
         assert graph.n == 25 and graph.kind == "lattice"
 
     def test_file_topology(self, write_cfg, tmp_path):
@@ -130,27 +133,31 @@ class TestValidConfigs:
         data["sim"]["n"] = 3
         data["topology"] = {"type": "file", "path": str(edges)}
         cfg = load_config(write_cfg(data))
-        graph = cfg.build_graph(3, run_seed=0)
+        graph = cfg.graph(3)
         assert graph.n == 3
+        edges.unlink()  # read once, at load
+        assert cfg.graph(3) is graph
 
     def test_er_seeded_graph_is_shared_across_runs(self, write_cfg):
         data = base_config()
         data["topology"] = {"type": "er", "p": 0.3, "seed": 5}
         cfg = load_config(write_cfg(data))
-        g1 = cfg.build_graph(30, run_seed=111)
-        g2 = cfg.build_graph(30, run_seed=222)
-        assert all(np.array_equal(a, b) for a, b in zip(g1.neighbors, g2.neighbors))
+        graph = cfg.graph(30)
+        assert isinstance(graph, Graph)  # one graph, which every run of the size takes
+        expected = erdos_renyi(30, 0.3, seed=5)
+        assert np.array_equal(graph.flat, expected.flat) and np.array_equal(graph.off, expected.off)
 
     def test_er_unseeded_graph_is_fresh_per_run(self, write_cfg):
         data = base_config()
         data["topology"] = {"type": "er", "p": 0.3}
         cfg = load_config(write_cfg(data))
-        g1 = cfg.build_graph(30, run_seed=111)
-        g2 = cfg.build_graph(30, run_seed=222)
+        per_run = pickle.loads(pickle.dumps(cfg.graph(30)))  # it crosses a worker pool
+        g1 = per_run(111)
+        g2 = per_run(222)
         same = all(np.array_equal(a, b) for a, b in zip(g1.neighbors, g2.neighbors))
         assert not same
         # but reproducible for the same run seed
-        g3 = cfg.build_graph(30, run_seed=111)
+        g3 = cfg.graph(30)(111)
         assert all(np.array_equal(a, b) for a, b in zip(g1.neighbors, g3.neighbors))
 
 
@@ -330,11 +337,10 @@ class TestTopologyErrors:
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n")
         data = base_config()
-        data["sim"]["n"] = 3
+        data["sim"]["n"] = 5
         data["topology"] = {"type": "file", "path": str(edges)}
-        cfg = load_config(write_cfg(data))
-        with pytest.raises(ConfigError, match=r"edge list has 3 nodes, sim\.n = 5"):
-            cfg.build_graph(5, run_seed=0)
+        with pytest.raises(ConfigError, match=r"\$\.topology\.path: edge list has 3 nodes, sim\.n = 5"):
+            load_config(write_cfg(data))
 
 
 class TestEnsembleAndAnalysisErrors:

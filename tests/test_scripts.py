@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,7 +32,7 @@ def test_script_runs(tmp_path, name, args, output):
     assert (tmp_path / output).stat().st_size > 0
 
 
-def test_reach_lists_functions_no_subcommand_enters(tmp_path, capsys):
+def tiny_config(tmp_path):
     config = {
         "game": {"type": "builtin", "name": "example4"},
         "rule": {"type": "arctan", "K": 1.0},
@@ -41,6 +43,11 @@ def test_reach_lists_functions_no_subcommand_enters(tmp_path, capsys):
     }
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(config))
+    return path
+
+
+def test_reach_lists_functions_no_subcommand_enters(tmp_path, capsys):
+    path = tiny_config(tmp_path)
     assert load_script("reach").main([str(path), "--out", str(tmp_path / "out")]) == 0
     listed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
     # error paths a valid config never takes, and the tracer's names
@@ -48,3 +55,14 @@ def test_reach_lists_functions_no_subcommand_enters(tmp_path, capsys):
     assert "engine.simulate_complete" not in listed and "landscape.metastability_report" not in listed
     assert listed[-1].isdigit()  # the closing count line
     assert (tmp_path / "out" / "tiny" / "compare" / "compare.json").stat().st_size > 0
+
+
+def test_reach_runs_from_a_source_checkout(tmp_path):
+    # no PYTHONPATH and the package not installed: the script finds src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "reach.py"), str(tiny_config(tmp_path)), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("functions never entered over 1 configs")
