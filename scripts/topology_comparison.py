@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     game = example4_game()
     rule = arctan_rule(1.0)
     cfg = SimConfig(horizon=args.horizon, seed=0)
-    init = (0.3, 0.7)
+    x0 = PopulationType.from_fractions(n, (0.3, 0.7))
 
     def run_batch(name, make_spec):
         finals = []
@@ -52,27 +52,13 @@ def main(argv=None) -> int:
         return finals
 
     results = {}
-    results["complete"] = run_batch(
-        "complete",
-        lambda seed: RunSpec(
-            game=game, rule=rule, cfg=cfg, x0=PopulationType.from_fractions(n, init)
-        ),
-    )
+    results["complete"] = run_batch("complete", lambda seed: RunSpec(game, rule, cfg, x0))
     results["er"] = run_batch(
         "er",
-        lambda seed: RunSpec(
-            game=game,
-            rule=rule,
-            cfg=cfg,
-            graph=erdos_renyi(n, args.er_p, seed=derive_seed(seed, "graph")),
-            init_fractions=init,
-        ),
+        lambda seed: RunSpec(game, rule, cfg, x0, erdos_renyi(n, args.er_p, seed=derive_seed(seed, "graph"))),
     )
     lattice = square_lattice(args.side, periodic=True)
-    results["lattice"] = run_batch(
-        "lattice",
-        lambda seed: RunSpec(game=game, rule=rule, cfg=cfg, graph=lattice, init_fractions=init),
-    )
+    results["lattice"] = run_batch("lattice", lambda seed: RunSpec(game, rule, cfg, x0, lattice))
 
     os.makedirs(args.out, exist_ok=True)
     table = {

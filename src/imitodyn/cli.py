@@ -18,9 +18,10 @@ spent in the engine, with events and events per second, and in analysing
 the paths, and compare also the seconds and RK4 steps of its flow.  The
 three ensemble subcommands share one sweep (_sweep): simulate at sim.n,
 metastability and compare over analysis.n_sweep take their runs from it.
-It calls ExperimentConfig.graph once a size, builds that size's RunSpec
-and streams its runs from engine._runs, adding up the engine's seconds and
-events as each run arrives.  A subcommand holds one run's path at a time
+A size's runs share one RunSpec on every topology: ExperimentConfig.sim,
+the start type of init.fractions at that size and one ExperimentConfig.graph
+call, whose seconds count as engine seconds, as do each run's as it
+arrives from engine._runs.  A subcommand holds one run's path at a time
 but keeps a record per run, so its memory grows with the runs: simulate
 keeps each summary record (its CSV is written as the run arrives),
 metastability each report entry and compare each deviation, about 1.9, 6.3
@@ -59,7 +60,7 @@ import numpy as np
 from .config import _MAX_SEED, MAX_RUNS, ConfigError, ExperimentConfig, _value, load_config
 # ensemble and run_one are unused here, but perfbench/tracer.py wraps
 # cli.ensemble and cli.run_one by name.
-from .engine import RunSpec, SimConfig, _runs, _thread_cap, ensemble, run_one  # noqa: F401
+from .engine import RunSpec, _runs, _thread_cap, ensemble, run_one  # noqa: F401
 from .games import PopulationType
 from .landscape import _median, critical_point_to_dict, find_critical_points_multi, metastability_report
 from .meanfield import find_limit, integrate, kurtz_deviation
@@ -78,18 +79,15 @@ __all__ = ["main", "cmd_simulate", "cmd_ode", "cmd_landscape", "cmd_metastabilit
 def _sweep(cfg: ExperimentConfig, sizes: tuple[int, ...], spent: list):
     """(n, runs) of cfg's ensemble at each population size n in `sizes`, in
     order: every subcommand that simulates takes its runs from here.  runs
-    makes each run when it is asked for the next one, and adds its engine
-    seconds to spent[0] and its events to spent[1] as it arrives."""
-    sim = SimConfig(
-        lam=cfg.lam, horizon=cfg.horizon, record_stride=cfg.record_stride, stop_on_absorption=cfg.stop_on_absorption
-    )
+    makes each run when it is asked for the next one.  The seconds of each
+    size's graph build and of each run add to spent[0], a run's events to
+    spent[1]."""
     for n in sizes:
-        graph = cfg.graph(n)  # None on the complete graph
-        if graph is None:
-            start = dict(x0=PopulationType.from_fractions(n, cfg.init_fractions))
-        else:
-            start = dict(graph=graph, init_fractions=tuple(float(v) for v in cfg.init_fractions))
-        yield n, _spend(_runs(RunSpec(cfg.game, cfg.rule, sim, **start), cfg.runs, cfg.base_seed), spent)
+        start = time.perf_counter()
+        graph = cfg.graph(n)
+        spent[0] += time.perf_counter() - start
+        spec = RunSpec(cfg.game, cfg.rule, cfg.sim, PopulationType.from_fractions(n, cfg.init_fractions), graph)
+        yield n, _spend(_runs(spec, cfg.runs, cfg.base_seed), spent)
 
 
 def _spend(runs, spent: list):
@@ -139,10 +137,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_ode(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    x0 = np.asarray(cfg.init_fractions, dtype=float)
-    traj = integrate(cfg.game, cfg.rule, x0, T=cfg.ode_horizon, dt=cfg.ode_dt, lam=cfg.lam)
+    traj = integrate(cfg.game, cfg.rule, cfg.init_fractions, T=cfg.ode_horizon, dt=cfg.ode_dt, lam=cfg.sim.lam)
     flowed = time.perf_counter()
-    limit = find_limit(cfg.game, cfg.rule, x0, tol=cfg.limit_tol, lam=cfg.lam)
+    limit = find_limit(cfg.game, cfg.rule, cfg.init_fractions, tol=cfg.limit_tol, lam=cfg.sim.lam)
     ensure_dir(cfg.out_dir)
     limited = time.perf_counter()
     path = os.path.join(cfg.out_dir, "ode.csv")
@@ -215,14 +212,13 @@ def cmd_metastability(cfg: ExperimentConfig) -> int:
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    x0 = np.asarray(cfg.init_fractions, dtype=float)
-    ode = integrate(cfg.game, cfg.rule, x0, T=cfg.horizon, dt=cfg.ode_dt, lam=cfg.lam)
+    ode = integrate(cfg.game, cfg.rule, cfg.init_fractions, T=cfg.sim.horizon, dt=cfg.ode_dt, lam=cfg.sim.lam)
     flow_s = time.perf_counter() - start
     spent = [0.0, 0]
     start = time.perf_counter()
     per_n = []
     for n, trajs in _sweep(cfg, cfg.n_sweep, spent):
-        devs = list(map(lambda t: kurtz_deviation(t, ode, T=cfg.horizon), trajs))
+        devs = list(map(lambda t: kurtz_deviation(t, ode, T=cfg.sim.horizon), trajs))
         per_n.append(
             {
                 "n": n,

@@ -21,10 +21,11 @@ Schema (defaults in parentheses):
       "output":   {"dir": "out"}                                    ("out")
     }
 
-Replicator bounds default to reward_bounds over the game.  An "er" topology
-with a "seed" is built once per population size and shared by its runs;
-without one, each run builds its own from the run seed.  A "file" edge list
-is read once, at load, and its node count checked against sim.n.
+Replicator bounds default to reward_bounds over the game.  "sim" is one
+SimConfig for every run.  An "er" topology with a "seed" is built once per
+population size and shared by its runs; without one, each run builds its
+own from the run seed.  A "file" edge list is read once, at load, and its
+node count checked against sim.n.
 
 Every JSON number goes through one reader, _value, which rejects booleans,
 Infinity, NaN and integers too large for a float, and checks these bounds:
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import derive_seed
+from .engine import SimConfig, derive_seed
 from .games import Game, example4_game, make_congestion_game, reward_bounds
 from .rules import ArctanRule, ImitationRule, ReplicatorRule
 # complete is unused here, but perfbench/tracer.py wraps it by name.
@@ -234,27 +235,27 @@ def _er_graph(n: int, p: float, run_seed: int) -> Graph:
     return erdos_renyi(n, p, seed=derive_seed(run_seed, "graph"))
 
 
-def _topology(spec: dict, n: int, sizes: tuple[int, ...], per_count: int) -> tuple[dict, Callable]:
-    """The checked topology and the size -> RunSpec.graph function that
-    ExperimentConfig.graph calls: the one dispatch over topology kinds.
+def _topology(spec: dict, n: int, sizes: tuple[int, ...], per_count: int) -> Callable:
+    """The checked topology's size -> RunSpec.graph function, the
+    ExperimentConfig.graph field: the one dispatch over topology kinds.
     Only an edge list is read here; the other kinds build when called."""
     kind = spec.get("type", "complete")
     if kind in ("lattice", "file") and any(v != n for v in sizes):
         _fail("$.analysis.n_sweep", f"a {kind} topology fixes n = {n}")
     if kind == "complete":
-        return {"type": "complete"}, lambda size: None
+        return lambda size: None
     if kind == "er":
         p = _number(spec, "p", "$.topology", lo=0.0, hi=1.0)
         if "seed" not in spec:
-            return {"type": "er", "p": p}, lambda size: functools.partial(_er_graph, size, p)
+            return lambda size: functools.partial(_er_graph, size, p)
         seed = _number(spec, "seed", "$.topology", integer=True, lo=0, hi=_MAX_SEED)
-        return {"type": "er", "p": p, "seed": seed}, lambda size: erdos_renyi(size, p, seed=seed)
+        return lambda size: erdos_renyi(size, p, seed=seed)
     if kind == "lattice":
         side = _number(spec, "side", "$.topology", integer=True, lo=2, hi=math.isqrt(_LAW_BUDGET // per_count))
         if side * side != n:
             _fail("$.topology.side", f"side^2 = {side * side} disagrees with sim.n = {n}")
         periodic = _bool(spec, "periodic", "$.topology", True)
-        return {"type": "lattice", "side": side, "periodic": periodic}, lambda size: square_lattice(side, periodic)
+        return lambda size: square_lattice(side, periodic)
     if kind == "file":
         path = spec.get("path")
         if not isinstance(path, str) or not path:
@@ -265,23 +266,25 @@ def _topology(spec: dict, n: int, sizes: tuple[int, ...], per_count: int) -> tup
             _fail("$.topology.path", str(exc))
         if graph.n != n:
             _fail("$.topology.path", f"edge list has {graph.n} nodes, sim.n = {n}")
-        return {"type": "file", "path": path}, lambda size: graph
+        return lambda size: graph
     _fail("$.topology.type", f"must be one of complete|er|lattice|file, got {kind!r}")
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, cross-checked experiment description."""
+    """Parsed, cross-checked experiment description.
+
+    sim is the SimConfig of every run.  graph(n) is RunSpec.graph for the
+    runs of size n: None on the complete graph, a picklable
+    run_seed -> Graph for an Erdos-Renyi graph without a seed, else one
+    Graph that those runs share: the edge list read at load, or a lattice
+    or seeded graph that the call builds."""
 
     game: Game
     rule: ImitationRule
-    topology: dict
-    _graph: Callable = field(repr=False, compare=False)
+    graph: Callable[[int], Graph | Callable[[int], Graph] | None] = field(repr=False, compare=False)
+    sim: SimConfig
     n: int
-    lam: float
-    horizon: float
-    record_stride: float
-    stop_on_absorption: bool
     init_fractions: np.ndarray
     runs: int
     base_seed: int
@@ -293,13 +296,6 @@ class ExperimentConfig:
     n_sweep: tuple[int, ...]
     out_dir: str
     raw: dict = field(repr=False, default_factory=dict)
-
-    def graph(self, n: int) -> Graph | Callable[[int], Graph] | None:
-        """RunSpec.graph for the runs of size n: None on the complete graph,
-        a picklable run_seed -> Graph for an Erdos-Renyi graph without a
-        seed, else one Graph that those runs share: the edge list read at
-        load, or a lattice or seeded graph that this call builds."""
-        return self._graph(n)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -361,7 +357,7 @@ def load_config(path: str) -> ExperimentConfig:
     for at, v in (("$.sim.n", n), *((f"$.analysis.n_sweep[{i}]", v) for i, v in enumerate(n_sweep))):
         if v < support:
             _fail(at, f"must be >= {support}, one player per positive initial fraction, got {v}")
-    topology, graph = _topology(topo, n, n_sweep, per_count)
+    graph = _topology(topo, n, n_sweep, per_count)
 
     out = _section(raw, "output", required=False)
     out_dir = out.get("dir", "out")
@@ -371,13 +367,9 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         game=game,
         rule=rule,
-        topology=topology,
-        _graph=graph,
+        graph=graph,
+        sim=SimConfig(lam=lam, horizon=horizon, record_stride=record_stride, stop_on_absorption=stop_on_absorption),
         n=n,
-        lam=lam,
-        horizon=horizon,
-        record_stride=record_stride,
-        stop_on_absorption=stop_on_absorption,
         init_fractions=arr,
         runs=runs,
         base_seed=base_seed,

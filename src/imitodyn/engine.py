@@ -41,7 +41,7 @@ import os
 import pickle
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -506,41 +506,33 @@ def potential_drift_rates(game: Game, rule: ImitationRule, state: PopulationType
 class RunSpec:
     """Everything an ensemble run needs except its seed.
 
-    Provide x0 for the complete-graph type chain, or graph plus target
-    init_fractions (placed uniformly at random per run, from the run's own
-    seed).  graph is either one Graph shared by every run or a function
+    x0 is every run's start type.  With no graph a run is the complete-graph
+    type chain from x0; with one, each run places x0's counts on the nodes
+    uniformly at random, from the run's own seed, and runs the network
+    engine.  graph is either one Graph shared by every run or a function
     run_seed -> Graph that builds each run's graph.
     """
 
     game: Game
     rule: ImitationRule
     cfg: SimConfig
-    x0: PopulationType | None = None
+    x0: PopulationType
     graph: Graph | Callable[[int], Graph] | None = None
-    init_fractions: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.x0 is not None:
-            if self.graph is not None or self.init_fractions is not None:
-                raise ValueError("give either x0 (complete engine) or graph-based initial data, not both")
-        elif self.graph is None or self.init_fractions is None:
-            raise ValueError("network runs need a graph and init_fractions")
 
 
-def _placement(n: int, m: int, fractions: Sequence[float], seed: int) -> Configuration:
-    ptype = PopulationType.from_fractions(n, fractions)
-    actions = np.repeat(np.arange(m, dtype=np.int64), ptype.counts).tolist()
+def _placement(x0: PopulationType, seed: int) -> Configuration:
+    actions = np.repeat(np.arange(x0.m, dtype=np.int64), x0.counts).tolist()
     random.Random(seed).shuffle(actions)
-    return Configuration(np.asarray(actions, dtype=np.int64), m)
+    return Configuration(np.asarray(actions, dtype=np.int64), x0.m)
 
 
 def run_one(spec: RunSpec, seed: int) -> Trajectory:
     """Single run of a RunSpec under an explicit seed."""
     cfg = replace(spec.cfg, seed=seed)
-    if spec.x0 is not None:
+    if spec.graph is None:
         return simulate_complete(spec.game, spec.rule, spec.x0, cfg)
     graph = spec.graph if isinstance(spec.graph, Graph) else spec.graph(seed)
-    y0 = _placement(graph.n, spec.game.m, spec.init_fractions, derive_seed(seed, "placement"))
+    y0 = _placement(spec.x0, derive_seed(seed, "placement"))
     return simulate_network(graph, spec.game, spec.rule, y0, cfg)
 
 

@@ -43,6 +43,8 @@ class Graph:
             empty = np.flatnonzero(np.diff(self.off) == 0)
             if empty.size:
                 raise ValueError(f"node {empty[0]} has no neighbors")
+            if self.flat.min() < 0 or self.flat.max() >= self.n:
+                raise ValueError(f"neighbour ids must lie in 0..{self.n - 1}")
 
     @property
     def is_complete(self) -> bool:
@@ -151,12 +153,19 @@ def _offsets(deg: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(deg)))
 
 
+# Largest node id of an edge list: ids are int64.
+_MAX_ID = 2**63 - 1
+# Isolated ids an edge list's error names.
+_SHOWN_IDS = 5
+
+
 def from_edge_list(path: str | Path) -> Graph:
     """Load an undirected graph from a text file of 'u v' pairs, one per line.
 
     Node count is max id + 1.  Edges given in either or both directions
-    collapse to one; self-loops, malformed lines, and isolated node ids are
-    errors.
+    collapse to one; self-loops, malformed lines, ids outside 0.._MAX_ID and
+    isolated node ids are errors.  Isolated ids are found among the distinct
+    ids, so memory grows with the edges, not with the largest id.
     """
     path = Path(path)
     edges: list[tuple[int, int]] = []
@@ -174,16 +183,21 @@ def from_edge_list(path: str | Path) -> Graph:
                 raise ValueError(f"{path}:{lineno}: non-integer node id in {stripped!r}") from exc
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id in {stripped!r}")
+            if u > _MAX_ID or v > _MAX_ID:
+                raise ValueError(f"{path}:{lineno}: node id above {_MAX_ID}")
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop {u}-{v} not allowed")
             edges.append((u, v))
     if not edges:
         raise ValueError(f"{path}: no edges")
     e = np.array(edges, dtype=np.int64)
+    ids = np.unique(e)
+    n = int(ids[-1]) + 1
+    if ids.size < n:
+        # the first _SHOWN_IDS missing ids lie below ids.size + _SHOWN_IDS
+        shown = np.setdiff1d(np.arange(min(n, ids.size + _SHOWN_IDS)), ids)[:_SHOWN_IDS].tolist()
+        raise ValueError(
+            f"{path}: {n - ids.size} isolated node id(s), the first {shown}; every id in 0..{n - 1} needs an edge"
+        )
     pairs = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0)  # (u, v) rows in order, duplicates dropped
-    n = int(pairs[-1, 0]) + 1
-    deg = np.bincount(pairs[:, 0], minlength=n)
-    isolated = np.flatnonzero(deg == 0).tolist()
-    if isolated:
-        raise ValueError(f"{path}: isolated node id(s) {isolated}; every id in 0..{n - 1} needs an edge")
-    return Graph(n=n, flat=pairs[:, 1].copy(), off=_offsets(deg), kind="file")
+    return Graph(n=n, flat=pairs[:, 1].copy(), off=_offsets(np.bincount(pairs[:, 0], minlength=n)), kind="file")

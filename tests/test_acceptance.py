@@ -233,8 +233,8 @@ def test_ac10_small_chain_jump_distribution():
         game=GAME,
         rule=RULE,
         cfg=SimConfig(horizon=50.0, seed=0, record_jumps=True),
+        x0=PopulationType.from_fractions(n, (0.5, 0.5)),
         graph=graph,
-        init_fractions=(0.5, 0.5),
     )
     flips = 0
     run = 0
@@ -271,19 +271,21 @@ def test_ac11_network_topologies_reach_stable_mix():
     cfg = SimConfig(horizon=100.0, seed=0)
 
     hits = 0
+    x0 = PopulationType.from_fractions(5000, (0.3, 0.7))
     for i in range(10):
         seed = derive_seed(1101, i)
         graph = erdos_renyi(5000, 0.02, seed=derive_seed(seed, "graph"))
-        spec = RunSpec(game=GAME, rule=RULE, cfg=cfg, graph=graph, init_fractions=(0.3, 0.7))
+        spec = RunSpec(game=GAME, rule=RULE, cfg=cfg, x0=x0, graph=graph)
         traj = run_one(spec, seed)
         if abs(traj.fractions[-1, 0] - 0.75) < 0.1:
             hits += 1
     results["er"] = hits
 
     lattice = square_lattice(71, periodic=True)
+    x0 = PopulationType.from_fractions(lattice.n, (0.3, 0.7))
     hits = 0
     for i in range(10):
-        spec = RunSpec(game=GAME, rule=RULE, cfg=cfg, graph=lattice, init_fractions=(0.3, 0.7))
+        spec = RunSpec(game=GAME, rule=RULE, cfg=cfg, x0=x0, graph=lattice)
         traj = run_one(spec, derive_seed(1102, i))
         if abs(traj.fractions[-1, 0] - 0.75) < 0.1:
             hits += 1
@@ -330,8 +332,8 @@ def test_ac12_validity_suite():
         game=GAME,
         rule=RULE,
         cfg=SimConfig(horizon=5.0, seed=0),
+        x0=PopulationType.from_fractions(50, (0.5, 0.5)),
         graph=erdos_renyi(50, 0.2, seed=3),
-        init_fractions=(0.5, 0.5),
     )
     c = run_one(net, derive_seed(1201, 1))
     d = run_one(net, derive_seed(1201, 1))

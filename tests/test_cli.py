@@ -253,6 +253,21 @@ class TestStageTiming:
         else:
             assert int(match[2]) == json.loads((info / "compare.json").read_text())["ode_points"] - 1
 
+    def test_graph_build_counts_in_engine_seconds(self, tmp_path, capsys, monkeypatch):
+        real = config_mod.square_lattice
+
+        def slow(*args):
+            time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(config_mod, "square_lattice", slow)
+        data = sim_cfg(tmp_path, n=16)
+        data["topology"] = {"type": "lattice", "side": 4}
+        data["ensemble"]["runs"] = 1
+        assert main(["simulate", "--config", write_cfg(tmp_path, data), "--log-level", "info"]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert float(re.search(r"simulate: engine (\d+\.\d+) s", line)[1]) >= 0.3
+
     def test_path_analyses_do_not_load_numpy_ma(self, tmp_path):
         # np.median imports numpy.ma on its first call, 12-16 ms of a run
         data = sim_cfg(tmp_path)
@@ -654,7 +669,9 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "lines", [None, "0 1\n1 2\nx y\n", "0 1\n1 2\n2 3\n"], ids=["missing", "malformed", "nodes"]
+        "lines",
+        [None, "0 1\n1 2\nx y\n", "0 1\n1 2\n2 3\n", "0 1\n1 2000000\n", "0 1\n1 100000000000000000000000\n"],
+        ids=["missing", "malformed", "nodes", "large_id", "id_beyond_int64"],
     )
     def test_bad_edge_file_exits_2_without_output(self, tmp_path, capsys, lines):
         # the edge list is read at load, so every subcommand stops before any output
@@ -666,7 +683,8 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, data)
         for command in ("simulate", "ode", "landscape", "metastability", "compare"):
             assert main([command, "--config", cfg]) == 2
-            assert "config error: $.topology.path: " in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error: $.topology.path: " in err and len(err) < 300
             assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):

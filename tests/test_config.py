@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import imitodyn.config as config_mod
 from imitodyn import (
-    ArctanRule, ConfigError, Graph, ReplicatorRule, erdos_renyi, example4_game, load_config, make_congestion_game
+    ArctanRule, ConfigError, Graph, ReplicatorRule, SimConfig, erdos_renyi, example4_game, load_config,
+    make_congestion_game,
 )
 from imitodyn._law import _Law
 from imitodyn.config import _LAW_BUDGET, _MAX_FLOW_STEPS, MAX_RUNS, _law_bytes
@@ -47,10 +49,9 @@ class TestValidConfigs:
         cfg = load_config(write_cfg(base_config()))
         assert cfg.game.m == 2
         assert isinstance(cfg.rule, ArctanRule)
-        assert cfg.topology == {"type": "complete"}
         assert cfg.graph(100) is None
-        assert cfg.n == 100 and cfg.lam == 1.0 and cfg.horizon == 5.0
-        assert cfg.record_stride == 0.1 and cfg.stop_on_absorption is True
+        assert cfg.n == 100
+        assert cfg.sim == SimConfig(lam=1.0, horizon=5.0, record_stride=0.1, stop_on_absorption=True)
         assert cfg.runs == 4 and cfg.base_seed == 0
         assert cfg.gammas == (0.05,) and cfg.deltas == (0.1,)
         assert cfg.ode_dt == 0.01 and cfg.ode_horizon == 5.0
@@ -86,9 +87,11 @@ class TestValidConfigs:
         cfg = load_config(write_cfg(data))
         assert cfg.game.m == 2 and cfg.game.name == "config"
         assert isinstance(cfg.rule, ReplicatorRule)
-        assert cfg.topology == {"type": "er", "p": 0.2, "seed": 9}
-        assert isinstance(cfg.graph(64), Graph)
-        assert cfg.lam == 2.0 and cfg.stop_on_absorption is False
+        for n in (32, 64):
+            graph, expected = cfg.graph(n), erdos_renyi(n, 0.2, seed=9)
+            assert isinstance(graph, Graph) and graph.n == n
+            assert np.array_equal(graph.flat, expected.flat) and np.array_equal(graph.off, expected.off)
+        assert cfg.sim == SimConfig(lam=2.0, horizon=10.0, record_stride=0.25, stop_on_absorption=False)
         assert cfg.runs == 7 and cfg.base_seed == 42
         assert cfg.gammas == (0.02, 0.05) and cfg.deltas == (0.05,)
         assert cfg.ode_horizon == 20.0 and cfg.n_sweep == (32, 64)
@@ -500,7 +503,7 @@ class TestAllocationBounds:
     def test_stride_rows(self, write_cfg):
         data = base_config()
         data["sim"]["record_stride"] = 5.0 / _MAX_FLOW_STEPS
-        assert load_config(write_cfg(data)).record_stride == 5e-7
+        assert load_config(write_cfg(data)).sim.record_stride == 5e-7
         data["sim"]["record_stride"] = math.nextafter(5e-7, 0.0)
         expect_error(write_cfg, data, r"\$\.sim\.record_stride: a run to t = 5\.0 keeps more than 10000000 stride rows")
 
@@ -543,12 +546,14 @@ class TestLawBudget:
             tracemalloc.stop()
         assert peak < 2**20 < cap  # a law at n = cap + 1 takes about 2**30 bytes
 
-    def test_lattice_side(self, write_cfg):
+    def test_lattice_side(self, write_cfg, monkeypatch):
         side = math.isqrt(_LAW_BUDGET // _law_bytes(2, False))
         data = base_config()
         data["sim"]["n"] = side * side
         data["topology"] = {"type": "lattice", "side": side}
-        assert load_config(write_cfg(data)).topology["side"] == side
+        # the builder's arguments, without a lattice of 3 million nodes
+        monkeypatch.setattr(config_mod, "square_lattice", lambda side, periodic: (side, periodic))
+        assert load_config(write_cfg(data)).graph(side * side) == (side, True)
         data["topology"]["side"] = side + 1
         with pytest.raises(ConfigError, match=rf"\$\.topology\.side: must be <= {side}, got {side + 1}"):
             load_config(write_cfg(data))

@@ -1108,8 +1108,8 @@ class TestEnsemble:
             game=game4,
             rule=arctan1,
             cfg=SimConfig(horizon=1.0, seed=0),
+            x0=PopulationType.from_fractions(10, [0.5, 0.5]),
             graph=lambda seed: complete(10),
-            init_fractions=(0.5, 0.5),
         )
         assert len(ensemble(spec, num_runs=2, base_seed=0)) == 2
         monkeypatch.setenv("IMITODYN_THREADS", "2")
@@ -1131,24 +1131,55 @@ class TestEnsemble:
             game=game4,
             rule=arctan1,
             cfg=SimConfig(horizon=1.0, seed=0),
+            x0=PopulationType.from_fractions(25, [0.4, 0.6]),
             graph=g,
-            init_fractions=(0.4, 0.6),
         )
         a = run_one(spec, 99)
         b = run_one(spec, 99)
         assert np.array_equal(a.counts, b.counts)
         assert a.counts[0].tolist() == [10, 15]
 
+    @pytest.mark.parametrize(
+        "n, fractions",
+        [
+            (4, (0.5, 0.5)),
+            (25, (0.4, 0.6)),
+            (400, (0.001, 0.999)),
+            (1600, (0.001, 0.999)),
+            (2500, (0.3, 0.7)),
+            (90, (0.6, 0.3, 0.1)),
+            (300, (0.6, 0.3, 0.1)),
+            (900, (0.6, 0.3, 0.1)),
+            (7, (0.2, 0.0, 0.8)),
+        ],
+    )
+    def test_placement_of_x0_matches_fractions_placement(self, n, fractions):
+        """_placement(x0, seed) places the nodes as the placement from
+        (n, m, fractions) that network runs used before RunSpec took x0."""
+        m = len(fractions)
+        ptype = PopulationType.from_fractions(n, fractions)
+        x0 = PopulationType.from_fractions(n, fractions)
+        for seed in (0, 1, 99, derive_seed(5, "placement"), 2**64 - 1):
+            actions = np.repeat(np.arange(m, dtype=np.int64), ptype.counts).tolist()
+            random.Random(seed).shuffle(actions)
+            placed = engine_mod._placement(x0, seed)
+            assert placed.m == m and placed.actions.dtype == np.int64
+            assert placed.actions.tolist() == actions
+
     def test_runspec_validation(self, game4, arctan1):
+        """x0 is the one start form; a run checks it against the graph and
+        the game."""
         x0 = PopulationType.from_fractions(10, [0.5, 0.5])
-        g = complete(10)
         cfg = SimConfig(horizon=1.0, seed=0)
-        with pytest.raises(ValueError):
-            RunSpec(game=game4, rule=arctan1, cfg=cfg, x0=x0, graph=g)
-        with pytest.raises(ValueError):
-            RunSpec(game=game4, rule=arctan1, cfg=cfg)
-        with pytest.raises(ValueError):
-            RunSpec(game=game4, rule=arctan1, cfg=cfg, graph=g)
+        with pytest.raises(TypeError):
+            RunSpec(game=game4, rule=arctan1, cfg=cfg, graph=complete(10))
+        with pytest.raises(ValueError, match="configuration has 10 nodes, graph has 9"):
+            run_one(RunSpec(game4, arctan1, cfg, x0, graph=complete(9)), 0)
+        x3 = PopulationType.from_fractions(10, [0.4, 0.3, 0.3])
+        with pytest.raises(ValueError, match="3 actions, game has 2"):
+            run_one(RunSpec(game4, arctan1, cfg, x3), 0)
+        with pytest.raises(ValueError, match="3 actions, game has 2"):
+            run_one(RunSpec(game4, arctan1, cfg, x3, graph=complete(10)), 0)
 
 
 class TestSimConfig:
@@ -1181,10 +1212,8 @@ def test_runs_of_one_spec_share_one_law(monkeypatch, caplog, m):
     rule = replicator_rule(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo), 0.01)  # clamps part of the range
     sim = SimConfig(horizon=2.0)
     fractions = (0.6, 0.3, 0.1) if m == 3 else (0.6, 0.4)
-    specs = [
-        RunSpec(game, rule, sim, x0=PopulationType.from_fractions(30, fractions)),
-        RunSpec(game, rule, sim, graph=complete(30), init_fractions=fractions),
-    ]
+    x0 = PopulationType.from_fractions(30, fractions)
+    specs = [RunSpec(game, rule, sim, x0), RunSpec(game, rule, sim, x0, graph=complete(30))]
     with caplog.at_level(logging.DEBUG, logger="imitodyn"):
         shared = [run_one(spec, seed) for spec in specs for seed in (1, 2, 3)]
     # both engines, one game, rule, lam and n: one law, one clamp line

@@ -70,11 +70,11 @@ def _spec(name: str) -> RunSpec:
         return RunSpec(g4m, arctan_rule(K), cfg, x0=PopulationType.from_fractions(80, [0.4, 0.3, 0.2, 0.1]))
     if name == "lattice_m2_jumps":
         jumps = SimConfig(horizon=3.0, record_stride=0.25, record_jumps=True)
-        return RunSpec(g4, arctan, jumps, graph=square_lattice(10), init_fractions=(0.3, 0.7))
+        return RunSpec(g4, arctan, jumps, PopulationType.from_fractions(100, [0.3, 0.7]), square_lattice(10))
     if name == "er_m3":
-        return RunSpec(g3, rep3, cfg, graph=erdos_renyi(90, 0.08, seed=3), init_fractions=(0.6, 0.3, 0.1))
+        return RunSpec(g3, rep3, cfg, PopulationType.from_fractions(90, [0.6, 0.3, 0.1]), erdos_renyi(90, 0.08, seed=3))
     assert name == "network_m2_replicator"
-    return RunSpec(g4, rep4, cfg, graph=erdos_renyi(100, 0.06, seed=5), init_fractions=(0.4, 0.6))
+    return RunSpec(g4, rep4, cfg, PopulationType.from_fractions(100, [0.4, 0.6]), erdos_renyi(100, 0.06, seed=5))
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

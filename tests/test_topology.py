@@ -161,6 +161,19 @@ def test_graph_rejects_bad_offsets():
         Graph(n=3, flat=flat, off=np.array([0, 2, 2, 4]), kind="t")
 
 
+@pytest.mark.parametrize(
+    "n, flat, off",
+    [
+        (4, [-1, 0, 1, 2, 3], [0, 1, 2, 4, 5]),  # node 0's contact would be node 3, by a negative index
+        (3, [1, 0, 7, 1], [0, 1, 3, 4]),  # a contact past the last node
+    ],
+    ids=["negative", "past_n"],
+)
+def test_graph_rejects_neighbour_ids_outside_nodes(n, flat, off):
+    with pytest.raises(ValueError, match=rf"neighbour ids must lie in 0\.\.{n - 1}"):
+        Graph(n=n, flat=np.array(flat, dtype=np.int64), off=np.array(off), kind="t")
+
+
 class TestComplete:
     def test_implicit_adjacency(self):
         g = complete(5)
@@ -265,5 +278,30 @@ class TestEdgeList:
     def test_isolated_id_rejected(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n3 4\n")  # node 2 never appears
+        with pytest.raises(ValueError, match=r"1 isolated node id\(s\), the first \[2\]; every id in 0\.\.4"):
+            from_edge_list(str(p))
+
+    def test_id_beyond_int64_rejected_with_its_line(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_text("0 1\n1 100000000000000000000000\n")
+        with pytest.raises(ValueError, match=r"edges\.txt:2: node id above 9223372036854775807"):
+            from_edge_list(str(p))
+        p.write_text("0 1\n1 9223372036854775807\n")  # the largest int64 id: isolated ids, no overflow
         with pytest.raises(ValueError, match="isolated"):
             from_edge_list(str(p))
+
+    def test_isolated_ids_of_a_large_id_cost_no_id_sized_array(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_text("0 1\n1 1000000000000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                from_edge_list(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        msg = str(exc.value)
+        assert len(msg) < 300
+        assert msg.endswith(": 999999999998 isolated node id(s), the first [2, 3, 4, 5, 6]; "
+                            "every id in 0..1000000000000 needs an edge")
